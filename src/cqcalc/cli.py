@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -150,6 +149,8 @@ def cmd_check(args) -> int:
             seed=args.seed,
             tol=_default_tol(args),
         )
+    except rc.UnboundSymbolError as e:
+        raise CliError(f"--dims gives no value for symbol {e.symbol!r}") from e
     except rw.RewriteError as e:
         report = {
             "format_version": FORMAT_VERSION,
@@ -171,7 +172,6 @@ def _load_strategy(path) -> pr.DeviceStrategy:
 
 
 def cmd_simulate(args) -> int:
-    strategy = _load_strategy(args.strategy)
     config = {
         "rounds": args.rounds,
         "q": args.q,
@@ -181,17 +181,12 @@ def cmd_simulate(args) -> int:
         "sweep": args.sweep,
     }
     try:
+        strategy = _load_strategy(args.strategy)
         if args.sweep:
-            seeds = list(range(args.seed, args.seed + args.sweep))
-
-            def one(s):
-                return pr.spotcheck_run(args.rounds, args.q, args.chi, strategy, s)
-
-            if args.jobs > 1:
-                with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                    runs = list(pool.map(one, seeds))
-            else:
-                runs = [one(s) for s in seeds]
+            runs = [
+                pr.spotcheck_run(args.rounds, args.q, args.chi, strategy, s)
+                for s in range(args.seed, args.seed + args.sweep)
+            ]
             aborts = sum(r.aborted for r in runs)
             report = {
                 "format_version": FORMAT_VERSION,
@@ -363,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; has no effect")
 
     p = sub.add_parser("eval", help="evaluate a diagram file to a tensor")
     p.add_argument("diagram")

@@ -257,7 +257,7 @@ def _level_budget_atoms(plan: ExpansionPlan, level: int, base: str = "N"):
     return [rw.eps(scale, base), rw.eps(2 * scale, base)]
 
 
-def _exact_stage_distribution(stage: DoublingStage, strategy, q: float):
+def _exact_stage_distribution(stage: DoublingStage, strategy, q: float, chi: float):
     """Output distribution of one stage given each seed value, by exact
     enumeration over round symbols and device outcomes."""
     bq = pr.b_q_distribution(q)
@@ -294,7 +294,7 @@ def _exact_stage_distribution(stage: DoublingStage, strategy, q: float):
                 if t:
                     tests += 1
                     passes += bool(passed)
-            if tests == 0 or passes / tests < 0.85:
+            if tests == 0 or passes / tests < chi:
                 abort_mass += wgt
                 continue
             z = (t_mat @ np.array(raw, dtype=np.uint8)) % 2
@@ -385,8 +385,8 @@ def _pipeline_exact_distance(plan: ExpansionPlan, strategies, q: float, chi: flo
     pair = strategies[0]
     stage1 = compose_R(plan.N, plan.ratio, allow_single_bit=True)
     stage2 = compose_R(2 * plan.N, plan.ratio, allow_single_bit=True)
-    d1 = _exact_stage_distribution(stage1, pair, q)
-    d2 = _exact_stage_distribution(stage2, pair, q)
+    d1 = _exact_stage_distribution(stage1, pair, q, chi)
+    d2 = _exact_stage_distribution(stage2, pair, q, chi)
     w_out = 2**stage2.out_bits
     final = np.zeros(w_out)
     for s1 in d1:

@@ -78,19 +78,19 @@ class DeviceStrategy:
         return da, db
 
     def validate(self, tol: float = 1e-9):
-        if self.mode == "iid":
-            tables = self.povms
-        else:
-            tables = [t for per_round in self.povms for t in per_round]
-        for table in tables:
-            for effects in table:
-                total = sum(effects)
-                d = total.shape[0]
-                if np.abs(total - np.eye(d)).max() > tol:
-                    raise ValueError("POVM effects must sum to identity")
-                for e in effects:
-                    if np.linalg.eigvalsh((e + e.conj().T) / 2).min() < -tol:
-                        raise ValueError("POVM effect is not PSD")
+        """Raise ValueError unless each player's POVM table is a
+        rectangular stack of square PSD effects summing to identity per
+        input (per round and input in "scripted" mode)."""
+        if len(self.povms) != 2:
+            raise ValueError("a bipartite strategy needs POVMs for two players")
+        for table in self.povms:
+            e = np.asarray(table, dtype=complex)  # [round,] input, outcome, d, d
+            if e.ndim != (4 if self.mode == "iid" else 5) or e.shape[-1] != e.shape[-2]:
+                raise ValueError("POVM tables must stack square effects per input")
+            if np.abs(e.sum(axis=-3) - np.eye(e.shape[-1])).max() > tol:
+                raise ValueError("POVM effects must sum to identity")
+            if np.linalg.eigvalsh((e + e.conj().swapaxes(-1, -2)) / 2).min() < -tol:
+                raise ValueError("POVM effect is not PSD")
 
     def round_povms(self, player: int, round_index: int):
         if self.mode == "iid":
@@ -145,17 +145,20 @@ def deterministic_strategy(fa, fb) -> DeviceStrategy:
 
 
 def conditional_distribution(s: DeviceStrategy, round_index: int = 0) -> np.ndarray:
-    """p[x, y, a, b] = Tr((A^x_a (x) B^y_b) rho), computed exactly."""
+    """p[x, y, a, b] = Tr((A^x_a (x) B^y_b) rho), computed exactly.
+
+    Every Kronecker product comes from one broadcast multiply and every
+    trace from one stacked matmul; entry for entry this is the
+    arithmetic of np.kron and np.trace, so the floats do not depend on
+    the batching."""
     rho = s.density()
-    da, db = s.dims()
-    pa = s.round_povms(0, round_index)
-    pb = s.round_povms(1, round_index)
-    nx, ny = len(pa), len(pb)
-    na, nb = len(pa[0]), len(pb[0])
-    p = np.zeros((nx, ny, na, nb))
-    for xx, yy, aa, bb in product(range(nx), range(ny), range(na), range(nb)):
-        p[xx, yy, aa, bb] = np.trace(np.kron(pa[xx][aa], pb[yy][bb]) @ rho).real
-    return p
+    pa = np.asarray(s.round_povms(0, round_index))
+    pb = np.asarray(s.round_povms(1, round_index))
+    nx, na, da, _ = pa.shape
+    ny, nb, db, _ = pb.shape
+    k = pa[:, None, :, None, :, None, :, None] * pb[None, :, None, :, None, :, None, :]
+    k = k.reshape(nx, ny, na, nb, da * db, da * db)
+    return np.trace(k @ rho, axis1=-2, axis2=-1).real
 
 
 def game_value(g: Game, s: DeviceStrategy) -> float:
@@ -344,35 +347,62 @@ class RunReport:
         }
 
 
+def _require_chsh_alphabet(p: np.ndarray):
+    """p[..., x, y, a, b] must have two inputs and two outcomes per player."""
+    if p.shape[-4:] != (2, 2, 2, 2):
+        raise ValueError(
+            f"CHSH needs two inputs and two outcomes per player, got (x, y, a, b) sizes {p.shape[-4:]}"
+        )
+
+
+def _inverse_cdf(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Draw from the distributions p[..., :] with the uniform doubles
+    u[...], as Generator.choice(n, p=...) does for one double: the same
+    checks on p, and searchsorted(side="right") into cumsum(p) / its
+    last entry."""
+    if np.isnan(p).any():
+        raise ValueError("probabilities contain NaN")
+    if (p < 0).any():
+        raise ValueError("probabilities are not non-negative")
+    if (np.abs(p.sum(axis=-1) - 1.0) > math.sqrt(np.finfo(float).eps)).any():
+        raise ValueError("probabilities do not sum to 1")
+    cdf = p.cumsum(axis=-1)
+    cdf = cdf / cdf[..., -1:]
+    # a row-wise searchsorted(side="right"): cdf is non-decreasing
+    return (cdf <= u[..., None]).sum(axis=-1)
+
+
 def spotcheck_run(M: int, q: float, chi: float, s: DeviceStrategy, seed: int) -> RunReport:
     """Seeded spot-checking loop: each round draws (t, a1, a2) from the
     biased input distribution; test rounds (t=1) play the game on inputs
     (a1, a2) and are scored, generation rounds use inputs (0, 0).  The
     run aborts when no round was tested or the pass rate falls below
-    chi.  Bit-exact reproducible from (seed, parameters, strategy)."""
+    chi.  Bit-exact reproducible from (seed, parameters, strategy).
+
+    All rounds are drawn at once; the random stream and its use match
+    one Generator.choice call for the round symbol and one for the
+    outcome pair per round, so reports do not depend on the batching."""
     if M < 1 or not 0.0 < q < 1.0 or not 0.5 <= chi <= 1.0:
         raise ValueError("invalid spot-check parameters")
     s.validate()
-    g = chsh_game()
-    rng = np.random.Generator(np.random.Philox(seed))
-    bq = b_q_distribution(q)
-    transcript = []
-    outputs = []
-    tests = passes = 0
-    p_iid = conditional_distribution(s) if s.mode == "iid" else None
-    for r in range(M):
-        sym = int(rng.choice(8, p=bq))
-        t, a1, a2 = sym >> 2, (sym >> 1) & 1, sym & 1
-        xx, yy = (a1, a2) if t else (0, 0)
-        p = p_iid if p_iid is not None else conditional_distribution(s, r)
-        flat = p[xx, yy].reshape(-1)
-        ab = int(rng.choice(flat.size, p=flat / flat.sum()))
-        aa, bb = divmod(ab, p.shape[3])
-        if t:
-            tests += 1
-            passes += bool(g.predicate(xx, yy, aa, bb))
-        transcript.append((t, a1, a2, aa, bb))
-        outputs += [aa, bb]
+    if s.mode == "iid":
+        p = conditional_distribution(s)
+    elif any(len(rounds) < M for rounds in s.povms):
+        raise ValueError(f"scripted strategy has fewer than {M} rounds")
+    else:
+        p = np.array([conditional_distribution(s, r) for r in range(M)])
+    _require_chsh_alphabet(p)
+    u = np.random.Generator(np.random.Philox(seed)).random((M, 2))
+    sym = _inverse_cdf(b_q_distribution(q), u[:, 0])
+    t, a1, a2 = sym >> 2, (sym >> 1) & 1, sym & 1
+    xx, yy = a1 * t, a2 * t
+    flat = (p[xx, yy] if p.ndim == 4 else p[np.arange(M), xx, yy]).reshape(M, 4)
+    ab = _inverse_cdf(flat / flat.sum(axis=1, keepdims=True), u[:, 1])
+    aa, bb = ab >> 1, ab & 1
+    tests = int(t.sum())
+    passes = int(chsh_game().predicate(xx, yy, aa, bb)[t == 1].sum())
+    transcript = list(zip(t.tolist(), a1.tolist(), a2.tolist(), aa.tolist(), bb.tolist()))
+    outputs = np.stack([aa, bb], axis=1).reshape(-1).tolist()
     aborted = tests == 0 or passes / tests < chi
     return RunReport(aborted, transcript, tests, passes, outputs, seed)
 
@@ -735,11 +765,19 @@ def strategy_to_json(s: DeviceStrategy) -> dict:
 
 
 def strategy_from_json(j: dict) -> DeviceStrategy:
-    rho = _mat_from_json(j["state"])
-    povms = [
-        [[_mat_from_json(e) for e in effects] for effects in player]
-        for player in j["povms"]
-    ]
-    da = povms[0][0][0].shape[0]
-    db = povms[1][0][0].shape[0]
-    return DeviceStrategy(bipartite_state(rho, da, db), povms)
+    """Inverse of strategy_to_json.  Raises ValueError on malformed
+    JSON and on POVM tables that do not fit the CHSH alphabet."""
+    try:
+        rho = _mat_from_json(j["state"])
+        povms = [
+            [[_mat_from_json(e) for e in effects] for effects in player]
+            for player in j["povms"]
+        ]
+        da = povms[0][0][0].shape[0]
+        db = povms[1][0][0].shape[0]
+        s = DeviceStrategy(bipartite_state(rho, da, db), povms)
+        s.validate()
+        _require_chsh_alphabet(conditional_distribution(s))
+    except (KeyError, IndexError, TypeError, ValueError) as e:
+        raise ValueError(f"malformed strategy JSON: {e}") from e
+    return s

@@ -31,6 +31,14 @@ CLASSICAL = "classical"
 QUANTUM = "quantum"
 
 
+class UnboundSymbolError(KeyError):
+    """A symbolic width was instantiated without a value for its symbol."""
+
+    def __init__(self, symbol: str):
+        super().__init__(f"no value for symbol {symbol!r}")
+        self.symbol = symbol
+
+
 @dataclass(frozen=True)
 class SymWidth:
     """Symbolic bit width scale*symbol: dimension 2**(scale*value(symbol)).
@@ -49,7 +57,7 @@ class SymWidth:
 
     def value(self, values: dict) -> int:
         if self.symbol not in values:
-            raise KeyError(f"no value for symbol {self.symbol!r}")
+            raise UnboundSymbolError(self.symbol)
         return 2 ** (self.scale * int(values[self.symbol]))
 
     def __repr__(self):

@@ -77,6 +77,11 @@ class TestCheck:
         rep = json.loads(out.read_text())
         assert not rep["verified"]
 
+    def test_unbound_dims_symbol_exit_2_names_it(self, tmp_path, capsys):
+        argv = ["check", "single_stage", "--dims", "N=1", "--out", str(tmp_path / "x")]
+        assert cli.main(argv) == 2
+        assert "'M'" in capsys.readouterr().err
+
     def test_empty_script_zero_budget(self, tmp_path):
         initial = dg.Diagram.from_generator(dg.uniform_gen(rc.C(2), 1))
         script = rw.ProofScript("empty", initial, [], rw.EpsExpr.zero())
@@ -114,6 +119,21 @@ class TestSimulate:
 
     def test_bad_config_exit_2(self, tmp_path):
         assert cli.main(["simulate", "--rounds", "0", "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("defect", ["one_input", "no_state", "ragged"])
+    def test_bad_strategy_exit_2(self, tmp_path, capsys, defect):
+        j = pr.strategy_to_json(pr.optimal_chsh_strategy())
+        if defect == "one_input":
+            j["povms"] = [player[:1] for player in j["povms"]]
+        elif defect == "no_state":
+            del j["state"]
+        else:
+            j["povms"][1][0] = j["povms"][1][0][:1]
+        sfile = tmp_path / "s.json"
+        sfile.write_text(json.dumps(j))
+        argv = ["simulate", "--rounds", "20", "--strategy", str(sfile)]
+        assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 2
+        assert "strategy" in capsys.readouterr().err
 
 
 class TestEntropy:

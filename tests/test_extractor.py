@@ -1,6 +1,7 @@
 """Tests for Toeplitz extraction and the expansion pipeline."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -190,6 +191,21 @@ class TestPipeline:
             ex.ExpansionPlan(1, 1), [self.honest, self.honest], seed=0, q=0.9, chi=0.75
         )
         assert 0.0 <= rep["uniform_distance_exact"] <= 1.0
+
+    @pytest.mark.parametrize("chi", [0.5, 0.85])
+    def test_exact_stage_abort_mass_uses_chi(self, chi):
+        # two rounds with per-round test probability q and honest win
+        # rate w: abort on no test, and on a pass rate below chi, which
+        # at chi = 0.5 spares one pass in two tests
+        q, w = 0.4, math.cos(math.pi / 8) ** 2
+        fail_two = (1 - w) ** 2 if chi <= 0.5 else 1 - w**2
+        want = (1 - q) ** 2 + 2 * q * (1 - q) * (1 - w) + q**2 * fail_two
+        stage = ex.compose_R(1, allow_single_bit=True)
+        assert stage.rounds == 2
+        per_seed = ex._exact_stage_distribution(stage, self.honest, q, chi)
+        for dist, abort_mass in per_seed.values():
+            assert abort_mass == pytest.approx(want, abs=1e-12)
+            assert dist.sum() == pytest.approx(1 - want, abs=1e-12)
 
     def test_cheating_devices_abort(self):
         zero = pr.deterministic_strategy(lambda x: 0, lambda y: 0)

@@ -113,6 +113,15 @@ class TestSpotcheck:
         with pytest.raises(ValueError):
             pr.RunReport(False, [], 3, 5, [], 0)
 
+    def test_strategies_outside_chsh_rejected(self):
+        s = pr.optimal_chsh_strategy()
+        one_input = pr.DeviceStrategy(s.shared_state, [t[:1] for t in s.povms])
+        with pytest.raises(ValueError, match="CHSH"):
+            pr.spotcheck_run(10, 0.2, 0.85, one_input, seed=0)
+        short = pr.DeviceStrategy(s.shared_state, [[t] * 3 for t in s.povms], mode="scripted")
+        with pytest.raises(ValueError, match="rounds"):
+            pr.spotcheck_run(4, 0.2, 0.85, short, seed=0)
+
     def test_all_zero_devices_mostly_abort(self):
         z = pr.deterministic_strategy(lambda x: 0, lambda y: 0)
         aborts = sum(
