@@ -259,7 +259,8 @@ def _level_budget_atoms(plan: ExpansionPlan, level: int, base: str = "N"):
 
 def _exact_stage_distribution(stage: DoublingStage, strategy, q: float, chi: float):
     """Output distribution of one stage given each seed value, by exact
-    enumeration over round symbols and device outcomes."""
+    enumeration over round symbols and device outcomes; runs whose pass
+    rate falls below chi count as abort mass."""
     bq = pr.b_q_distribution(q)
     p_cond = pr.conditional_distribution(strategy)
     g = pr.chsh_game()

@@ -90,7 +90,72 @@ class TestBiasedInputs:
             pr.rational_approx(0.1, 0)
 
 
+def reference_conditional_distribution(s, round_index=0):
+    """The per-entry kron/trace loop that conditional_distribution batches."""
+    rho = s.density()
+    pa, pb = s.round_povms(0, round_index), s.round_povms(1, round_index)
+    p = np.zeros((len(pa), len(pb), len(pa[0]), len(pb[0])))
+    for x, y, a, b in np.ndindex(p.shape):
+        p[x, y, a, b] = np.trace(np.kron(pa[x][a], pb[y][b]) @ rho).real
+    return p
+
+
+def reference_spotcheck(M, q, chi, s, seed):
+    """The scalar loop spotcheck_run batches: one Generator.choice call
+    for each round symbol and one for each outcome pair."""
+    g = pr.chsh_game()
+    rng = np.random.Generator(np.random.Philox(seed))
+    ps = [reference_conditional_distribution(s, r) for r in range(1 if s.mode == "iid" else M)]
+    transcript, outputs, tests, passes = [], [], 0, 0
+    for r in range(M):
+        sym = int(rng.choice(8, p=pr.b_q_distribution(q)))
+        t, a1, a2 = sym >> 2, (sym >> 1) & 1, sym & 1
+        xx, yy = (a1, a2) if t else (0, 0)
+        flat = ps[0 if s.mode == "iid" else r][xx, yy].reshape(-1)
+        aa, bb = divmod(int(rng.choice(4, p=flat / flat.sum())), 2)
+        tests += t
+        passes += bool(t and g.predicate(xx, yy, aa, bb))
+        transcript.append((t, a1, a2, aa, bb))
+        outputs += [aa, bb]
+    return pr.RunReport(tests == 0 or passes / tests < chi, transcript, tests, passes, outputs, seed)
+
+
+def random_strategy(seed, da=3, db=2, rounds=None):
+    """Random full-rank complex state with random projective measurements."""
+    rng = np.random.default_rng(seed)
+
+    def table(d):
+        out = []
+        for _ in range(2):
+            z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            v = np.linalg.qr(z)[0][:, 0]
+            proj = np.outer(v, v.conj())
+            out.append([proj, np.eye(d) - proj])
+        return out
+
+    g = rng.normal(size=(da * db,) * 2) + 1j * rng.normal(size=(da * db,) * 2)
+    rho = g @ g.conj().T
+    state = pr.bipartite_state(rho / np.trace(rho), da, db)
+    if rounds is None:
+        return pr.DeviceStrategy(state, [table(da), table(db)])
+    povms = [[table(da) for _ in range(rounds)], [table(db) for _ in range(rounds)]]
+    return pr.DeviceStrategy(state, povms, mode="scripted")
+
+
 class TestSpotcheck:
+    @pytest.mark.parametrize(
+        "s",
+        [pr.optimal_chsh_strategy(), random_strategy(1), random_strategy(2, 2, 2), random_strategy(3, rounds=40)],
+        ids=["optimal", "random3x2", "random2x2", "scripted"],
+    )
+    def test_matches_scalar_choice_loop(self, s):
+        for r in range(3 if s.mode == "scripted" else 1):
+            assert pr.conditional_distribution(s, r).tobytes() == reference_conditional_distribution(s, r).tobytes()
+        for q in (0.1, 0.6):
+            for seed in range(3):
+                want = reference_spotcheck(40, q, 0.75, s, seed).to_json()
+                assert pr.spotcheck_run(40, q, 0.75, s, seed).to_json() == want
+
     def test_reproducible_bit_exact(self):
         s = pr.optimal_chsh_strategy()
         r1 = pr.spotcheck_run(60, 0.2, 0.85, s, seed=11)
