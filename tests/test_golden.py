@@ -1,8 +1,9 @@
 """Golden digests: the report bytes must not move across versions.
 
-Each case pins the SHA-256 of a deterministic report.  A change to how
-the spot-check sampler consumes its random stream, or to the report
-layout, moves a digest; such a change must bump `format_version`
+Each case pins the SHA-256 of a deterministic report or saved proof
+script.  A change to how the spot-check sampler consumes its random
+stream, to how a proof step rewrites its diagram, or to the report or
+script layout, moves a digest; such a change must bump `format_version`
 instead of passing silently.
 """
 
@@ -16,6 +17,7 @@ import pytest
 from cqcalc import cli
 from cqcalc import extractor as ex
 from cqcalc import protocol as pr
+from cqcalc import rewrite as rw
 
 
 def sha256(data: bytes) -> str:
@@ -88,3 +90,58 @@ def test_pipeline_report_bytes():
     assert "uniform_distance_exact" in rep
     text = json.dumps(rep, sort_keys=True)
     assert sha256(text.encode()) == "b0ba80c4abf94ee537963771338a5d617722c97691ff9f15daf300d519960dfd"
+
+
+CHECK_DIGESTS = {
+    ("chain_k1", "N=1"): "7504dd04e7d323c19f6148067d12bed91b1a5b56a712ce8f4e1d1cc8ef3bbf73",
+    ("chain_k2", "N=1"): "da01cc9e4bafa575ec59d30b2cab480b3a9dcdf1cb132143ec7f7f1cad3efff9",
+    ("chain_k3", "N=1"): "bb85033cbbb319dd47920751e8681b050dcd38170d92fd5e9b9b8be8ba8952cc",
+    ("single_stage", "M=1"): "2f30efbac3ddcf630cdfd108137076563f1a87508484521da0d89a516a6e90a8",
+    ("soundness_k2", "N=1"): "6b3a869ae06a2eb97cfcd9590717699f52788685877236d650f27c74d6d93967",
+    ("spot_check_lemma", "N=1"): "6d10773c026790956a75f13f9c814ac16cf89e44904f1e94b3490e55dcd9898e",
+}
+
+
+def cli_report_digest(tmp_path, argv) -> str:
+    out = tmp_path / "out.json"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    return sha256(out.read_bytes())
+
+
+@pytest.mark.parametrize("name,dims", sorted(CHECK_DIGESTS))
+def test_check_report_bytes(tmp_path, name, dims):
+    digest = cli_report_digest(tmp_path, ["check", name, "--dims", dims, "--seed", "5"])
+    assert digest == CHECK_DIGESTS[(name, dims)]
+
+
+def test_check_budget_report_bytes(tmp_path):
+    digest = cli_report_digest(tmp_path, ["check", "soundness_k2", "--eps-fn", "1,1"])
+    assert digest == "2a01237ee4c99aa4a5197029b3a68f88b779295ab8edd7df6b517f2f2fb338d9"
+
+
+RULES_DIGESTS = {
+    2: "5b9a6b9c68ca009ffc3c5b592beecf4cfeb88d8165476656b1e37c4bb6e3217a",
+    3: "69d87551bdd80031a8ad05ce024303f6da3414be69e677bf9ba3a2a0d5ab1964",
+}
+
+
+@pytest.mark.parametrize("dim", sorted(RULES_DIGESTS))
+def test_rules_report_bytes(tmp_path, dim):
+    assert cli_report_digest(tmp_path, ["rules", "--dim", str(dim)]) == RULES_DIGESTS[dim]
+
+
+SCRIPT_JSON_DIGESTS = {
+    "chain_k1": "4e2557f424602d881c3fc298e0b480dcfab8b78973256dd2ad8f31a5f47eebf0",
+    "chain_k2": "d4cdbc6dc26d5b4eac0dd60713ff045b1f6f3933ee82042dfce2383041118e6e",
+    "chain_k3": "2f5a39a2166a214c179fa7e113077fa74475fa393b5b517b2fd6f8b3bf6f0f52",
+    "single_stage": "9caf67ccc9c73b46555f9e2d2804b420d28414ec33b08a8d05d098582d62e62c",
+    "soundness_k2": "0ec4334fdbbc61761cbbf91ebfd9a240764aa3cce3596fa377265f5c4ffe2b63",
+    "spot_check_lemma": "1405c08d0e5ca2b952a14da8cb58c6378f74199f169187eab14a1f7fee45862a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCRIPT_JSON_DIGESTS))
+def test_script_format_bytes(name):
+    # a script saved by an earlier version must replay unchanged
+    text = json.dumps(rw.script_to_json(rw.shipped_scripts()[name]), sort_keys=True)
+    assert sha256(text.encode()) == SCRIPT_JSON_DIGESTS[name]

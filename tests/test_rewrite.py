@@ -251,14 +251,20 @@ class TestScripts:
         ran = [st for st in rep["steps"] if st["status"] == "exact-ok"]
         assert ran and all(st["distance"] <= 1e-9 for st in ran)
 
-    def test_script_json_round_trip(self):
-        s = rw.script_chain(2)
+    def assert_json_round_trip(self, s):
         s2 = rw.script_from_json(rw.script_to_json(s))
         assert s2.claimed_total == s.claimed_total
         final1 = rw.replay_script(s)[0]
         final2 = rw.replay_script(s2)[0]
         assert dg.diagrams_equal(final1.diagram, final2.diagram)
         assert final1.budget == final2.budget
+
+    def test_script_json_round_trip(self):
+        self.assert_json_round_trip(rw.script_chain(2))
+
+    def test_script_json_round_trip_structural_steps(self):
+        # the only shipped script with causality, absorb and widen steps
+        self.assert_json_round_trip(rw.script_soundness_k2())
 
     def test_report_is_deterministic_json(self):
         s = rw.script_single_stage()
