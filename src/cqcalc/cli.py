@@ -131,7 +131,10 @@ def cmd_check(args) -> int:
     if args.script in shipped:
         script = shipped[args.script]
     else:
-        script = rw.script_from_json(_load_json(args.script))
+        try:
+            script = rw.script_from_json(_load_json(args.script))
+        except ValueError as e:
+            raise CliError(str(e)) from e
     eps_fns = _eps_fns_from_spec(args.eps_fn) if args.eps_fn else None
     dims = {}
     for item in args.dims or []:

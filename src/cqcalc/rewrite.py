@@ -351,7 +351,7 @@ def apply_rule(state: RewriteState, rule: RewriteRule, loc=None):
 
 
 # ---------------------------------------------------------------------------
-# surgical (parametric) steps
+# merge: fusing a region into one hole
 
 
 def cut_subdiagram(d: dg.Diagram, loc):
@@ -415,149 +415,9 @@ def merge_step(d: dg.Diagram, loc, name: str):
         flags = frozenset({"stochastic"})
     else:
         flags = frozenset()
-    h = dg.hole(name, sub.in_types, sub.out_types, flags)
-    nid = max(d.nodes) + 1
-    nodes = {k: g for k, g in d.nodes.items() if k not in set(loc)}
-    nodes[nid] = h
-
-    def incident(w):
-        return (w[0][0] == "n" and w[0][1] in set(loc)) or (
-            w[1][0] == "n" and w[1][1] in set(loc)
-        )
-
-    wires = [w for w in d.wires if not incident(w)]
-    wires += [(in_atts[k], ("n", nid, k)) for k in range(len(sub.in_types))]
-    wires += [(("n", nid, k), out_atts[k]) for k in range(len(sub.out_types))]
-    return dg.Diagram(nodes, wires, d.in_types, d.out_types), sub, dg.Diagram.from_generator(h)
-
-
-def causality_step(d: dg.Diagram, loc):
-    """Discard a causal node: loc = (node, discards consuming every one
-    of its outputs); replaced by discards on each of its inputs."""
-    loc = tuple(loc)
-    target, discards = loc[0], set(loc[1:])
-    g = d.nodes[target]
-    if "causal" not in g.flags:
-        raise RewriteError(f"node {target} is not flagged causal")
-    consumers = set()
-    for s, t in d.wires:
-        if s[0] == "n" and s[1] == target:
-            if t[0] != "n" or d.nodes[t[1]].kind != dg.DISCARD:
-                raise RewriteError(f"output {s[2]} of node {target} is not discarded")
-            consumers.add(t[1])
-    if consumers != discards:
-        raise RewriteError(f"loc discards {sorted(discards)} != consumers {sorted(consumers)}")
-    sub, in_atts, _ = cut_subdiagram(d, loc)
-    nodes = {k: v for k, v in d.nodes.items() if k not in set(loc)}
-    wires = [
-        w
-        for w in d.wires
-        if not (
-            (w[0][0] == "n" and w[0][1] in set(loc)) or (w[1][0] == "n" and w[1][1] in set(loc))
-        )
-    ]
-    nid = max(d.nodes) + 1
-    rhs_nodes, rhs_wires = {}, []
-    for k, reg in enumerate(sub.in_types):
-        nodes[nid + k] = dg.discard_gen(reg)
-        wires.append((in_atts[k], ("n", nid + k, 0)))
-        rhs_nodes[k] = dg.discard_gen(reg)
-        rhs_wires.append((("in", k), ("n", k, 0)))
-    rhs = dg.Diagram(rhs_nodes, rhs_wires, sub.in_types, ())
-    return dg.Diagram(nodes, wires, d.in_types, d.out_types), sub, rhs
-
-
-def _uniform_check(g: dg.Generator, nid):
-    if g.kind != dg.UNIFORM:
-        raise RewriteError(f"node {nid} is not a uniform state")
-    if g.out_ports[0].kind != rc.CLASSICAL:
-        raise RewriteError("leg-count rules for uniform states hold on classical wires only")
-
-
-def absorb_discard_step(d: dg.Diagram, loc):
-    """uniform with k >= 2 legs, one consumed by a discard -> k-1 legs."""
-    uid, did = loc
-    g = d.nodes[uid]
-    _uniform_check(g, uid)
-    k = len(g.out_ports)
-    if k < 2:
-        raise RewriteError("need at least two legs to absorb a discard")
-    if d.nodes.get(did, dg.scalar_gen(1)).kind != dg.DISCARD:
-        raise RewriteError(f"node {did} is not a discard")
-    leg = None
-    for s, t in d.wires:
-        if s[0] == "n" and s[1] == uid and t == ("n", did, 0):
-            leg = s[2]
-    if leg is None:
-        raise RewriteError(f"discard {did} is not attached to uniform {uid}")
-    sub, _, out_atts = cut_subdiagram(d, (uid, did))
-    reg = g.out_ports[0]
-    nodes = {n: v for n, v in d.nodes.items() if n not in (uid, did)}
-    nid = max(d.nodes) + 1
-    nodes[nid] = dg.uniform_gen(reg, k - 1)
-    wires = [
-        w
-        for w in d.wires
-        if not ((w[0][0] == "n" and w[0][1] in (uid, did)) or (w[1][0] == "n" and w[1][1] in (uid, did)))
-    ]
-    kept = [p for p in range(k) if p != leg]
-    old_dst = {}
-    for s, t in d.wires:
-        if s[0] == "n" and s[1] == uid:
-            old_dst[s[2]] = t
-    for i, p in enumerate(kept):
-        wires.append((("n", nid, i), old_dst[p]))
-    rhs = dg.Diagram.from_generator(dg.uniform_gen(reg, k - 1))
-    return dg.Diagram(nodes, wires, d.in_types, d.out_types), sub, rhs
-
-
-def widen_uniform_step(d: dg.Diagram, loc):
-    """uniform with k legs -> k+1 legs with the fresh leg discarded."""
-    (uid,) = loc
-    g = d.nodes[uid]
-    _uniform_check(g, uid)
-    k = len(g.out_ports)
-    reg = g.out_ports[0]
-    sub, _, out_atts = cut_subdiagram(d, (uid,))
-    nodes = {n: v for n, v in d.nodes.items() if n != uid}
-    nid = max(d.nodes) + 1
-    did = nid + 1
-    nodes[nid] = dg.uniform_gen(reg, k + 1)
-    nodes[did] = dg.discard_gen(reg)
-    wires = [
-        w
-        for w in d.wires
-        if not ((w[0][0] == "n" and w[0][1] == uid) or (w[1][0] == "n" and w[1][1] == uid))
-    ]
-    old_dst = {}
-    for s, t in d.wires:
-        if s[0] == "n" and s[1] == uid:
-            old_dst[s[2]] = t
-    for p in range(k):
-        wires.append((("n", nid, p), old_dst[p]))
-    wires.append((("n", nid, k), ("n", did, 0)))
-    rhs = dg.Diagram(
-        {0: dg.uniform_gen(reg, k + 1), 1: dg.discard_gen(reg)},
-        [(("n", 0, p), ("out", p)) for p in range(k)] + [(("n", 0, k), ("n", 1, 0))],
-        (),
-        tuple([reg] * k),
-    )
-    return dg.Diagram(nodes, wires, d.in_types, d.out_types), sub, rhs
-
-
-SURGICAL = {"merge", "causality", "absorb_discard", "widen_uniform"}
-
-
-def apply_surgical(d: dg.Diagram, name: str, loc, params):
-    if name == "merge":
-        return merge_step(d, loc, params["name"])
-    if name == "causality":
-        return causality_step(d, loc)
-    if name == "absorb_discard":
-        return absorb_discard_step(d, loc)
-    if name == "widen_uniform":
-        return widen_uniform_step(d, loc)
-    raise RewriteError(f"unknown surgical step {name!r}")
+    rhs = dg.Diagram.from_generator(dg.hole(name, sub.in_types, sub.out_types, flags))
+    m = Match(tuple(enumerate(sorted(loc))), (), tuple(in_atts), tuple(out_atts))
+    return _apply_match(d, rhs, m), sub, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -727,19 +587,26 @@ def rule_adjustment_completeness(scale: int, base) -> RewriteRule:
     )
 
 
-def rule_uniform_absorbs_discard(reg) -> RewriteRule:
+def rule_uniform_absorbs_discard(reg, legs: int = 2) -> RewriteRule:
+    """A uniform state with `legs` legs whose last leg is discarded is
+    the uniform state with one leg fewer (classical wires only)."""
+    if reg.kind != rc.CLASSICAL:
+        raise RewriteError("leg-count rules for uniform states hold on classical wires only")
+    if legs < 2:
+        raise RewriteError("need at least two legs to absorb a discard")
     lhs = dg.Diagram(
-        {0: dg.uniform_gen(reg, 2), 1: dg.discard_gen(reg)},
-        [(("n", 0, 0), ("out", 0)), (("n", 0, 1), ("n", 1, 0))],
+        {0: dg.uniform_gen(reg, legs), 1: dg.discard_gen(reg)},
+        [(("n", 0, p), ("out", p)) for p in range(legs - 1)] + [(("n", 0, legs - 1), ("n", 1, 0))],
         (),
-        (reg,),
+        (reg,) * (legs - 1),
     )
-    rhs = dg.Diagram.from_generator(dg.uniform_gen(reg, 1))
+    rhs = dg.Diagram.from_generator(dg.uniform_gen(reg, legs - 1))
     return RewriteRule("uniform_absorbs_discard", lhs, rhs, direction="bi")
 
 
-def rule_widen_uniform(reg) -> RewriteRule:
-    r = rule_uniform_absorbs_discard(reg)
+def rule_widen_uniform(reg, legs: int = 1) -> RewriteRule:
+    """A uniform state with `legs` legs gains a fresh, discarded leg."""
+    r = rule_uniform_absorbs_discard(reg, legs + 1)
     return RewriteRule("widen_uniform", r.rhs, r.lhs, direction="bi")
 
 
@@ -760,16 +627,24 @@ def rule_spider_fusion(reg) -> RewriteRule:
     return RewriteRule("spider_fusion", lhs, rhs, direction="bi")
 
 
-def rule_causality(reg) -> RewriteRule:
-    h = dg.hole("h", (reg,), (reg,), CAUSAL)
+def rule_causality(h: dg.Generator) -> RewriteRule:
+    """A causal generator with every output discarded is the discard of
+    each of its inputs."""
+    if "causal" not in h.flags:
+        raise RewriteError(f"{h.kind} {h.label!r} is not flagged causal")
+    n_in = len(h.in_ports)
     lhs = dg.Diagram(
-        {0: h, 1: dg.discard_gen(reg)},
-        [(("in", 0), ("n", 0, 0)), (("n", 0, 0), ("n", 1, 0))],
-        (reg,),
+        {0: h, **{1 + j: dg.discard_gen(r) for j, r in enumerate(h.out_ports)}},
+        [(("in", i), ("n", 0, i)) for i in range(n_in)]
+        + [(("n", 0, j), ("n", 1 + j, 0)) for j in range(len(h.out_ports))],
+        h.in_ports,
         (),
     )
     rhs = dg.Diagram(
-        {0: dg.discard_gen(reg)}, [(("in", 0), ("n", 0, 0))], (reg,), ()
+        {i: dg.discard_gen(r) for i, r in enumerate(h.in_ports)},
+        [(("in", i), ("n", i, 0)) for i in range(n_in)],
+        h.in_ports,
+        (),
     )
     return RewriteRule("causality", lhs, rhs)
 
@@ -792,7 +667,7 @@ def builtin_rules(dim: int = 2) -> list[RewriteRule]:
         rule_uniform_absorbs_discard(reg),
         rule_widen_uniform(reg),
         rule_spider_fusion(reg),
-        rule_causality(reg),
+        rule_causality(dg.hole("h", (reg,), (reg,), CAUSAL)),
         rule_uniform_is_scaled_spider(reg),
         rule_expand_S(1, dim),
     ]
@@ -817,9 +692,7 @@ RULE_FACTORIES = {
 
 
 def _hole_specs(d: dg.Diagram):
-    return {
-        g.label: g for g in d.nodes.values() if g.kind == dg.HOLE
-    }
+    return {g.label: g for g in d.nodes.values() if g.kind == dg.HOLE}
 
 
 def sample_hole(g: dg.Generator, rng) -> rc.ProcessTensor:
@@ -857,8 +730,8 @@ def validate_rule(rule: RewriteRule, rng, dims=None) -> float:
 @dataclass
 class ProofScript:
     """A replayable derivation: an initial diagram plus a fixed list of
-    rule applications and surgical steps, with the budget the script
-    claims to accumulate."""
+    rule applications and merges, with the budget the script claims to
+    accumulate."""
 
     name: str
     initial: dg.Diagram
@@ -882,18 +755,32 @@ def script_to_json(s: ProofScript) -> dict:
     }
 
 
+def _step_from_json(st) -> dict:
+    loc = tuple(st["loc"])
+    if not isinstance(st["rule"], str) or not all(isinstance(n, int) for n in loc):
+        raise TypeError(f"step {st!r} needs a rule name and integer node ids")
+    return {"rule": st["rule"], "loc": loc, "params": dict(st.get("params", {}))}
+
+
 def script_from_json(j: dict) -> ProofScript:
-    if j.get("format_version") != SCRIPT_FORMAT_VERSION:
-        raise ValueError(f"unsupported script format {j.get('format_version')!r}")
-    return ProofScript(
-        j["name"],
-        dg.diagram_from_json(j["initial"]),
-        [
-            {"rule": st["rule"], "loc": tuple(st["loc"]), "params": dict(st.get("params", {}))}
-            for st in j["steps"]
-        ],
-        eps_expr_from_json(j["claimed_total"]),
-    )
+    """Inverse of script_to_json; raises ValueError on an unsupported
+    format version or a malformed script."""
+    if not isinstance(j, dict) or j.get("format_version") != SCRIPT_FORMAT_VERSION:
+        version = j.get("format_version") if isinstance(j, dict) else None
+        raise ValueError(f"unsupported script format {version!r}")
+    try:
+        initial = dg.diagram_from_json(j["initial"])
+        errors = initial.typecheck()
+        if errors:
+            raise ValueError("initial diagram: " + "; ".join(errors))
+        return ProofScript(
+            j["name"],
+            initial,
+            [_step_from_json(st) for st in j["steps"]],
+            eps_expr_from_json(j["claimed_total"]),
+        )
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:
+        raise ValueError(f"malformed proof script: {e!r}") from e
 
 
 def _w(scale: int, base: str) -> rc.Register:
@@ -911,15 +798,10 @@ class _Builder:
         self.state = RewriteState(initial)
         self.steps: list = []
 
-    def rule(self, fname: str, loc, **params):
-        r = RULE_FACTORIES[fname](params)
-        self.state, used = apply_rule(self.state, r, loc)
-        self.steps.append({"rule": fname, "loc": used, "params": params})
-
-    def surgical(self, sname: str, loc, **params):
-        d, _, _ = apply_surgical(self.state.diagram, sname, loc, params)
-        self.state = RewriteState(d, self.state.budget)
-        self.steps.append({"rule": sname, "loc": tuple(loc), "params": params})
+    def step(self, rule: str, loc, **params):
+        step = {"rule": rule, "loc": tuple(loc), "params": params}
+        self.state = _step_apply(self.state, step)[0]
+        self.steps.append(step)
 
     # -- node lookup on the current diagram --------------------------------
     def _only(self, pred, what):
@@ -942,19 +824,12 @@ class _Builder:
             f"uniform {scale}*{self.base} with {legs} legs",
         )
 
-    def discard_consuming(self, nid: int, port: int) -> int:
+    def discard_on(self, nid: int) -> int:
         d = self.state.diagram
         for s, t in d.wires:
-            if s == ("n", nid, port) and t[0] == "n" and d.nodes[t[1]].kind == dg.DISCARD:
+            if s[0] == "n" and s[1] == nid and t[0] == "n" and d.nodes[t[1]].kind == dg.DISCARD:
                 return t[1]
-        raise RewriteError(f"output {port} of node {nid} is not discarded")
-
-    def discard_on_uniform(self, uid: int) -> int:
-        d = self.state.diagram
-        for s, t in d.wires:
-            if s[0] == "n" and s[1] == uid and t[0] == "n" and d.nodes[t[1]].kind == dg.DISCARD:
-                return t[1]
-        raise RewriteError(f"no discard attached to uniform {uid}")
+        raise RewriteError(f"no discard attached to node {nid}")
 
     def finish(self) -> ProofScript:
         return ProofScript(self.name, self.initial, self.steps, self.state.budget)
@@ -1012,16 +887,16 @@ def _apply_stage(bld: _Builder, level: int):
     process T{level+1}: expand, spot-check both rounds, merge."""
     s = 4**level
     b = bld.base
-    bld.rule("expand_S", (bld.hole_id(f"S@{s}"),), scale=s, base=b)
-    bld.rule(
+    bld.step("expand_S", (bld.hole_id(f"S@{s}"),), scale=s, base=b)
+    bld.step(
         "spot_check",
-        (bld.uniform_id(s, 2), bld.hole_id(f"R@{s}")),
+        sorted((bld.uniform_id(s, 2), bld.hole_id(f"R@{s}"))),
         scale=s,
         base=b,
     )
-    bld.rule(
+    bld.step(
         "spot_check",
-        (bld.uniform_id(2 * s, 2), bld.hole_id(f"R@{2 * s}")),
+        sorted((bld.uniform_id(2 * s, 2), bld.hole_id(f"R@{2 * s}"))),
         scale=2 * s,
         base=b,
     )
@@ -1042,7 +917,7 @@ def _apply_stage(bld: _Builder, level: int):
             bld.uniform_id(2 * s, 2),
             bld.hole_id(f"B@{2 * s}"),
         ]
-    bld.surgical("merge", tuple(sorted(ids)), name=f"T{level + 1}")
+    bld.step("merge", sorted(ids), name=f"T{level + 1}")
 
 
 def script_single_stage(base: str = "M") -> ProofScript:
@@ -1108,16 +983,16 @@ def script_soundness_k2(base: str = "N") -> ProofScript:
     eps(N)+eps(2N)+eps(4N)+eps(8N) of a fresh uniform seed in tensor
     with a residual adversary state."""
     bld = _Builder("soundness_k2", _soundness_initial(base), base)
-    bld.surgical("widen_uniform", (bld.uniform_id(1, 1),))
+    bld.step("widen_uniform", (bld.uniform_id(1, 1),))
     for j in range(2):
         _apply_stage(bld, j)
     a8 = bld.hole_id("A@8")
-    bld.surgical("causality", (a8, bld.discard_consuming(a8, 0)))
+    bld.step("causality", (a8, bld.discard_on(a8)))
     u16 = bld.uniform_id(16, 2)
-    bld.surgical("absorb_discard", (u16, bld.discard_on_uniform(u16)))
+    bld.step("absorb_discard", (u16, bld.discard_on(u16)))
     keep = bld.uniform_id(16, 1)
     rest = tuple(sorted(n for n in bld.state.diagram.nodes if n != keep))
-    bld.surgical("merge", rest, name="residual")
+    bld.step("merge", rest, name="residual")
     return bld.finish()
 
 
@@ -1127,14 +1002,14 @@ def script_spot_check_lemma(base: str = "N") -> ProofScript:
     round (cost sqrt(2*delta))."""
     initial, _, _ = _spot_lhs(1, base, "R@1")
     bld = _Builder("spot_check_lemma", initial, base)
-    bld.rule(
+    bld.step(
         "starting_soundness",
-        (bld.uniform_id(1, 2), bld.hole_id("R@1")),
+        sorted((bld.uniform_id(1, 2), bld.hole_id("R@1"))),
         scale=1,
         base=base,
     )
     loc = tuple(sorted(bld.state.diagram.nodes))  # the whole diagram
-    bld.rule("dup_corollary", loc, scale=1, base=base)
+    bld.step("dup_corollary", loc, scale=1, base=base)
     return bld.finish()
 
 
@@ -1154,15 +1029,45 @@ def shipped_scripts() -> dict:
 # replay and validation
 
 
+def _structural_rule(name: str, d: dg.Diagram, loc) -> RewriteRule:
+    """The exact rule that a causality/absorb_discard/widen_uniform step
+    applies, built from the one non-discard node at loc."""
+    gens = [d.nodes[n] for n in loc if d.nodes[n].kind != dg.DISCARD]
+    if len(gens) != 1:
+        raise RewriteError(f"step {name!r} needs one non-discard node at {loc}")
+    (g,) = gens
+    if name == "causality":
+        return rule_causality(g)
+    if g.kind != dg.UNIFORM:
+        raise RewriteError(f"step {name!r} needs a uniform state, found a {g.kind}")
+    if name == "absorb_discard":
+        return rule_uniform_absorbs_discard(g.out_ports[0], len(g.out_ports))
+    return rule_widen_uniform(g.out_ports[0], len(g.out_ports))
+
+
+STRUCTURAL = {"causality", "absorb_discard", "widen_uniform"}
+
+
 def _step_apply(state: RewriteState, step):
     name, loc = step["rule"], tuple(step["loc"])
     params = dict(step.get("params", {}))
-    if name in SURGICAL:
-        d, sub, rhs = apply_surgical(state.diagram, name, loc, params)
+    absent = [n for n in loc if n not in state.diagram.nodes]
+    if absent:
+        raise RewriteError(f"step {name!r}: loc names absent nodes {absent}")
+    if name == "merge":
+        if not isinstance(params.get("name"), str):
+            raise RewriteError("a merge step needs a hole name in params.name")
+        d, sub, rhs = merge_step(state.diagram, loc, params["name"])
         return RewriteState(d, state.budget), sub, rhs, None
-    if name not in RULE_FACTORIES:
+    if name in STRUCTURAL:
+        rule = _structural_rule(name, state.diagram, loc)
+    elif name in RULE_FACTORIES:
+        try:
+            rule = RULE_FACTORIES[name](params)
+        except (KeyError, TypeError, ValueError) as e:
+            raise RewriteError(f"bad params for rule {name!r}: {e!r}") from e
+    else:
         raise RewriteError(f"unknown rule {name!r}")
-    rule = RULE_FACTORIES[name](params)
     new, _ = apply_rule(state, rule, loc)
     return new, rule.lhs, rule.rhs, rule
 
@@ -1172,19 +1077,9 @@ def replay_script(script: ProofScript):
     state = RewriteState(script.initial)
     records = []
     for step in script.steps:
-        before = state.budget
         state, lhs, rhs, rule = _step_apply(state, step)
-        records.append(
-            {
-                "step": step,
-                "lhs": lhs,
-                "rhs": rhs,
-                "rule": rule,
-                "cost": EpsExpr(state.budget.terms[len(before.terms):])
-                if len(state.budget.terms) > len(before.terms)
-                else EpsExpr.zero(),
-            }
-        )
+        cost = rule.cost if rule is not None else EpsExpr.zero()
+        records.append({"step": step, "lhs": lhs, "rhs": rhs, "rule": rule, "cost": cost})
     return state, records
 
 

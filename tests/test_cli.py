@@ -82,6 +82,38 @@ class TestCheck:
         assert cli.main(argv) == 2
         assert "'M'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("defect", ["no_initial", "future_version", "loc_not_a_list", "dangling"])
+    def test_malformed_script_exit_2(self, tmp_path, capsys, defect):
+        j = rw.script_to_json(rw.script_soundness_k2())
+        if defect == "no_initial":
+            j = {"format_version": 1, "name": "x"}
+        elif defect == "future_version":
+            j["format_version"] = 2
+        elif defect == "loc_not_a_list":
+            j["steps"][0]["loc"] = 5
+        else:
+            j["initial"]["wires"] = j["initial"]["wires"][1:]
+        sfile = tmp_path / "s.json"
+        sfile.write_text(json.dumps(j))
+        assert cli.main(["check", str(sfile), "--out", str(tmp_path / "x")]) == 2
+        assert "script" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rule", ["causality", "merge"])
+    def test_loc_naming_absent_node_fails_verification(self, tmp_path, rule):
+        script = rw.ProofScript(
+            "absent",
+            dg.Diagram(),
+            [{"rule": rule, "loc": (0, 1), "params": {"name": "t"}}],
+            rw.EpsExpr.zero(),
+        )
+        sfile = tmp_path / "s.json"
+        sfile.write_text(json.dumps(rw.script_to_json(script)))
+        code, out = run_to_file(tmp_path, ["check", str(sfile)])
+        assert code == 1
+        rep = json.loads(out.read_text())
+        assert not rep["verified"]
+        assert "absent" in rep["error"]
+
     def test_empty_script_zero_budget(self, tmp_path):
         initial = dg.Diagram.from_generator(dg.uniform_gen(rc.C(2), 1))
         script = rw.ProofScript("empty", initial, [], rw.EpsExpr.zero())

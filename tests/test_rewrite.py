@@ -157,37 +157,74 @@ class TestSurgical:
         rng = np.random.default_rng(1)
         d = dg.parse_diagram("hole f : C2 * Q2 -> C2 causal\nf ; discard C2")
         fid = [n for n, g in d.nodes.items() if g.kind == dg.HOLE][0]
-        did = [n for n, g in d.nodes.items() if g.kind == dg.DISCARD][0]
-        new, _, _ = rw.causality_step(d, (fid, did))
+        new, _ = rw.apply_rule(rw.RewriteState(d), rw.rule_causality(d.nodes[fid]))
+        assert sorted(g.kind for g in new.diagram.nodes.values()) == [dg.DISCARD] * 2
         binding = {"f": rc.random_cq_channel((C2, rc.Q(2)), (C2,), rng, causal=True)}
         assert np.allclose(
-            new.evaluate().matrix, d.evaluate(binding).matrix, atol=1e-12
+            new.diagram.evaluate().matrix, d.evaluate(binding).matrix, atol=1e-12
         )
+
+    def test_causality_discards_every_output(self):
+        d = dg.parse_diagram(
+            "hole f : C2 -> C2 * C3 causal\nf ; (discard C2 * discard C3)"
+        )
+        fid = [n for n, g in d.nodes.items() if g.kind == dg.HOLE][0]
+        new, loc = rw.apply_rule(rw.RewriteState(d), rw.rule_causality(d.nodes[fid]))
+        assert loc == tuple(sorted(d.nodes))
+        (g,) = new.diagram.nodes.values()
+        assert g == dg.discard_gen(C2)
 
     def test_causality_requires_causal_flag(self):
         d = dg.parse_diagram("hole f : C2 -> C2\nf ; discard C2")
         fid = [n for n, g in d.nodes.items() if g.kind == dg.HOLE][0]
-        did = [n for n, g in d.nodes.items() if g.kind == dg.DISCARD][0]
         with pytest.raises(rw.RewriteError):
-            rw.causality_step(d, (fid, did))
+            rw.rule_causality(d.nodes[fid])
 
     def test_absorb_and_widen_are_inverse(self):
         d = dg.Diagram(
             {0: dg.uniform_gen(C3, 1)}, [(("n", 0, 0), ("out", 0))], (), (C3,)
         )
-        widened, _, _ = rw.widen_uniform_step(d, (0,))
-        uid = [n for n, g in widened.nodes.items() if g.kind == dg.UNIFORM][0]
-        did = [n for n, g in widened.nodes.items() if g.kind == dg.DISCARD][0]
-        back, _, _ = rw.absorb_discard_step(widened, (uid, did))
-        assert np.allclose(back.evaluate().vector(), d.evaluate().vector())
-        assert np.allclose(widened.evaluate().vector(), d.evaluate().vector())
+        widened, _ = rw.apply_rule(rw.RewriteState(d), rw.rule_widen_uniform(C3))
+        back, _ = rw.apply_rule(widened, rw.rule_uniform_absorbs_discard(C3))
+        assert dg.diagrams_equal(back.diagram, d)
+        assert np.allclose(back.diagram.evaluate().vector(), d.evaluate().vector())
+        assert np.allclose(widened.diagram.evaluate().vector(), d.evaluate().vector())
+
+    def test_absorb_three_legs_keeps_leg_order(self):
+        # the middle leg is discarded; the two kept legs stay in order
+        d = dg.Diagram(
+            {0: dg.uniform_gen(C2, 3), 1: dg.discard_gen(C2), 2: dg.box("f", (C2,), (C3,))},
+            [
+                (("n", 0, 0), ("out", 0)),
+                (("n", 0, 1), ("n", 1, 0)),
+                (("n", 0, 2), ("n", 2, 0)),
+                (("n", 2, 0), ("out", 1)),
+            ],
+            (),
+            (C2, C3),
+        )
+        new, loc = rw.apply_rule(rw.RewriteState(d), rw.rule_uniform_absorbs_discard(C2, 3))
+        assert loc == (0, 1)
+        want = dg.Diagram(
+            {0: dg.uniform_gen(C2, 2), 1: dg.box("f", (C2,), (C3,))},
+            [(("n", 0, 0), ("out", 0)), (("n", 0, 1), ("n", 1, 0)), (("n", 1, 0), ("out", 1))],
+            (),
+            (C2, C3),
+        )
+        assert dg.diagrams_equal(new.diagram, want)
+        rng = np.random.default_rng(2)
+        f = {"f": rc.random_cq_channel((C2,), (C3,), rng)}
+        assert np.allclose(new.diagram.evaluate(f).matrix, d.evaluate(f).matrix, atol=1e-12)
 
     def test_leg_rules_restricted_to_classical(self):
-        d = dg.Diagram(
-            {0: dg.uniform_gen(rc.Q(2), 1)}, [(("n", 0, 0), ("out", 0))], (), (rc.Q(2),)
-        )
         with pytest.raises(rw.RewriteError):
-            rw.widen_uniform_step(d, (0,))
+            rw.rule_widen_uniform(rc.Q(2))
+        with pytest.raises(rw.RewriteError):
+            rw.rule_uniform_absorbs_discard(rc.Q(2))
+
+    def test_absorb_needs_two_legs(self):
+        with pytest.raises(rw.RewriteError):
+            rw.rule_uniform_absorbs_discard(C2, legs=1)
 
 
 class TestRuleLibrary:
@@ -265,6 +302,21 @@ class TestScripts:
     def test_script_json_round_trip_structural_steps(self):
         # the only shipped script with causality, absorb and widen steps
         self.assert_json_round_trip(rw.script_soundness_k2())
+
+    def test_step_cost_is_the_rule_cost(self):
+        # a step that adds a smaller atom than the budget already holds
+        # must still report its own cost
+        lhs1, _, _ = rw._spot_lhs(1, "N", "R@1")
+        lhs2, _, _ = rw._spot_lhs(2, "N", "R@2")
+        state = rw.RewriteState(lhs1 @ lhs2)
+        steps = []
+        for scale in (2, 1):
+            state, loc = rw.apply_rule(state, rw.rule_spot_check(scale, "N"))
+            steps.append({"rule": "spot_check", "loc": loc, "params": {"scale": scale, "base": "N"}})
+        script = rw.ProofScript("two", lhs1 @ lhs2, steps, state.budget)
+        rep = rw.run_script(script)
+        assert [st["cost"] for st in rep["steps"]] == ["eps(2*N)", "eps(1*N)"]
+        assert rep["verified"]
 
     def test_report_is_deterministic_json(self):
         s = rw.script_single_stage()
