@@ -78,9 +78,17 @@ class DeviceStrategy:
         return da, db
 
     def validate(self, tol: float = 1e-9):
-        """Raise ValueError unless each player's POVM table is a
+        """Raise ValueError unless the shared state is a density matrix
+        (Hermitian, PSD, unit trace) and each player's POVM table is a
         rectangular stack of square PSD effects summing to identity per
         input (per round and input in "scripted" mode)."""
+        rho = self.density()
+        if np.abs(rho - rho.conj().T).max() > tol:
+            raise ValueError("shared state is not Hermitian")
+        if abs(np.trace(rho) - 1.0) > tol:
+            raise ValueError("shared state must have unit trace")
+        if np.linalg.eigvalsh(rho).min() < -tol:
+            raise ValueError("shared state is not PSD")
         if len(self.povms) != 2:
             raise ValueError("a bipartite strategy needs POVMs for two players")
         for table in self.povms:

@@ -161,6 +161,22 @@ class TestSimulate:
             del j["state"]
         else:
             j["povms"][1][0] = j["povms"][1][0][:1]
+        self.assert_strategy_exit_2(tmp_path, capsys, j)
+
+    @pytest.mark.parametrize("defect", ["trace_2", "not_hermitian", "not_psd"])
+    def test_bad_shared_state_exit_2(self, tmp_path, capsys, defect):
+        j = pr.strategy_to_json(pr.optimal_chsh_strategy())
+        rho = np.array([[complex(*x) for x in row] for row in j["state"]])
+        if defect == "trace_2":
+            rho = 2 * rho
+        elif defect == "not_hermitian":
+            rho[0, 1] += 0.1
+        else:
+            rho = rho + 0.1 * np.diag([1.0, -1.0, 1.0, -1.0])
+        j["state"] = [[[x.real, x.imag] for x in row] for row in rho]
+        self.assert_strategy_exit_2(tmp_path, capsys, j)
+
+    def assert_strategy_exit_2(self, tmp_path, capsys, j):
         sfile = tmp_path / "s.json"
         sfile.write_text(json.dumps(j))
         argv = ["simulate", "--rounds", "20", "--strategy", str(sfile)]

@@ -187,6 +187,16 @@ class TestSpotcheck:
         with pytest.raises(ValueError, match="rounds"):
             pr.spotcheck_run(4, 0.2, 0.85, short, seed=0)
 
+    def test_unnormalised_state_rejected(self):
+        # twice the Bell state: game_value would read 1.7071 and the
+        # sampler would silently renormalise each outcome row
+        s = pr.optimal_chsh_strategy()
+        doubled = pr.DeviceStrategy(pr.bipartite_state(2 * s.density(), 2, 2), s.povms)
+        with pytest.raises(ValueError, match="trace"):
+            pr.game_value(pr.chsh_game(), doubled)
+        with pytest.raises(ValueError, match="trace"):
+            pr.spotcheck_run(10, 0.2, 0.85, doubled, seed=0)
+
     def test_all_zero_devices_mostly_abort(self):
         z = pr.deterministic_strategy(lambda x: 0, lambda y: 0)
         aborts = sum(
