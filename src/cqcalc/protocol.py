@@ -470,6 +470,24 @@ def min_entropy_cq(psi: CQState, tol: float = 1e-6, max_iter: int = 10**4):
                 "p_upper": p, "converged": True}
         return -math.log2(p), cert
 
+    # a singular branch sum makes the iteration's inverse square root
+    # blow up: solve on its support, then lift sigma back and shift it
+    # until it dominates every branch again
+    total = sum(ms)
+    w, v = np.linalg.eigh((total + total.conj().T) / 2)
+    support = w > 1e-12 * w.max()
+    if not support.all():
+        u = v[:, support]
+        _, cert = min_entropy_cq(CQState([u.conj().T @ m @ u for m in ms]), tol, max_iter)
+        sigma = u @ cert["sigma"] @ u.conj().T
+        shift = max(0.0, max(np.linalg.eigvalsh((m - sigma + (m - sigma).conj().T) / 2).max()
+                             for m in ms))
+        sigma = sigma + shift * np.eye(d)
+        p_upper = float(np.trace(sigma).real)
+        gap = p_upper - cert["p_lower"]
+        cert.update(sigma=sigma, p_upper=p_upper, gap=gap, converged=gap <= tol)
+        return -math.log2(p_upper), cert
+
     # fixed-point discrimination iteration with dual certificate
     povm = [np.eye(d, dtype=complex) / len(ms) for _ in ms]
     p_lower = p_upper = 0.0

@@ -252,6 +252,46 @@ class TestMinEntropy:
                 assert np.linalg.eigvalsh(cert["sigma"] - m).min() >= -1e-8
             assert -math.log2(cert["p_upper"]) <= -math.log2(cert["p_lower"]) + 1e-6
 
+    @staticmethod
+    def haar(rng, d):
+        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        q, r = np.linalg.qr(z)
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    def test_zero_padding_leaves_h_min_unchanged(self):
+        # a singular branch sum used to overflow the iteration and end
+        # in LinAlgError
+        rng = np.random.default_rng(5)
+        raw = []
+        for _ in range(3):
+            a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            raw.append(a @ a.conj().T)
+        tr = sum(np.trace(m).real for m in raw)
+        base = [m / tr for m in raw]
+        u = self.haar(rng, 4)
+        padded = []
+        for m in base:
+            p = np.zeros((4, 4), dtype=complex)
+            p[:2, :2] = m
+            padded.append(u @ p @ u.conj().T)
+        h0, _ = pr.min_entropy_cq(CQState(base))
+        h1, cert = pr.min_entropy_cq(CQState(padded))
+        assert h1 == pytest.approx(h0, abs=1e-6)
+        assert cert["converged"]
+        for m in padded:
+            assert np.linalg.eigvalsh(cert["sigma"] - m).min() >= -1e-8
+
+    def test_rank_one_branches_certified(self):
+        rng = np.random.default_rng(3)
+        vs = [self.haar(rng, 4)[:, 0] for _ in range(3)]
+        psi = CQState([w * np.outer(v, v.conj()) for w, v in zip((0.5, 0.3, 0.2), vs)])
+        h, cert = pr.min_entropy_cq(psi)
+        assert cert["converged"]
+        assert cert["p_lower"] <= cert["p_upper"] <= cert["p_lower"] + 1e-6
+        assert h == pytest.approx(-math.log2(cert["p_upper"]))
+        for m in psi.branch_ops:
+            assert np.linalg.eigvalsh(cert["sigma"] - m).min() >= -1e-8
+
     def test_pure_single_branch(self):
         psi = CQState([np.diag([0.5, 0.5]).astype(complex)])
         h, _ = pr.min_entropy_cq(psi)
