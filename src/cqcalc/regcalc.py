@@ -131,6 +131,11 @@ def base_dim(regs: Sequence[Register]) -> int:
     return d
 
 
+def _kind_dim(regs: Sequence[Register], kind: str) -> int:
+    """Product of the base dimensions of the registers of one kind."""
+    return base_dim([r for r in regs if r.kind == kind])
+
+
 @dataclass(frozen=True)
 class ProcessTensor:
     """A concrete linear map between tensor products of registers."""
@@ -210,10 +215,6 @@ def permutation(regs: Sequence[Register], perm: Sequence[int]) -> ProcessTensor:
     m = np.transpose(m, axes=list(perm) + [n + i for i in range(n)])
     m = m.reshape(total_dim([regs[p] for p in perm]), d)
     return ProcessTensor(regs, tuple(regs[p] for p in perm), m)
-
-
-def swap(r1: Register, r2: Register) -> ProcessTensor:
-    return permutation((r1, r2), (1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +339,8 @@ def _axis_split(vec: np.ndarray, regs: Sequence[Register]):
     if not regs:
         return arr.reshape(1, 1, 1)
     arr = np.transpose(arr, axes=c_axes + i_axes + j_axes)
-    K = int(np.prod([regs[k].base_dim for k in range(len(regs)) if regs[k].kind == CLASSICAL], initial=1))
-    I = int(np.prod([r.base_dim for r in regs if r.kind == QUANTUM], initial=1))
+    K = _kind_dim(regs, CLASSICAL)
+    I = _kind_dim(regs, QUANTUM)
     return arr.reshape(K, I, I)
 
 
@@ -385,8 +386,8 @@ def state_operator(vec: np.ndarray, regs: Sequence[Register]) -> np.ndarray:
 def operator_state(op: np.ndarray, regs: Sequence[Register]) -> np.ndarray:
     """Project an operator back to a carrier vector (drops classical
     off-diagonal blocks, i.e. composes with decoherence on classical wires)."""
-    Kd = int(np.prod([r.base_dim for r in regs if r.kind == CLASSICAL], initial=1))
-    Id = int(np.prod([r.base_dim for r in regs if r.kind == QUANTUM], initial=1))
+    Kd = _kind_dim(regs, CLASSICAL)
+    Id = _kind_dim(regs, QUANTUM)
     D = np.asarray(op).reshape(Kd, Id, Kd, Id)
     arr3 = D[np.arange(Kd), :, np.arange(Kd), :]
     return _axis_merge(arr3.reshape(Kd, Id, Id), regs)
@@ -402,8 +403,8 @@ def effect_operator(row: np.ndarray, regs: Sequence[Register]) -> np.ndarray:
 
 
 def operator_effect(op: np.ndarray, regs: Sequence[Register]) -> np.ndarray:
-    Kd = int(np.prod([r.base_dim for r in regs if r.kind == CLASSICAL], initial=1))
-    Id = int(np.prod([r.base_dim for r in regs if r.kind == QUANTUM], initial=1))
+    Kd = _kind_dim(regs, CLASSICAL)
+    Id = _kind_dim(regs, QUANTUM)
     D = np.asarray(op).reshape(Kd, Id, Kd, Id)
     arr3 = np.transpose(D[np.arange(Kd), :, np.arange(Kd), :].reshape(Kd, Id, Id), (0, 2, 1))
     return _axis_merge(arr3, regs)
@@ -453,10 +454,10 @@ def choi_operator(p: ProcessTensor) -> np.ndarray:
     in_dims, ci, ii, ji, _ = _interleaved(p.in_regs, off)
     arr = np.asarray(p.matrix).reshape(out_dims + in_dims)
     arr = np.transpose(arr, axes=co + io + jo + ci + ii + ji)
-    Ko = int(np.prod([r.base_dim for r in p.out_regs if r.kind == CLASSICAL], initial=1))
-    Ao = int(np.prod([r.base_dim for r in p.out_regs if r.kind == QUANTUM], initial=1))
-    Ki = int(np.prod([r.base_dim for r in p.in_regs if r.kind == CLASSICAL], initial=1))
-    Ai = int(np.prod([r.base_dim for r in p.in_regs if r.kind == QUANTUM], initial=1))
+    Ko = _kind_dim(p.out_regs, CLASSICAL)
+    Ao = _kind_dim(p.out_regs, QUANTUM)
+    Ki = _kind_dim(p.in_regs, CLASSICAL)
+    Ai = _kind_dim(p.in_regs, QUANTUM)
     arr = arr.reshape(Ko, Ao, Ao, Ki, Ai, Ai)
     Cop = np.zeros((Ki, Ai, Ko, Ao, Ki, Ai, Ko, Ao), dtype=complex)
     for ko in range(Ko):
@@ -471,12 +472,9 @@ def choi_operator(p: ProcessTensor) -> np.ndarray:
 # predicates and distances
 
 
-def _herm_eigs(op: np.ndarray, tol: float) -> np.ndarray:
-    H = 0.5 * (op + np.conj(op.T))
-    if np.max(np.abs(op - H)) > max(1e3 * tol, 1e-7):
-        # clearly non-Hermitian: fall back to singular values for norms
-        return np.linalg.eigvalsh(H)
-    return np.linalg.eigvalsh(H)
+def _herm_eigs(op: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the Hermitian part of op."""
+    return np.linalg.eigvalsh(0.5 * (op + np.conj(op.T)))
 
 
 def structural_predicates(p: ProcessTensor, tol: float = DEFAULT_TOL) -> dict:
@@ -488,7 +486,7 @@ def structural_predicates(p: ProcessTensor, tol: float = DEFAULT_TOL) -> dict:
 
     # dual of discard . p as an operator on the input space
     E = effect_operator(traced.reshape(-1), p.in_regs)
-    evals = _herm_eigs(E, tol)
+    evals = _herm_eigs(E)
     herm_ok = np.max(np.abs(E - np.conj(E.T))) <= max(1e3 * tol, 1e-6)
     stochastic = bool(herm_ok and evals.min() >= -tol and evals.max() <= 1 + tol)
 
@@ -509,7 +507,7 @@ def structural_predicates(p: ProcessTensor, tol: float = DEFAULT_TOL) -> dict:
 
     if p.is_effect:
         Eo = effect_operator(p.matrix.reshape(-1), p.in_regs)
-        ev = _herm_eigs(Eo, tol)
+        ev = _herm_eigs(Eo)
         effect_valid = bool(
             np.max(np.abs(Eo - np.conj(Eo.T))) <= max(1e3 * tol, 1e-6)
             and ev.min() >= -tol
@@ -707,8 +705,8 @@ def _pure_input_operator(psi: np.ndarray, regs: Sequence[Register]) -> np.ndarra
 
 
 def _classical_decohere(op: np.ndarray, regs: Sequence[Register]) -> np.ndarray:
-    Kd = int(np.prod([r.base_dim for r in regs if r.kind == CLASSICAL], initial=1))
-    Id = int(np.prod([r.base_dim for r in regs if r.kind == QUANTUM], initial=1))
+    Kd = _kind_dim(regs, CLASSICAL)
+    Id = _kind_dim(regs, QUANTUM)
     D = op.reshape(Kd, Id, Kd, Id)
     out = np.zeros_like(D)
     out[np.arange(Kd), :, np.arange(Kd), :] = D[np.arange(Kd), :, np.arange(Kd), :]
@@ -744,32 +742,6 @@ def channel_from_kraus(
     return ProcessTensor(in_regs, out_regs, m)
 
 
-def random_channel(
-    in_regs: Sequence[Register],
-    out_regs: Sequence[Register],
-    rng: np.random.Generator,
-    causal: bool = True,
-) -> ProcessTensor:
-    """Random completely positive channel (causal or strictly stochastic).
-
-    Built from a Haar-ish random isometry into an environment; for the
-    stochastic variant the isometry is pre-multiplied by a random
-    diagonal contraction so the trace strictly decreases on average.
-    """
-    din = base_dim(in_regs)
-    dout = base_dim(out_regs)
-    env = max(1, din)  # environment dimension; din*dout columns suffice
-    g = rng.normal(size=(dout * env, din)) + 1j * rng.normal(size=(dout * env, din))
-    V, _ = np.linalg.qr(g)
-    V = V[:, :din]
-    if not causal:
-        f = np.sqrt(rng.uniform(0.1, 1.0, size=din))
-        V = V @ np.diag(f)
-    kraus = [V.reshape(dout, env, din)[:, e, :] for e in range(env)]
-    ch = channel_from_kraus(in_regs, out_regs, kraus)
-    return ch
-
-
 def random_cq_channel(
     in_regs: Sequence[Register],
     out_regs: Sequence[Register],
@@ -784,8 +756,8 @@ def random_cq_channel(
     strictly stochastic) process.
     """
     in_regs, out_regs = tuple(in_regs), tuple(out_regs)
-    Ki = int(np.prod([r.base_dim for r in in_regs if r.kind == CLASSICAL], initial=1))
-    Ko = int(np.prod([r.base_dim for r in out_regs if r.kind == CLASSICAL], initial=1))
+    Ki = _kind_dim(in_regs, CLASSICAL)
+    Ko = _kind_dim(out_regs, CLASSICAL)
     qin = [r for r in in_regs if r.kind == QUANTUM]
     qout = [r for r in out_regs if r.kind == QUANTUM]
     dqi, dqo = base_dim(qin), base_dim(qout)
