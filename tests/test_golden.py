@@ -17,6 +17,7 @@ import pytest
 from cqcalc import cli
 from cqcalc import extractor as ex
 from cqcalc import protocol as pr
+from cqcalc import regcalc as rc
 from cqcalc import rewrite as rw
 
 
@@ -145,3 +146,31 @@ def test_script_format_bytes(name):
     # a script saved by an earlier version must replay unchanged
     text = json.dumps(rw.script_to_json(rw.shipped_scripts()[name]), sort_keys=True)
     assert sha256(text.encode()) == SCRIPT_JSON_DIGESTS[name]
+
+
+C2, C3, Q2, Q3 = rc.C(2), rc.C(3), rc.Q(2), rc.Q(3)
+
+CHANNEL_DIGESTS = {
+    ((C2, Q2), (Q2,), True): "2735d88e3b8beebde6c62df3bc7a1a3603b7169faa7789ed109d37242ae62767",
+    ((Q2,), (C3, Q2), True): "027c5bc7268ed639af2bee26c0cbfb24d88e04afb8821d1e794db9d3158d2506",
+    ((Q2, C2), (C2, Q3), False): "1cfab26cc6c766767524ad2379baf5d0a25929d3275f60805437851d3e8e1823",
+}
+
+
+@pytest.mark.parametrize("in_regs,out_regs,causal", list(CHANNEL_DIGESTS), ids=repr)
+def test_random_cq_channel_bytes(in_regs, out_regs, causal):
+    # proof replay samples its holes with this sampler
+    p = rc.random_cq_channel(in_regs, out_regs, np.random.default_rng(44), causal=causal)
+    assert sha256(p.matrix.tobytes()) == CHANNEL_DIGESTS[(in_regs, out_regs, causal)]
+
+
+def test_process_distance_bytes():
+    # a causal C2 (x) Q2 -> Q2 pair whose Choi bound lies below 1
+    rng = np.random.default_rng(45)
+    p1 = rc.random_cq_channel((C2, Q2), (Q2,), rng)
+    p3 = rc.random_cq_channel((C2, Q2), (Q2,), rng)
+    p2 = rc.ProcessTensor(p1.in_regs, p1.out_regs, 0.8 * p1.matrix + 0.2 * p3.matrix)
+    iv = rc.process_distance(p1, p2, seed=7)
+    assert iv.upper < 1.0
+    digest = sha256(np.array([iv.lower, iv.upper]).tobytes())
+    assert digest == "40b3156260c63271bf71970babfadcf47d6372992d0eae6e21ccea3517db5ea8"

@@ -142,6 +142,21 @@ def random_strategy(seed, da=3, db=2, rounds=None):
     return pr.DeviceStrategy(state, povms, mode="scripted")
 
 
+def test_density_round_trip_2x3():
+    rng = np.random.default_rng(43)
+    g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho)
+    state = pr.bipartite_state(rho, 2, 3)
+    assert state.out_regs == (rc.Q(2), rc.Q(3))
+    # entry ((a, b), (a', b')) of rho sits at carrier index (a, a', b, b')
+    want = rho.reshape(2, 3, 2, 3)
+    v = state.vector().reshape(2, 2, 3, 3)
+    for a, b, a2, b2 in np.ndindex(2, 3, 2, 3):
+        assert v[a, a2, b, b2] == want[a, b, a2, b2]
+    assert np.array_equal(pr.DeviceStrategy(state, []).density(), rho)
+
+
 class TestSpotcheck:
     @pytest.mark.parametrize(
         "s",

@@ -260,6 +260,80 @@ class TestDistances:
             assert d.lower <= d.upper + 1e-12
 
 
+LAYOUT_REGS = [(), (C2,), (Q2,), (C2, Q3), (Q2, C3, Q2), (C3, C2)]
+
+
+def reference_lift(regs):
+    """(row, col) in operator form of every carrier index, by walking the
+    carrier multi-index: a classical register gives one index k, a
+    quantum one a (row, column) pair; the operator row is the classical
+    indices then the quantum row indices, each in register order, and the
+    column the same with the quantum column indices."""
+    shape = []
+    for r in regs:
+        shape += [r.base_dim] if r.kind == rc.CLASSICAL else [r.base_dim] * 2
+    kd = [r.base_dim for r in regs if r.kind == rc.CLASSICAL]
+    qd = [r.base_dim for r in regs if r.kind == rc.QUANTUM]
+
+    def flat(idx, dims):
+        out = 0
+        for i, d in zip(idx, dims):
+            out = out * d + i
+        return out
+
+    rows, cols = [], []
+    for multi in np.ndindex(*shape):
+        k, i, j, pos = [], [], [], 0
+        for r in regs:
+            if r.kind == rc.CLASSICAL:
+                k.append(multi[pos])
+                pos += 1
+            else:
+                i.append(multi[pos])
+                j.append(multi[pos + 1])
+                pos += 2
+        rows.append(flat(k + i, kd + qd))
+        cols.append(flat(k + j, kd + qd))
+    return rows, cols, rc.base_dim(regs)
+
+
+def random_complex(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestLayout:
+    @pytest.mark.parametrize("regs", LAYOUT_REGS, ids=repr)
+    def test_state_and_effect_operators(self, regs):
+        rng = np.random.default_rng(41)
+        rows, cols, d = reference_lift(regs)
+        vec = random_complex(rng, rc.total_dim(regs))
+        want = np.zeros((d, d), dtype=complex)
+        for c, (r, k) in enumerate(zip(rows, cols)):
+            want[r, k] = vec[c]
+        assert np.array_equal(rc.state_operator(vec, regs), want)
+        assert np.array_equal(rc.effect_operator(vec, regs), want.T)
+
+        op = random_complex(rng, d, d)
+        assert np.array_equal(rc.operator_state(op, regs), op[rows, cols])
+        assert np.array_equal(rc.operator_effect(op, regs), op[cols, rows])
+
+    @pytest.mark.parametrize(
+        "in_regs,out_regs",
+        [(a, b) for a in LAYOUT_REGS for b in LAYOUT_REGS if rc.base_dim(a) * rc.base_dim(b) <= 72],
+        ids=repr,
+    )
+    def test_choi_operator(self, in_regs, out_regs):
+        rng = np.random.default_rng(42)
+        p = random_tensor(rng, in_regs, out_regs)
+        ri, ci, di = reference_lift(in_regs)
+        ro, co, do = reference_lift(out_regs)
+        want = np.zeros((di * do, di * do), dtype=complex)
+        for a in range(len(ro)):
+            for b in range(len(ri)):
+                want[ri[b] * do + ro[a], ci[b] * do + co[a]] = p.matrix[a, b]
+        assert np.array_equal(rc.choi_operator(p), want)
+
+
 class TestJson:
     def test_round_trip(self):
         rng = np.random.default_rng(23)
