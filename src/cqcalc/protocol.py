@@ -107,15 +107,13 @@ class DeviceStrategy:
 
     def density(self) -> np.ndarray:
         """Shared state as a density matrix on the joint base space."""
-        da, db = self.dims()
-        v = self.shared_state.vector().reshape(da, da, db, db)
-        return v.transpose(0, 2, 1, 3).reshape(da * db, da * db)
+        return rc.state_operator(self.shared_state.vector(), self.shared_state.out_regs)
 
 
 def bipartite_state(rho: np.ndarray, da: int, db: int) -> ProcessTensor:
     """Lift a joint density matrix into the doubled two-register form."""
-    v = rho.reshape(da, db, da, db).transpose(0, 2, 1, 3)
-    return rc.state((rc.Q(da), rc.Q(db)), v.reshape(-1))
+    regs = (rc.Q(da), rc.Q(db))
+    return rc.state(regs, rc.operator_state(rho, regs))
 
 
 def optimal_chsh_strategy() -> DeviceStrategy:

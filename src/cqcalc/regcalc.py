@@ -21,6 +21,7 @@ pure function, so independent calls are safe to run in parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -312,62 +313,36 @@ def dagger_conjugate_transpose(p: ProcessTensor, which: str = "adjoint") -> Proc
 #
 # Internally we embed carrier vectors into operators on the product of
 # *base* spaces.  The embedding groups all classical factors first and
-# all quantum base factors second; this is a fixed unitary relabeling of
-# the interleaved order and is used consistently on both arguments of
-# every comparison, so distances and spectra are unaffected.
+# all quantum base factors second, each group in register order; this is
+# a fixed unitary relabeling of the interleaved order and is used
+# consistently on both arguments of every comparison, so distances and
+# spectra are unaffected.  `_lift` is the one place that layout is
+# written down; every conversion below is an index scatter or gather on it.
 
 
-def _axis_split(vec: np.ndarray, regs: Sequence[Register]):
-    """Reshape a carrier vector to (K, I, J): classical, row, column."""
-    dims = []
+@lru_cache(maxsize=None)
+def _lift(regs: tuple[Register, ...]) -> tuple[np.ndarray, np.ndarray, int]:
+    """Operator-form (row, column) of every carrier index, and the lifted
+    dimension.
+
+    A classical index k sits on the diagonal block (k, k); a quantum pair
+    (i, j) is the matrix entry (i, j).  The arrays are cached per register
+    tuple and read-only.
+    """
+    k = i = j = np.zeros(1, dtype=np.intp)
     for r in regs:
+        n = r.base_dim
         if r.kind == CLASSICAL:
-            dims.append(r.base_dim)
+            digits, scale = (np.arange(n), np.zeros(n, np.intp), np.zeros(n, np.intp)), (n, 1, 1)
         else:
-            dims.extend([r.base_dim, r.base_dim])
-    arr = np.asarray(vec).reshape(dims or [1])
-    c_axes, i_axes, j_axes = [], [], []
-    a = 0
-    for r in regs:
-        if r.kind == CLASSICAL:
-            c_axes.append(a)
-            a += 1
-        else:
-            i_axes.append(a)
-            j_axes.append(a + 1)
-            a += 2
-    if not regs:
-        return arr.reshape(1, 1, 1)
-    arr = np.transpose(arr, axes=c_axes + i_axes + j_axes)
-    K = _kind_dim(regs, CLASSICAL)
-    I = _kind_dim(regs, QUANTUM)
-    return arr.reshape(K, I, I)
-
-
-def _axis_merge(arr3: np.ndarray, regs: Sequence[Register]) -> np.ndarray:
-    """Inverse of _axis_split: (K, I, J) back to the carrier vector."""
-    if not regs:
-        return arr3.reshape(1)
-    c_dims = [r.base_dim for r in regs if r.kind == CLASSICAL]
-    q_dims = [r.base_dim for r in regs if r.kind == QUANTUM]
-    arr = arr3.reshape(c_dims + q_dims + q_dims)
-    # rebuild interleaved axis order
-    c_axes, i_axes, j_axes = [], [], []
-    a = 0
-    for r in regs:
-        if r.kind == CLASSICAL:
-            c_axes.append(a)
-            a += 1
-        else:
-            i_axes.append(a)
-            j_axes.append(a + 1)
-            a += 2
-    order = c_axes + i_axes + j_axes  # current position of target axis
-    inv = [0] * len(order)
-    for pos, ax in enumerate(order):
-        inv[ax] = pos
-    arr = np.transpose(arr, axes=inv)
-    return arr.reshape(-1)
+            a, b = np.divmod(np.arange(n * n), n)
+            digits, scale = (np.zeros(n * n, np.intp), a, b), (1, n, n)
+        k, i, j = ((x[:, None] * s + t).ravel() for x, s, t in zip((k, i, j), scale, digits))
+    q = _kind_dim(regs, QUANTUM)
+    rows, cols = k * q + i, k * q + j
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols, base_dim(regs)
 
 
 def state_operator(vec: np.ndarray, regs: Sequence[Register]) -> np.ndarray:
@@ -376,38 +351,30 @@ def state_operator(vec: np.ndarray, regs: Sequence[Register]) -> np.ndarray:
     Classical indices are embedded diagonally; quantum doubled indices
     (i, j) become matrix entries.  Result is (K*I) x (K*I).
     """
-    arr3 = _axis_split(vec, regs)
-    Kd, Id, _ = arr3.shape
-    D = np.zeros((Kd, Id, Kd, Id), dtype=complex)
-    D[np.arange(Kd), :, np.arange(Kd), :] = arr3
-    return D.reshape(Kd * Id, Kd * Id)
+    rows, cols, d = _lift(tuple(regs))
+    op = np.zeros((d, d), dtype=complex)
+    op[rows, cols] = np.asarray(vec).reshape(-1)
+    return op
 
 
 def operator_state(op: np.ndarray, regs: Sequence[Register]) -> np.ndarray:
     """Project an operator back to a carrier vector (drops classical
     off-diagonal blocks, i.e. composes with decoherence on classical wires)."""
-    Kd = _kind_dim(regs, CLASSICAL)
-    Id = _kind_dim(regs, QUANTUM)
-    D = np.asarray(op).reshape(Kd, Id, Kd, Id)
-    arr3 = D[np.arange(Kd), :, np.arange(Kd), :]
-    return _axis_merge(arr3.reshape(Kd, Id, Id), regs)
+    rows, cols, d = _lift(tuple(regs))
+    return np.asarray(op).reshape(d, d)[rows, cols]
 
 
 def effect_operator(row: np.ndarray, regs: Sequence[Register]) -> np.ndarray:
     """Operator form E of an effect row: value on rho is Tr[E rho]."""
-    arr3 = _axis_split(row, regs)
-    Kd, Id, _ = arr3.shape
-    E = np.zeros((Kd, Id, Kd, Id), dtype=complex)
-    E[np.arange(Kd), :, np.arange(Kd), :] = np.transpose(arr3, (0, 2, 1))
-    return E.reshape(Kd * Id, Kd * Id)
+    rows, cols, d = _lift(tuple(regs))
+    op = np.zeros((d, d), dtype=complex)
+    op[cols, rows] = np.asarray(row).reshape(-1)
+    return op
 
 
 def operator_effect(op: np.ndarray, regs: Sequence[Register]) -> np.ndarray:
-    Kd = _kind_dim(regs, CLASSICAL)
-    Id = _kind_dim(regs, QUANTUM)
-    D = np.asarray(op).reshape(Kd, Id, Kd, Id)
-    arr3 = np.transpose(D[np.arange(Kd), :, np.arange(Kd), :].reshape(Kd, Id, Id), (0, 2, 1))
-    return _axis_merge(arr3, regs)
+    rows, cols, d = _lift(tuple(regs))
+    return np.asarray(op).reshape(d, d)[cols, rows]
 
 
 def apply_to_operator(p: ProcessTensor, rho: np.ndarray) -> np.ndarray:
@@ -422,27 +389,6 @@ def apply_adjoint_to_effect(p: ProcessTensor, E: np.ndarray) -> np.ndarray:
     return effect_operator(row @ p.matrix, p.in_regs)
 
 
-def _interleaved(regs, offset):
-    """Dims and (classical, row, column) axis positions; empty lists get
-    a placeholder classical dim-1 axis so shapes stay uniform."""
-    dims, c_axes, i_axes, j_axes = [], [], [], []
-    a = offset
-    for r in regs:
-        if r.kind == CLASSICAL:
-            dims.append(r.base_dim)
-            c_axes.append(a)
-            a += 1
-        else:
-            dims.extend([r.base_dim, r.base_dim])
-            i_axes.append(a)
-            j_axes.append(a + 1)
-            a += 2
-    if not regs:
-        dims, c_axes = [1], [offset]
-        a = offset + 1
-    return dims, c_axes, i_axes, j_axes, a
-
-
 def choi_operator(p: ProcessTensor) -> np.ndarray:
     """Unnormalized process (Choi) operator on in_base (x) out_base.
 
@@ -450,22 +396,11 @@ def choi_operator(p: ProcessTensor) -> np.ndarray:
     block structure), so complete positivity of the classical-quantum
     process is exactly positive semidefiniteness of this operator.
     """
-    out_dims, co, io, jo, off = _interleaved(p.out_regs, 0)
-    in_dims, ci, ii, ji, _ = _interleaved(p.in_regs, off)
-    arr = np.asarray(p.matrix).reshape(out_dims + in_dims)
-    arr = np.transpose(arr, axes=co + io + jo + ci + ii + ji)
-    Ko = _kind_dim(p.out_regs, CLASSICAL)
-    Ao = _kind_dim(p.out_regs, QUANTUM)
-    Ki = _kind_dim(p.in_regs, CLASSICAL)
-    Ai = _kind_dim(p.in_regs, QUANTUM)
-    arr = arr.reshape(Ko, Ao, Ao, Ki, Ai, Ai)
-    Cop = np.zeros((Ki, Ai, Ko, Ao, Ki, Ai, Ko, Ao), dtype=complex)
-    for ko in range(Ko):
-        for ki in range(Ki):
-            # entry [ki,i,ko,a ; ki,j,ko,b] = M[ko,(a,b),ki,(i,j)]
-            Cop[ki, :, ko, :, ki, :, ko, :] = np.transpose(arr[ko, :, :, ki, :, :], (2, 0, 3, 1))
-    d = Ki * Ai * Ko * Ao
-    return Cop.reshape(d, d)
+    ri, ci, di = _lift(p.in_regs)
+    ro, co, do = _lift(p.out_regs)
+    choi = np.zeros((di * do, di * do), dtype=complex)
+    choi[ri * do + ro[:, None], ci * do + co[:, None]] = p.matrix
+    return choi
 
 
 # ---------------------------------------------------------------------------
@@ -705,12 +640,7 @@ def _pure_input_operator(psi: np.ndarray, regs: Sequence[Register]) -> np.ndarra
 
 
 def _classical_decohere(op: np.ndarray, regs: Sequence[Register]) -> np.ndarray:
-    Kd = _kind_dim(regs, CLASSICAL)
-    Id = _kind_dim(regs, QUANTUM)
-    D = op.reshape(Kd, Id, Kd, Id)
-    out = np.zeros_like(D)
-    out[np.arange(Kd), :, np.arange(Kd), :] = D[np.arange(Kd), :, np.arange(Kd), :]
-    return out.reshape(Kd * Id, Kd * Id)
+    return state_operator(operator_state(op, regs), regs)
 
 
 # ---------------------------------------------------------------------------
@@ -729,16 +659,12 @@ def channel_from_kraus(
     classical process.
     """
     in_regs, out_regs = tuple(in_regs), tuple(out_regs)
-    din, dout = total_dim(in_regs), total_dim(out_regs)
-    m = np.zeros((dout, din), dtype=complex)
-    basis = np.eye(din)
-    for col in range(din):
-        rho = state_operator(basis[:, col], in_regs)
-        acc = None
-        for K in kraus:
-            term = K @ rho @ np.conj(K.T)
-            acc = term if acc is None else acc + term
-        m[:, col] = operator_state(acc, out_regs)
+    ri, ci, _ = _lift(in_regs)
+    ro, co, _ = _lift(out_regs)
+    m = np.zeros((total_dim(out_regs), total_dim(in_regs)), dtype=complex)
+    for K in kraus:
+        K = np.asarray(K)
+        m += K[ro[:, None], ri] * np.conj(K[co[:, None], ci])
     return ProcessTensor(in_regs, out_regs, m)
 
 
@@ -758,26 +684,19 @@ def random_cq_channel(
     in_regs, out_regs = tuple(in_regs), tuple(out_regs)
     Ki = _kind_dim(in_regs, CLASSICAL)
     Ko = _kind_dim(out_regs, CLASSICAL)
-    qin = [r for r in in_regs if r.kind == QUANTUM]
-    qout = [r for r in out_regs if r.kind == QUANTUM]
-    dqi, dqo = base_dim(qin), base_dim(qout)
+    dqi, dqo = _kind_dim(in_regs, QUANTUM), _kind_dim(out_regs, QUANTUM)
+
+    def grouped(regs, dq):
+        # carrier index -> flat (classical, row, column) index
+        rows, cols, _ = _lift(regs)
+        return rows * dq + cols % dq
 
     din, dout = total_dim(in_regs), total_dim(out_regs)
     m = np.zeros((dout, din), dtype=complex)
 
-    # carrier <-> grouped (classical, bra, ket) change of basis, built once
-    basis = np.eye(din)
-    p_in = np.stack(
-        [_axis_split(basis[:, col], in_regs) for col in range(din)], axis=-1
-    )  # (Ki, dqi, dqi, din)
-    cols = []
-    for c in range(Ko):
-        for i in range(dqo):
-            for j in range(dqo):
-                g3 = np.zeros((Ko, dqo, dqo), dtype=complex)
-                g3[c, i, j] = 1.0
-                cols.append(_axis_merge(g3, out_regs))
-    p_out = np.array(cols).T  # (dout, Ko*dqo*dqo)
+    # carrier <-> grouped (classical, bra, ket) change of basis
+    p_in = np.eye(din)[np.argsort(grouped(in_regs, dqi))].reshape(Ki, dqi * dqi, din)
+    p_out = np.eye(dout, dtype=complex)[grouped(out_regs, dqo)]
 
     env = max(1, dqi)
     for ci in range(Ki):
@@ -791,9 +710,7 @@ def random_cq_channel(
         # grouped doubled action summed over Kraus branches, then mapped
         # back to the carrier layout in one matrix product
         doubled = np.einsum("cpea,cqeb->cpqab", branches, np.conj(branches))
-        contrib = doubled.reshape(Ko * dqo * dqo, dqi * dqi) @ p_in[ci].reshape(
-            dqi * dqi, din
-        )
+        contrib = doubled.reshape(Ko * dqo * dqo, dqi * dqi) @ p_in[ci]
         m += p_out @ contrib
     return ProcessTensor(in_regs, out_regs, m)
 
