@@ -590,7 +590,9 @@ def process_distance(
     wires are explored over classical-diagonal states only, which keeps
     the bound sound.  Upper bound: half the trace norm of the
     unnormalized process-operator difference (equivalently, the
-    normalized one times the input dimension), clamped to >= lower.
+    normalized one times the input dimension), clamped to at most 1 when
+    both processes are channels (causal and completely positive), and
+    to >= lower.
     """
     if p1.in_regs != p2.in_regs or p1.out_regs != p2.out_regs:
         raise TypeError("process_distance expects identically typed processes")
@@ -600,6 +602,8 @@ def process_distance(
 
     diff = ProcessTensor(p1.in_regs, p1.out_regs, p1.matrix - p2.matrix)
     upper = 0.5 * trace_norm(choi_operator(diff))
+    if all(f["causal"] and f["completely_positive"] for f in map(structural_predicates, (p1, p2))):
+        upper = min(upper, 1.0)
 
     in_lift = base_dim(p1.in_regs)
     anc = Register(QUANTUM, int(ancilla_dim) if ancilla_dim else in_lift)

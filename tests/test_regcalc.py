@@ -251,6 +251,18 @@ class TestDistances:
         assert d.lower == pytest.approx(1.0, abs=1e-6)
         assert d.lower <= d.upper + 1e-12
 
+    def test_channel_pair_upper_at_most_one(self):
+        # half the diamond distance between two channels is at most 1
+        zch = rc.channel_from_kraus([Q2], [Q2], [np.diag([1.0, -1.0])])
+        d = rc.process_distance(rc.identity([Q2]), zch, restarts=8, seed=3)
+        assert d.upper == 1.0
+        assert d.lower <= d.upper
+
+    def test_non_channel_pair_keeps_choi_bound(self):
+        three = rc.ProcessTensor((Q2,), (Q2,), 3 * np.eye(4))
+        d = rc.process_distance(three, rc.identity([Q2]), restarts=2, seed=0)
+        assert d.upper == pytest.approx(2.0, abs=1e-12)
+
     def test_lower_at_most_upper_random(self):
         rng = np.random.default_rng(22)
         for _ in range(5):
