@@ -61,9 +61,9 @@ def _load_json(path):
 
 
 def _load_diagram(path) -> dg.Diagram:
-    if str(path).endswith(".json"):
-        return dg.diagram_from_json(_load_json(path))
     try:
+        if str(path).endswith(".json"):
+            return dg.diagram_from_json(_load_json(path))
         with open(path) as f:
             return dg.parse_diagram(f.read())
     except OSError as e:
@@ -82,7 +82,12 @@ def cmd_eval(args) -> int:
     binding = {}
     if args.bindings:
         raw = _load_json(args.bindings)
-        binding = {label: rc.tensor_from_json(t) for label, t in raw.items()}
+        try:
+            if not isinstance(raw, dict):
+                raise ValueError("expected an object mapping hole labels to tensors")
+            binding = {label: rc.tensor_from_json(t) for label, t in raw.items()}
+        except ValueError as e:
+            raise CliError(f"bad bindings file {args.bindings}: {e}") from e
     missing = sorted(
         g.label
         for g in d.nodes.values()
@@ -90,7 +95,10 @@ def cmd_eval(args) -> int:
     )
     if missing:
         raise CliError("missing bindings for holes: " + ", ".join(missing))
-    result = d.evaluate(binding)
+    try:
+        result = d.evaluate(binding)
+    except TypeError as e:  # a binding typed unlike its hole
+        raise CliError(str(e)) from e
     report = {
         "format_version": FORMAT_VERSION,
         "command": "eval",

@@ -67,6 +67,8 @@ class Generator:
             regs = set(self.in_ports) | set(self.out_ports)
             if len(regs) != 1:
                 raise ValueError(f"{self.kind} ports must share one register type")
+            if regs.pop().kind != rc.CLASSICAL:
+                raise ValueError(f"{self.kind} needs a classical register")
         if self.kind == SCALAR:
             x = float(self.payload)
             if not (0.0 <= x <= 1.0):
@@ -960,23 +962,27 @@ def diagram_to_json(d: Diagram) -> dict:
 
 
 def diagram_from_json(j: dict) -> Diagram:
-    nodes = {}
-    for nd in j["nodes"]:
-        payload = nd.get("payload")
-        if isinstance(payload, dict):
-            payload = rc.tensor_from_json(payload)
-        nodes[int(nd["id"])] = Generator(
-            nd["kind"],
-            nd.get("label"),
-            tuple(_reg_from_json(r) for r in nd["in_ports"]),
-            tuple(_reg_from_json(r) for r in nd["out_ports"]),
-            payload,
-            frozenset(nd.get("flags", [])),
+    """Inverse of diagram_to_json; raises ValueError on malformed JSON."""
+    try:
+        nodes = {}
+        for nd in j["nodes"]:
+            payload = nd.get("payload")
+            if isinstance(payload, dict):
+                payload = rc.tensor_from_json(payload)
+            nodes[int(nd["id"])] = Generator(
+                nd["kind"],
+                nd.get("label"),
+                tuple(_reg_from_json(r) for r in nd["in_ports"]),
+                tuple(_reg_from_json(r) for r in nd["out_ports"]),
+                payload,
+                frozenset(nd.get("flags", [])),
+            )
+        wires = [(tuple(s), tuple(t)) for s, t in j["wires"]]
+        return Diagram(
+            nodes,
+            wires,
+            tuple(_reg_from_json(r) for r in j["in_types"]),
+            tuple(_reg_from_json(r) for r in j["out_types"]),
         )
-    wires = [(tuple(s), tuple(t)) for s, t in j["wires"]]
-    return Diagram(
-        nodes,
-        wires,
-        tuple(_reg_from_json(r) for r in j["in_types"]),
-        tuple(_reg_from_json(r) for r in j["out_types"]),
-    )
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as e:
+        raise ValueError(f"malformed diagram JSON: {e!r}") from e

@@ -244,8 +244,16 @@ def compose_par(f: ProcessTensor, g: ProcessTensor) -> ProcessTensor:
 # generators
 
 
+def _require_classical(reg: Register):
+    # on a quantum register the carrier-basis spider is not a copy or a
+    # mixing map: its uniform on Q2 would be |+><+|/2, not I/2
+    if reg.kind != CLASSICAL:
+        raise ValueError(f"spiders and uniforms need a classical register, got {reg!r}")
+
+
 def spider(reg: Register, legs: int) -> ProcessTensor:
-    """The state sum_i |i>^(x)legs over the register's carrier basis."""
+    """The state sum_i |i>^(x)legs over a classical register's basis."""
+    _require_classical(reg)
     if legs < 1:
         raise ValueError("spider needs at least one leg")
     d = reg.total_dim
@@ -261,6 +269,7 @@ def spider(reg: Register, legs: int) -> ProcessTensor:
 
 def spider_map(reg: Register, legs_in: int, legs_out: int) -> ProcessTensor:
     """Spider with legs split into inputs and outputs: sum_i |i..><..i|."""
+    _require_classical(reg)
     if legs_in < 0 or legs_out < 0 or legs_in + legs_out < 1:
         raise ValueError("spider needs at least one leg")
     d = reg.total_dim
@@ -276,7 +285,7 @@ def spider_map(reg: Register, legs_in: int, legs_out: int) -> ProcessTensor:
 
 
 def uniform(reg: Register, legs: int) -> ProcessTensor:
-    """spider(reg, legs) scaled by 1/m where m is the carrier dimension."""
+    """spider(reg, legs) scaled by 1/m where m is the register dimension."""
     s = spider(reg, legs)
     return ProcessTensor((), s.out_regs, s.matrix / reg.total_dim)
 
@@ -738,12 +747,17 @@ def tensor_to_json(p: ProcessTensor) -> dict:
 
 
 def tensor_from_json(d: dict) -> ProcessTensor:
+    """Inverse of tensor_to_json; raises ValueError on malformed JSON."""
+
     def reg(r):
         return Register(r["kind"], int(r["base_dim"]))
 
-    m = np.array([[complex(a, b) for a, b in row] for row in d["matrix"]], dtype=complex)
-    return ProcessTensor(
-        tuple(reg(r) for r in d["in_regs"]),
-        tuple(reg(r) for r in d["out_regs"]),
-        m,
-    )
+    try:
+        m = np.array([[complex(a, b) for a, b in row] for row in d["matrix"]], dtype=complex)
+        return ProcessTensor(
+            tuple(reg(r) for r in d["in_regs"]),
+            tuple(reg(r) for r in d["out_regs"]),
+            m,
+        )
+    except (KeyError, IndexError, TypeError, ValueError) as e:
+        raise ValueError(f"malformed tensor JSON: {e!r}") from e

@@ -56,6 +56,36 @@ class TestEval:
         assert cli.main(["eval", str(src)]) == 2
 
 
+    @pytest.mark.parametrize("form", ["dsl", "json"])
+    def test_quantum_uniform_exit_2(self, tmp_path, form):
+        # spiders and uniforms are classical-wire generators
+        if form == "dsl":
+            src = tmp_path / "d.dg"
+            src.write_text("uniform Q2 1 ; discard Q2")
+        else:
+            j = dg.diagram_to_json(dg.parse_diagram("uniform C2 1 ; discard C2"))
+            src = tmp_path / "d.json"
+            src.write_text(json.dumps(j).replace('"classical"', '"quantum"'))
+        assert cli.main(["eval", str(src)]) == 2
+
+    @pytest.mark.parametrize("defect", ["no_types", "binding_without_matrix", "mistyped_binding"])
+    def test_malformed_eval_input_exit_2(self, tmp_path, capsys, defect):
+        src = tmp_path / "d.dg"
+        src.write_text("hole f : C2 -> C2\nuniform C2 1 ; f ; discard C2")
+        binding = rc.tensor_to_json(rc.identity([rc.C(2)]))
+        if defect == "no_types":
+            src = tmp_path / "d.json"
+            src.write_text(json.dumps({"nodes": [], "wires": []}))
+        elif defect == "binding_without_matrix":
+            del binding["matrix"]
+        else:
+            binding = rc.tensor_to_json(rc.identity([rc.C(3)]))
+        bfile = tmp_path / "bind.json"
+        bfile.write_text(json.dumps({"f": binding}))
+        assert cli.main(["eval", str(src), "--bindings", str(bfile)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+
 class TestCheck:
     def test_shipped_script_verifies(self, tmp_path):
         code, out = run_to_file(

@@ -33,6 +33,11 @@ class TestParse:
             dg.parse_diagram("box f : I -> Q2\nf ; discard C2")
         assert "Q2" in str(e.value) and "C2" in str(e.value)
 
+    def test_quantum_spider_and_uniform_rejected(self):
+        for make in (lambda: dg.spider_gen(Q2, 0, 2), lambda: dg.uniform_gen(Q2, 1)):
+            with pytest.raises(ValueError):
+                make()
+
     def test_unknown_register(self):
         with pytest.raises(dg.DiagramParseError):
             dg.parse_diagram("discard Zork")
@@ -211,3 +216,7 @@ class TestJson:
         d = dg.parse_diagram("reg S = classical N\nuniform S 2")
         d2 = dg.diagram_from_json(dg.diagram_to_json(d))
         assert dg.diagrams_equal(d, d2)
+
+    def test_missing_boundary_types_malformed(self):
+        with pytest.raises(ValueError, match="malformed"):
+            dg.diagram_from_json({"nodes": [], "wires": []})

@@ -112,6 +112,11 @@ class TestGenerators:
         sub = rc.state([Q2], [0, 0, 0, 0.3])
         assert rc.compose_seq(sub, rc.discard(Q2)).number() == pytest.approx(0.3)
 
+    def test_quantum_spiders_rejected(self):
+        for make in (lambda: rc.spider(Q2, 1), lambda: rc.spider_map(Q2, 1, 1), lambda: rc.uniform(Q2, 1)):
+            with pytest.raises(ValueError):
+                make()
+
     def test_spider_map_matches_spider(self):
         # all-legs-out spider map equals the spider state
         sm = rc.spider_map(C3, 0, 2)
@@ -354,3 +359,9 @@ class TestJson:
         q = rc.tensor_from_json(d)
         assert q.in_regs == p.in_regs and q.out_regs == p.out_regs
         assert np.allclose(q.matrix, p.matrix)
+
+    def test_malformed_tensor_json(self):
+        d = rc.tensor_to_json(rc.identity([C2]))
+        del d["matrix"]
+        with pytest.raises(ValueError, match="malformed"):
+            rc.tensor_from_json(d)
