@@ -23,26 +23,19 @@ from .regcalc import CQState
 
 @dataclass(frozen=True)
 class ExtractorParams:
-    """Sizes and rate parameters for one extraction call.
+    """Sizes for one extraction call.
 
     n source bits hash down to m output bits using a seed of
-    n + m - 1 bits; a..e are per-round rate parameters used by the
-    subnormalized contract (e sets the small-trace cutoff 2^-e)."""
+    n + m - 1 bits; e sets the small-trace cutoff 2^-e of the
+    subnormalized contract."""
 
     n: int
     m: int
-    eps_target: float = 0.0
-    a: int = 1
-    b: int = 1
-    c: int = 2
-    d: int = 1
     e: int = 10
 
     def __post_init__(self):
         if not 1 <= self.m <= self.n:
             raise ValueError("need 1 <= m <= n")
-        if self.c - self.d <= 0:
-            raise ValueError("rate margin c - d must be positive")
 
     @property
     def seed_len(self) -> int:

@@ -193,7 +193,6 @@ class RewriteRule:
     lhs: dg.Diagram
     rhs: dg.Diagram
     cost: EpsExpr = EpsExpr.zero()
-    direction: str = "ltr"  # or "bi"
     validation_mode: str = "exact"
     binding_mode: str = "fresh"
 
@@ -601,13 +600,13 @@ def rule_uniform_absorbs_discard(reg, legs: int = 2) -> RewriteRule:
         (reg,) * (legs - 1),
     )
     rhs = dg.Diagram.from_generator(dg.uniform_gen(reg, legs - 1))
-    return RewriteRule("uniform_absorbs_discard", lhs, rhs, direction="bi")
+    return RewriteRule("uniform_absorbs_discard", lhs, rhs)
 
 
 def rule_widen_uniform(reg, legs: int = 1) -> RewriteRule:
     """A uniform state with `legs` legs gains a fresh, discarded leg."""
     r = rule_uniform_absorbs_discard(reg, legs + 1)
-    return RewriteRule("widen_uniform", r.rhs, r.lhs, direction="bi")
+    return RewriteRule("widen_uniform", r.rhs, r.lhs)
 
 
 def rule_spider_fusion(reg) -> RewriteRule:
@@ -624,7 +623,7 @@ def rule_spider_fusion(reg) -> RewriteRule:
         (reg,) * 4,
     )
     rhs = dg.Diagram.from_generator(dg.spider_gen(reg, 0, 4))
-    return RewriteRule("spider_fusion", lhs, rhs, direction="bi")
+    return RewriteRule("spider_fusion", lhs, rhs)
 
 
 def rule_causality(h: dg.Generator) -> RewriteRule:
@@ -657,7 +656,7 @@ def rule_uniform_is_scaled_spider(reg) -> RewriteRule:
         (),
         (reg, reg),
     )
-    return RewriteRule("uniform_is_scaled_spider", lhs, rhs, direction="bi")
+    return RewriteRule("uniform_is_scaled_spider", lhs, rhs)
 
 
 def builtin_rules(dim: int = 2) -> list[RewriteRule]:
