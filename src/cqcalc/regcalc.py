@@ -342,11 +342,10 @@ def _lift(regs: tuple[Register, ...]) -> tuple[np.ndarray, np.ndarray, int]:
     for r in regs:
         n = r.base_dim
         if r.kind == CLASSICAL:
-            digits, scale = (np.arange(n), np.zeros(n, np.intp), np.zeros(n, np.intp)), (n, 1, 1)
+            k, i, j = (k[:, None] * n + np.arange(n)).ravel(), np.repeat(i, n), np.repeat(j, n)
         else:
             a, b = np.divmod(np.arange(n * n), n)
-            digits, scale = (np.zeros(n * n, np.intp), a, b), (1, n, n)
-        k, i, j = ((x[:, None] * s + t).ravel() for x, s, t in zip((k, i, j), scale, digits))
+            k, i, j = np.repeat(k, n * n), (i[:, None] * n + a).ravel(), (j[:, None] * n + b).ravel()
     q = _kind_dim(regs, QUANTUM)
     rows, cols = k * q + i, k * q + j
     rows.setflags(write=False)
