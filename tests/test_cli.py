@@ -55,7 +55,6 @@ class TestEval:
         src.write_text("not a diagram !!!")
         assert cli.main(["eval", str(src)]) == 2
 
-
     @pytest.mark.parametrize("form", ["dsl", "json"])
     def test_quantum_uniform_exit_2(self, tmp_path, form):
         # spiders and uniforms are classical-wire generators
