@@ -459,99 +459,74 @@ def _node_key(g: Generator, anonymize_holes: bool) -> tuple:
 
 
 def canonical_form(d: Diagram, anonymize_holes: bool = False) -> Diagram:
-    """Deterministic relabeling: nodes renumbered 0..n-1 by a canonical
-    order (color refinement anchored at the boundary, with backtracking
-    on residual ties), wires sorted.  Diagrams equal up to planar
-    isotopy/interchange share node structure already; this makes them
-    compare equal with `==` on (nodes, wires, boundary)."""
-    nids = sorted(d.nodes)
-    base = {nid: _node_key(d.nodes[nid], anonymize_holes) for nid in nids}
+    """Deterministic relabeling: nodes renumbered 0..n-1, wires sorted.
 
-    # adjacency with port and boundary info
-    in_adj = {nid: [] for nid in nids}   # (port, neighbor kind, neighbor id or boundary pos, their port)
-    out_adj = {nid: [] for nid in nids}
+    Ports are ordered and the boundary is labelled, so a breadth-first
+    walk that takes each node's neighbours in port order (input ports,
+    then output ports) numbers every node it reaches without a choice.
+    The walk starts from the nodes on boundary inputs 0..n-1, then on
+    boundary outputs 0..m-1.  A closed component (no boundary wire) is
+    walked from each of its nodes of least key; the walk with the least
+    certificate (node keys in walk order, then the renumbered internal
+    wires) wins, and closed components follow in certificate order.
+    Diagrams equal up to planar isotopy/interchange share node structure
+    already; this makes them compare equal with `==` on (nodes, wires,
+    boundary)."""
+    key = {nid: _node_key(g, anonymize_holes) for nid, g in d.nodes.items()}
+    ports = {nid: [] for nid in d.nodes}  # (side, port, their port, neighbour)
+    roots_in, roots_out = {}, {}
     for s, t in d.wires:
-        if t[0] == "n":
-            if s[0] == "in":
-                in_adj[t[1]].append((t[2], "b", s[1], -1))
-            else:
-                in_adj[t[1]].append((t[2], "n", s[1], s[2]))
-        if s[0] == "n":
-            if t[0] == "out":
-                out_adj[s[1]].append((s[2], "b", t[1], -1))
-            else:
-                out_adj[s[1]].append((s[2], "n", t[1], t[2]))
+        if s[0] == "n" and t[0] == "n":
+            ports[t[1]].append((0, t[2], s[2], s[1]))
+            ports[s[1]].append((1, s[2], t[2], t[1]))
+        elif t[0] == "n":
+            roots_in[s[1]] = t[1]
+        elif s[0] == "n":
+            roots_out[t[1]] = s[1]
+    for ps in ports.values():
+        ps.sort()
 
-    def refine(colors):
-        while True:
-            sig = {}
-            for nid in nids:
-                ins = tuple(
-                    sorted(
-                        (p, k, pos if k == "b" else colors[other], op)
-                        for (p, k, other, op) in in_adj[nid]
-                        for pos in [other]
-                    )
-                )
-                outs = tuple(
-                    sorted(
-                        (p, k, pos if k == "b" else colors[other], op)
-                        for (p, k, other, op) in out_adj[nid]
-                        for pos in [other]
-                    )
-                )
-                sig[nid] = (colors[nid], ins, outs)
-            ranked = {s: i for i, s in enumerate(sorted(set(sig.values())))}
-            new = {nid: ranked[sig[nid]] for nid in nids}
-            if new == colors:
-                return colors
-            colors = new
+    def walk(roots):
+        order = list(dict.fromkeys(roots))
+        seen = set(order)
+        for nid in order:  # breadth first: the list grows as it is read
+            for *_, other in ports[nid]:
+                if other not in seen:
+                    seen.add(other)
+                    order.append(other)
+        return order
 
-    ranked_keys = {k: i for i, k in enumerate(sorted(set(base.values())))}
-    colors = refine({nid: ranked_keys[base[nid]] for nid in nids})
+    def certified(root):
+        order = walk([root])
+        renum = {nid: i for i, nid in enumerate(order)}
+        wires = sorted(
+            (renum[nid], p, renum[other], q)
+            for nid in order
+            for side, p, q, other in ports[nid]
+            if side
+        )
+        return (tuple(key[nid] for nid in order), tuple(wires)), order
 
-    def order_from(colors):
-        # individualize remaining ties deterministically by smallest color,
-        # then smallest (refined) signature; recurse
-        classes = {}
-        for nid in nids:
-            classes.setdefault(colors[nid], []).append(nid)
-        tie = next((c for c in sorted(classes) if len(classes[c]) > 1), None)
-        if tie is None:
-            return sorted(nids, key=lambda n: colors[n])
-        best = None
-        for cand in classes[tie]:
-            c2 = dict(colors)
-            c2[cand] = -1  # individualize
-            ranked = refine({n: c for n, c in c2.items()})
-            order = order_from(ranked)
-            cert = _certificate(d, order, anonymize_holes)
-            if best is None or cert < best[0]:
-                best = (cert, order)
-        return best[1]
+    order = walk([roots_in[k] for k in sorted(roots_in)] + [roots_out[k] for k in sorted(roots_out)])
+    placed = set(order)
+    closed = []
+    for nid in sorted(d.nodes):
+        if nid not in placed:
+            comp = walk([nid])
+            placed.update(comp)
+            least = min(key[n] for n in comp)
+            closed.append(min((certified(n) for n in comp if key[n] == least), key=lambda c: c[0]))
+    for _, comp in sorted(closed, key=lambda c: c[0]):
+        order += comp
 
-    order = order_from(colors)
     renum = {nid: i for i, nid in enumerate(order)}
-
-    nodes = {renum[nid]: d.nodes[nid] for nid in nids}
 
     def rename(ep):
         return ("n", renum[ep[1]], ep[2]) if ep[0] == "n" else ep
 
+    nodes = {i: d.nodes[nid] for i, nid in enumerate(order)}
     wires = sorted((rename(s), rename(t)) for s, t in d.wires)
     return Diagram(nodes, wires, d.in_types, d.out_types)
-
-
-def _certificate(d: Diagram, order, anonymize_holes) -> tuple:
-    renum = {nid: i for i, nid in enumerate(order)}
-
-    def rename(ep):
-        return ("n", renum[ep[1]], ep[2]) if ep[0] == "n" else ep
-
-    return (
-        tuple(_node_key(d.nodes[nid], anonymize_holes) for nid in order),
-        tuple(sorted((rename(s), rename(t)) for s, t in d.wires)),
-    )
 
 
 def diagrams_equal(a: Diagram, b: Diagram, anonymize_holes: bool = False) -> bool:

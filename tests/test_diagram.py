@@ -205,6 +205,13 @@ class TestPrint:
         assert dg.diagrams_equal(d2, d)
         assert list(d2.nodes.values())[0].flags == frozenset({"causal"})
 
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_closed_lanes_print_without_swaps(self, k):
+        d = dg.parse_diagram(" * ".join(["(uniform C2 1 ; discard C2)"] * k))
+        text = dg.print_diagram(d)
+        assert text == " * ".join(["uniform C2 1"] * k) + " ;\n" + " * ".join(["discard C2"] * k) + "\n"
+        assert dg.diagrams_equal(dg.parse_diagram(text), d)
+
 
 class TestJson:
     def test_round_trip(self):
