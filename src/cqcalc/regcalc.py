@@ -440,13 +440,9 @@ def structural_predicates(p: ProcessTensor, tol: float = DEFAULT_TOL) -> dict:
         and np.linalg.eigvalsh(0.5 * (choi + np.conj(choi.T))).min() >= -max(tol, 1e-9) * max(1, np.abs(choi).max())
     )
 
-    pure_state = False
-    if p.is_state:
-        rho = state_operator(p.vector(), p.out_regs)
-        ev = np.sort(np.abs(np.linalg.eigvals(rho)))[::-1]
-        pure_state = bool(abs(ev[0] - 1) <= 1e2 * tol and (ev[1:].sum() if len(ev) > 1 else 0) <= 1e2 * tol)
-
+    # pure means of the form double(f), with no normalisation
     pure_process = _pure_process(p, tol)
+    pure_state = p.is_state and pure_process
 
     if p.is_effect:
         Eo = effect_operator(p.matrix.reshape(-1), p.in_regs)

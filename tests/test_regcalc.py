@@ -172,6 +172,12 @@ class TestPredicates:
         mixed = rc.state([Q2], [0.5, 0, 0, 0.5])
         assert not rc.structural_predicates(mixed)["pure_state"]
 
+    def test_subnormalised_pure_state_flags_agree(self):
+        # pure means of the form double(f), whatever the norm of f
+        for s in (rc.state([Q2], [0.5, 0, 0, 0]), rc.state([C2], [0.5, 0])):
+            flags = rc.structural_predicates(s)
+            assert flags["pure_state"] and flags["pure_process"]
+
     def test_pure_process_preserves_rank_one(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
