@@ -335,12 +335,12 @@ class RewriteState:
 def apply_rule(state: RewriteState, rule: RewriteRule, loc=None):
     """Apply a rule; returns (new state, loc used).  loc is the sorted
     tuple of matched host node ids; omit it when the match is unique."""
-    matches = find_matches(state.diagram, rule.lhs)
+    found = find_matches(state.diagram, rule.lhs)
     if loc is not None:
         loc = tuple(sorted(loc))
-        matches = [m for m in matches if m.loc == loc]
+    matches = [m for m in found if loc is None or m.loc == loc]
     if not matches:
-        cands = sorted({m.loc for m in find_matches(state.diagram, rule.lhs)})
+        cands = sorted({m.loc for m in found})
         raise RewriteError(
             f"rule {rule.name!r} does not match at {loc}; candidate locations: {cands}"
         )

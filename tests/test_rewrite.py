@@ -119,6 +119,17 @@ class TestApply:
             rw.apply_rule(state, rw.rule_uniform_absorbs_discard(C2), loc=(5, 6))
         assert "(0, 1)" in str(e.value)
 
+    def test_miss_message_bytes(self):
+        state = rw.RewriteState(self.host())
+        with pytest.raises(rw.RewriteError) as e:
+            rw.apply_rule(state, rw.rule_uniform_absorbs_discard(C2), loc=(6, 5))
+        assert str(e.value) == (
+            "rule 'uniform_absorbs_discard' does not match at (5, 6); candidate locations: [(0, 1)]"
+        )
+        with pytest.raises(rw.RewriteError) as e:
+            rw.apply_rule(state, rw.rule_widen_uniform(C3))
+        assert str(e.value) == "rule 'widen_uniform' does not match at None; candidate locations: []"
+
     def test_axiom_rule_adds_cost(self):
         s = rw.script_spot_check_lemma()
         state = rw.RewriteState(s.initial)
