@@ -218,7 +218,7 @@ class Diagram:
         for nid, g in other.nodes.items():
             nodes[nid + off] = g
 
-        def shift(ep, is_src):
+        def shift(ep):
             if ep[0] == "n":
                 return ("n", ep[1] + off, ep[2])
             if ep[0] == "in":
@@ -226,7 +226,7 @@ class Diagram:
             return ("out", ep[1] + n_out)
 
         wires = list(self.wires)
-        wires += [(shift(s, True), shift(t, False)) for s, t in other.wires]
+        wires += [(shift(s), shift(t)) for s, t in other.wires]
         return Diagram(
             nodes, wires, self.in_types + other.in_types, self.out_types + other.out_types
         )
@@ -348,7 +348,6 @@ class Diagram:
                         f"{list(g.in_ports)}->{list(g.out_ports)}"
                     )
 
-        wire_id = {id(w): i for i, w in enumerate(self.wires)}
         by_src, by_dst = {}, {}
         for i, (s, t) in enumerate(self.wires):
             by_src[s] = i
@@ -809,9 +808,6 @@ def print_diagram(d: Diagram) -> str:
     layers: dict[int, list[int]] = {}
     for nid, l in layer.items():
         layers.setdefault(l, []).append(nid)
-
-    def wname(i):
-        return i  # wire index
 
     open_wires = [by_src[("in", k)] for k in range(len(d.in_types))]
     terms = []
