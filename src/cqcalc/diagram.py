@@ -458,19 +458,15 @@ def _node_key(g: Generator, anonymize_holes: bool) -> tuple:
 
 
 def canonical_form(d: Diagram, anonymize_holes: bool = False) -> Diagram:
-    """Deterministic relabeling: nodes renumbered 0..n-1, wires sorted.
+    """Deterministic relabeling: nodes renumbered 0..n-1, wires sorted,
+    so that equal diagrams compare equal with `==`.
 
     Ports are ordered and the boundary is labelled, so a breadth-first
-    walk that takes each node's neighbours in port order (input ports,
-    then output ports) numbers every node it reaches without a choice.
-    The walk starts from the nodes on boundary inputs 0..n-1, then on
-    boundary outputs 0..m-1.  A closed component (no boundary wire) is
-    walked from each of its nodes of least key; the walk with the least
-    certificate (node keys in walk order, then the renumbered internal
-    wires) wins, and closed components follow in certificate order.
-    Diagrams equal up to planar isotopy/interchange share node structure
-    already; this makes them compare equal with `==` on (nodes, wires,
-    boundary)."""
+    walk taking neighbours in port order (inputs, then outputs) from the
+    nodes on boundary inputs, then outputs, numbers them without choice.
+    Each closed component is walked from each of its least-key nodes and
+    keeps the least certificate (node keys in walk order, renumbered
+    wires); closed components follow in certificate order."""
     key = {nid: _node_key(g, anonymize_holes) for nid, g in d.nodes.items()}
     ports = {nid: [] for nid in d.nodes}  # (side, port, their port, neighbour)
     roots_in, roots_out = {}, {}
@@ -498,13 +494,8 @@ def canonical_form(d: Diagram, anonymize_holes: bool = False) -> Diagram:
     def certified(root):
         order = walk([root])
         renum = {nid: i for i, nid in enumerate(order)}
-        wires = sorted(
-            (renum[nid], p, renum[other], q)
-            for nid in order
-            for side, p, q, other in ports[nid]
-            if side
-        )
-        return (tuple(key[nid] for nid in order), tuple(wires)), order
+        wires = [(renum[n], p, renum[o], q) for n in order for side, p, q, o in ports[n] if side]
+        return (tuple(key[n] for n in order), tuple(sorted(wires))), order
 
     order = walk([roots_in[k] for k in sorted(roots_in)] + [roots_out[k] for k in sorted(roots_out)])
     placed = set(order)
@@ -535,7 +526,7 @@ def diagrams_equal(a: Diagram, b: Diagram, anonymize_holes: bool = False) -> boo
     cb = canonical_form(b, anonymize_holes)
     ka = {n: _node_key(g, anonymize_holes) for n, g in ca.nodes.items()}
     kb = {n: _node_key(g, anonymize_holes) for n, g in cb.nodes.items()}
-    return ka == kb and sorted(ca.wires) == sorted(cb.wires)
+    return ka == kb and ca.wires == cb.wires
 
 
 # ---------------------------------------------------------------------------
