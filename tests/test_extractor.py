@@ -80,6 +80,44 @@ class TestDistance:
             ex.extractor_distance_exact(np.full(2**13, 2.0**-13), 1)
 
 
+def _enumerated_distance(p, m):
+    """Reference: for each of the 2^(n+m-1) seeds, hash every source
+    string in the support of p through its own Toeplitz matrix."""
+    n = p.size.bit_length() - 1
+    xs = ((np.arange(2**n)[:, None] >> np.arange(n)[::-1]) & 1).astype(np.uint8)
+    support = p > 0
+    xs, weights = xs[support], p[support]
+    pow2 = 1 << np.arange(m)[::-1]
+    total = 0.0
+    n_seeds = 2 ** (n + m - 1)
+    for s in range(n_seeds):
+        seed = np.array([(s >> k) & 1 for k in range(n + m - 1)][::-1], dtype=np.uint8)
+        t = ex.toeplitz_matrix(seed, m)
+        z = ((xs @ t.T) % 2) @ pow2
+        out = np.bincount(z, weights=weights, minlength=2**m)
+        total += 0.5 * np.abs(out - 2.0**-m).sum()
+    return total / n_seeds
+
+
+class TestDistanceReference:
+    @pytest.mark.parametrize(
+        "n,m,k",
+        [(1, 1, 0), (3, 1, 3), (5, 2, 0), (6, 3, 4), (8, 3, 5), (10, 3, 7), (10, 3, 10), (12, 4, 8)],
+    )
+    def test_flat_source_exact(self, n, m, k):
+        # flat sources are dyadic, so every sum is exact
+        p = np.zeros(2**n)
+        p[: 2**k] = 2.0**-k
+        assert ex.extractor_distance_exact(p, m) == _enumerated_distance(p, m)
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (3, 2), (5, 2), (7, 3), (8, 4), (10, 4)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_dirichlet_source(self, n, m, seed):
+        p = np.random.default_rng([n, m, seed]).dirichlet(np.ones(2**n))
+        want = _enumerated_distance(p, m)
+        assert ex.extractor_distance_exact(p, m) == pytest.approx(want, rel=1e-12, abs=0)
+
+
 class TestSubnormalized:
     def params(self):
         return ex.ExtractorParams(n=2, m=1, e=10)

@@ -120,6 +120,19 @@ def test_check_budget_report_bytes(tmp_path):
     assert digest == "2a01237ee4c99aa4a5197029b3a68f88b779295ab8edd7df6b517f2f2fb338d9"
 
 
+EXTRACT_DIGESTS = {
+    (10, 3, 7): "c0164e6c69fb49b3bf69631199b509b7a77acccb996aad480dfd735261d21870",
+    (10, 3, 10): "26fcec8d19babb8ca5fecf36eadcb7a4d92e80b41f5d928d9e8ac2dd9e64e90b",
+    (12, 4, 8): "a31a32d24a30b634834f62150347159b893c23f41ae81a03fa2807c3bb1103b0",
+}
+
+
+@pytest.mark.parametrize("n,m,k", sorted(EXTRACT_DIGESTS))
+def test_extract_hmin_report_bytes(tmp_path, n, m, k):
+    argv = ["extract", "--n", str(n), "--m", str(m), "--hmin", str(k)]
+    assert cli_report_digest(tmp_path, argv) == EXTRACT_DIGESTS[(n, m, k)]
+
+
 RULES_DIGESTS = {
     2: "5b9a6b9c68ca009ffc3c5b592beecf4cfeb88d8165476656b1e37c4bb6e3217a",
     3: "69d87551bdd80031a8ad05ce024303f6da3414be69e677bf9ba3a2a0d5ab1964",
