@@ -44,17 +44,14 @@ class ExtractorParams:
 
 def toeplitz_matrix(seed, m: int) -> np.ndarray:
     """Toeplitz matrix over GF(2): first column seed[0:m], first row
-    seed[m-1:]."""
+    seed[m-1:].  A stack of seeds (..., n + m - 1) gives a stack of
+    matrices (..., m, n)."""
     seed = np.asarray(seed, dtype=np.uint8)
-    n = seed.size - m + 1
+    n = seed.shape[-1] - m + 1
     if n < 1:
         raise ValueError("seed too short for requested output length")
-    t = np.empty((m, n), dtype=np.uint8)
-    for i in range(m):
-        for j in range(n):
-            # diagonal-constant: entry (i, j) = seed[m - 1 + j - i]
-            t[i, j] = seed[m - 1 + j - i]
-    return t
+    # diagonal-constant: entry (i, j) = seed[m - 1 + j - i]
+    return seed[..., m - 1 + np.arange(n) - np.arange(m)[:, None]]
 
 
 def toeplitz_extract(source, seed, m: int) -> np.ndarray:
@@ -79,26 +76,59 @@ def leftover_hash_bound(h_min: float, m: int) -> float:
     return min(1.0, 0.5 * 2.0 ** (-(h_min - m) / 2))
 
 
+def _bits(values, width: int) -> np.ndarray:
+    """Rows of the width-bit binary expansions of values, most
+    significant bit first."""
+    return ((np.asarray(values)[:, None] >> np.arange(width)[::-1]) & 1).astype(np.uint8)
+
+
+def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
+    """Unnormalised Walsh-Hadamard transform along the last axis, in
+    place: a[..., w] becomes sum_x (-1)^popcount(w & x) a[..., x]."""
+    size = a.shape[-1]
+    h = 1
+    while h < size:
+        pairs = a.reshape(a.shape[:-1] + (size // (2 * h), 2, h))
+        lo, hi = pairs[..., 0, :], pairs[..., 1, :]
+        diff = lo - hi
+        lo += hi
+        hi[...] = diff
+        h *= 2
+    return a
+
+
+def check_enumerable(n: int, m: int) -> None:
+    """Raise ValueError unless an exact distance over all seeds is
+    defined and within the enumeration cap n <= 12, m <= 4."""
+    if not 1 <= m <= n:
+        raise ValueError("need 1 <= m <= n")
+    if n > 12 or m > 4:
+        raise ValueError("enumeration cap: n <= 12, m <= 4")
+
+
 def extractor_distance_exact(source_dist, m: int) -> float:
     """Average-over-seeds statistical distance of (seed, output) from
-    (seed, uniform), by full enumeration.  Capped at n <= 12, m <= 4."""
+    (seed, uniform), exact over all seeds.  Capped at n <= 12, m <= 4.
+
+    The output distribution of z = T x is a Fourier sum,
+    P(z) = 2^-m sum_u (-1)^(u.z) p^(T^T u), with p^ the Walsh-Hadamard
+    transform of the source.  The rows of every seed's T are packed
+    into n-bit masks, so T^T u is an XOR of masks and one gather plus
+    one 2^m-point transform per seed give its output distribution."""
     p = np.asarray(source_dist, dtype=float)
     n = p.size.bit_length() - 1
     if 2**n != p.size:
         raise ValueError("source distribution length must be a power of two")
-    if n > 12 or m > 4:
-        raise ValueError("enumeration cap: n <= 12, m <= 4")
-    xs = ((np.arange(2**n)[:, None] >> np.arange(n)[::-1]) & 1).astype(np.uint8)
-    pow2 = 1 << np.arange(m)[::-1]
-    total = 0.0
-    n_seeds = 2 ** (n + m - 1)
-    for s in range(n_seeds):
-        seed = np.array([(s >> k) & 1 for k in range(n + m - 1)][::-1], dtype=np.uint8)
-        t = toeplitz_matrix(seed, m)
-        z = ((xs @ t.T) % 2) @ pow2
-        out = np.bincount(z, weights=p, minlength=2**m)
-        total += 0.5 * np.abs(out - 2.0**-m).sum()
-    return total / n_seeds
+    check_enumerable(n, m)
+    p_hat = _walsh_hadamard(p.copy())
+    seeds = _bits(np.arange(2 ** (n + m - 1)), n + m - 1)
+    rows = toeplitz_matrix(seeds, m) @ (1 << np.arange(n)[::-1])
+    # masks[:, u] = T^T u, where bit m-1-i of u selects row i
+    masks = np.zeros((len(seeds), 1), dtype=rows.dtype)
+    for i in reversed(range(m)):
+        masks = np.concatenate([masks, masks ^ rows[:, i : i + 1]], axis=1)
+    out = _walsh_hadamard(p_hat[masks]) * 2.0**-m
+    return float(0.5 * np.abs(out - 2.0**-m).sum(axis=1).sum() / len(seeds))
 
 
 def extract_subnormalized(y: CQState, params: ExtractorParams, seed=None):

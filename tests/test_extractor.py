@@ -51,6 +51,14 @@ class TestToeplitz:
         with pytest.raises(ValueError):
             ex.toeplitz_extract([1, 0], [1, 0], 2)
 
+    @pytest.mark.parametrize("n,m", [(1, 1), (5, 2), (7, 3), (12, 4)])
+    def test_stacked_seeds_match_single_seed(self, n, m):
+        seeds = np.random.default_rng([n, m]).integers(0, 2, (3, 4, n + m - 1))
+        stacked = ex.toeplitz_matrix(seeds, m)
+        assert stacked.shape == (3, 4, m, n)
+        for idx in np.ndindex(3, 4):
+            assert np.array_equal(stacked[idx], ex.toeplitz_matrix(seeds[idx], m))
+
 
 class TestDistance:
     def test_uniform_source_distance_is_rank_defect_only(self):
