@@ -306,6 +306,7 @@ def cmd_extract(args) -> int:
         if not 0 <= k <= args.n:
             raise CliError("--hmin must lie in [0, n]")
         try:
+            ex.check_enumerable(args.n, args.m)
             p = np.zeros(2**args.n)
             p[: 2**k] = 2.0**-k
             distance = ex.extractor_distance_exact(p, args.m)

@@ -264,6 +264,16 @@ class TestExtract:
         rep = json.loads(out.read_text())
         assert rep["distance"] <= rep["leftover_hash_bound"] + 1e-12
 
+    @pytest.mark.parametrize(
+        "n,m", [(40, 2), (13, 1), (8, 5), (4, 0), (2, 3)], ids=["huge_n", "n_13", "m_5", "m_0", "m_above_n"]
+    )
+    def test_hmin_out_of_range_exit_2(self, tmp_path, capsys, n, m):
+        argv = ["extract", "--n", str(n), "--m", str(m), "--hmin", "1"]
+        code, out = run_to_file(tmp_path, argv)
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_bad_hex_exit_2(self, tmp_path):
         assert (
             cli.main(

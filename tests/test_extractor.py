@@ -83,6 +83,11 @@ class TestDistance:
         d = ex.extractor_distance_exact(p, m)
         assert d <= ex.leftover_hash_bound(k, m) + 1e-12
 
+    @pytest.mark.parametrize("n,m", [(3, 0), (2, 3)])
+    def test_output_width_outside_one_to_n(self, n, m):
+        with pytest.raises(ValueError, match="need 1 <= m <= n"):
+            ex.extractor_distance_exact(np.full(2**n, 2.0**-n), m)
+
     def test_size_cap(self):
         with pytest.raises(ValueError):
             ex.extractor_distance_exact(np.full(2**13, 2.0**-13), 1)
