@@ -82,6 +82,12 @@ def _bits(values, width: int) -> np.ndarray:
     return ((np.asarray(values)[:, None] >> np.arange(width)[::-1]) & 1).astype(np.uint8)
 
 
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Integers whose binary expansions, most significant bit first,
+    are the rows along the last axis of bits; the inverse of _bits."""
+    return bits @ (1 << np.arange(bits.shape[-1])[::-1])
+
+
 def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
     """Unnormalised Walsh-Hadamard transform along the last axis, in
     place: a[..., w] becomes sum_x (-1)^popcount(w & x) a[..., x]."""
@@ -122,7 +128,7 @@ def extractor_distance_exact(source_dist, m: int) -> float:
     check_enumerable(n, m)
     p_hat = _walsh_hadamard(p.copy())
     seeds = _bits(np.arange(2 ** (n + m - 1)), n + m - 1)
-    rows = toeplitz_matrix(seeds, m) @ (1 << np.arange(n)[::-1])
+    rows = _pack(toeplitz_matrix(seeds, m))
     # masks[:, u] = T^T u, where bit m-1-i of u selects row i
     masks = np.zeros((len(seeds), 1), dtype=rows.dtype)
     for i in reversed(range(m)):
@@ -146,12 +152,13 @@ def extract_subnormalized(y: CQState, params: ExtractorParams, seed=None):
     cutoff = 2.0**-params.e
     if seed is None:
         seed = np.zeros(params.seed_len, dtype=np.uint8)
+    if np.size(seed) != params.seed_len:
+        raise ValueError(f"seed must have {params.seed_len} bits for n={params.n}, m={params.m}")
+    xs = _bits(np.arange(2**params.n), params.n)
+    zs = _pack((xs @ toeplitz_matrix(seed, params.m).T) % 2)
     d = y.branch_ops[0].shape[0]
     branches = [np.zeros((d, d), dtype=complex) for _ in range(2**params.m)]
-    for x, op in enumerate(y.branch_ops):
-        bits = [(x >> k) & 1 for k in range(params.n)][::-1]
-        z_bits = toeplitz_extract(bits, seed, params.m)
-        z = int("".join(map(str, z_bits)), 2)
+    for z, op in zip(zs, y.branch_ops):
         branches[z] += op
     out = CQState(branches)
     small_branch = cutoff

@@ -176,6 +176,24 @@ class TestSubnormalized:
         assert total == pytest.approx(0.5, abs=1e-12)
 
 
+    def test_hash_matches_per_string_loop(self):
+        rng = np.random.default_rng(3)
+        params = ex.ExtractorParams(n=3, m=2, e=10)
+        ops = []
+        for _ in range(8):
+            g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            ops.append(g @ g.conj().T)
+        total = sum(np.trace(o).real for o in ops)
+        ops = [0.9 * o / total for o in ops]
+        seed = rng.integers(0, 2, params.seed_len)
+        out, _ = ex.extract_subnormalized(CQState(ops), params, seed)
+        want = [np.zeros((2, 2), dtype=complex) for _ in range(4)]
+        for x, op in enumerate(ops):
+            z = ex.toeplitz_extract([(x >> k) & 1 for k in (2, 1, 0)], seed, 2)
+            want[2 * z[0] + z[1]] += op
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(out.branch_ops, want))
+
+
 class TestDoublingStage:
     def test_width_accounting(self):
         for m in (2, 3, 4, 6):
