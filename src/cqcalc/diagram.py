@@ -764,9 +764,9 @@ def print_diagram(d: Diagram) -> str:
             if label not in decls:
                 decls[label] = g
 
-    for r in set(d.in_types) | set(d.out_types) | {
-        p for g in d.nodes.values() for p in g.in_ports + g.out_ports
-    }:
+    # registers in order of first appearance, so names do not follow string hashing
+    ports = [p for _, g in sorted(d.nodes.items()) for p in g.in_ports + g.out_ports]
+    for r in dict.fromkeys([*d.in_types, *d.out_types, *ports]):
         nm = _reg_name(r, regnames)
         if not _AUTO_REG.match(nm):
             dim = r.base_dim if not r.symbolic else r.base_dim.symbol

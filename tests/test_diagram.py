@@ -1,5 +1,10 @@
 """Tests for the diagram IR, DSL, and evaluation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -211,6 +216,20 @@ class TestPrint:
         text = dg.print_diagram(d)
         assert text == " * ".join(["uniform C2 1"] * k) + " ;\n" + " * ".join(["discard C2"] * k) + "\n"
         assert dg.diagrams_equal(dg.parse_diagram(text), d)
+
+    def test_symbolic_registers_print_alike_under_any_hash_seed(self):
+        source = "reg S = classical N\nreg T = classical M\nuniform S 1 * uniform T 1"
+        code = f"from cqcalc import diagram as dg; print(dg.print_diagram(dg.parse_diagram({source!r})), end='')"
+        src = str(Path(dg.__file__).resolve().parents[1])
+        texts = set()
+        for seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+            )
+            texts.add(run.stdout)
+        assert len(texts) == 1
+        assert dg.diagrams_equal(dg.parse_diagram(texts.pop()), dg.parse_diagram(source))
 
 
 class TestJson:
