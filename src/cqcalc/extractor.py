@@ -134,7 +134,7 @@ def extractor_distance_exact(source_dist, m: int) -> float:
     for i in reversed(range(m)):
         masks = np.concatenate([masks, masks ^ rows[:, i : i + 1]], axis=1)
     out = _walsh_hadamard(p_hat[masks]) * 2.0**-m
-    return float(0.5 * np.abs(out - 2.0**-m).sum(axis=1).sum() / len(seeds))
+    return float(0.5 * np.abs(out - 2.0**-m).sum() / len(seeds))
 
 
 def extract_subnormalized(y: CQState, params: ExtractorParams, seed=None):
