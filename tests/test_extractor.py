@@ -175,7 +175,6 @@ class TestSubnormalized:
         total = sum(np.trace(b).real for b in out.branch_ops)
         assert total == pytest.approx(0.5, abs=1e-12)
 
-
     def test_hash_matches_per_string_loop(self):
         rng = np.random.default_rng(3)
         params = ex.ExtractorParams(n=3, m=2, e=10)
