@@ -144,6 +144,40 @@ def test_rules_report_bytes(tmp_path, dim):
     assert cli_report_digest(tmp_path, ["rules", "--dim", str(dim)]) == RULES_DIGESTS[dim]
 
 
+# three full-rank qubit branches that do not commute, so that
+# min_entropy_cq runs its fixed-point iteration
+ENTROPY_STATE = {
+    "branches": [
+        {"re": [[0.3, 0.1], [0.1, 0.1]]},
+        {"re": [[0.1, -0.05], [-0.05, 0.25]]},
+        {"re": [[0.125, 0.0], [0.0, 0.125]], "im": [[0.0, 0.05], [-0.05, 0.0]]},
+    ]
+}
+
+
+def test_entropy_diagonal_report_bytes(tmp_path):
+    digest = cli_report_digest(tmp_path, ["entropy", "--example", "diagonal"])
+    assert digest == "071de4d8ee0836ea9ae096ac1ab97a12f4c06bb6a6b3810a5b2c228e57640549"
+
+
+def test_entropy_state_report_bytes(tmp_path):
+    sfile = tmp_path / "state.json"
+    sfile.write_text(json.dumps(ENTROPY_STATE))
+    digest = cli_report_digest(tmp_path, ["entropy", "--state", str(sfile)])
+    assert digest == "eb406705b9c194f02d50830e4fdca7947f940bc017c01d6968a4d46b3af64457"
+
+
+def test_eval_bindings_report_bytes(tmp_path):
+    # a bound hole with an open C2 (x) Q2 output, so the report carries a matrix
+    src = tmp_path / "d.dg"
+    src.write_text("hole f : C2 -> C2 * Q2\nuniform C2 1 ; f")
+    f = rc.random_cq_channel((rc.C(2),), (rc.C(2), rc.Q(2)), np.random.default_rng(46))
+    bfile = tmp_path / "bind.json"
+    bfile.write_text(json.dumps({"f": rc.tensor_to_json(f)}))
+    digest = cli_report_digest(tmp_path, ["eval", str(src), "--bindings", str(bfile)])
+    assert digest == "161700bba38fbce7422ae64cfe0c060c3af7e34137b111271b9c2e0d9b9beec2"
+
+
 SCRIPT_JSON_DIGESTS = {
     "chain_k1": "4e2557f424602d881c3fc298e0b480dcfab8b78973256dd2ad8f31a5f47eebf0",
     "chain_k2": "d4cdbc6dc26d5b4eac0dd60713ff045b1f6f3933ee82042dfce2383041118e6e",
