@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -43,8 +45,68 @@ def _default_tol(args) -> float:
     return 1e-9
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _float(x) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _key(k) -> str:
+    if isinstance(k, str):
+        return k
+    if isinstance(k, float):
+        return _float(k)
+    if k is None or k is True or k is False:
+        return _LITERALS[k]
+    if isinstance(k, int):
+        return int.__repr__(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _dumps(x, ind="") -> str:
+    """The bytes of json.dumps(x, sort_keys=True, indent=2), whose
+    indent forces the pure-Python encoder.  A list of ints, or of
+    non-empty int lists (transcripts, output bits), is written in one
+    pass; everything else recurses."""
+    if isinstance(x, str):
+        return _encode_str(x)
+    if x is None or x is True or x is False:
+        return _LITERALS[x]
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        return _float(x)
+    inner = ind + "  "
+    sep = ",\n" + inner
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        kinds = set(map(type, x))
+        if kinds == {int}:
+            body = sep.join(map(int.__repr__, x))
+        elif kinds == {list} and all(x) and set(map(type, chain.from_iterable(x))) == {int}:
+            # one "%d" template per row length, filled in one formatting pass
+            row_sep = sep + "  "
+            rows = {n: "[\n  " + inner + row_sep.join(["%d"] * n) + "\n" + inner + "]" for n in set(map(len, x))}
+            body = sep.join(map(rows.__getitem__, map(len, x))) % tuple(chain.from_iterable(x))
+        else:
+            body = sep.join([_dumps(v, inner) for v in x])
+        return "[\n" + inner + body + "\n" + ind + "]"
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        items = sorted(x.items())
+        body = sep.join([_encode_str(_key(k)) + ": " + _dumps(v, inner) for k, v in items])
+        return "{\n" + inner + body + "\n" + ind + "}"
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
 def _emit(report: dict, out_path):
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = _dumps(report) + "\n"
     if out_path:
         with open(out_path, "w") as f:
             f.write(text)

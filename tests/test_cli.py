@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cqcalc import cli
 from cqcalc import diagram as dg
@@ -324,3 +325,117 @@ class TestTolerance:
 
         with pytest.raises(cli.CliError):
             cli._default_tol(Args())
+
+
+def werner_strategy_json(visibility: float) -> dict:
+    """The optimal CHSH measurements on v|Phi+><Phi+| + (1-v) I/4."""
+    bell = np.zeros(4)
+    bell[0] = bell[3] = 1 / math.sqrt(2)
+    rho = visibility * np.outer(bell, bell) + (1 - visibility) * np.eye(4) / 4
+    s = pr.optimal_chsh_strategy()
+    return pr.strategy_to_json(pr.DeviceStrategy(pr.bipartite_state(rho.astype(complex), 2, 2), s.povms))
+
+
+def golden_argvs(tmp_path) -> list:
+    """The commands whose report bytes tests/test_golden.py pins, with
+    their input files written to tmp_path."""
+    (tmp_path / "noisy.json").write_text(json.dumps(werner_strategy_json(0.93)))
+    state = {
+        "branches": [
+            {"re": [[0.3, 0.1], [0.1, 0.1]]},
+            {"re": [[0.1, -0.05], [-0.05, 0.25]]},
+            {"re": [[0.125, 0.0], [0.0, 0.125]], "im": [[0.0, 0.05], [-0.05, 0.0]]},
+        ]
+    }
+    (tmp_path / "state.json").write_text(json.dumps(state))
+    (tmp_path / "d.dg").write_text("hole f : C2 -> C2 * Q2\nuniform C2 1 ; f")
+    f = rc.random_cq_channel((rc.C(2),), (rc.C(2), rc.Q(2)), np.random.default_rng(46))
+    (tmp_path / "bind.json").write_text(json.dumps({"f": rc.tensor_to_json(f)}))
+    argvs = [
+        ["simulate", "--rounds", str(rounds), "--sweep", str(sweep), "--seed", "5"] + strategy
+        for strategy in ([], ["--strategy", "all-zero"], ["--strategy", str(tmp_path / "noisy.json")])
+        for rounds, sweep in ((1000, 4), (100, 40), (1, 8))
+    ]
+    argvs += [["check", name, "--dims", dims, "--seed", "5"] for name, dims in (
+        ("chain_k1", "N=1"), ("chain_k2", "N=1"), ("chain_k3", "N=1"),
+        ("single_stage", "M=1"), ("soundness_k2", "N=1"), ("spot_check_lemma", "N=1"),
+    )]
+    argvs.append(["check", "soundness_k2", "--eps-fn", "1,1"])
+    argvs += [["extract", "--n", n, "--m", m, "--hmin", k] for n, m, k in (("10", "3", "7"), ("10", "3", "10"), ("12", "4", "8"))]
+    argvs += [["rules", "--dim", "2"], ["rules", "--dim", "3"]]
+    argvs += [
+        ["entropy", "--example", "diagonal"],
+        ["entropy", "--state", str(tmp_path / "state.json")],
+        ["eval", str(tmp_path / "d.dg"), "--bindings", str(tmp_path / "bind.json")],
+    ]
+    return argvs
+
+
+def reference_dumps(x) -> str:
+    return json.dumps(x, sort_keys=True, indent=2)
+
+
+_json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, np.float64("nan")]),
+    st.text(),
+    st.text(alphabet=st.characters(max_codepoint=0x1F) | st.sampled_from('"\\é☃\U0001f600')),
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=5),
+        st.lists(kids, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=4), kids, max_size=5),
+        st.dictionaries(st.integers(), kids, max_size=5),
+        # keys json converts to text: mutually comparable numbers and bools, or None
+        st.dictionaries(st.integers() | st.floats() | st.booleans(), kids, max_size=5),
+        st.dictionaries(st.none(), kids),
+        # int rows, with bools and empty rows mixed in, reach the one-pass path
+        st.lists(st.lists(st.integers() | st.booleans(), max_size=4), max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+class TestEmitter:
+    def test_golden_reports_match_json_dumps(self, tmp_path, monkeypatch):
+        reports = []
+        monkeypatch.setattr(cli, "_emit", lambda report, out: reports.append(report))
+        argvs = golden_argvs(tmp_path)
+        for argv in argvs:
+            cli.main(argv)
+        assert len(reports) == len(argvs)
+        for argv, report in zip(argvs, reports):
+            assert cli._dumps(report) == reference_dumps(report), argv
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=_json_values)
+    def test_matches_json_dumps(self, x):
+        assert cli._dumps(x) == reference_dumps(x)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.int64(3),
+            {1, 2},
+            b"ab",
+            [1, np.int64(2)],
+            [[1], [np.int64(2)]],
+            {"a": {"b": {1}}},
+            {b"k": 1},
+            {(1, 2): 1},
+            {1: 1, "a": 2},
+        ],
+        ids=repr,
+    )
+    def test_rejects_what_json_dumps_rejects(self, x):
+        with pytest.raises(TypeError):
+            reference_dumps(x)
+        with pytest.raises(TypeError):
+            cli._dumps(x)
