@@ -245,6 +245,8 @@ def _load_strategy(path) -> pr.DeviceStrategy:
 
 
 def cmd_simulate(args) -> int:
+    if args.sweep < 0:
+        raise CliError("--sweep must be >= 0")
     config = {
         "rounds": args.rounds,
         "q": args.q,

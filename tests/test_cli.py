@@ -182,6 +182,17 @@ class TestSimulate:
     def test_bad_config_exit_2(self, tmp_path):
         assert cli.main(["simulate", "--rounds", "0", "--out", str(tmp_path / "x")]) == 2
 
+    def test_negative_sweep_exit_2(self, tmp_path, capsys):
+        code, out = run_to_file(tmp_path, ["simulate", "--rounds", "5", "--sweep", "-1"])
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_sweep_0_is_a_single_run(self, tmp_path):
+        code, out = run_to_file(tmp_path, ["simulate", "--rounds", "5", "--sweep", "0"])
+        assert code == 0
+        assert "report" in json.loads(out.read_text())
+
     @pytest.mark.parametrize("defect", ["one_input", "no_state", "ragged"])
     def test_bad_strategy_exit_2(self, tmp_path, capsys, defect):
         j = pr.strategy_to_json(pr.optimal_chsh_strategy())
