@@ -355,6 +355,10 @@ def cmd_extract(args) -> int:
         "m": args.m,
     }
     if args.source is not None:
+        try:
+            ex.check_hash_shape(args.n, args.m)
+        except ValueError as e:
+            raise CliError(str(e)) from e
         source = _bits_from_hex(args.source, args.n)
         if args.hash_seed is not None:
             hash_seed = _bits_from_hex(args.hash_seed, args.n + args.m - 1)

@@ -54,10 +54,17 @@ def toeplitz_matrix(seed, m: int) -> np.ndarray:
     return seed[..., m - 1 + np.arange(n) - np.arange(m)[:, None]]
 
 
+def check_hash_shape(n: int, m: int) -> None:
+    """Raise ValueError unless a hash of n bits to m bits is defined."""
+    if not 1 <= m <= n:
+        raise ValueError("need 1 <= m <= n")
+
+
 def toeplitz_extract(source, seed, m: int) -> np.ndarray:
     """Hash n source bits to m output bits: T(seed) . source over GF(2)."""
     x = np.asarray(source, dtype=np.uint8)
     seed = np.asarray(seed, dtype=np.uint8)
+    check_hash_shape(x.size, m)
     if seed.size != x.size + m - 1:
         raise ValueError(
             f"seed must have {x.size + m - 1} bits for n={x.size}, m={m}"
@@ -106,8 +113,7 @@ def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
 def check_enumerable(n: int, m: int) -> None:
     """Raise ValueError unless an exact distance over all seeds is
     defined and within the enumeration cap n <= 12, m <= 4."""
-    if not 1 <= m <= n:
-        raise ValueError("need 1 <= m <= n")
+    check_hash_shape(n, m)
     if n > 12 or m > 4:
         raise ValueError("enumeration cap: n <= 12, m <= 4")
 

@@ -286,6 +286,14 @@ class TestExtract:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("n,m,source", [(4, 0, "a"), (4, -1, "a"), (0, 1, "0")], ids=["m_0", "m_negative", "n_0"])
+    def test_source_bad_shape_exit_2(self, tmp_path, capsys, n, m, source):
+        argv = ["extract", "--n", str(n), "--m", str(m), "--source", source]
+        code, out = run_to_file(tmp_path, argv)
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: need 1 <= m <= n\n"
+
     def test_bad_hex_exit_2(self, tmp_path):
         assert (
             cli.main(

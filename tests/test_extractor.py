@@ -51,6 +51,11 @@ class TestToeplitz:
         with pytest.raises(ValueError):
             ex.toeplitz_extract([1, 0], [1, 0], 2)
 
+    @pytest.mark.parametrize("n,m", [(4, 0), (4, -1), (0, 1)])
+    def test_no_output_bits_or_no_source_bits(self, n, m):
+        with pytest.raises(ValueError, match="need 1 <= m <= n"):
+            ex.toeplitz_extract([1] * n, [0] * max(n + m - 1, 0), m)
+
     @pytest.mark.parametrize("n,m", [(1, 1), (5, 2), (7, 3), (12, 4)])
     def test_stacked_seeds_match_single_seed(self, n, m):
         seeds = np.random.default_rng([n, m]).integers(0, 2, (3, 4, n + m - 1))
