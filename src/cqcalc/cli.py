@@ -213,6 +213,8 @@ def cmd_check(args) -> int:
             dims[sym] = int(val)
         except ValueError as e:
             raise CliError(f"bad --dims entry {item!r}; expected SYM=INT") from e
+        if dims[sym] < 0:
+            raise CliError(f"bad --dims entry {item!r}; a bit width must be >= 0")
     try:
         report = rw.run_script(
             script,
@@ -388,6 +390,10 @@ def cmd_extract(args) -> int:
 
 
 def cmd_rules(args) -> int:
+    if args.dim < 1:
+        raise CliError("--dim must be >= 1")
+    if args.trials < 1:
+        raise CliError("--trials must be >= 1: a rule is ok only once it is checked")
     records = []
     for rule in rw.builtin_rules(args.dim):
         worst = 0.0

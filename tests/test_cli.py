@@ -107,6 +107,11 @@ class TestCheck:
         rep = json.loads(out.read_text())
         assert not rep["verified"]
 
+    def test_negative_dims_exit_2(self, tmp_path, capsys):
+        argv = ["check", "soundness_k2", "--dims", "N=-1", "--out", str(tmp_path / "x")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_unbound_dims_symbol_exit_2_names_it(self, tmp_path, capsys):
         argv = ["check", "single_stage", "--dims", "N=1", "--out", str(tmp_path / "x")]
         assert cli.main(argv) == 2
@@ -311,6 +316,13 @@ class TestRules:
         assert rep["all_ok"]
         names = [r["name"] for r in rep["rules"]]
         assert "spider_fusion" in names and "causality" in names
+
+    @pytest.mark.parametrize("flag,value", [("--trials", 0), ("--trials", -3), ("--dim", 0)])
+    def test_unchecked_or_empty_rules_exit_2(self, tmp_path, capsys, flag, value):
+        code, out = run_to_file(tmp_path, ["rules", flag, str(value)])
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_same_seed_byte_identical(self, tmp_path):
         argv = ["rules", "--trials", "2", "--seed", "5"]
