@@ -58,12 +58,8 @@ def _float(x) -> str:
 def _key(k) -> str:
     if isinstance(k, str):
         return k
-    if isinstance(k, float):
-        return _float(k)
-    if k is None or k is True or k is False:
-        return _LITERALS[k]
-    if isinstance(k, int):
-        return int.__repr__(k)
+    if k is None or isinstance(k, (int, float)):
+        return _dumps(k)
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
@@ -91,7 +87,10 @@ def _dumps(x, ind="") -> str:
         elif kinds == {list} and all(x) and set(map(type, chain.from_iterable(x))) == {int}:
             # one "%d" template per row length, filled in one formatting pass
             row_sep = sep + "  "
-            rows = {n: "[\n  " + inner + row_sep.join(["%d"] * n) + "\n" + inner + "]" for n in set(map(len, x))}
+            rows = {
+                n: "[\n  " + inner + row_sep.join(["%d"] * n) + "\n" + inner + "]"
+                for n in set(map(len, x))
+            }
             body = sep.join(map(rows.__getitem__, map(len, x))) % tuple(chain.from_iterable(x))
         else:
             body = sep.join([_dumps(v, inner) for v in x])

@@ -291,7 +291,9 @@ class TestExtract:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("n,m,source", [(4, 0, "a"), (4, -1, "a"), (0, 1, "0")], ids=["m_0", "m_negative", "n_0"])
+    @pytest.mark.parametrize(
+        "n,m,source", [(4, 0, "a"), (4, -1, "a"), (0, 1, "0")], ids=["m_0", "m_negative", "n_0"]
+    )
     def test_source_bad_shape_exit_2(self, tmp_path, capsys, n, m, source):
         argv = ["extract", "--n", str(n), "--m", str(m), "--source", source]
         code, out = run_to_file(tmp_path, argv)
@@ -364,7 +366,8 @@ def werner_strategy_json(visibility: float) -> dict:
     bell[0] = bell[3] = 1 / math.sqrt(2)
     rho = visibility * np.outer(bell, bell) + (1 - visibility) * np.eye(4) / 4
     s = pr.optimal_chsh_strategy()
-    return pr.strategy_to_json(pr.DeviceStrategy(pr.bipartite_state(rho.astype(complex), 2, 2), s.povms))
+    state = pr.bipartite_state(rho.astype(complex), 2, 2)
+    return pr.strategy_to_json(pr.DeviceStrategy(state, s.povms))
 
 
 def golden_argvs(tmp_path) -> list:
@@ -382,9 +385,10 @@ def golden_argvs(tmp_path) -> list:
     (tmp_path / "d.dg").write_text("hole f : C2 -> C2 * Q2\nuniform C2 1 ; f")
     f = rc.random_cq_channel((rc.C(2),), (rc.C(2), rc.Q(2)), np.random.default_rng(46))
     (tmp_path / "bind.json").write_text(json.dumps({"f": rc.tensor_to_json(f)}))
+    strategies = ([], ["--strategy", "all-zero"], ["--strategy", str(tmp_path / "noisy.json")])
     argvs = [
         ["simulate", "--rounds", str(rounds), "--sweep", str(sweep), "--seed", "5"] + strategy
-        for strategy in ([], ["--strategy", "all-zero"], ["--strategy", str(tmp_path / "noisy.json")])
+        for strategy in strategies
         for rounds, sweep in ((1000, 4), (100, 40), (1, 8))
     ]
     argvs += [["check", name, "--dims", dims, "--seed", "5"] for name, dims in (
@@ -392,7 +396,10 @@ def golden_argvs(tmp_path) -> list:
         ("single_stage", "M=1"), ("soundness_k2", "N=1"), ("spot_check_lemma", "N=1"),
     )]
     argvs.append(["check", "soundness_k2", "--eps-fn", "1,1"])
-    argvs += [["extract", "--n", n, "--m", m, "--hmin", k] for n, m, k in (("10", "3", "7"), ("10", "3", "10"), ("12", "4", "8"))]
+    argvs += [
+        ["extract", "--n", n, "--m", m, "--hmin", k]
+        for n, m, k in (("10", "3", "7"), ("10", "3", "10"), ("12", "4", "8"))
+    ]
     argvs += [["rules", "--dim", "2"], ["rules", "--dim", "3"]]
     argvs += [
         ["entropy", "--example", "diagonal"],
@@ -423,8 +430,7 @@ _json_values = st.recursive(
         st.lists(kids, max_size=5),
         st.lists(kids, max_size=5).map(tuple),
         st.dictionaries(st.text(max_size=4), kids, max_size=5),
-        st.dictionaries(st.integers(), kids, max_size=5),
-        # keys json converts to text: mutually comparable numbers and bools, or None
+        # keys json converts to text: mutually comparable ints, floats and bools, or None
         st.dictionaries(st.integers() | st.floats() | st.booleans(), kids, max_size=5),
         st.dictionaries(st.none(), kids),
         # int rows, with bools and empty rows mixed in, reach the one-pass path
