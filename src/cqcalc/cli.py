@@ -65,8 +65,8 @@ def _key(k) -> str:
 
 def _dumps(x, ind="") -> str:
     """The bytes of json.dumps(x, sort_keys=True, indent=2), whose
-    indent forces the pure-Python encoder.  A list of ints, or of
-    non-empty int lists (transcripts, output bits), is written in one
+    indent forces the pure-Python encoder.  A list of ints (output
+    bits), or of non-empty int lists (transcripts), is written in one
     pass; everything else recurses."""
     if isinstance(x, str):
         return _encode_str(x)
