@@ -378,6 +378,151 @@ class TestProtocolGrammar:
             pr.build_di_protocol([("teleport", 1, 2)])
 
 
+def _hand_wired_protocol(steps, tag="p"):
+    """The protocol grammar with every layer's node ids and port wires
+    listed by hand, one list per step kind and device.  Returns the
+    diagram and the hole specs that build_di_protocol must reproduce."""
+    c_dim = q_dim = msg_dim = 2
+    C, Q, Msg = rc.C(c_dim), rc.Q(q_dim), rc.C(msg_dim)
+    holes = {}
+    diagram = dg.Diagram.id_wires([C, Q, Q])
+    for idx, step in enumerate(steps):
+        kind = step[0]
+        label = f"{tag}{idx}"
+        if kind == "device_comm":
+            _, i, j = step
+            send = dg.hole(f"{label}_send_d{i}", (Q,), (Q, rc.Q(msg_dim)), ("causal",))
+            recv = dg.hole(f"{label}_recv_d{j}", (rc.Q(msg_dim), Q), (Q,), ("causal",))
+            wires = [
+                (("in", 0), ("out", 0)),
+                (("in", i), ("n", 0, 0)),
+                (("n", 0, 0), ("out", i)),
+                (("n", 0, 1), ("n", 1, 0)),
+                (("in", j), ("n", 1, 1)),
+                (("n", 1, 0), ("out", j)),
+            ]
+            layer = dg.Diagram({0: send, 1: recv}, wires, (C, Q, Q), (C, Q, Q))
+            holes[send.label] = send
+            holes[recv.label] = recv
+        elif kind in ("classical_fn", "failure_filter"):
+            if kind == "classical_fn":
+                payload = rc.ProcessTensor((C,), (C,), pr.fn_matrix(step[1], c_dim, c_dim))
+                box = dg.box(f"{label}_fn", (C,), (C,), payload, ("causal", "stochastic"))
+            else:
+                payload = pr.failure_filter_tensor(c_dim, step[1])
+                box = dg.box(f"{label}_filter", (C,), (C,), payload, ("stochastic",))
+            wires = [
+                (("in", 0), ("n", 0, 0)),
+                (("n", 0, 0), ("out", 0)),
+                (("in", 1), ("out", 1)),
+                (("in", 2), ("out", 2)),
+            ]
+            layer = dg.Diagram({0: box}, wires, (C, Q, Q), (C, Q, Q))
+        elif kind == "give_input":
+            _, g, j = step
+            copy = np.zeros((c_dim * msg_dim, c_dim))
+            for i in range(c_dim):
+                copy[i * msg_dim + (g(i) % msg_dim), i] = 1.0
+            gbox = dg.box(
+                f"{label}_g", (C,), (C, Msg), rc.ProcessTensor((C,), (C, Msg), copy),
+                ("causal", "stochastic"),
+            )
+            dev = dg.hole(f"{label}_dev{j}", (Msg, Q), (Q,), ("causal",))
+            wires = [
+                (("in", 0), ("n", 0, 0)),
+                (("n", 0, 0), ("out", 0)),
+                (("n", 0, 1), ("n", 1, 0)),
+                (("in", j), ("n", 1, 1)),
+                (("n", 1, 0), ("out", j)),
+                (("in", 3 - j), ("out", 3 - j)),
+            ]
+            layer = dg.Diagram({0: gbox, 1: dev}, wires, (C, Q, Q), (C, Q, Q))
+            holes[dev.label] = dev
+        else:
+            _, h, i = step
+            dev = dg.hole(f"{label}_dev{i}", (Q,), (Q, Msg), ("causal",))
+            hm = np.zeros((c_dim, c_dim * msg_dim))
+            for c in range(c_dim):
+                for m in range(msg_dim):
+                    hm[h(c, m) % c_dim, c * msg_dim + m] = 1.0
+            hbox = dg.box(
+                f"{label}_h", (C, Msg), (C,), rc.ProcessTensor((C, Msg), (C,), hm),
+                ("causal", "stochastic"),
+            )
+            wires = [
+                (("in", 0), ("n", 1, 0)),
+                (("in", i), ("n", 0, 0)),
+                (("n", 0, 0), ("out", i)),
+                (("n", 0, 1), ("n", 1, 1)),
+                (("n", 1, 0), ("out", 0)),
+                (("in", 3 - i), ("out", 3 - i)),
+            ]
+            layer = dg.Diagram({0: dev, 1: hbox}, wires, (C, Q, Q), (C, Q, Q))
+            holes[dev.label] = dev
+        diagram = diagram >> layer
+    return diagram, holes
+
+
+def _random_step(rng):
+    """One admissible step on a random device; the classical maps are
+    random tables, with give_input and receive_output values up to 3 so
+    that the reduction modulo the register width is exercised."""
+    kind = int(rng.integers(5))
+    dev = int(rng.integers(1, 3))
+    if kind == 0:
+        return ("device_comm", dev, 3 - dev)
+    if kind == 1:
+        t = rng.integers(0, 2, 2).tolist()
+        return ("classical_fn", lambda c: t[c])
+    if kind == 2:
+        return ("failure_filter", set(np.flatnonzero(rng.integers(0, 2, 2)).tolist()))
+    if kind == 3:
+        t = rng.integers(0, 4, 2).tolist()
+        return ("give_input", lambda c: t[c], dev)
+    t = rng.integers(0, 4, (2, 2)).tolist()
+    return ("receive_output", lambda c, m: t[c][m], dev)
+
+
+def _assert_matches_hand_wired(steps, rng, tag="p"):
+    p = pr.build_di_protocol(steps, tag=tag)
+    want, holes = _hand_wired_protocol(steps, tag=tag)
+    assert list(p.hole_specs.items()) == list(holes.items())
+    binding = {
+        lbl: rc.random_cq_channel(g.in_ports, g.out_ports, rng, causal=True)
+        for lbl, g in holes.items()
+    }
+    assert p.as_tensor(binding).matrix.tobytes() == want.evaluate(binding).matrix.tobytes()
+
+
+class TestGrammarMatchesHandWiring:
+    @pytest.mark.parametrize(
+        "step",
+        [
+            ("device_comm", 1, 2),
+            ("device_comm", 2, 1),
+            ("classical_fn", lambda c: 1 - c),
+            ("failure_filter", {1}),
+            ("give_input", lambda c: c + 1, 1),
+            ("give_input", lambda c: 3 * c, 2),
+            ("receive_output", lambda c, m: c ^ m, 1),
+            ("receive_output", lambda c, m: c + 2 * m + 1, 2),
+        ],
+        ids=["comm12", "comm21", "fn", "filter", "input1", "input2", "output1", "output2"],
+    )
+    def test_each_step_kind_on_each_device(self, step):
+        rng = np.random.default_rng(17)
+        _assert_matches_hand_wired([step], rng)
+        # the same step between steps on the other device, under another tag
+        mirror = ("give_input", lambda c: c, 1), ("receive_output", lambda c, m: m, 2)
+        _assert_matches_hand_wired([mirror[0], step, mirror[1]], rng, tag="q")
+
+    def test_random_step_sequences(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            steps = [_random_step(rng) for _ in range(int(rng.integers(0, 6)))]
+            _assert_matches_hand_wired(steps, rng)
+
+
 class TestHonestDevices:
     def test_honest_round_is_a_channel(self):
         t = pr.honest_expansion_round()
