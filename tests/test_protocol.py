@@ -523,7 +523,41 @@ class TestGrammarMatchesHandWiring:
             _assert_matches_hand_wired(steps, rng)
 
 
+def reference_honest_round():
+    """The doubled matrix of the honest round written entry by entry:
+    m[out_bits, q_out (i', j'), seed, q_in (i, j)] for the Kraus
+    operator |v><v| of basis vector v = bases[seed][outcome]."""
+    z = [np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)]
+    x = [np.array([1.0, 1.0], dtype=complex) / math.sqrt(2),
+         np.array([1.0, -1.0], dtype=complex) / math.sqrt(2)]
+    bases = [z, x]
+    m = np.zeros((4, 2, 2, 2, 2, 2), dtype=complex)
+    for s in range(2):
+        for a in range(2):
+            vec = bases[s][a]
+            for i2, j2, i1, j1 in np.ndindex(2, 2, 2, 2):
+                m[a * 2 + s, i2, j2, s, i1, j1] = (
+                    vec[i2] * vec[i1].conjugate() * vec[j2].conjugate() * vec[j1]
+                )
+    return m.reshape(16, 8)
+
+
+def test_measurement_tensor_transposes_each_effect_into_its_row():
+    s = random_strategy(6, da=3)
+    for table, d in zip(s.povms, (3, 2)):
+        t = pr.measurement_tensor(table, d)
+        assert t.in_regs == (rc.C(2), rc.Q(d)) and t.out_regs == (rc.C(2),)
+        m = t.matrix.reshape(2, 2, d, d)
+        for xx, aa in np.ndindex(2, 2):
+            assert m[aa, xx].tobytes() == np.asarray(table[xx][aa], dtype=complex).T.tobytes()
+
+
 class TestHonestDevices:
+    def test_honest_round_matches_entrywise_reference(self):
+        t = pr.honest_expansion_round()
+        assert t.in_regs == (rc.C(2), rc.Q(2)) and t.out_regs == (rc.C(4), rc.Q(2))
+        assert np.abs(t.matrix - reference_honest_round()).max() <= 1e-15
+
     def test_honest_round_is_a_channel(self):
         t = pr.honest_expansion_round()
         preds = rc.structural_predicates(t)
