@@ -22,6 +22,7 @@ from . import regcalc as rc
 from .regcalc import CQState, ProcessTensor
 
 BIT = rc.C(2)
+QUBIT = rc.Q(2)
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +201,13 @@ def classical_game_value(g: Game) -> float:
 
 
 def measurement_tensor(povms, d: int) -> ProcessTensor:
-    """Input-conditioned measurement as a process (C_in, Q(d)) -> C_out."""
-    nx, na = len(povms), len(povms[0])
-    m = np.zeros((na, nx, d, d), dtype=complex)
-    for xx, effects in enumerate(povms):
-        for aa, e in enumerate(effects):
-            m[aa, xx] = e.T
-    return ProcessTensor((rc.C(nx), rc.Q(d)), (rc.C(na),), m.reshape(na, nx * d * d))
+    """Input-conditioned measurement as a process (C_in, Q(d)) -> C_out:
+    row a is the effect of the block-diagonal operator sum_x |x><x| (x) E^x_a."""
+    e = np.asarray(povms, dtype=complex)  # input, outcome, d, d
+    nx, na = e.shape[:2]
+    regs = (rc.C(nx), rc.Q(d))
+    blocks = np.einsum("xy,xaij->axiyj", np.eye(nx), e)
+    return ProcessTensor(regs, (rc.C(na),), np.array([rc.operator_effect(b, regs) for b in blocks]))
 
 
 def chsh_scoring_diagram():
@@ -220,13 +221,12 @@ def chsh_scoring_diagram():
     for xx, aa, bb, yy in product(range(2), repeat=4):
         if g.predicate(xx, yy, aa, bb):
             score[xx * 8 + aa * 4 + bb * 2 + yy] = 1.0
-    q2 = rc.Q(2)
     nodes = {
         0: dg.uniform_gen(BIT, 2),  # X
         1: dg.uniform_gen(BIT, 2),  # Y
-        2: dg.hole("shared_state", (), (q2, q2)),
-        3: dg.hole("measure_A", (BIT, q2), (BIT,)),
-        4: dg.hole("measure_B", (BIT, q2), (BIT,)),
+        2: dg.hole("shared_state", (), (QUBIT, QUBIT)),
+        3: dg.hole("measure_A", (BIT, QUBIT), (BIT,)),
+        4: dg.hole("measure_B", (BIT, QUBIT), (BIT,)),
         5: dg.box(
             "chsh_score",
             (BIT, BIT, BIT, BIT),
@@ -561,205 +561,99 @@ def failure_filter_tensor(c_dim: int, subset) -> ProcessTensor:
 
 @dataclass
 class DIProtocol:
-    """A device-independent protocol over wires [C, Q1, Q2].
+    """A device-independent protocol over wires [C, Q1, Q2]: the composed
+    diagram, with one untrusted hole per device action; as_tensor(binding)
+    gives the process-tensor representation once every device hole is
+    bound."""
 
-    Holds the step list and the assembled diagram with one untrusted
-    hole per device action; as_tensor(binding) gives the process-tensor
-    representation once every device hole is bound."""
-
-    steps: list
     diagram: dg.Diagram
-    c_dim: int
-    q_dim: int
-    msg_dim: int
     hole_specs: dict = field(default_factory=dict)
 
     def as_tensor(self, binding=None) -> ProcessTensor:
         return self.diagram.evaluate(binding or {})
 
     def then(self, other: "DIProtocol") -> "DIProtocol":
-        if (self.c_dim, self.q_dim, self.msg_dim) != (
-            other.c_dim,
-            other.q_dim,
-            other.msg_dim,
-        ):
-            raise ValueError("protocols must share register dimensions")
         if set(self.hole_specs) & set(other.hole_specs):
             raise ValueError("device hole labels collide; rebuild with distinct tags")
-        merged = dict(self.hole_specs)
-        merged.update(other.hole_specs)
-        return DIProtocol(
-            self.steps + other.steps,
-            self.diagram >> other.diagram,
-            self.c_dim,
-            self.q_dim,
-            self.msg_dim,
-            merged,
-        )
+        return DIProtocol(self.diagram >> other.diagram, {**self.hole_specs, **other.hole_specs})
 
 
-def build_di_protocol(steps, c_dim: int = 2, q_dim: int = 2, msg_dim: int = 2, tag: str = "p") -> DIProtocol:
-    """Assemble a protocol from the five admissible step kinds:
+def build_di_protocol(steps, tag: str = "p") -> DIProtocol:
+    """Compose a protocol from the five admissible step kinds:
     ("device_comm", i, j), ("classical_fn", f), ("failure_filter", S),
     ("give_input", g, j), ("receive_output", h, i) where f, g, h are
-    deterministic functions on classical values and i, j name devices
-    1 or 2.  With no steps the protocol is the identity."""
-    C, Q, Msg = rc.C(c_dim), rc.Q(q_dim), rc.C(msg_dim)
-    wires_now = dg.Diagram.id_wires([C, Q, Q])
+    deterministic functions on classical values (g and h taken modulo
+    the bit they write) and i, j name devices 1 or 2.  Every step is one
+    layer of generators joined by `>>` and `@`, written for device 1; a
+    device-2 step is that layer between two swaps of the device wires.
+    With no steps the protocol is the identity."""
+    gen, wires = dg.Diagram.from_generator, dg.Diagram.id_wires
     holes = {}
-    diagram = wires_now
+
+    def on_c(d):
+        return d @ wires([QUBIT, QUBIT])
+
+    def on_q1(d):
+        return wires([BIT]) @ d @ wires([QUBIT])
+
+    def swap(a, b):
+        return gen(dg.Generator(dg.SWAP, None, (a, b), (b, a)))
+
+    def hole(label, in_ports, out_ports):
+        holes[label] = dg.hole(label, in_ports, out_ports, ("causal",))
+        return gen(holes[label])
+
+    def fn_box(label, in_ports, out_ports, f):
+        m = fn_matrix(f, rc.total_dim(in_ports), rc.total_dim(out_ports))
+        payload = ProcessTensor(in_ports, out_ports, m)
+        return on_c(gen(dg.box(label, in_ports, out_ports, payload, ("causal", "stochastic"))))
+
+    flip = wires([BIT]) @ swap(QUBIT, QUBIT)
+    diagram = wires([BIT, QUBIT, QUBIT])
     for idx, step in enumerate(steps):
-        kind = step[0]
-        label = f"{tag}{idx}"
+        kind, label, dev = step[0], f"{tag}{idx}", 1
         if kind == "device_comm":
-            _, i, j = step
-            if {i, j} != {1, 2}:
+            _, dev, j = step
+            if {dev, j} != {1, 2}:
                 raise ValueError("device_comm must name devices 1 and 2")
-            send = dg.hole(f"{label}_send_d{i}", (Q,), (Q, rc.Q(msg_dim)), ("causal",))
-            recv = dg.hole(f"{label}_recv_d{j}", (rc.Q(msg_dim), Q), (Q,), ("causal",))
-            nodes = {0: send, 1: recv}
-            qi, qj = i, j  # boundary slots 1 and 2
-            wires = [
-                (("in", 0), ("out", 0)),
-                (("in", qi), ("n", 0, 0)),
-                (("n", 0, 0), ("out", qi)),
-                (("n", 0, 1), ("n", 1, 0)),
-                (("in", qj), ("n", 1, 1)),
-                (("n", 1, 0), ("out", qj)),
-            ]
-            layer = dg.Diagram(nodes, wires, (C, Q, Q), (C, Q, Q))
-            holes[send.label] = send
-            holes[recv.label] = recv
+            layer = on_q1(hole(f"{label}_send_d{dev}", (QUBIT,), (QUBIT, QUBIT))) >> (
+                wires([BIT, QUBIT]) @ hole(f"{label}_recv_d{j}", (QUBIT, QUBIT), (QUBIT,)))
         elif kind == "classical_fn":
-            _, f = step
-            box = dg.box(
-                f"{label}_fn",
-                (C,),
-                (C,),
-                payload=ProcessTensor((C,), (C,), fn_matrix(f, c_dim, c_dim)),
-                flags=("causal", "stochastic"),
-            )
-            layer = dg.Diagram(
-                {0: box},
-                [
-                    (("in", 0), ("n", 0, 0)),
-                    (("n", 0, 0), ("out", 0)),
-                    (("in", 1), ("out", 1)),
-                    (("in", 2), ("out", 2)),
-                ],
-                (C, Q, Q),
-                (C, Q, Q),
-            )
+            layer = fn_box(f"{label}_fn", (BIT,), (BIT,), step[1])
         elif kind == "failure_filter":
-            _, subset = step
-            box = dg.box(
-                f"{label}_filter",
-                (C,),
-                (C,),
-                payload=failure_filter_tensor(c_dim, subset),
-                flags=("stochastic",),
-            )
-            layer = dg.Diagram(
-                {0: box},
-                [
-                    (("in", 0), ("n", 0, 0)),
-                    (("n", 0, 0), ("out", 0)),
-                    (("in", 1), ("out", 1)),
-                    (("in", 2), ("out", 2)),
-                ],
-                (C, Q, Q),
-                (C, Q, Q),
-            )
+            keep = failure_filter_tensor(2, step[1])
+            layer = on_c(gen(dg.box(f"{label}_filter", (BIT,), (BIT,), keep, ("stochastic",))))
         elif kind == "give_input":
-            _, g, j = step
-            if j not in (1, 2):
-                raise ValueError("give_input must name device 1 or 2")
-            copy = np.zeros((c_dim * msg_dim, c_dim))
-            for i in range(c_dim):
-                copy[i * msg_dim + (g(i) % msg_dim), i] = 1.0
-            gbox = dg.box(
-                f"{label}_g",
-                (C,),
-                (C, Msg),
-                payload=ProcessTensor((C,), (C, Msg), copy),
-                flags=("causal", "stochastic"),
-            )
-            dev = dg.hole(f"{label}_dev{j}", (Msg, Q), (Q,), ("causal",))
-            layer = dg.Diagram(
-                {0: gbox, 1: dev},
-                [
-                    (("in", 0), ("n", 0, 0)),
-                    (("n", 0, 0), ("out", 0)),
-                    (("n", 0, 1), ("n", 1, 0)),
-                    (("in", j), ("n", 1, 1)),
-                    (("n", 1, 0), ("out", j)),
-                    (("in", 3 - j), ("out", 3 - j)),
-                ],
-                (C, Q, Q),
-                (C, Q, Q),
-            )
-            holes[dev.label] = dev
+            _, g, dev = step
+            layer = fn_box(f"{label}_g", (BIT,), (BIT, BIT), lambda c: 2 * c + g(c) % 2) >> on_q1(
+                hole(f"{label}_dev{dev}", (BIT, QUBIT), (QUBIT,)))
         elif kind == "receive_output":
-            _, h, i = step
-            if i not in (1, 2):
-                raise ValueError("receive_output must name device 1 or 2")
-            dev = dg.hole(f"{label}_dev{i}", (Q,), (Q, Msg), ("causal",))
-            hm = np.zeros((c_dim, c_dim * msg_dim))
-            for c in range(c_dim):
-                for m in range(msg_dim):
-                    hm[h(c, m) % c_dim, c * msg_dim + m] = 1.0
-            hbox = dg.box(
-                f"{label}_h",
-                (C, Msg),
-                (C,),
-                payload=ProcessTensor((C, Msg), (C,), hm),
-                flags=("causal", "stochastic"),
-            )
-            layer = dg.Diagram(
-                {0: dev, 1: hbox},
-                [
-                    (("in", 0), ("n", 1, 0)),
-                    (("in", i), ("n", 0, 0)),
-                    (("n", 0, 0), ("out", i)),
-                    (("n", 0, 1), ("n", 1, 1)),
-                    (("n", 1, 0), ("out", 0)),
-                    (("in", 3 - i), ("out", 3 - i)),
-                ],
-                (C, Q, Q),
-                (C, Q, Q),
-            )
-            holes[dev.label] = dev
+            _, h, dev = step
+            layer = (on_q1(hole(f"{label}_dev{dev}", (QUBIT,), (QUBIT, BIT)))
+                     >> on_q1(swap(QUBIT, BIT))
+                     >> fn_box(f"{label}_h", (BIT, BIT), (BIT,), lambda cm: h(*divmod(cm, 2)) % 2))
         else:
             raise ValueError(f"inadmissible protocol step kind {kind!r}")
-        diagram = diagram >> layer
-    return DIProtocol(list(steps), diagram, c_dim, q_dim, msg_dim, holes)
+        if dev not in (1, 2):
+            raise ValueError(f"{kind} must name device 1 or 2")
+        diagram = diagram >> (flip >> layer >> flip if dev == 2 else layer)
+    return DIProtocol(diagram, holes)
 
 
 def honest_expansion_round() -> ProcessTensor:
     """A concrete honest single-round process (seed bit, qubit device)
     -> (two output bits, qubit device): the seed bit picks a measurement
     basis (Z or X), the outcome and the seed form the two output bits,
-    and the device is re-prepared in the post-measurement basis state."""
-    z = [np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)]
-    x = [np.array([1.0, 1.0], dtype=complex) / math.sqrt(2),
-         np.array([1.0, -1.0], dtype=complex) / math.sqrt(2)]
-    bases = [z, x]
-    din = 2 * 4  # seed bit, doubled qubit
-    dout = 4 * 4  # two bits, doubled qubit
-    m = np.zeros((4, 2, 2, 2, 2, 2), dtype=complex)
-    # m[out_bits, q_out i', j', seed, q_in i, j]
-    for s in range(2):
-        for a in range(2):
-            vec = bases[s][a]
-            out_sym = a * 2 + s  # outcome bit, then the seed bit
-            for i2, j2, i1, j1 in product(range(2), repeat=4):
-                # Kraus |v><v| doubled: K[i2,i1] * conj(K[j2,j1])
-                m[out_sym, i2, j2, s, i1, j1] = (
-                    vec[i2] * vec[i1].conjugate() * vec[j2].conjugate() * vec[j1]
-                )
-    return ProcessTensor(
-        (rc.C(2), rc.Q(2)), (rc.C(4), rc.Q(2)), m.reshape(dout, din)
-    )
+    and the device is re-prepared in the post-measurement basis state.
+    Its Kraus operators are |2a + s><s| (x) |v><v| for seed s, outcome a
+    and basis vector v."""
+    bases = [np.eye(2), np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)]
+    kraus = [
+        np.kron(np.outer(np.eye(4)[2 * a + s], np.eye(2)[s]), np.outer(v, v.conj()))
+        for s in range(2)
+        for a, v in enumerate(bases[s].T)
+    ]
+    return rc.channel_from_kraus((rc.C(2), rc.Q(2)), (rc.C(4), rc.Q(2)), kraus)
 
 
 # ---------------------------------------------------------------------------
