@@ -27,6 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+ASCENT_ITERS = 60  # process_distance: ascent steps per restart
 
 CLASSICAL = "classical"
 QUANTUM = "quantum"
@@ -253,18 +254,7 @@ def _require_classical(reg: Register):
 
 def spider(reg: Register, legs: int) -> ProcessTensor:
     """The state sum_i |i>^(x)legs over a classical register's basis."""
-    _require_classical(reg)
-    if legs < 1:
-        raise ValueError("spider needs at least one leg")
-    d = reg.total_dim
-    v = np.zeros(d ** legs, dtype=complex)
-    stride = (d ** legs - 1) // (d - 1) if d > 1 else 1
-    if d == 1:
-        v[0] = 1.0
-    else:
-        for i in range(d):
-            v[i * stride] = 1.0
-    return state((reg,) * legs, v)
+    return spider_map(reg, 0, legs)
 
 
 def spider_map(reg: Register, legs_in: int, legs_out: int) -> ProcessTensor:
@@ -574,23 +564,17 @@ class DistanceInterval:
             raise ValueError("lower bound exceeds upper bound")
 
 
-def _extend_with_ancilla(p: ProcessTensor, anc: Register) -> ProcessTensor:
-    return compose_par(p, identity((anc,)))
-
-
 def process_distance(
     p1: ProcessTensor,
     p2: ProcessTensor,
-    ancilla_dim: int | None = None,
     restarts: int = 32,
     seed: int = 0,
-    iters: int = 60,
 ) -> DistanceInterval:
     """Certified interval around half the diamond-norm distance.
 
     Lower bound: alternating ascent over pure inputs on input (x)
-    ancilla (ancilla base dimension defaults to the lifted input
-    dimension), deterministic given the seed.  Inputs along classical
+    an ancilla of the lifted input dimension, at most ASCENT_ITERS
+    steps per restart, deterministic given the seed.  Inputs along classical
     wires are explored over classical-diagonal states only, which keeps
     the bound sound.  Upper bound: half the trace norm of the
     unnormalized process-operator difference (equivalently, the
@@ -609,9 +593,7 @@ def process_distance(
     if all(f["causal"] and f["completely_positive"] for f in map(structural_predicates, (p1, p2))):
         upper = min(upper, 1.0)
 
-    in_lift = base_dim(p1.in_regs)
-    anc = Register(QUANTUM, int(ancilla_dim) if ancilla_dim else in_lift)
-    dext = _extend_with_ancilla(diff, anc)
+    dext = compose_par(diff, identity((Register(QUANTUM, base_dim(p1.in_regs)),)))
     din = base_dim(dext.in_regs)
 
     rng = np.random.default_rng(seed)
@@ -620,7 +602,7 @@ def process_distance(
         psi = rng.normal(size=din) + 1j * rng.normal(size=din)
         psi /= np.linalg.norm(psi)
         prev = -1.0
-        for _ in range(iters):
+        for _ in range(ASCENT_ITERS):
             rho = _pure_input_operator(psi, dext.in_regs)
             X = apply_to_operator(dext, rho)
             X = 0.5 * (X + np.conj(X.T))
@@ -699,12 +681,11 @@ def random_cq_channel(
         rows, cols, _ = _lift(regs)
         return rows * dq + cols % dq
 
-    din, dout = total_dim(in_regs), total_dim(out_regs)
-    m = np.zeros((dout, din), dtype=complex)
-
-    # carrier <-> grouped (classical, bra, ket) change of basis
-    p_in = np.eye(din)[np.argsort(grouped(in_regs, dqi))].reshape(Ki, dqi * dqi, din)
-    p_out = np.eye(dout, dtype=complex)[grouped(out_regs, dqo)]
+    m = np.zeros((total_dim(out_regs), total_dim(in_regs)), dtype=complex)
+    # carrier columns of each classical input's grouped (bra, ket) block,
+    # and the grouped (classical, bra, ket) row of each carrier row
+    order = np.argsort(grouped(in_regs, dqi)).reshape(Ki, dqi * dqi)
+    rows_out = grouped(out_regs, dqo)
 
     env = max(1, dqi)
     for ci in range(Ki):
@@ -715,11 +696,10 @@ def random_cq_channel(
         if not causal:
             V = V @ np.diag(np.sqrt(rng.uniform(0.1, 1.0, size=dqi)))
         branches = V.reshape(Ko, dqo, env, dqi)
-        # grouped doubled action summed over Kraus branches, then mapped
-        # back to the carrier layout in one matrix product
+        # grouped doubled action summed over Kraus branches, gathered
+        # into the carrier layout
         doubled = np.einsum("cpea,cqeb->cpqab", branches, np.conj(branches))
-        contrib = doubled.reshape(Ko * dqo * dqo, dqi * dqi) @ p_in[ci]
-        m += p_out @ contrib
+        m[:, order[ci]] += doubled.reshape(Ko * dqo * dqo, dqi * dqi)[rows_out]
     return ProcessTensor(in_regs, out_regs, m)
 
 
