@@ -18,6 +18,7 @@ from itertools import chain
 
 import numpy as np
 
+from . import FORMAT_VERSION
 from . import diagram as dg
 from . import extractor as ex
 from . import protocol as pr
@@ -25,7 +26,6 @@ from . import regcalc as rc
 from . import rewrite as rw
 from .regcalc import CQState
 
-FORMAT_VERSION = 1
 TOL_ENV_VAR = "CQCALC_TOL"
 
 
@@ -196,9 +196,8 @@ def _parse_decay(text: str) -> rw.ExpDecay:
 
 
 def cmd_check(args) -> int:
-    shipped = rw.shipped_scripts()
-    if args.script in shipped:
-        script = shipped[args.script]
+    if args.script in rw.SHIPPED_SCRIPTS:
+        script = rw.SHIPPED_SCRIPTS[args.script]()
     else:
         try:
             script = rw.script_from_json(_load_json(args.script))

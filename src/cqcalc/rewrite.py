@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -1012,16 +1013,16 @@ def script_spot_check_lemma(base: str = "N") -> ProofScript:
     return bld.finish()
 
 
+SHIPPED_SCRIPTS = {
+    "single_stage": script_single_stage,
+    "soundness_k2": script_soundness_k2,
+    "spot_check_lemma": script_spot_check_lemma,
+    **{f"chain_k{k}": partial(script_chain, k) for k in (1, 2, 3)},
+}
+
+
 def shipped_scripts() -> dict:
-    out = {
-        "single_stage": script_single_stage(),
-        "soundness_k2": script_soundness_k2(),
-        "spot_check_lemma": script_spot_check_lemma(),
-    }
-    for k in (1, 2, 3):
-        s = script_chain(k)
-        out[s.name] = s
-    return out
+    return {name: build() for name, build in SHIPPED_SCRIPTS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -1116,13 +1117,15 @@ def _ensure_bindings(d: dg.Diagram, binding: dict, rng, cap2: int) -> bool:
     return ok
 
 
+DIM_CAP = 2**7  # run_script checks a step numerically up to DIM_CAP**2 carrier entries
+
+
 def run_script(
     script: ProofScript,
     eps_fns=None,
     N: int = 1,
     dims=None,
     seed: int = 0,
-    dim_cap: int = 2**7,
     tol: float = 1e-9,
 ) -> dict:
     """Replay a proof script and report on it.
@@ -1132,11 +1135,11 @@ def run_script(
     each step is additionally validated numerically in isolation under
     a seeded random binding: exact steps must agree to `tol`; axiom
     steps have their measured deviation recorded but not asserted;
-    steps whose instantiated carriers exceed `dim_cap`**2 entries are
+    steps whose instantiated carriers exceed DIM_CAP**2 entries are
     skipped.  With `eps_fns` (a callable or a {name: callable} dict)
     the budget is also evaluated at base value N."""
     state, records = replay_script(script)
-    cap2 = dim_cap * dim_cap
+    cap2 = DIM_CAP * DIM_CAP
     rng = np.random.default_rng(seed)
     binding: dict = {}
     verified = True
