@@ -181,9 +181,6 @@ class Diagram:
     def _fresh(self) -> int:
         return max(self.nodes, default=-1) + 1
 
-    def copy(self) -> "Diagram":
-        return Diagram(dict(self.nodes), list(self.wires), self.in_types, self.out_types)
-
     def then(self, other: "Diagram") -> "Diagram":
         if self.out_types != other.in_types:
             raise TypeError(
@@ -590,7 +587,7 @@ def _parse_type(tokens, i, env):
         return tuple(regs), i
 
 
-def parse_diagram(text: str, extra_decls: Mapping[str, Generator] | None = None) -> Diagram:
+def parse_diagram(text: str) -> Diagram:
     """Parse the line-oriented DSL into a Diagram.
 
     Declarations: `reg NAME = classical N` / `reg NAME = quantum N`,
@@ -602,8 +599,6 @@ def parse_diagram(text: str, extra_decls: Mapping[str, Generator] | None = None)
     Names C<n> and Q<n> are implicitly declared registers.
     """
     env = _Env()
-    if extra_decls:
-        env.decls.update(extra_decls)
     expr_tokens = []
     errors = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -73,11 +73,6 @@ def toeplitz_extract(source, seed, m: int) -> np.ndarray:
     return (t @ x) % 2
 
 
-def min_entropy_dist(p: np.ndarray) -> float:
-    p = np.asarray(p, dtype=float)
-    return -math.log2(p.max())
-
-
 def leftover_hash_bound(h_min: float, m: int) -> float:
     """Two-universal hashing bound on the average distance to uniform."""
     return min(1.0, 0.5 * 2.0 ** (-(h_min - m) / 2))
