@@ -573,8 +573,8 @@ def process_distance(
     """Certified interval around half the diamond-norm distance.
 
     Lower bound: alternating ascent over pure inputs on input (x)
-    an ancilla of the lifted input dimension, at most ASCENT_ITERS
-    steps per restart, deterministic given the seed.  Inputs along classical
+    an ancilla of the lifted input dimension, at most ASCENT_ITERS steps
+    per restart, deterministic given the seed.  Inputs along classical
     wires are explored over classical-diagonal states only, which keeps
     the bound sound.  Upper bound: half the trace norm of the
     unnormalized process-operator difference (equivalently, the
