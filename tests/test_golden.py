@@ -167,6 +167,42 @@ def test_entropy_state_report_bytes(tmp_path):
     assert digest == "eb406705b9c194f02d50830e4fdca7947f940bc017c01d6968a4d46b3af64457"
 
 
+def wishart_state(branches: int, dim: int, seed: int, rank=None) -> dict:
+    """Complex Wishart branches normalised to total trace one, turned by
+    a seeded Haar unitary; with `rank`, every branch lives on the same
+    rank-dimensional subspace, so the branch sum is singular."""
+    rng = np.random.default_rng([branches, dim, seed])
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    iso = (q * (np.diag(r) / np.abs(np.diag(r))))[:, : rank or dim]
+    ops = []
+    for _ in range(branches):
+        g = rng.normal(size=(iso.shape[1],) * 2) + 1j * rng.normal(size=(iso.shape[1],) * 2)
+        ops.append(iso @ g @ g.conj().T @ iso.conj().T)
+    total = sum(np.trace(o).real for o in ops)
+    return {"branches": [{"re": (o / total).real.tolist(), "im": (o / total).imag.tolist()} for o in ops]}
+
+
+# (branches, dim, seed[, rank]): the five branch/dimension shapes the
+# certify benchmark solves, and one state whose branch sum has rank 3
+WISHART_ENTROPY_DIGESTS = {
+    (3, 8, 2): "6ecf2cf8ce863788a6427f17e90e44c8ec3a38b2c30bf8b26853c306ae267dc3",
+    (4, 8, 3): "712a5880103a489cec41fe03815e2c0186d88d4ad4382cb13bfa2da95178afa9",
+    (5, 7, 1): "c195d70445c199d40a09717d3833eaaaf5bd5fd34a5b369a34ae88df173eaae8",
+    (6, 8, 0): "da9d7b4b5445d62a22ffdc184d058d11669a049b892418fa93ccf4203c69f503",
+    (6, 8, 1): "fdcd2b37b24890a8325a39e514a5fb455cb7a1b86b9d92b30d6d46e0848af2b1",
+    (4, 6, 0, 3): "94e7b241661e20e88984684e7b2941b20fd4186e5dd691447d721d1c007568db",
+}
+
+
+@pytest.mark.parametrize("case", sorted(WISHART_ENTROPY_DIGESTS), ids=repr)
+def test_entropy_wishart_report_bytes(tmp_path, case):
+    sfile = tmp_path / "state.json"
+    sfile.write_text(json.dumps(wishart_state(*case)))
+    digest = cli_report_digest(tmp_path, ["entropy", "--state", str(sfile)])
+    assert digest == WISHART_ENTROPY_DIGESTS[case]
+
+
 def test_eval_bindings_report_bytes(tmp_path):
     # a bound hole with an open C2 (x) Q2 output, so the report carries a matrix
     src = tmp_path / "d.dg"
