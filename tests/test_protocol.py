@@ -313,6 +313,106 @@ class TestMinEntropy:
         assert h == pytest.approx(0.0, abs=1e-12)
 
 
+def _fixed_point_reference(ms, tol, max_iter):
+    """The per-branch loop that min_entropy_cq runs on stacked branches:
+    every product, eigensolve and sum over branches is one Python step
+    per branch.  A singular branch sum is solved on its support, lifted
+    back and shifted until it dominates every branch, as min_entropy_cq
+    does.  Returns the certificate dict."""
+    ms = [np.asarray(m, dtype=complex) for m in ms]
+    d = ms[0].shape[0]
+    total = sum(ms)
+    w, v = np.linalg.eigh((total + total.conj().T) / 2)
+    support = w > 1e-12 * w.max()
+    if not support.all():
+        u = v[:, support]
+        cert = _fixed_point_reference([u.conj().T @ m @ u for m in ms], tol, max_iter)
+        sigma = u @ cert["sigma"] @ u.conj().T
+        shift = max(0.0, max(np.linalg.eigvalsh((m - sigma + (m - sigma).conj().T) / 2).max()
+                             for m in ms))
+        sigma = sigma + shift * np.eye(d)
+        p_upper = float(np.trace(sigma).real)
+        gap = p_upper - cert["p_lower"]
+        cert.update(sigma=sigma, p_upper=p_upper, gap=gap, converged=gap <= tol)
+        return cert
+
+    povm = [np.eye(d, dtype=complex) / len(ms) for _ in ms]
+    p_lower = p_upper = 0.0
+    gap = math.inf
+    it = 0
+    sigma_feas = sum(ms)
+    for it in range(1, max_iter + 1):
+        lam = sum(m @ e @ m for m, e in zip(ms, povm))
+        w, v = np.linalg.eigh((lam + lam.conj().T) / 2)
+        inv_sqrt = (v * (np.clip(w, 1e-300, None) ** -0.5)) @ v.conj().T
+        povm = [inv_sqrt @ m @ e @ m @ inv_sqrt for m, e in zip(ms, povm)]
+        total = sum(povm)
+        wt, vt = np.linalg.eigh((total + total.conj().T) / 2)
+        fix = (vt * (np.clip(wt, 1e-300, None) ** -0.5)) @ vt.conj().T
+        povm = [fix @ e @ fix for e in povm]
+        povm_eval = []
+        for e in povm:
+            we, ve = np.linalg.eigh((e + e.conj().T) / 2)
+            povm_eval.append((ve * np.clip(we, 0.0, None)) @ ve.conj().T)
+        tot = sum(povm_eval)
+        lam = np.linalg.eigvalsh((tot + tot.conj().T) / 2).max()
+        if lam > 1.0:
+            povm_eval = [e / lam for e in povm_eval]
+        p_lower = sum(float(np.trace(e @ m).real) for e, m in zip(povm_eval, ms))
+        cand = sum(m @ e for m, e in zip(ms, povm))
+        cand = (cand + cand.conj().T) / 2
+        shift = max(
+            0.0, max(np.linalg.eigvalsh((m - cand + (m - cand).conj().T) / 2).max() for m in ms)
+        )
+        sigma_feas = cand + (shift + 1e-12) * np.eye(d)
+        p_upper = float(np.trace(sigma_feas).real)
+        gap = p_upper - p_lower
+        if gap <= tol:
+            break
+    return {
+        "sigma": sigma_feas,
+        "gap": float(gap),
+        "iterations": it,
+        "p_lower": float(p_lower),
+        "p_upper": float(p_upper),
+        "converged": gap <= tol,
+    }
+
+
+def _wishart_branches(k, d, rank, rng):
+    """k complex Wishart branches of the given rank, all on one random
+    rank-dimensional subspace of C^d, normalised to total trace one."""
+    iso = TestMinEntropy.haar(rng, d)[:, :rank]
+    ops = []
+    for _ in range(k):
+        g = rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank))
+        ops.append(iso @ g @ g.conj().T @ iso.conj().T)
+    total = sum(np.trace(o).real for o in ops)
+    return [o / total for o in ops]
+
+
+# every (k, d) pair with k = 3..6 and d = 2..8 at full rank (seed s gives
+# k = 3 + s % 4, d = 2 + s % 7), then singular branch sums of rank < d
+FIXED_POINT_CASES = [(3 + s % 4, 2 + s % 7, 2 + s % 7) for s in range(28)] + [
+    (3, 3, 2), (4, 5, 3), (5, 6, 2), (6, 7, 5), (3, 8, 6), (6, 8, 4),
+]
+
+
+class TestFixedPointMatchesReference:
+    @pytest.mark.parametrize("seed", range(len(FIXED_POINT_CASES)))
+    def test_same_bytes_as_per_branch_loop(self, seed):
+        k, d, rank = FIXED_POINT_CASES[seed]
+        ms = _wishart_branches(k, d, rank, np.random.default_rng([k, d, rank, seed]))
+        # at this cap 12 of the 34 cases converge and the rest stop at
+        # the cap, so both exits of the loop are compared
+        want = _fixed_point_reference(ms, 1e-9, 80)
+        h, got = pr.min_entropy_cq(CQState(ms), tol=1e-9, max_iter=80)
+        assert got["sigma"].tobytes() == want["sigma"].tobytes()
+        for key in ("gap", "iterations", "p_lower", "p_upper", "converged"):
+            assert got[key] == want[key], key
+        assert h == -math.log2(want["p_upper"])
+
+
 class TestProtocolGrammar:
     def test_empty_protocol_is_identity(self):
         p = pr.build_di_protocol([])
