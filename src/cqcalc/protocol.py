@@ -417,13 +417,24 @@ def spotcheck_run(M: int, q: float, chi: float, s: DeviceStrategy, seed: int) ->
 # conditional min-entropy
 
 
+def _herm(h: np.ndarray) -> np.ndarray:
+    """Hermitian part of one matrix or of each matrix in a stack."""
+    return (h + h.conj().swapaxes(-1, -2)) / 2
+
+
 def _tn(h: np.ndarray) -> float:
-    return float(np.abs(np.linalg.eigvalsh((h + h.conj().T) / 2)).sum())
+    return float(np.abs(np.linalg.eigvalsh(_herm(h))).sum())
 
 
 def _psd_part(h: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh((h + h.conj().T) / 2)
-    return (v * np.clip(w, 0.0, None)) @ v.conj().T
+    """PSD part of the Hermitian part of h, per matrix of a stack."""
+    w, v = np.linalg.eigh(_herm(h))
+    return (v * np.clip(w, 0.0, None)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def _dominance_shift(ms: np.ndarray, sigma: np.ndarray) -> float:
+    """Least t >= 0 with sigma + t I >= M_i for every branch M_i."""
+    return max(0.0, np.linalg.eigvalsh(_herm(ms - sigma)).max())
 
 
 def min_entropy_cq(psi: CQState, tol: float = 1e-6, max_iter: int = 10**4):
@@ -434,8 +445,8 @@ def min_entropy_cq(psi: CQState, tol: float = 1e-6, max_iter: int = 10**4):
     form; more branches run a fixed-point POVM iteration with a feasible
     dual certificate, asserting primal/dual gap <= tol when converged.
     Returns (H_min, certificate dict with sigma, gap, p_guess bounds)."""
-    ms = [np.asarray(m, dtype=complex) for m in psi.branch_ops]
-    d = ms[0].shape[0]
+    ms = np.array(psi.branch_ops, dtype=complex)  # branches stacked (k, d, d)
+    d = ms.shape[1]
     if len(ms) == 1:
         p = float(np.trace(ms[0]).real)
         sigma = ms[0]
@@ -460,7 +471,7 @@ def min_entropy_cq(psi: CQState, tol: float = 1e-6, max_iter: int = 10**4):
     ):
         rng = np.random.default_rng(0)
         mix = sum(float(c) * m for c, m in zip(rng.uniform(1.0, 2.0, len(ms)), ms))
-        _, v = np.linalg.eigh((mix + mix.conj().T) / 2)
+        _, v = np.linalg.eigh(_herm(mix))
         diag = np.array([np.diag(v.conj().T @ m @ v).real for m in ms])
         p = float(diag.max(axis=0).sum())
         sigma = v @ np.diag(diag.max(axis=0)) @ v.conj().T
@@ -472,50 +483,46 @@ def min_entropy_cq(psi: CQState, tol: float = 1e-6, max_iter: int = 10**4):
     # blow up: solve on its support, then lift sigma back and shift it
     # until it dominates every branch again
     total = sum(ms)
-    w, v = np.linalg.eigh((total + total.conj().T) / 2)
+    w, v = np.linalg.eigh(_herm(total))
     support = w > 1e-12 * w.max()
     if not support.all():
         u = v[:, support]
-        _, cert = min_entropy_cq(CQState([u.conj().T @ m @ u for m in ms]), tol, max_iter)
+        _, cert = min_entropy_cq(CQState(u.conj().T @ ms @ u), tol, max_iter)
         sigma = u @ cert["sigma"] @ u.conj().T
-        shift = max(0.0, max(np.linalg.eigvalsh((m - sigma + (m - sigma).conj().T) / 2).max()
-                             for m in ms))
-        sigma = sigma + shift * np.eye(d)
+        sigma = sigma + _dominance_shift(ms, sigma) * np.eye(d)
         p_upper = float(np.trace(sigma).real)
         gap = p_upper - cert["p_lower"]
         cert.update(sigma=sigma, p_upper=p_upper, gap=gap, converged=gap <= tol)
         return -math.log2(p_upper), cert
 
-    # fixed-point discrimination iteration with dual certificate
-    povm = [np.eye(d, dtype=complex) / len(ms) for _ in ms]
+    # fixed-point discrimination iteration with dual certificate, on
+    # the stacked branches; every sum over branches is Python's
+    # sequential sum() over the first axis, so the bytes do not depend
+    # on the stacking
+    povm = np.broadcast_to(np.eye(d, dtype=complex) / len(ms), ms.shape)
     p_lower = p_upper = 0.0
     gap = math.inf
     it = 0
     sigma_feas = sum(ms)
     for it in range(1, max_iter + 1):
-        lam = sum(m @ e @ m for m, e in zip(ms, povm))
-        w, v = np.linalg.eigh((lam + lam.conj().T) / 2)
+        lam = sum(ms @ povm @ ms)
+        w, v = np.linalg.eigh(_herm(lam))
         inv_sqrt = (v * (np.clip(w, 1e-300, None) ** -0.5)) @ v.conj().T
-        povm = [inv_sqrt @ m @ e @ m @ inv_sqrt for m, e in zip(ms, povm)]
+        povm = inv_sqrt @ ms @ povm @ ms @ inv_sqrt
         total = sum(povm)
         # renormalize to a strict POVM against numerical drift
-        wt, vt = np.linalg.eigh((total + total.conj().T) / 2)
+        wt, vt = np.linalg.eigh(_herm(total))
         fix = (vt * (np.clip(wt, 1e-300, None) ** -0.5)) @ vt.conj().T
-        povm = [fix @ e @ fix for e in povm]
+        povm = fix @ povm @ fix
         # the primal bound must come from a certified sub-POVM: clip to
         # PSD and scale so the effects sum to at most identity
-        povm_eval = [_psd_part(e) for e in povm]
-        tot = sum(povm_eval)
-        lam = np.linalg.eigvalsh((tot + tot.conj().T) / 2).max()
+        povm_eval = _psd_part(povm)
+        lam = np.linalg.eigvalsh(_herm(sum(povm_eval))).max()
         if lam > 1.0:
-            povm_eval = [e / lam for e in povm_eval]
-        p_lower = sum(float(np.trace(e @ m).real) for e, m in zip(povm_eval, ms))
-        cand = sum(m @ e for m, e in zip(ms, povm))
-        cand = (cand + cand.conj().T) / 2
-        shift = max(
-            0.0, max(np.linalg.eigvalsh((m - cand + (m - cand).conj().T) / 2).max() for m in ms)
-        )
-        sigma_feas = cand + (shift + 1e-12) * np.eye(d)
+            povm_eval = povm_eval / lam
+        p_lower = sum(np.trace(povm_eval @ ms, axis1=1, axis2=2).real.tolist())
+        cand = _herm(sum(ms @ povm))
+        sigma_feas = cand + (_dominance_shift(ms, cand) + 1e-12) * np.eye(d)
         p_upper = float(np.trace(sigma_feas).real)
         gap = p_upper - p_lower
         if gap <= tol:
@@ -530,8 +537,8 @@ def min_entropy_cq(psi: CQState, tol: float = 1e-6, max_iter: int = 10**4):
         "converged": converged,
     }
     if converged:
-        assert all(
-            np.linalg.eigvalsh(sigma_feas - m).min() >= -1e-8 for m in ms
+        assert (
+            np.linalg.eigvalsh(sigma_feas - ms).min() >= -1e-8
         ), "certificate must dominate every branch"
     return -math.log2(p_upper), cert
 
