@@ -73,11 +73,6 @@ class DeviceStrategy:
     povms: list
     mode: str = "iid"
 
-    def dims(self) -> tuple:
-        da = self.shared_state.out_regs[0].base_dim
-        db = self.shared_state.out_regs[1].base_dim
-        return da, db
-
     def validate(self, tol: float = 1e-9):
         """Raise ValueError unless the shared state is a density matrix
         (Hermitian, PSD, unit trace) and each player's POVM table is a
@@ -547,13 +542,16 @@ def min_entropy_cq(psi: CQState, tol: float = 1e-6, max_iter: int = 10**4):
 # protocol grammar
 
 
+def _in_register(j: int, dout: int) -> int:
+    if not 0 <= j < dout:
+        raise ValueError(f"function value {j} outside register of dimension {dout}")
+    return j
+
+
 def fn_matrix(f, din: int, dout: int) -> np.ndarray:
     t = np.zeros((dout, din))
     for i in range(din):
-        j = f(i)
-        if not 0 <= j < dout:
-            raise ValueError(f"function value {j} outside register of dimension {dout}")
-        t[j, i] = 1.0
+        t[_in_register(f(i), dout), i] = 1.0
     return t
 
 
@@ -589,8 +587,8 @@ def build_di_protocol(steps, tag: str = "p") -> DIProtocol:
     """Compose a protocol from the five admissible step kinds:
     ("device_comm", i, j), ("classical_fn", f), ("failure_filter", S),
     ("give_input", g, j), ("receive_output", h, i) where f, g, h are
-    deterministic functions on classical values (g and h taken modulo
-    the bit they write) and i, j name devices 1 or 2.  Every step is one
+    deterministic functions on classical values, each writing one bit
+    (any other value raises ValueError), and i, j name devices 1 or 2.  Every step is one
     layer of generators joined by `>>` and `@`, written for device 1; a
     device-2 step is that layer between two swaps of the device wires.
     With no steps the protocol is the identity."""
@@ -632,13 +630,13 @@ def build_di_protocol(steps, tag: str = "p") -> DIProtocol:
             layer = on_c(gen(dg.box(f"{label}_filter", (BIT,), (BIT,), keep, ("stochastic",))))
         elif kind == "give_input":
             _, g, dev = step
-            layer = fn_box(f"{label}_g", (BIT,), (BIT, BIT), lambda c: 2 * c + g(c) % 2) >> on_q1(
-                hole(f"{label}_dev{dev}", (BIT, QUBIT), (QUBIT,)))
+            copy_g = fn_box(f"{label}_g", (BIT,), (BIT, BIT), lambda c: 2 * c + _in_register(g(c), 2))
+            layer = copy_g >> on_q1(hole(f"{label}_dev{dev}", (BIT, QUBIT), (QUBIT,)))
         elif kind == "receive_output":
             _, h, dev = step
             layer = (on_q1(hole(f"{label}_dev{dev}", (QUBIT,), (QUBIT, BIT)))
                      >> on_q1(swap(QUBIT, BIT))
-                     >> fn_box(f"{label}_h", (BIT, BIT), (BIT,), lambda cm: h(*divmod(cm, 2)) % 2))
+                     >> fn_box(f"{label}_h", (BIT, BIT), (BIT,), lambda cm: h(*divmod(cm, 2))))
         else:
             raise ValueError(f"inadmissible protocol step kind {kind!r}")
         if dev not in (1, 2):

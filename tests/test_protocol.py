@@ -477,6 +477,19 @@ class TestProtocolGrammar:
         with pytest.raises(ValueError):
             pr.build_di_protocol([("teleport", 1, 2)])
 
+    @pytest.mark.parametrize("value", [2, 3, -1])
+    @pytest.mark.parametrize("dev", [1, 2])
+    def test_values_outside_the_bit_rejected(self, value, dev):
+        # every classical map writes one bit; none is reduced modulo 2
+        msg = f"function value {value} outside register of dimension 2"
+        for step in (
+            ("classical_fn", lambda c: value * c),
+            ("give_input", lambda c: value * c, dev),
+            ("receive_output", lambda c, m: value * m, dev),
+        ):
+            with pytest.raises(ValueError, match=msg):
+                pr.build_di_protocol([step])
+
 
 def _hand_wired_protocol(steps, tag="p"):
     """The protocol grammar with every layer's node ids and port wires
@@ -565,8 +578,7 @@ def _hand_wired_protocol(steps, tag="p"):
 
 def _random_step(rng):
     """One admissible step on a random device; the classical maps are
-    random tables, with give_input and receive_output values up to 3 so
-    that the reduction modulo the register width is exercised."""
+    random tables into the bit."""
     kind = int(rng.integers(5))
     dev = int(rng.integers(1, 3))
     if kind == 0:
@@ -577,9 +589,9 @@ def _random_step(rng):
     if kind == 2:
         return ("failure_filter", set(np.flatnonzero(rng.integers(0, 2, 2)).tolist()))
     if kind == 3:
-        t = rng.integers(0, 4, 2).tolist()
+        t = rng.integers(0, 2, 2).tolist()
         return ("give_input", lambda c: t[c], dev)
-    t = rng.integers(0, 4, (2, 2)).tolist()
+    t = rng.integers(0, 2, (2, 2)).tolist()
     return ("receive_output", lambda c, m: t[c][m], dev)
 
 
@@ -602,10 +614,10 @@ class TestGrammarMatchesHandWiring:
             ("device_comm", 2, 1),
             ("classical_fn", lambda c: 1 - c),
             ("failure_filter", {1}),
-            ("give_input", lambda c: c + 1, 1),
-            ("give_input", lambda c: 3 * c, 2),
+            ("give_input", lambda c: 1 - c, 1),
+            ("give_input", lambda c: 1, 2),
             ("receive_output", lambda c, m: c ^ m, 1),
-            ("receive_output", lambda c, m: c + 2 * m + 1, 2),
+            ("receive_output", lambda c, m: 1 - (c & m), 2),
         ],
         ids=["comm12", "comm21", "fn", "filter", "input1", "input2", "output1", "output2"],
     )
