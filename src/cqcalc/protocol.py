@@ -340,10 +340,10 @@ class RunReport:
     def to_json(self) -> dict:
         return {
             "aborted": self.aborted,
-            "classical_transcript": [list(map(int, r)) for r in self.classical_transcript],
+            "classical_transcript": [list(r) for r in self.classical_transcript],
             "test_round_count": self.test_round_count,
             "pass_count": self.pass_count,
-            "output_bits": [int(b) for b in self.output_bits],
+            "output_bits": self.output_bits,
             "rng_seed": self.rng_seed,
         }
 

@@ -169,7 +169,13 @@ class TestSpotcheck:
         for q in (0.1, 0.6):
             for seed in range(3):
                 want = reference_spotcheck(40, q, 0.75, s, seed).to_json()
-                assert pr.spotcheck_run(40, q, 0.75, s, seed).to_json() == want
+                got = pr.spotcheck_run(40, q, 0.75, s, seed).to_json()
+                assert got == want
+                # to_json passes the values through: both builders must
+                # give Python ints (1 == True and np.int64(1) == 1 would hide it)
+                for rep in (got, want):
+                    values = [v for row in rep["classical_transcript"] for v in row] + rep["output_bits"]
+                    assert {type(v) for v in values} == {int}
 
     def test_reproducible_bit_exact(self):
         s = pr.optimal_chsh_strategy()
