@@ -10,6 +10,7 @@ parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -491,9 +492,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use: parse_args leaves it unchanged,
+    so every main call in a process shares one."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as e:

@@ -360,6 +360,35 @@ class TestTolerance:
             cli._default_tol(Args())
 
 
+class TestSharedParser:
+    def test_one_parser_per_process(self):
+        assert cli._parser() is cli._parser()
+
+    def test_reports_match_fresh_parser_calls(self, tmp_path):
+        # a flag given to one main call must not carry into the next
+        (tmp_path / "state.json").write_text(json.dumps({
+            "branches": [
+                {"re": [[0.3, 0.1], [0.1, 0.1]]},
+                {"re": [[0.1, -0.05], [-0.05, 0.25]]},
+                {"re": [[0.125, 0.0], [0.0, 0.125]], "im": [[0.0, 0.05], [-0.05, 0.0]]},
+            ]
+        }))
+        state = str(tmp_path / "state.json")
+        argvs = [
+            ["entropy", "--state", state, "--tol", "1e-3", "--seed", "4"],
+            ["extract", "--n", "6", "--m", "2", "--hmin", "5"],
+            ["entropy", "--state", state],
+            ["simulate", "--rounds", "20", "--sweep", "2", "--strategy", "all-zero"],
+            ["simulate", "--rounds", "20"],
+        ]
+        for i, argv in enumerate(argvs):
+            _, shared = run_to_file(tmp_path, argv, f"shared{i}.json")
+            fresh = tmp_path / f"fresh{i}.json"
+            args = cli.build_parser().parse_args(argv + ["--out", str(fresh)])
+            assert args.func(args) == 0
+            assert shared.read_bytes() == fresh.read_bytes(), argv
+
+
 def werner_strategy_json(visibility: float) -> dict:
     """The optimal CHSH measurements on v|Phi+><Phi+| + (1-v) I/4."""
     bell = np.zeros(4)
