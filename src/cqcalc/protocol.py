@@ -491,9 +491,9 @@ def min_entropy_cq(psi: CQState, tol: float = 1e-6, max_iter: int = 10**4):
         return -math.log2(p_upper), cert
 
     # fixed-point discrimination iteration with dual certificate, on
-    # the stacked branches; every sum over branches is Python's
-    # sequential sum() over the first axis, so the bytes do not depend
-    # on the stacking
+    # the stacked branches.  Every sum over branches is Python's
+    # sequential sum() over the first axis, and the update multiplies
+    # left to right, so sigma has the same bytes as a per-branch loop
     povm = np.broadcast_to(np.eye(d, dtype=complex) / len(ms), ms.shape)
     p_lower = p_upper = 0.0
     gap = math.inf
@@ -588,10 +588,11 @@ def build_di_protocol(steps, tag: str = "p") -> DIProtocol:
     ("device_comm", i, j), ("classical_fn", f), ("failure_filter", S),
     ("give_input", g, j), ("receive_output", h, i) where f, g, h are
     deterministic functions on classical values, each writing one bit
-    (any other value raises ValueError), and i, j name devices 1 or 2.  Every step is one
-    layer of generators joined by `>>` and `@`, written for device 1; a
-    device-2 step is that layer between two swaps of the device wires.
-    With no steps the protocol is the identity."""
+    (any other value raises ValueError), and i, j name devices 1 or 2.
+    Every step is one layer of generators joined by `>>` and `@`,
+    written for device 1; a device-2 step is that layer between two
+    swaps of the device wires.  With no steps the protocol is the
+    identity."""
     gen, wires = dg.Diagram.from_generator, dg.Diagram.id_wires
     holes = {}
 

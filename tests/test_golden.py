@@ -180,7 +180,8 @@ def wishart_state(branches: int, dim: int, seed: int, rank=None) -> dict:
         g = rng.normal(size=(iso.shape[1],) * 2) + 1j * rng.normal(size=(iso.shape[1],) * 2)
         ops.append(iso @ g @ g.conj().T @ iso.conj().T)
     total = sum(np.trace(o).real for o in ops)
-    return {"branches": [{"re": (o / total).real.tolist(), "im": (o / total).imag.tolist()} for o in ops]}
+    ops = [o / total for o in ops]
+    return {"branches": [{"re": o.real.tolist(), "im": o.imag.tolist()} for o in ops]}
 
 
 # (branches, dim, seed[, rank]): the five branch/dimension shapes the

@@ -174,8 +174,9 @@ class TestSpotcheck:
                 # to_json passes the values through: both builders must
                 # give Python ints (1 == True and np.int64(1) == 1 would hide it)
                 for rep in (got, want):
-                    values = [v for row in rep["classical_transcript"] for v in row] + rep["output_bits"]
-                    assert {type(v) for v in values} == {int}
+                    rows = rep["classical_transcript"]
+                    assert {type(v) for row in rows for v in row} == {int}
+                    assert {type(v) for v in rep["output_bits"]} == {int}
 
     def test_reproducible_bit_exact(self):
         s = pr.optimal_chsh_strategy()
