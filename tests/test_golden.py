@@ -115,6 +115,75 @@ def test_check_report_bytes(tmp_path, name, dims):
     assert digest == CHECK_DIGESTS[(name, dims)]
 
 
+# every shipped script with no --dims and with its base symbol set to 0, 1
+# and 2, at two seeds: the proof diagrams are built by composition, and
+# a change in node numbering or wire order moves these bytes
+CHECK_GRID_DIGESTS = {
+    ("chain_k1", None, 0): "b49b53cbcc56df8360d919653b9ada6cee821998770587bdeeab77a586b09166",
+    ("chain_k1", None, 7): "b49b53cbcc56df8360d919653b9ada6cee821998770587bdeeab77a586b09166",
+    ("chain_k1", 0, 0): "98294e19b82324aa59b88a01b7a40bcea4c5090be0bfe7b3b2a0224c891b46cd",
+    ("chain_k1", 0, 7): "7f4d55012c20bbfca0c1eb8cb6b0ba91a38e6659f92faa4f7d305fdfc8c59539",
+    ("chain_k1", 1, 0): "1776f1f693581d1646f7de2491dfaeeac99e3385814754c6a83793654d6eafc5",
+    ("chain_k1", 1, 7): "b1a9b701018a6594e20275766c76a3a91131219f71aa6b1e937a1e8679f9a465",
+    ("chain_k1", 2, 0): "0f1c5a4e0f7e9cc3a119f43e03661a3ec53dc184c0342fe6754cc92f7249b8b9",
+    ("chain_k1", 2, 7): "348a57f6b58e115ccce1c66d2f1c65b9b348c5b17a5758128b9b8f8f0ac1cc96",
+    ("chain_k2", None, 0): "73e68868a22d5eab54c8154f5a5c7d8f6e192e81d783e5c21f2beb62b1f723b7",
+    ("chain_k2", None, 7): "73e68868a22d5eab54c8154f5a5c7d8f6e192e81d783e5c21f2beb62b1f723b7",
+    ("chain_k2", 0, 0): "1bac92f2420d3968c06996a4dc9f38490985402ac8a04f64c9c22653be8713ae",
+    ("chain_k2", 0, 7): "25aeb95b6df866bdf6ad57d3aa29ec3c1e37e976ac3b2e4bbd5cccc6a8cf52c9",
+    ("chain_k2", 1, 0): "89ed4fcadcc9f7a8da49324484cc036d6bcb3b0141a47f7c05915df7e3e11c17",
+    ("chain_k2", 1, 7): "194fb10b05068e011a8213031b26dd6cd11c72ea650873dc9ba4a4b28df4192b",
+    ("chain_k2", 2, 0): "64ffdbc379f36d91bd833cdee23fb48ed511ce52a09148697aebabfc340ed455",
+    ("chain_k2", 2, 7): "524003e033c87a41ef099afbb82f5c1fb6c7589dc881d432ddbb1a73e4244746",
+    ("chain_k3", None, 0): "debf900276197bd76af9b1773fb0c46bcf449826c5e7e287a74da83d34bd58f0",
+    ("chain_k3", None, 7): "debf900276197bd76af9b1773fb0c46bcf449826c5e7e287a74da83d34bd58f0",
+    ("chain_k3", 0, 0): "fc9a74513d3f0e669afee99794e31ea8c58297de6614560fb2a436f939970739",
+    ("chain_k3", 0, 7): "61d20839d232d9ce12e39f076200e4cb96ac4fad49a8381a1c9cb1078c4d0334",
+    ("chain_k3", 1, 0): "a9dc4fe5f0e08803addb7db9ef8811b0031f03ec6c2ee46e511ff8570699e486",
+    ("chain_k3", 1, 7): "8a59e0ddc04a4ff3913804ef89b6f02d81d386880c50f2fd0f334960e6aebbb2",
+    ("chain_k3", 2, 0): "9af1b5a88a3c8b8be7ada122d06eb1be62f9510bd46d21dce67269a5f6256646",
+    ("chain_k3", 2, 7): "008d349b19422b373f191f3ecaf891889710dc57bdce6b7de18986ef29257caa",
+    ("single_stage", None, 0): "308cb15942fdb7c6d6a83598b1a36dcb4860b0fdbf16d6b5d32abc1d244992e0",
+    ("single_stage", None, 7): "308cb15942fdb7c6d6a83598b1a36dcb4860b0fdbf16d6b5d32abc1d244992e0",
+    ("single_stage", 0, 0): "f41b248166ac272d0f169ddec19213e1b45e944c8aff573700fce75bcb77906c",
+    ("single_stage", 0, 7): "19b3c1cc84976f88a2a642767f06c8ee9ddcdc84f6fb91ece6ba4889762a19c5",
+    ("single_stage", 1, 0): "7c34a698fa73189cdd5f8bfe5fef1109636dd1ddba8ed6583bf675caeb12234c",
+    ("single_stage", 1, 7): "c00219c51918b5dfb122152c09766540463cfa3ae8f807ad08ea3abeb4f7c13a",
+    ("single_stage", 2, 0): "b96fe07e1711041edd0781b083a1d4c44ad25d8b0c06f01df6d202845744b0b0",
+    ("single_stage", 2, 7): "d9de38a72bab39d6faf931ac0b1ce821bb1d13c2ea51ba5b20c4c4f91021678b",
+    ("soundness_k2", None, 0): "b3ff85e508fa6c40d671e883d1a8d77b2786098f53faa350fdc6628679c2e663",
+    ("soundness_k2", None, 7): "b3ff85e508fa6c40d671e883d1a8d77b2786098f53faa350fdc6628679c2e663",
+    ("soundness_k2", 0, 0): "7a56fa135529268fefd98540afb89040f507c45b5e3416b4333b98628417c9ce",
+    ("soundness_k2", 0, 7): "c59de26a21d2632e2a3262fcc09cbf8072dc59e6513584c6c911e25215e169ea",
+    ("soundness_k2", 1, 0): "8d0e9fe358e9ad9982a4fbf650b15752adc86f5a933d530229a7dd78d201f4cd",
+    ("soundness_k2", 1, 7): "7bcedbddf0ec766d5882902052a31976586316bffb17696f185f04f5fb239267",
+    ("soundness_k2", 2, 0): "2b3b56c2c9d4745b070bc2ab2271ad272a36319c6d309b916af71d63042b3849",
+    ("soundness_k2", 2, 7): "1b98e3a91d13429b50e985a5d78792dbf680f108ddab0abfd529d1ef077336fa",
+    ("spot_check_lemma", None, 0): "7727db88c532eaf732320793227f446f4ce58dd8f6b8c53e768e3ed8cc851ceb",
+    ("spot_check_lemma", None, 7): "7727db88c532eaf732320793227f446f4ce58dd8f6b8c53e768e3ed8cc851ceb",
+    ("spot_check_lemma", 0, 0): "211e406b5946cab4811e603138e8ce1a54bdd7f728d2b5d028112cf3b511c2d7",
+    ("spot_check_lemma", 0, 7): "1821fe4ac81c0cc4ac298a9b9db0a99397adade2bd464ade08e1ec57abb58fcd",
+    ("spot_check_lemma", 1, 0): "70c167d9281f97440be3597c49b4c183748160c6c8130164b648af33a0aaec85",
+    ("spot_check_lemma", 1, 7): "d277b4d577f980fa9a4e8d3f10a4e97186eb5921bd33bb95587f5da3b20c6a6c",
+    ("spot_check_lemma", 2, 0): "5f8c3f0fdd12bc8817af8e85303f918a07efbdb82a281b32678313f7f05e7474",
+    ("spot_check_lemma", 2, 7): "6affd871c3315d7768b22afcd4ab06516808ae8ce47a263ad17c32dc0d495a36",
+}
+
+
+@pytest.mark.parametrize("name,base,seed", sorted(CHECK_GRID_DIGESTS, key=repr), ids=repr)
+def test_check_report_grid_bytes(tmp_path, name, base, seed):
+    argv = ["check", name, "--seed", str(seed)]
+    if base is not None:
+        argv += ["--dims", f"{'M' if name == 'single_stage' else 'N'}={base}"]
+    assert cli_report_digest(tmp_path, argv) == CHECK_GRID_DIGESTS[(name, base, seed)]
+
+
+def test_chsh_scoring_evaluate_bytes():
+    d, binding = pr.chsh_scoring_diagram()
+    digest = sha256(d.evaluate(binding).matrix.tobytes())
+    assert digest == "406f7e0809cf610364ed000c29f828343a4247ec827f2d7faed565544a5c60fd"
+
+
 def test_check_budget_report_bytes(tmp_path):
     digest = cli_report_digest(tmp_path, ["check", "soundness_k2", "--eps-fn", "1,1"])
     assert digest == "2a01237ee4c99aa4a5197029b3a68f88b779295ab8edd7df6b517f2f2fb338d9"
