@@ -163,17 +163,16 @@ class Diagram:
         )
 
     @staticmethod
+    def swap(a: Register, b: Register) -> "Diagram":
+        """Two crossing wires: input 0 (type a) leaves as output 1."""
+        return Diagram({}, [(("in", 0), ("out", 1)), (("in", 1), ("out", 0))], (a, b), (b, a))
+
+    @staticmethod
     def from_generator(g: Generator) -> "Diagram":
         if g.kind == IDENTITY:
             return Diagram.id_wires(g.in_ports)
         if g.kind == SWAP:
-            a, b = g.in_ports
-            return Diagram(
-                {},
-                [(("in", 0), ("out", 1)), (("in", 1), ("out", 0))],
-                (a, b),
-                (b, a),
-            )
+            return Diagram.swap(*g.in_ports)
         wires = [(("in", k), ("n", 0, k)) for k in range(len(g.in_ports))]
         wires += [(("n", 0, k), ("out", k)) for k in range(len(g.out_ports))]
         return Diagram({0: g}, wires, g.in_ports, g.out_ports)
@@ -182,6 +181,10 @@ class Diagram:
         return max(self.nodes, default=-1) + 1
 
     def then(self, other: "Diagram") -> "Diagram":
+        """Run self, then other.  A wire into self's output k continues
+        in place to where other's input k goes, and other's remaining
+        wires follow, so composition keeps wire order and `>>` is
+        associative wire for wire."""
         if self.out_types != other.in_types:
             raise TypeError(
                 f"sequential composition type mismatch: {list(self.out_types)} vs {list(other.in_types)}"
@@ -194,17 +197,8 @@ class Diagram:
         def shift(ep):
             return ("n", ep[1] + off, ep[2]) if ep[0] == "n" else ep
 
-        # producers of my outputs / consumers of other's inputs
-        produced = {}
-        for s, t in self.wires:
-            if t[0] == "out":
-                produced[t[1]] = s
-        consumed = {}
-        for s, t in other.wires:
-            if s[0] == "in":
-                consumed[s[1]] = shift(t)
-        wires = [(s, t) for s, t in self.wires if t[0] != "out"]
-        wires += [(produced[k], consumed[k]) for k in range(len(self.out_types))]
+        consumed = {s[1]: shift(t) for s, t in other.wires if s[0] == "in"}
+        wires = [(s, consumed[t[1]] if t[0] == "out" else t) for s, t in self.wires]
         wires += [(shift(s), shift(t)) for s, t in other.wires if s[0] != "in"]
         return Diagram(nodes, wires, self.in_types, other.out_types)
 
@@ -690,7 +684,7 @@ def _parse_atom(tokens, i, env):
     if tok == "swap":
         r1 = env.reg(*tokens[i + 1])
         r2 = env.reg(*tokens[i + 2])
-        return Diagram.from_generator(Generator(SWAP, None, (r1, r2), (r2, r1))), i + 3
+        return Diagram.swap(r1, r2), i + 3
     if tok == "spider":
         r = env.reg(*tokens[i + 1])
         k_in, j = _expect_int(tokens, i + 2)

@@ -593,7 +593,7 @@ def build_di_protocol(steps, tag: str = "p") -> DIProtocol:
     written for device 1; a device-2 step is that layer between two
     swaps of the device wires.  With no steps the protocol is the
     identity."""
-    gen, wires = dg.Diagram.from_generator, dg.Diagram.id_wires
+    gen, wires, swap = dg.Diagram.from_generator, dg.Diagram.id_wires, dg.Diagram.swap
     holes = {}
 
     def on_c(d):
@@ -601,9 +601,6 @@ def build_di_protocol(steps, tag: str = "p") -> DIProtocol:
 
     def on_q1(d):
         return wires([BIT]) @ d @ wires([QUBIT])
-
-    def swap(a, b):
-        return gen(dg.Generator(dg.SWAP, None, (a, b), (b, a)))
 
     def hole(label, in_ports, out_ports):
         holes[label] = dg.hole(label, in_ports, out_ports, ("causal",))

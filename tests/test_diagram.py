@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cqcalc import diagram as dg
 from cqcalc import regcalc as rc
@@ -246,3 +247,81 @@ class TestJson:
     def test_missing_boundary_types_malformed(self):
         with pytest.raises(ValueError, match="malformed"):
             dg.diagram_from_json({"nodes": [], "wires": []})
+
+
+MAX_WIRES = 4  # keeps the evaluated carriers small
+
+
+# (kind, inputs a hole takes, types a hole gives)
+_pieces = st.lists(
+    st.tuples(
+        st.sampled_from(["id", "swap", "hole"]),
+        st.integers(0, 2),
+        st.lists(st.sampled_from([C2, Q2]), max_size=2),
+    ),
+    max_size=4,
+)
+_types = st.lists(st.sampled_from([C2, Q2]), max_size=3).map(tuple)
+
+
+def typed_layer(in_types, pieces, tag):
+    """The pieces placed left to right with `@` on `in_types`: a hole,
+    a swap where two wires remain, else an identity; wires that no piece
+    takes pass through.  Hole labels start with `tag`; returns (layer,
+    {label: (in, out)})."""
+    rest, layer, holes = list(in_types), dg.Diagram.id_wires(()), {}
+    for kind, n_in, outs in pieces:
+        if kind == "hole":
+            n_in = min(n_in, len(rest))
+            room = MAX_WIRES - len(layer.out_types) - len(rest) + n_in
+            label = f"{tag}{len(holes)}"
+            holes[label] = (tuple(rest[:n_in]), tuple(outs[: max(0, room)]))
+            part = dg.Diagram.from_generator(dg.hole(label, *holes[label]))
+        elif kind == "swap" and len(rest) >= 2:
+            part = dg.Diagram.swap(*rest[:2])
+        elif rest:
+            part = dg.Diagram.id_wires(rest[:1])
+        else:
+            continue
+        layer = layer @ part
+        rest = rest[len(part.in_types):]
+    return layer @ dg.Diagram.id_wires(rest), holes
+
+
+def _stack(data, tags):
+    """One layer per tag, each on the previous one's outputs, the first
+    on drawn types; returns (layers, {label: (in, out)})."""
+    layers, holes, types = [], {}, data.draw(_types)
+    for tag in tags:
+        layer, h = typed_layer(types, data.draw(_pieces), tag)
+        layers.append(layer)
+        holes.update(h)
+        types = layer.out_types
+    return layers, holes
+
+
+class TestCompositionLaws:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_then_associative_wire_for_wire(self, data):
+        (a, b, c), _ = _stack(data, "abc")
+        assert (a >> b) >> c == a >> (b >> c)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_beside_associative_wire_for_wire(self, data):
+        (a,), _ = _stack(data, "a")
+        (b,), _ = _stack(data, "b")
+        (c,), _ = _stack(data, "c")
+        assert (a @ b) @ c == a @ (b @ c)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**16))
+    def test_interchange(self, data, seed):
+        (a, c), left = _stack(data, "ac")
+        (b, d), right = _stack(data, "bd")
+        lhs = (a @ b) >> (c @ d)
+        rhs = (a >> c) @ (b >> d)
+        assert dg.diagrams_equal(lhs, rhs)
+        binding = random_binding(np.random.default_rng(seed), {**left, **right})
+        assert np.allclose(lhs.evaluate(binding).matrix, rhs.evaluate(binding).matrix, atol=1e-12, rtol=0)
