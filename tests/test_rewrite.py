@@ -1,5 +1,7 @@
 """Tests for the budgeted rewrite engine and proof scripts."""
 
+import dataclasses
+import itertools
 import json
 import math
 
@@ -7,8 +9,10 @@ import numpy as np
 import pytest
 
 from cqcalc import diagram as dg
+from cqcalc import protocol as pr
 from cqcalc import regcalc as rc
 from cqcalc import rewrite as rw
+from cqcalc.regcalc import SymWidth
 
 C2, C3 = rc.C(2), rc.C(3)
 
@@ -334,3 +338,348 @@ class TestScripts:
         r1 = rw.run_script(s, dims={"M": 1}, seed=7)
         r2 = rw.run_script(s, dims={"M": 1}, seed=7)
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# the rule library and shipped diagrams with node ids and port wires listed
+# by hand: the composed constructions must reproduce them
+
+
+DEV, SIDE, STOCH, CAUSAL = rw.DEV, rw.SIDE, rw.STOCH, rw.CAUSAL
+
+
+def _hw_widths(scale, base):
+    return rw._cw(scale, base), rw._cw(2 * scale, base if isinstance(base, str) else base * base)
+
+
+def _hw_expand_S_rhs(scale, base):
+    w, w2 = _hw_widths(scale, base)
+    w4 = rw._cw(4 * scale, base if isinstance(base, str) else base**4)
+    R1 = dg.hole(f"R@{scale}", (w, DEV), (w2, DEV), STOCH)
+    R2 = dg.hole(f"R@{2 * scale}", (w2, DEV), (w4, DEV), STOCH)
+    return dg.Diagram(
+        {0: R1, 1: R2},
+        [
+            (("in", 0), ("n", 0, 0)),
+            (("in", 1), ("n", 0, 1)),
+            (("in", 2), ("n", 1, 1)),
+            (("n", 0, 0), ("n", 1, 0)),
+            (("n", 1, 0), ("out", 0)),
+            (("n", 0, 1), ("out", 1)),
+            (("n", 1, 1), ("out", 2)),
+        ],
+        (w, DEV, DEV),
+        (w4, DEV, DEV),
+    )
+
+
+def _hw_spot_lhs(scale, base, hole_label):
+    w, w2 = _hw_widths(scale, base)
+    R = dg.hole(hole_label, (w, DEV), (w2, DEV), STOCH)
+    return dg.Diagram(
+        {0: dg.uniform_gen(w, 2), 1: R},
+        [
+            (("n", 0, 0), ("out", 0)),
+            (("n", 0, 1), ("n", 1, 0)),
+            (("in", 0), ("n", 1, 1)),
+            (("n", 1, 0), ("out", 1)),
+            (("n", 1, 1), ("out", 2)),
+        ],
+        (DEV,),
+        (w, w2, DEV),
+    )
+
+
+def _hw_starting_soundness_rhs(scale, base):
+    w, w2 = _hw_widths(scale, base)
+    R = dg.hole(f"R@{scale}", (w, DEV), (w2, DEV), STOCH)
+    return dg.Diagram(
+        {0: dg.uniform_gen(w, 2), 1: R, 2: dg.discard_gen(w2), 3: dg.uniform_gen(w2, 1)},
+        [
+            (("n", 0, 0), ("out", 0)),
+            (("n", 0, 1), ("n", 1, 0)),
+            (("in", 0), ("n", 1, 1)),
+            (("n", 1, 0), ("n", 2, 0)),
+            (("n", 3, 0), ("out", 1)),
+            (("n", 1, 1), ("out", 2)),
+        ],
+        (DEV,),
+        (w, w2, DEV),
+    )
+
+
+def _hw_adjustment_completeness(scale, base):
+    w, w2 = _hw_widths(scale, base)
+    lhs = dg.Diagram({0: dg.uniform_gen(w2, 1)}, [(("n", 0, 0), ("out", 0))], (), (w2,))
+    R = dg.hole(f"R@{scale}", (w, DEV), (w2, DEV), STOCH)
+    G = dg.hole("honest_state", (), (DEV,), frozenset({"causal", "stochastic"}))
+    rhs = dg.Diagram(
+        {0: dg.uniform_gen(w, 1), 1: G, 2: R, 3: dg.discard_gen(DEV)},
+        [
+            (("n", 0, 0), ("n", 2, 0)),
+            (("n", 1, 0), ("n", 2, 1)),
+            (("n", 2, 0), ("out", 0)),
+            (("n", 2, 1), ("n", 3, 0)),
+        ],
+        (),
+        (w2,),
+    )
+    return lhs, rhs
+
+
+def _hw_uniform_absorbs_discard_lhs(reg, legs):
+    return dg.Diagram(
+        {0: dg.uniform_gen(reg, legs), 1: dg.discard_gen(reg)},
+        [(("n", 0, p), ("out", p)) for p in range(legs - 1)] + [(("n", 0, legs - 1), ("n", 1, 0))],
+        (),
+        (reg,) * (legs - 1),
+    )
+
+
+def _hw_spider_fusion_lhs(reg):
+    return dg.Diagram(
+        {0: dg.spider_gen(reg, 0, 3), 1: dg.spider_gen(reg, 1, 2)},
+        [
+            (("n", 0, 0), ("out", 0)),
+            (("n", 0, 1), ("out", 1)),
+            (("n", 0, 2), ("n", 1, 0)),
+            (("n", 1, 0), ("out", 2)),
+            (("n", 1, 1), ("out", 3)),
+        ],
+        (),
+        (reg,) * 4,
+    )
+
+
+def _hw_causality(h):
+    n_in = len(h.in_ports)
+    lhs = dg.Diagram(
+        {0: h, **{1 + j: dg.discard_gen(r) for j, r in enumerate(h.out_ports)}},
+        [(("in", i), ("n", 0, i)) for i in range(n_in)]
+        + [(("n", 0, j), ("n", 1 + j, 0)) for j in range(len(h.out_ports))],
+        h.in_ports,
+        (),
+    )
+    rhs = dg.Diagram(
+        {i: dg.discard_gen(r) for i, r in enumerate(h.in_ports)},
+        [(("in", i), ("n", i, 0)) for i in range(n_in)],
+        h.in_ports,
+        (),
+    )
+    return lhs, rhs
+
+
+def _hw_uniform_is_scaled_spider_rhs(reg):
+    return dg.Diagram(
+        {0: dg.spider_gen(reg, 0, 2), 1: dg.scalar_gen(1.0 / reg.total_dim)},
+        [(("n", 0, 0), ("out", 0)), (("n", 0, 1), ("out", 1))],
+        (),
+        (reg, reg),
+    )
+
+
+def _hw_single_stage_initial(base):
+    w1, w4 = rw._w(1, base), rw._w(4, base)
+    S = dg.hole("S@1", (w1, DEV, DEV), (w4, DEV, DEV), STOCH)
+    return dg.Diagram(
+        {0: dg.uniform_gen(w1, 2), 1: S},
+        [
+            (("n", 0, 0), ("out", 0)),
+            (("n", 0, 1), ("n", 1, 0)),
+            (("in", 0), ("n", 1, 1)),
+            (("in", 1), ("n", 1, 2)),
+            (("n", 1, 0), ("out", 1)),
+            (("n", 1, 1), ("out", 2)),
+            (("n", 1, 2), ("out", 3)),
+        ],
+        (DEV, DEV),
+        (w1, w4, DEV, DEV),
+    )
+
+
+def _hw_chain_initial(k, base):
+    nodes = {0: dg.uniform_gen(rw._w(1, base), 2)}
+    wires = [(("n", 0, 0), ("out", 0))]
+    prev = None
+    for j in range(k):
+        s = 4**j
+        nid = j + 1
+        nodes[nid] = dg.hole(
+            f"S@{s}", (rw._w(s, base), DEV, DEV), (rw._w(4 * s, base), DEV, DEV), STOCH
+        )
+        if j == 0:
+            wires += [
+                (("n", 0, 1), ("n", nid, 0)),
+                (("in", 0), ("n", nid, 1)),
+                (("in", 1), ("n", nid, 2)),
+            ]
+        else:
+            wires += [(("n", prev, p), ("n", nid, p)) for p in range(3)]
+        prev = nid
+    wires += [(("n", prev, p), ("out", 1 + p)) for p in range(3)]
+    return dg.Diagram(nodes, wires, (DEV, DEV), (rw._w(1, base), rw._w(4**k, base), DEV, DEV))
+
+
+def _hw_soundness_initial(base):
+    w16 = rw._w(16, base)
+    adv = dg.hole("adv", (), (DEV, DEV, SIDE), frozenset({"causal", "stochastic"}))
+    nodes = {
+        0: dg.uniform_gen(rw._w(1, base), 1),
+        1: adv,
+        2: dg.hole("S@1", (rw._w(1, base), DEV, DEV), (rw._w(4, base), DEV, DEV), STOCH),
+        3: dg.hole("S@4", (rw._w(4, base), DEV, DEV), (w16, DEV, DEV), STOCH),
+        4: dg.discard_gen(DEV),
+        5: dg.discard_gen(DEV),
+    }
+    wires = [
+        (("n", 0, 0), ("n", 2, 0)),
+        (("n", 1, 0), ("n", 2, 1)),
+        (("n", 1, 1), ("n", 2, 2)),
+        (("n", 1, 2), ("out", 1)),
+        (("n", 2, 0), ("n", 3, 0)),
+        (("n", 2, 1), ("n", 3, 1)),
+        (("n", 2, 2), ("n", 3, 2)),
+        (("n", 3, 0), ("out", 0)),
+        (("n", 3, 1), ("n", 4, 0)),
+        (("n", 3, 2), ("n", 5, 0)),
+    ]
+    return dg.Diagram(nodes, wires, (), (w16, SIDE))
+
+
+def _hw_ure_final_form(base):
+    w16 = rw._w(16, base)
+    return dg.Diagram(
+        {0: dg.uniform_gen(w16, 1), 1: dg.hole("residual", (), (SIDE,), STOCH)},
+        [(("n", 0, 0), ("out", 0)), (("n", 1, 0), ("out", 1))],
+        (),
+        (w16, SIDE),
+    )
+
+
+def _hw_chsh_scoring_diagram():
+    bit, qubit = pr.BIT, pr.QUBIT
+    score = np.zeros(16)
+    for x, a, b, y in itertools.product(range(2), repeat=4):
+        if pr.chsh_game().predicate(x, y, a, b):
+            score[x * 8 + a * 4 + b * 2 + y] = 1.0
+    payload = rc.ProcessTensor((bit,) * 4, (), score.reshape(1, 16))
+    nodes = {
+        0: dg.uniform_gen(bit, 2),
+        1: dg.uniform_gen(bit, 2),
+        2: dg.hole("shared_state", (), (qubit, qubit)),
+        3: dg.hole("measure_A", (bit, qubit), (bit,)),
+        4: dg.hole("measure_B", (bit, qubit), (bit,)),
+        5: dg.box("chsh_score", (bit,) * 4, (), payload=payload),
+    }
+    wires = [
+        (("n", 0, 0), ("n", 5, 0)),
+        (("n", 0, 1), ("n", 3, 0)),
+        (("n", 1, 0), ("n", 5, 3)),
+        (("n", 1, 1), ("n", 4, 0)),
+        (("n", 2, 0), ("n", 3, 1)),
+        (("n", 2, 1), ("n", 4, 1)),
+        (("n", 3, 0), ("n", 5, 1)),
+        (("n", 4, 0), ("n", 5, 2)),
+    ]
+    return dg.Diagram(nodes, wires, (), ())
+
+
+def _node_view(d):
+    """Node dict with box payloads as matrix bytes, since ProcessTensor
+    equality is not defined on arrays."""
+    def view(g):
+        if isinstance(g.payload, rc.ProcessTensor):
+            return dataclasses.replace(g, payload=g.payload.matrix.tobytes())
+        return g
+
+    return {nid: view(g) for nid, g in d.nodes.items()}
+
+
+def assert_same_wiring(d, ref, wire_set=False):
+    assert _node_view(d) == _node_view(ref)
+    assert (set(d.wires), len(d.wires)) == (set(ref.wires), len(ref.wires))
+    if not wire_set:
+        assert d.wires == ref.wires
+    assert (d.in_types, d.out_types) == (ref.in_types, ref.out_types)
+
+
+WIDTHS = [(1, "N"), (4, "N"), (2, "M"), (1, 2), (2, 3)]
+REGS = [C2, C3, rc.C(SymWidth(2, "N"))]
+
+
+class TestRuleLibraryMatchesHandWiring:
+    @pytest.mark.parametrize("scale,base", WIDTHS)
+    def test_expand_S(self, scale, base):
+        rule = rw.rule_expand_S(scale, base)
+        w, _ = _hw_widths(scale, base)
+        w4 = rw._cw(4 * scale, base if isinstance(base, str) else base**4)
+        S = dg.hole(f"S@{scale}", (w, DEV, DEV), (w4, DEV, DEV), STOCH)
+        assert_same_wiring(rule.lhs, dg.Diagram.from_generator(S))
+        # the two device wires cross, so only the wire set is kept
+        assert_same_wiring(rule.rhs, _hw_expand_S_rhs(scale, base), wire_set=True)
+
+    @pytest.mark.parametrize("scale,base", WIDTHS)
+    def test_spot_check_and_starting_soundness(self, scale, base):
+        spot = rw.rule_spot_check(scale, base)
+        sound = rw.rule_starting_soundness(scale, base)
+        assert_same_wiring(spot.lhs, _hw_spot_lhs(scale, base, f"R@{scale}"))
+        assert_same_wiring(sound.lhs, _hw_spot_lhs(scale, base, f"R@{scale}"))
+        # the fresh uniform's wire follows the round's device wire
+        assert_same_wiring(sound.rhs, _hw_starting_soundness_rhs(scale, base), wire_set=True)
+        dup = rw.rule_dup_corollary(scale, base)
+        assert_same_wiring(dup.lhs, sound.rhs)
+        assert_same_wiring(dup.rhs, spot.rhs)
+
+    @pytest.mark.parametrize("scale,base", WIDTHS)
+    def test_adjustment_completeness(self, scale, base):
+        rule = rw.rule_adjustment_completeness(scale, base)
+        lhs, rhs = _hw_adjustment_completeness(scale, base)
+        assert_same_wiring(rule.lhs, lhs)
+        assert_same_wiring(rule.rhs, rhs)
+
+    @pytest.mark.parametrize("reg", REGS, ids=repr)
+    @pytest.mark.parametrize("legs", [2, 3, 4])
+    def test_uniform_leg_rules(self, reg, legs):
+        absorb = rw.rule_uniform_absorbs_discard(reg, legs)
+        assert_same_wiring(absorb.lhs, _hw_uniform_absorbs_discard_lhs(reg, legs))
+        widen = rw.rule_widen_uniform(reg, legs - 1)
+        assert_same_wiring(widen.rhs, _hw_uniform_absorbs_discard_lhs(reg, legs))
+
+    @pytest.mark.parametrize("reg", REGS, ids=repr)
+    def test_spider_rules(self, reg):
+        assert_same_wiring(rw.rule_spider_fusion(reg).lhs, _hw_spider_fusion_lhs(reg))
+        if not reg.symbolic:
+            rule = rw.rule_uniform_is_scaled_spider(reg)
+            assert_same_wiring(rule.rhs, _hw_uniform_is_scaled_spider_rhs(reg))
+
+    @pytest.mark.parametrize(
+        "in_ports,out_ports",
+        [((C2,), (C2,)), ((C2, rc.Q(2)), ()), ((), (C3, rc.Q(2))), ((C2, C3), (C3, C2, C2))],
+        ids=repr,
+    )
+    def test_causality(self, in_ports, out_ports):
+        h = dg.hole("h", in_ports, out_ports, CAUSAL)
+        rule = rw.rule_causality(h)
+        lhs, rhs = _hw_causality(h)
+        assert_same_wiring(rule.lhs, lhs)
+        assert_same_wiring(rule.rhs, rhs)
+
+
+class TestShippedDiagramsMatchHandWiring:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("base", ["N", "M"])
+    def test_chain_initial(self, k, base):
+        assert_same_wiring(rw._chain_initial(k, base), _hw_chain_initial(k, base))
+
+    def test_single_stage_initial_is_the_one_stage_chain(self):
+        assert_same_wiring(rw._chain_initial(1, "M"), _hw_single_stage_initial("M"))
+        assert rw.script_single_stage().initial == rw._chain_initial(1, "M")
+
+    @pytest.mark.parametrize("base", ["N", "M"])
+    def test_soundness_initial_and_final_form(self, base):
+        assert_same_wiring(rw._soundness_initial(base), _hw_soundness_initial(base))
+        assert_same_wiring(rw.ure_final_form(base), _hw_ure_final_form(base))
+
+    def test_chsh_scoring_diagram(self):
+        d, _ = pr.chsh_scoring_diagram()
+        assert_same_wiring(d, _hw_chsh_scoring_diagram())
