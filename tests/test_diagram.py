@@ -323,5 +323,7 @@ class TestCompositionLaws:
         lhs = (a @ b) >> (c @ d)
         rhs = (a >> c) @ (b >> d)
         assert dg.diagrams_equal(lhs, rhs)
-        binding = random_binding(np.random.default_rng(seed), {**left, **right})
+        # channels, so that entries stay at most 1 and 1e-12 is a rounding bound
+        rng = np.random.default_rng(seed)
+        binding = {h: rc.random_cq_channel(*io, rng) for h, io in {**left, **right}.items()}
         assert np.allclose(lhs.evaluate(binding).matrix, rhs.evaluate(binding).matrix, atol=1e-12, rtol=0)
