@@ -216,30 +216,21 @@ def chsh_scoring_diagram():
     for xx, aa, bb, yy in product(range(2), repeat=4):
         if g.predicate(xx, yy, aa, bb):
             score[xx * 8 + aa * 4 + bb * 2 + yy] = 1.0
-    nodes = {
-        0: dg.uniform_gen(BIT, 2),  # X
-        1: dg.uniform_gen(BIT, 2),  # Y
-        2: dg.hole("shared_state", (), (QUBIT, QUBIT)),
-        3: dg.hole("measure_A", (BIT, QUBIT), (BIT,)),
-        4: dg.hole("measure_B", (BIT, QUBIT), (BIT,)),
-        5: dg.box(
-            "chsh_score",
-            (BIT, BIT, BIT, BIT),
-            (),
-            payload=ProcessTensor((BIT,) * 4, (), score.reshape(1, 16)),
-        ),
-    }
-    wires = [
-        (("n", 0, 0), ("n", 5, 0)),
-        (("n", 0, 1), ("n", 3, 0)),
-        (("n", 1, 0), ("n", 5, 3)),
-        (("n", 1, 1), ("n", 4, 0)),
-        (("n", 2, 0), ("n", 3, 1)),
-        (("n", 2, 1), ("n", 4, 1)),
-        (("n", 3, 0), ("n", 5, 1)),
-        (("n", 4, 0), ("n", 5, 2)),
-    ]
-    d = dg.Diagram(nodes, wires, (), ())
+    gen, wires, swap = dg.Diagram.from_generator, dg.Diagram.id_wires, dg.Diagram.swap
+    copy_x = copy_y = gen(dg.uniform_gen(BIT, 2))
+    pair = gen(dg.hole("shared_state", (), (QUBIT, QUBIT)))
+    measure_a = gen(dg.hole("measure_A", (BIT, QUBIT), (BIT,)))
+    measure_b = gen(dg.hole("measure_B", (BIT, QUBIT), (BIT,)))
+    payload = ProcessTensor((BIT,) * 4, (), score.reshape(1, 16))
+    # x x y y -> x x a b y y -> x (x, a) (y, b) y -> x A B y -> score
+    d = (
+        (copy_x @ copy_y)
+        >> (wires([BIT, BIT]) @ pair @ wires([BIT, BIT]))
+        >> (wires([BIT, BIT, QUBIT, QUBIT]) @ swap(BIT, BIT))
+        >> (wires([BIT, BIT, QUBIT]) @ swap(QUBIT, BIT) @ wires([BIT]))
+        >> (wires([BIT]) @ measure_a @ measure_b @ wires([BIT]))
+        >> gen(dg.box("chsh_score", (BIT,) * 4, (), payload=payload))
+    )
     s = optimal_chsh_strategy()
     binding = {
         "shared_state": s.shared_state,

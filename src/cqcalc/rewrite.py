@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -424,67 +424,77 @@ def merge_step(d: dg.Diagram, loc, name: str):
 # rule library
 
 
-def _cw(scale, base):
-    """Classical register of width scale*base bits (symbolic) or of the
-    given concrete dimension when base is an int."""
+def _w(scale: int, base: str) -> rc.Register:
+    return rc.C(SymWidth(scale, base))
+
+
+def _widths(scale: int, base):
+    """Classical registers w, 2w and 4w of a round at width scale*base
+    bits (symbolic), or of dimensions base, base^2 and base^4 when base
+    is an int."""
     if isinstance(base, str):
-        return rc.C(SymWidth(scale, base))
-    return rc.C(base)
+        return tuple(_w(k * scale, base) for k in (1, 2, 4))
+    return rc.C(base), rc.C(base**2), rc.C(base**4)
 
 
 STOCH = frozenset({"stochastic"})
 CAUSAL = frozenset({"causal"})
 
+_gen, _wires = dg.Diagram.from_generator, dg.Diagram.id_wires
 
+# Nothing mutates a rule's diagrams, so each rule is built once per
+# argument tuple; typed, so that a script's scale 1.0 gets its own rule.
+_memo = lru_cache(maxsize=None, typed=True)
+
+
+def _discards(regs) -> dg.Diagram:
+    """Discards of wires of the given types, side by side."""
+    return reduce(dg.Diagram.beside, [_gen(dg.discard_gen(r)) for r in regs], _wires(()))
+
+
+def _stage_hole(scale: int, base) -> dg.Generator:
+    """Expansion stage S@scale: a width-w seed and two devices in, a
+    width-4w seed and the two devices out."""
+    w, _, w4 = _widths(scale, base)
+    return dg.hole(f"S@{scale}", (w, DEV, DEV), (w4, DEV, DEV), STOCH)
+
+
+def _round_hole(scale: int, base) -> dg.Generator:
+    """Protocol round R@scale: a width-w seed and a device in, a
+    width-2w output and the device out."""
+    w, w2, _ = _widths(scale, base)
+    return dg.hole(f"R@{scale}", (w, DEV), (w2, DEV), STOCH)
+
+
+@_memo
 def rule_expand_S(scale: int, base) -> RewriteRule:
     """Definition unfolding: one expansion stage S(w) is a width-w
     round feeding a width-2w round on a second device pair."""
-    w = _cw(scale, base)
-    w2 = _cw(2 * scale, base if isinstance(base, str) else base * base)
-    w4 = _cw(4 * scale, base if isinstance(base, str) else base**4)
-    S = dg.hole(f"S@{scale}", (w, DEV, DEV), (w4, DEV, DEV), STOCH)
-    lhs = dg.Diagram.from_generator(S)
-    R1 = dg.hole(f"R@{scale}", (w, DEV), (w2, DEV), STOCH)
+    _, w2, w4 = _widths(scale, base)
     R2 = dg.hole(f"R@{2 * scale}", (w2, DEV), (w4, DEV), STOCH)
-    rhs = dg.Diagram(
-        {0: R1, 1: R2},
-        [
-            (("in", 0), ("n", 0, 0)),
-            (("in", 1), ("n", 0, 1)),
-            (("in", 2), ("n", 1, 1)),
-            (("n", 0, 0), ("n", 1, 0)),  # width-2w output seeds the second round
-            (("n", 1, 0), ("out", 0)),
-            (("n", 0, 1), ("out", 1)),
-            (("n", 1, 1), ("out", 2)),
-        ],
-        (w, DEV, DEV),
-        (w4, DEV, DEV),
+    cross = dg.Diagram.swap(DEV, DEV)
+    # the width-2w output seeds the second round; each round keeps its device
+    rhs = (
+        (_gen(_round_hole(scale, base)) @ _wires([DEV]))
+        >> (_wires([w2]) @ cross)
+        >> (_gen(R2) @ _wires([DEV]))
+        >> (_wires([w4]) @ cross)
     )
+    lhs = _gen(_stage_hole(scale, base))
     return RewriteRule(f"expand_S@{scale}", lhs, rhs, binding_mode="derive_lhs")
 
 
-def _spot_lhs(scale, base, hole_label):
-    w = _cw(scale, base)
-    w2 = _cw(2 * scale, base if isinstance(base, str) else base * base)
-    R = dg.hole(hole_label, (w, DEV), (w2, DEV), STOCH)
-    lhs = dg.Diagram(
-        {0: dg.uniform_gen(w, 2), 1: R},
-        [
-            (("n", 0, 0), ("out", 0)),
-            (("n", 0, 1), ("n", 1, 0)),
-            (("in", 0), ("n", 1, 1)),
-            (("n", 1, 0), ("out", 1)),
-            (("n", 1, 1), ("out", 2)),
-        ],
-        (DEV,),
-        (w, w2, DEV),
-    )
-    return lhs, w, w2
+def _spot_lhs(scale, base) -> dg.Diagram:
+    """A copied width-w seed: one copy is published, the other seeds a
+    round."""
+    w, _, _ = _widths(scale, base)
+    seed = _gen(dg.uniform_gen(w, 2)) @ _wires([DEV])
+    return seed >> (_wires([w]) @ _gen(_round_hole(scale, base)))
 
 
 def _spot_rhs(scale, base):
-    w = _cw(scale, base)
-    w2 = _cw(2 * scale, base if isinstance(base, str) else base * base)
+    # hand-wired: the pinned check reports print these wires in this order
+    w, w2, _ = _widths(scale, base)
     B = dg.hole(f"B@{scale}", (w, DEV), (w, DEV), STOCH)
     A = dg.hole(f"A@{scale}", (w2, w, DEV), (DEV,), CAUSAL)
     return dg.Diagram(
@@ -504,46 +514,39 @@ def _spot_rhs(scale, base):
     )
 
 
+@_memo
 def rule_spot_check(scale: int, base) -> RewriteRule:
     """Axiom: a protocol round seeded by a copied uniform seed is
     within eps(scale*base) of a fresh doubled-width uniform output next
     to a stochastic correlator and a causal completion."""
-    lhs, _, _ = _spot_lhs(scale, base, f"R@{scale}")
-    rhs = _spot_rhs(scale, base)
     b = base if isinstance(base, str) else "N"
     return RewriteRule(
-        f"spot_check@{scale}", lhs, rhs, cost=eps(scale, b), validation_mode="axiom"
+        f"spot_check@{scale}",
+        _spot_lhs(scale, base),
+        _spot_rhs(scale, base),
+        cost=eps(scale, b),
+        validation_mode="axiom",
     )
 
 
+@_memo
 def rule_starting_soundness(scale: int, base) -> RewriteRule:
     """Axiom (cost delta): the round's classical output can be replaced
     by a fresh uniform state when the original output is discarded."""
-    lhs, w, w2 = _spot_lhs(scale, base, f"R@{scale}")
-    R = dg.hole(f"R@{scale}", (w, DEV), (w2, DEV), STOCH)
-    rhs = dg.Diagram(
-        {0: dg.uniform_gen(w, 2), 1: R, 2: dg.discard_gen(w2), 3: dg.uniform_gen(w2, 1)},
-        [
-            (("n", 0, 0), ("out", 0)),
-            (("n", 0, 1), ("n", 1, 0)),
-            (("in", 0), ("n", 1, 1)),
-            (("n", 1, 0), ("n", 2, 0)),
-            (("n", 3, 0), ("out", 1)),
-            (("n", 1, 1), ("out", 2)),
-        ],
-        (DEV,),
-        (w, w2, DEV),
-    )
+    lhs = _spot_lhs(scale, base)
+    w, w2, _ = _widths(scale, base)
+    fresh = _wires([w]) @ _discards([w2]) @ _gen(dg.uniform_gen(w2, 1)) @ _wires([DEV])
     b = base if isinstance(base, str) else "N"
     return RewriteRule(
         f"starting_soundness@{scale}",
         lhs,
-        rhs,
+        lhs >> fresh,
         cost=eps(scale, b, fn="delta"),
         validation_mode="axiom",
     )
 
 
+@_memo
 def rule_dup_corollary(scale: int, base) -> RewriteRule:
     """Axiom (cost sqrt(2*delta)): replace the discarded-output form by
     the duplicated form with a causal completion."""
@@ -559,34 +562,29 @@ def rule_dup_corollary(scale: int, base) -> RewriteRule:
     )
 
 
+@_memo
 def rule_adjustment_completeness(scale: int, base) -> RewriteRule:
     """Axiom (cost 2*delta): the uniform doubled-width state is within
     the closure of honest protocol outputs."""
-    w = _cw(scale, base)
-    w2 = _cw(2 * scale, base if isinstance(base, str) else base * base)
-    lhs = dg.Diagram(
-        {0: dg.uniform_gen(w2, 1)}, [(("n", 0, 0), ("out", 0))], (), (w2,)
-    )
-    R = dg.hole(f"R@{scale}", (w, DEV), (w2, DEV), STOCH)
+    w, w2, _ = _widths(scale, base)
     G = dg.hole("honest_state", (), (DEV,), frozenset({"causal", "stochastic"}))
-    rhs = dg.Diagram(
-        {0: dg.uniform_gen(w, 1), 1: G, 2: R, 3: dg.discard_gen(DEV)},
-        [
-            (("n", 0, 0), ("n", 2, 0)),
-            (("n", 1, 0), ("n", 2, 1)),
-            (("n", 2, 0), ("out", 0)),
-            (("n", 2, 1), ("n", 3, 0)),
-        ],
-        (),
-        (w2,),
+    rhs = (
+        (_gen(dg.uniform_gen(w, 1)) @ _gen(G))
+        >> _gen(_round_hole(scale, base))
+        >> (_wires([w2]) @ _discards([DEV]))
     )
     b = base if isinstance(base, str) else "N"
     cost = eps(scale, b, fn="delta") + eps(scale, b, fn="delta")
     return RewriteRule(
-        f"adjustment_completeness@{scale}", lhs, rhs, cost=cost, validation_mode="axiom"
+        f"adjustment_completeness@{scale}",
+        _gen(dg.uniform_gen(w2, 1)),
+        rhs,
+        cost=cost,
+        validation_mode="axiom",
     )
 
 
+@_memo
 def rule_uniform_absorbs_discard(reg, legs: int = 2) -> RewriteRule:
     """A uniform state with `legs` legs whose last leg is discarded is
     the uniform state with one leg fewer (classical wires only)."""
@@ -594,16 +592,12 @@ def rule_uniform_absorbs_discard(reg, legs: int = 2) -> RewriteRule:
         raise RewriteError("leg-count rules for uniform states hold on classical wires only")
     if legs < 2:
         raise RewriteError("need at least two legs to absorb a discard")
-    lhs = dg.Diagram(
-        {0: dg.uniform_gen(reg, legs), 1: dg.discard_gen(reg)},
-        [(("n", 0, p), ("out", p)) for p in range(legs - 1)] + [(("n", 0, legs - 1), ("n", 1, 0))],
-        (),
-        (reg,) * (legs - 1),
-    )
-    rhs = dg.Diagram.from_generator(dg.uniform_gen(reg, legs - 1))
+    lhs = _gen(dg.uniform_gen(reg, legs)) >> (_wires([reg] * (legs - 1)) @ _discards([reg]))
+    rhs = _gen(dg.uniform_gen(reg, legs - 1))
     return RewriteRule("uniform_absorbs_discard", lhs, rhs)
 
 
+@_memo
 def rule_widen_uniform(reg, legs: int = 1) -> RewriteRule:
     """A uniform state with `legs` legs gains a fresh, discarded leg."""
     r = rule_uniform_absorbs_discard(reg, legs + 1)
@@ -611,19 +605,8 @@ def rule_widen_uniform(reg, legs: int = 1) -> RewriteRule:
 
 
 def rule_spider_fusion(reg) -> RewriteRule:
-    lhs = dg.Diagram(
-        {0: dg.spider_gen(reg, 0, 3), 1: dg.spider_gen(reg, 1, 2)},
-        [
-            (("n", 0, 0), ("out", 0)),
-            (("n", 0, 1), ("out", 1)),
-            (("n", 0, 2), ("n", 1, 0)),
-            (("n", 1, 0), ("out", 2)),
-            (("n", 1, 1), ("out", 3)),
-        ],
-        (),
-        (reg,) * 4,
-    )
-    rhs = dg.Diagram.from_generator(dg.spider_gen(reg, 0, 4))
+    lhs = _gen(dg.spider_gen(reg, 0, 3)) >> (_wires([reg, reg]) @ _gen(dg.spider_gen(reg, 1, 2)))
+    rhs = _gen(dg.spider_gen(reg, 0, 4))
     return RewriteRule("spider_fusion", lhs, rhs)
 
 
@@ -632,31 +615,12 @@ def rule_causality(h: dg.Generator) -> RewriteRule:
     each of its inputs."""
     if "causal" not in h.flags:
         raise RewriteError(f"{h.kind} {h.label!r} is not flagged causal")
-    n_in = len(h.in_ports)
-    lhs = dg.Diagram(
-        {0: h, **{1 + j: dg.discard_gen(r) for j, r in enumerate(h.out_ports)}},
-        [(("in", i), ("n", 0, i)) for i in range(n_in)]
-        + [(("n", 0, j), ("n", 1 + j, 0)) for j in range(len(h.out_ports))],
-        h.in_ports,
-        (),
-    )
-    rhs = dg.Diagram(
-        {i: dg.discard_gen(r) for i, r in enumerate(h.in_ports)},
-        [(("in", i), ("n", i, 0)) for i in range(n_in)],
-        h.in_ports,
-        (),
-    )
-    return RewriteRule("causality", lhs, rhs)
+    return RewriteRule("causality", _gen(h) >> _discards(h.out_ports), _discards(h.in_ports))
 
 
 def rule_uniform_is_scaled_spider(reg) -> RewriteRule:
-    lhs = dg.Diagram.from_generator(dg.uniform_gen(reg, 2))
-    rhs = dg.Diagram(
-        {0: dg.spider_gen(reg, 0, 2), 1: dg.scalar_gen(1.0 / reg.total_dim)},
-        [(("n", 0, 0), ("out", 0)), (("n", 0, 1), ("out", 1))],
-        (),
-        (reg, reg),
-    )
+    lhs = _gen(dg.uniform_gen(reg, 2))
+    rhs = _gen(dg.spider_gen(reg, 0, 2)) @ _gen(dg.scalar_gen(1.0 / reg.total_dim))
     return RewriteRule("uniform_is_scaled_spider", lhs, rhs)
 
 
@@ -783,10 +747,6 @@ def script_from_json(j: dict) -> ProofScript:
         raise ValueError(f"malformed proof script: {e!r}") from e
 
 
-def _w(scale: int, base: str) -> rc.Register:
-    return rc.C(SymWidth(scale, base))
-
-
 class _Builder:
     """Records a script by actually applying each step, so the recorded
     locations are guaranteed to replay."""
@@ -838,48 +798,13 @@ class _Builder:
 # -- shipped derivations -----------------------------------------------------
 
 
-def _single_stage_initial(base: str) -> dg.Diagram:
-    """A copied width-1 seed feeding one expansion stage."""
-    w1, w4 = _w(1, base), _w(4, base)
-    S = dg.hole("S@1", (w1, DEV, DEV), (w4, DEV, DEV), STOCH)
-    return dg.Diagram(
-        {0: dg.uniform_gen(w1, 2), 1: S},
-        [
-            (("n", 0, 0), ("out", 0)),
-            (("n", 0, 1), ("n", 1, 0)),
-            (("in", 0), ("n", 1, 1)),
-            (("in", 1), ("n", 1, 2)),
-            (("n", 1, 0), ("out", 1)),
-            (("n", 1, 1), ("out", 2)),
-            (("n", 1, 2), ("out", 3)),
-        ],
-        (DEV, DEV),
-        (w1, w4, DEV, DEV),
-    )
-
-
 def _chain_initial(k: int, base: str) -> dg.Diagram:
     """A copied seed feeding k chained expansion stages S@1, S@4, ..."""
-    nodes = {0: dg.uniform_gen(_w(1, base), 2)}
-    wires = [(("n", 0, 0), ("out", 0))]
-    prev = None
+    w1 = _w(1, base)
+    d = _gen(dg.uniform_gen(w1, 2)) @ _wires([DEV, DEV])
     for j in range(k):
-        s = 4**j
-        nid = j + 1
-        nodes[nid] = dg.hole(
-            f"S@{s}", (_w(s, base), DEV, DEV), (_w(4 * s, base), DEV, DEV), STOCH
-        )
-        if j == 0:
-            wires += [
-                (("n", 0, 1), ("n", nid, 0)),
-                (("in", 0), ("n", nid, 1)),
-                (("in", 1), ("n", nid, 2)),
-            ]
-        else:
-            wires += [(("n", prev, p), ("n", nid, p)) for p in range(3)]
-        prev = nid
-    wires += [(("n", prev, 0), ("out", 1)), (("n", prev, 1), ("out", 2)), (("n", prev, 2), ("out", 3))]
-    return dg.Diagram(nodes, wires, (DEV, DEV), (_w(1, base), _w(4**k, base), DEV, DEV))
+        d = d >> (_wires([w1]) @ _gen(_stage_hole(4**j, base)))
+    return d
 
 
 def _apply_stage(bld: _Builder, level: int):
@@ -923,7 +848,7 @@ def _apply_stage(bld: _Builder, level: int):
 def script_single_stage(base: str = "M") -> ProofScript:
     """One expansion stage under a copied seed collapses to fresh
     uniforms plus a summary process, at cost eps(M) + eps(2M)."""
-    bld = _Builder("single_stage", _single_stage_initial(base), base)
+    bld = _Builder("single_stage", _chain_initial(1, base), base)
     _apply_stage(bld, 0)
     return bld.finish()
 
@@ -941,41 +866,18 @@ def _soundness_initial(base: str) -> dg.Diagram:
     """Adversarial two-stage run: an adversary prepares both device
     states plus side information; the final seed is published and the
     device outputs are discarded."""
-    w16 = _w(16, base)
     adv = dg.hole("adv", (), (DEV, DEV, SIDE), frozenset({"causal", "stochastic"}))
-    nodes = {
-        0: dg.uniform_gen(_w(1, base), 1),
-        1: adv,
-        2: dg.hole("S@1", (_w(1, base), DEV, DEV), (_w(4, base), DEV, DEV), STOCH),
-        3: dg.hole("S@4", (_w(4, base), DEV, DEV), (w16, DEV, DEV), STOCH),
-        4: dg.discard_gen(DEV),
-        5: dg.discard_gen(DEV),
-    }
-    wires = [
-        (("n", 0, 0), ("n", 2, 0)),
-        (("n", 1, 0), ("n", 2, 1)),
-        (("n", 1, 1), ("n", 2, 2)),
-        (("n", 1, 2), ("out", 1)),
-        (("n", 2, 0), ("n", 3, 0)),
-        (("n", 2, 1), ("n", 3, 1)),
-        (("n", 2, 2), ("n", 3, 2)),
-        (("n", 3, 0), ("out", 0)),
-        (("n", 3, 1), ("n", 4, 0)),
-        (("n", 3, 2), ("n", 5, 0)),
-    ]
-    return dg.Diagram(nodes, wires, (), (w16, SIDE))
+    d = _gen(dg.uniform_gen(_w(1, base), 1)) @ _gen(adv)
+    for s in (1, 4):
+        d = d >> (_gen(_stage_hole(s, base)) @ _wires([SIDE]))
+    return d >> (_wires([_w(16, base)]) @ _discards([DEV, DEV]) @ _wires([SIDE]))
 
 
 def ure_final_form(base: str = "N") -> dg.Diagram:
     """Target shape: a fresh width-16N uniform seed in tensor with a
     leftover subnormalized side-information state."""
-    w16 = _w(16, base)
-    return dg.Diagram(
-        {0: dg.uniform_gen(w16, 1), 1: dg.hole("residual", (), (SIDE,), STOCH)},
-        [(("n", 0, 0), ("out", 0)), (("n", 1, 0), ("out", 1))],
-        (),
-        (w16, SIDE),
-    )
+    residual = dg.hole("residual", (), (SIDE,), STOCH)
+    return _gen(dg.uniform_gen(_w(16, base), 1)) @ _gen(residual)
 
 
 def script_soundness_k2(base: str = "N") -> ProofScript:
@@ -1000,8 +902,7 @@ def script_spot_check_lemma(base: str = "N") -> ProofScript:
     """The spot-check axiom decomposed into its two half-steps: replace
     the published seed (cost delta), then duplicate it back into the
     round (cost sqrt(2*delta))."""
-    initial, _, _ = _spot_lhs(1, base, "R@1")
-    bld = _Builder("spot_check_lemma", initial, base)
+    bld = _Builder("spot_check_lemma", _spot_lhs(1, base), base)
     bld.step(
         "starting_soundness",
         sorted((bld.uniform_id(1, 2), bld.hole_id("R@1"))),
@@ -1084,19 +985,13 @@ def replay_script(script: ProofScript):
 
 
 def _gen_size(g: dg.Generator) -> int:
-    n = 1
-    for r in g.in_ports + g.out_ports:
-        n *= r.total_dim
-    return n
+    return rc.total_dim(g.in_ports + g.out_ports)
 
 
 def _tractable(d: dg.Diagram, cap2: int) -> bool:
     if any(_gen_size(g) > cap2 for g in d.nodes.values()):
         return False
-    n = 1
-    for r in d.in_types + d.out_types:
-        n *= r.total_dim
-    return n <= cap2
+    return rc.total_dim(d.in_types + d.out_types) <= cap2
 
 
 def _holes_sorted(d: dg.Diagram):
