@@ -188,15 +188,17 @@ def _eps_fns_from_spec(spec: str):
     return _parse_decay(spec)
 
 
-def _parse_decay(text: str) -> rw.ExpDecay:
+def _parse_decay(text) -> rw.ExpDecay:
     try:
         c, a = (float(p) for p in text.split(","))
-    except ValueError as e:
+    except (AttributeError, ValueError) as e:
         raise CliError(f"bad decay spec {text!r}; expected 'c,a'") from e
     return rw.ExpDecay(c, a)
 
 
 def cmd_check(args) -> int:
+    if args.n_value < 0:
+        raise CliError("--n-value must be >= 0: it is a bit width")
     if args.script in rw.SHIPPED_SCRIPTS:
         script = rw.SHIPPED_SCRIPTS[args.script]()
     else:
@@ -225,6 +227,8 @@ def cmd_check(args) -> int:
         )
     except rc.UnboundSymbolError as e:
         raise CliError(f"--dims gives no value for symbol {e.symbol!r}") from e
+    except rw.UnboundRateError as e:
+        raise CliError(f"--eps-fn gives no function for rate {e.rate!r}") from e
     except rw.RewriteError as e:
         report = {
             "format_version": FORMAT_VERSION,
@@ -308,9 +312,11 @@ def cmd_entropy(args) -> int:
                 np.array(b["re"]) + 1j * np.array(b.get("im", np.zeros_like(b["re"])))
                 for b in raw["branches"]
             ]
-        except (KeyError, TypeError) as e:
+            psi = CQState(branches)
+        except (IndexError, KeyError, TypeError, ValueError) as e:
             raise CliError(f"bad state file: {e}") from e
-        psi = CQState(branches)
+        if psi.total_trace <= 0:
+            raise CliError("bad state file: total trace must be positive")
     else:
         raise CliError("provide --state FILE or --example diagonal")
     h, cert = pr.min_entropy_cq(psi, tol=_default_tol(args))

@@ -109,8 +109,19 @@ class ExpDecay:
         return self.c * 2.0 ** (-self.a * n)
 
 
+class UnboundRateError(KeyError):
+    """A budget was evaluated with a table that has no function for one
+    of its rates."""
+
+    def __init__(self, rate: str):
+        super().__init__(f"no function for rate {rate!r}")
+        self.rate = rate
+
+
 def _resolve_fn(eps_fn, name):
     if isinstance(eps_fn, dict):
+        if name not in eps_fn:
+            raise UnboundRateError(name)
         return eps_fn[name]
     return eps_fn  # single callable serves every function symbol
 

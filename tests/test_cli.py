@@ -112,6 +112,26 @@ class TestCheck:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_negative_n_value_exit_2(self, tmp_path, capsys):
+        argv = ["check", "soundness_k2", "--eps-fn", "1,1", "--n-value", "-2"]
+        assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 2
+        assert "--n-value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "script,table,named",
+        [
+            ("soundness_k2", {"eps": 3}, "3"),
+            ("soundness_k2", {"delta": "1,1"}, "'eps'"),
+            ("spot_check_lemma", {"eps": "1,1"}, "'delta'"),
+        ],
+        ids=["non_string_entry", "missing_eps", "missing_delta"],
+    )
+    def test_bad_eps_fn_table_exit_2_names_it(self, tmp_path, capsys, script, table, named):
+        argv = ["check", script, "--eps-fn", json.dumps(table), "--out", str(tmp_path / "x")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
     def test_unbound_dims_symbol_exit_2_names_it(self, tmp_path, capsys):
         argv = ["check", "single_stage", "--dims", "N=1", "--out", str(tmp_path / "x")]
         assert cli.main(argv) == 2
@@ -255,6 +275,24 @@ class TestEntropy:
 
     def test_no_input_exit_2(self, tmp_path):
         assert cli.main(["entropy", "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize(
+        "branches",
+        [
+            [[[0.5, 0.1], [0.0, 0.5]]],  # not Hermitian
+            [[[0.75, 0.0], [0.0, -0.25]]],  # not PSD
+            [[[0.75, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.5]]],  # total trace 1.25
+            [],
+            [[[0.5]], [[0.25, 0.0], [0.0, 0.25]]],  # shapes differ
+            [[[0.0, 0.0], [0.0, 0.0]]] * 3,  # total trace 0: nothing to guess
+        ],
+        ids=["non_hermitian", "non_psd", "trace_above_1", "empty", "mixed_shapes", "trace_0"],
+    )
+    def test_bad_state_exit_2(self, tmp_path, capsys, branches):
+        sfile = tmp_path / "st.json"
+        sfile.write_text(json.dumps({"branches": [{"re": b} for b in branches]}))
+        assert cli.main(["entropy", "--state", str(sfile), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith("error: bad state file")
 
 
 class TestExtract:
