@@ -222,7 +222,7 @@ def chsh_scoring_diagram():
     measure_a = gen(dg.hole("measure_A", (BIT, QUBIT), (BIT,)))
     measure_b = gen(dg.hole("measure_B", (BIT, QUBIT), (BIT,)))
     payload = ProcessTensor((BIT,) * 4, (), score.reshape(1, 16))
-    # x x y y -> x x a b y y -> x (x, a) (y, b) y -> x A B y -> score
+    # wires: x x y y -> x x q q y y -> x (x q) (y q) y -> x a b y -> score
     d = (
         (copy_x @ copy_y)
         >> (wires([BIT, BIT]) @ pair @ wires([BIT, BIT]))
