@@ -406,18 +406,22 @@ FIXED_POINT_CASES = [(3 + s % 4, 2 + s % 7, 2 + s % 7) for s in range(28)] + [
 
 
 class TestFixedPointMatchesReference:
+    # The test ids are kept from when the solver was the stacked fixed
+    # point; the fixed point is now the reference, run until it converges.
     @pytest.mark.parametrize("seed", range(len(FIXED_POINT_CASES)))
     def test_same_bytes_as_per_branch_loop(self, seed):
+        """The solver's interval meets the converged fixed-point interval,
+        its gap is within tol, and sigma dominates every branch."""
         k, d, rank = FIXED_POINT_CASES[seed]
         ms = _wishart_branches(k, d, rank, np.random.default_rng([k, d, rank, seed]))
-        # at this cap 12 of the 34 cases converge and the rest stop at
-        # the cap, so both exits of the loop are compared
-        want = _fixed_point_reference(ms, 1e-9, 80)
-        h, got = pr.min_entropy_cq(CQState(ms), tol=1e-9, max_iter=80)
-        assert got["sigma"].tobytes() == want["sigma"].tobytes()
-        for key in ("gap", "iterations", "p_lower", "p_upper", "converged"):
-            assert got[key] == want[key], key
-        assert h == -math.log2(want["p_upper"])
+        want = _fixed_point_reference(ms, 1e-6, 10**4)
+        assert want["converged"]
+        h, got = pr.min_entropy_cq(CQState(ms), tol=1e-9)
+        assert got["converged"] and 0.0 <= got["gap"] <= 1e-9
+        assert got["p_lower"] <= want["p_upper"] and want["p_lower"] <= got["p_upper"]
+        for m in ms:
+            assert np.linalg.eigvalsh(got["sigma"] - m).min() >= -1e-8
+        assert h == -math.log2(got["p_upper"])
 
 
 class TestProtocolGrammar:

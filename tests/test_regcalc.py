@@ -371,3 +371,87 @@ class TestJson:
         del d["matrix"]
         with pytest.raises(ValueError, match="malformed"):
             rc.tensor_from_json(d)
+
+
+def _ascent_reference(p1, p2, restarts=32, seed=0):
+    """The per-restart ascent that process_distance runs on stacked
+    restarts: each restart draws its start vector, then alternates the
+    output sign projector and the best pure input until its value stops
+    rising, at most ASCENT_ITERS times.  Returns the best value."""
+    diff = rc.ProcessTensor(p1.in_regs, p1.out_regs, p1.matrix - p2.matrix)
+    dext = rc.compose_par(diff, rc.identity((rc.Q(rc.base_dim(p1.in_regs)),)))
+    din = rc.base_dim(dext.in_regs)
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    for _ in range(max(1, restarts)):
+        psi = rng.normal(size=din) + 1j * rng.normal(size=din)
+        psi /= np.linalg.norm(psi)
+        prev = -1.0
+        for _ in range(rc.ASCENT_ITERS):
+            rho = rc.state_operator(rc.operator_state(np.outer(psi, psi.conj()), dext.in_regs),
+                                    dext.in_regs)
+            X = rc.apply_to_operator(dext, rho)
+            w, V = np.linalg.eigh(0.5 * (X + X.conj().T))
+            val = 0.5 * float(np.abs(w).sum())
+            if val <= prev + 1e-13:
+                break
+            prev = val
+            T = rc.apply_adjoint_to_effect(dext, (V * np.sign(w)) @ V.conj().T)
+            T = 0.5 * (T + T.conj().T)
+            T = rc.state_operator(rc.operator_state(T, dext.in_regs), dext.in_regs)
+            psi = np.linalg.eigh(T)[1][:, -1]
+        best = max(best, prev)
+    return best
+
+
+def _choi_upper(p1, p2):
+    """Half the trace norm of the Choi difference, clamped to 1 for two
+    channels: the upper end process_distance reported before it had a
+    dual certificate."""
+    diff = rc.ProcessTensor(p1.in_regs, p1.out_regs, p1.matrix - p2.matrix)
+    upper = 0.5 * rc.trace_norm(rc.choi_operator(diff))
+    flags = [rc.structural_predicates(p) for p in (p1, p2)]
+    if all(f["causal"] and f["completely_positive"] for f in flags):
+        upper = min(upper, 1.0)
+    return upper
+
+
+def _seeded_pair(case):
+    """Two processes of one type: channels (causal) or trace-decreasing
+    CP maps, drawn from the seeded cq channel sampler."""
+    in_regs, out_regs, causal, seed = case
+    rng = np.random.default_rng(seed)
+    return tuple(rc.random_cq_channel(in_regs, out_regs, rng, causal=causal) for _ in range(2))
+
+
+DISTANCE_CASES = [
+    ((Q2,), (Q2,), True, 0), ((Q2,), (Q2,), True, 1), ((C2, Q2), (Q2,), True, 2),
+    ((C2, Q2), (Q2,), True, 3), ((Q2,), (C2, Q2), True, 4), ((C2,), (C3,), True, 5),
+    ((Q2,), (Q2,), False, 6), ((C2, Q2), (Q2,), False, 7),
+]
+
+
+def _golden_pair():
+    """The causal C2 (x) Q2 -> Q2 pair of test_golden.test_process_distance_bytes."""
+    rng = np.random.default_rng(45)
+    p1 = rc.random_cq_channel((C2, Q2), (Q2,), rng)
+    p3 = rc.random_cq_channel((C2, Q2), (Q2,), rng)
+    return p1, rc.ProcessTensor(p1.in_regs, p1.out_regs, 0.8 * p1.matrix + 0.2 * p3.matrix)
+
+
+class TestAscentMatchesReference:
+    @pytest.mark.parametrize("case", DISTANCE_CASES, ids=repr)
+    def test_lower_bound_and_upper_no_looser(self, case):
+        p1, p2 = _seeded_pair(case)
+        got = rc.process_distance(p1, p2, seed=case[3])
+        old_upper = _choi_upper(p1, p2)
+        want = min(_ascent_reference(p1, p2, seed=case[3]), old_upper)
+        assert abs(got.lower - want) <= 1e-12
+        assert got.upper <= max(old_upper, want)
+
+    def test_golden_pair(self):
+        p1, p2 = _golden_pair()
+        got = rc.process_distance(p1, p2, seed=7)
+        want = _ascent_reference(p1, p2, seed=7)
+        assert abs(got.lower - want) <= 1e-12
+        assert got.upper <= _choi_upper(p1, p2)
