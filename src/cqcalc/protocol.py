@@ -418,19 +418,53 @@ def _psd_part(h: np.ndarray) -> np.ndarray:
     return (v * np.clip(w, 0.0, None)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def _dominance_shift(ms: np.ndarray, sigma: np.ndarray) -> float:
-    """Least t >= 0 with sigma + t I >= M_i for every branch M_i."""
-    return max(0.0, np.linalg.eigvalsh(_herm(ms - sigma)).max())
+BARRIER_GROWTH = 16.0  # min_entropy_cq: barrier weight factor per centring
+BARRIER_CENTRED = 1e-6  # min_entropy_cq: squared Newton decrement that ends a centring
+BARRIER_STAGES = 40  # min_entropy_cq: centrings per solve
+BARRIER_NEWTON = 50  # min_entropy_cq: Newton steps per centring
+BARRIER_HALVINGS = 60  # min_entropy_cq: backtracking halvings per Newton step
 
 
-def min_entropy_cq(psi: CQState, tol: float = 1e-6, max_iter: int = 10**4):
+def _slack_logdet(sigma: np.ndarray, ms: np.ndarray):
+    """Sum over branches of log det(sigma - M_i), from one stacked
+    Cholesky factorisation; None when some sigma - M_i is not positive
+    definite."""
+    try:
+        chol = np.linalg.cholesky(sigma - ms)
+    except np.linalg.LinAlgError:
+        return None
+    return 2.0 * float(np.log(np.diagonal(chol, axis1=1, axis2=2).real).sum())
+
+
+def _newton_direction(s: np.ndarray, t: float):
+    """Newton step delta of t Tr sigma - sum_i log det(sigma - M_i) at
+    S_i = (sigma - M_i)^-1, and the squared Newton decrement.  The
+    Hessian is sum_i kron(S_i, S_i^T), the matrix of
+    delta -> sum_i S_i delta S_i on row-major vec(delta), built as one
+    (d^2, k) x (k, d^2) product."""
+    k, d, _ = s.shape
+    grad = t * np.eye(d) - s.sum(axis=0)
+    hess = (s.reshape(k, d * d).T @ s.swapaxes(1, 2).reshape(k, d * d)).reshape(d, d, d, d)
+    hess = hess.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    delta = _herm(np.linalg.solve(hess, -grad.reshape(-1)).reshape(d, d))
+    return delta, -float(np.vdot(grad, delta).real)
+
+
+def min_entropy_cq(psi: CQState, tol: float = 1e-6, max_iter: int = 1000):
     """Min-entropy of the classical register given the quantum side.
 
     -log2 of the optimal guessing probability min_{sigma >= M_i} Tr
-    sigma.  Two branches use the exact binary discrimination closed
-    form; more branches run a fixed-point POVM iteration with a feasible
-    dual certificate, asserting primal/dual gap <= tol when converged.
-    Returns (H_min, certificate dict with sigma, gap, p_guess bounds)."""
+    sigma.  One branch, two branches (the Helstrom closed form) and
+    commuting branches are solved exactly.  More branches run a
+    log-barrier interior-point method: damped Newton steps on
+    t Tr sigma - sum_i log det(sigma - M_i), with t raised by
+    BARRIER_GROWTH after each centring, for at most max_iter Newton
+    steps in total.  sigma stays strictly feasible, so p_upper = Tr sigma
+    is certified; the dual POVM E_i = F^-1/2 (S_i / t) F^-1/2, with
+    S_i = (sigma - M_i)^-1 and F = sum_i S_i / t, gives
+    p_lower = sum_i Tr E_i M_i.  The gap p_upper - p_lower is asserted
+    <= tol when converged.  Returns (H_min, certificate dict with sigma,
+    gap, p_guess bounds and the number of Newton steps as iterations)."""
     ms = np.array(psi.branch_ops, dtype=complex)  # branches stacked (k, d, d)
     d = ms.shape[1]
     if len(ms) == 1:
@@ -465,66 +499,58 @@ def min_entropy_cq(psi: CQState, tol: float = 1e-6, max_iter: int = 10**4):
                 "p_upper": p, "converged": True}
         return -math.log2(p), cert
 
-    # a singular branch sum makes the iteration's inverse square root
-    # blow up: solve on its support, then lift sigma back and shift it
-    # until it dominates every branch again
-    total = sum(ms)
-    w, v = np.linalg.eigh(_herm(total))
-    support = w > 1e-12 * w.max()
-    if not support.all():
-        u = v[:, support]
-        _, cert = min_entropy_cq(CQState(u.conj().T @ ms @ u), tol, max_iter)
-        sigma = u @ cert["sigma"] @ u.conj().T
-        sigma = sigma + _dominance_shift(ms, sigma) * np.eye(d)
+    ms = _herm(ms)
+    total = ms.sum(axis=0)
+    sigma = total + (float(np.trace(total).real) / d) * np.eye(d)
+    logdet = _slack_logdet(sigma, ms)
+    s = _herm(np.linalg.inv(sigma - ms))
+    t = float(np.trace(s.sum(axis=0)).real) / d
+    p_lower, p_upper, gap, steps = 0.0, math.inf, math.inf, 0
+    for _ in range(BARRIER_STAGES):
+        # centre at weight t: damped Newton steps until the decrement is
+        # small or no step decreases the barrier any more
+        for _ in range(BARRIER_NEWTON):
+            delta, lam2 = _newton_direction(s, t)
+            if lam2 <= BARRIER_CENTRED or steps >= max_iter:
+                break
+            steps += 1
+            # Armijo backtracking on the barrier difference, written so
+            # that no two large barrier values are subtracted
+            tr_delta, step = float(np.trace(delta).real), 1.0
+            for _ in range(BARRIER_HALVINGS):
+                trial = _slack_logdet(sigma + step * delta, ms)
+                if trial is not None and t * step * tr_delta - (trial - logdet) <= -0.25 * step * lam2:
+                    break
+                step /= 2
+            else:
+                break
+            try:
+                s_next = _herm(np.linalg.inv(sigma + step * delta - ms))
+            except np.linalg.LinAlgError:  # a slack at the rounding floor
+                break
+            sigma, logdet, s = sigma + step * delta, trial, s_next
+        # sigma is strictly feasible; S_i / t normalised to sum to the
+        # identity is a POVM
         p_upper = float(np.trace(sigma).real)
-        gap = p_upper - cert["p_lower"]
-        cert.update(sigma=sigma, p_upper=p_upper, gap=gap, converged=gap <= tol)
-        return -math.log2(p_upper), cert
-
-    # fixed-point discrimination iteration with dual certificate, on
-    # the stacked branches.  Every sum over branches is Python's
-    # sequential sum() over the first axis, and the update multiplies
-    # left to right, so sigma has the same bytes as a per-branch loop
-    povm = np.broadcast_to(np.eye(d, dtype=complex) / len(ms), ms.shape)
-    p_lower = p_upper = 0.0
-    gap = math.inf
-    it = 0
-    sigma_feas = sum(ms)
-    for it in range(1, max_iter + 1):
-        lam = sum(ms @ povm @ ms)
-        w, v = np.linalg.eigh(_herm(lam))
-        inv_sqrt = (v * (np.clip(w, 1e-300, None) ** -0.5)) @ v.conj().T
-        povm = inv_sqrt @ ms @ povm @ ms @ inv_sqrt
-        total = sum(povm)
-        # renormalize to a strict POVM against numerical drift
-        wt, vt = np.linalg.eigh(_herm(total))
-        fix = (vt * (np.clip(wt, 1e-300, None) ** -0.5)) @ vt.conj().T
-        povm = fix @ povm @ fix
-        # the primal bound must come from a certified sub-POVM: clip to
-        # PSD and scale so the effects sum to at most identity
-        povm_eval = _psd_part(povm)
-        lam = np.linalg.eigvalsh(_herm(sum(povm_eval))).max()
-        if lam > 1.0:
-            povm_eval = povm_eval / lam
-        p_lower = sum(np.trace(povm_eval @ ms, axis1=1, axis2=2).real.tolist())
-        cand = _herm(sum(ms @ povm))
-        sigma_feas = cand + (_dominance_shift(ms, cand) + 1e-12) * np.eye(d)
-        p_upper = float(np.trace(sigma_feas).real)
+        w, v = np.linalg.eigh(_herm(s.sum(axis=0)))
+        root = (v * w ** -0.5) @ v.conj().T  # (sum_i S_i)^-1/2
+        p_lower = float(np.einsum("iab,iba->", root @ s @ root, ms).real)
         gap = p_upper - p_lower
-        if gap <= tol:
+        if gap <= tol or steps >= max_iter:
             break
+        t *= BARRIER_GROWTH
     converged = gap <= tol
     cert = {
-        "sigma": sigma_feas,
-        "gap": float(gap),
-        "iterations": it,
-        "p_lower": float(p_lower),
-        "p_upper": float(p_upper),
+        "sigma": sigma,
+        "gap": gap,
+        "iterations": steps,
+        "p_lower": p_lower,
+        "p_upper": p_upper,
         "converged": converged,
     }
     if converged:
         assert (
-            np.linalg.eigvalsh(sigma_feas - ms).min() >= -1e-8
+            np.linalg.eigvalsh(sigma - ms).min() >= -1e-8
         ), "certificate must dominate every branch"
     return -math.log2(p_upper), cert
 

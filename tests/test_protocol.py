@@ -424,6 +424,69 @@ class TestFixedPointMatchesReference:
         assert h == -math.log2(got["p_upper"])
 
 
+# (branches, dimension, base seed) of the entropy states of the certify
+# benchmark (bench/jobs.py ENTROPY_BASES)
+ENTROPY_BASES = ((3, 8, 2), (4, 8, 3), (5, 7, 1), (6, 8, 0), (6, 8, 1))
+# Newton steps that every rotation of every base converges within; the
+# solver takes at most 43 on these.  An Armijo test that differences two
+# barrier values near 1e11 takes 95 on one rotation of (4, 8, 3).
+NEWTON_STEP_CAP = 60
+
+
+def _entropy_base(branches, dim, base_seed):
+    """Full-rank Wishart branches normalised to total trace one, drawn
+    as the certify benchmark draws them."""
+    rng = np.random.default_rng([branches, dim, base_seed])
+    ops = []
+    for _ in range(branches):
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        ops.append(g @ g.conj().T)
+    total = sum(np.trace(o).real for o in ops)
+    return [o / total for o in ops]
+
+
+def _rotated_bases(blocks):
+    """Each base turned by a Haar unitary and its branches permuted, with
+    the random stream of the certify benchmark's entropy jobs at seed 1
+    (blocks 0..blocks-1, after the block's three extract draws)."""
+    out = {base: [] for base in ENTROPY_BASES}
+    for index in range(blocks):
+        rng = np.random.default_rng([1, index + 1])
+        for n in (9, 10, 10):
+            rng.integers(3, n + 1)
+        for base in ENTROPY_BASES:
+            u = TestMinEntropy.haar(rng, base[1])
+            ops = [u @ o @ u.conj().T for o in _entropy_base(*base)]
+            out[base].append([ops[i] for i in rng.permutation(len(ops))])
+    return out
+
+
+class TestBarrierSolver:
+    @pytest.mark.parametrize("base", ENTROPY_BASES, ids=repr)
+    def test_rotations_converge_within_step_cap(self, base):
+        p_guess = None
+        for ms in _rotated_bases(40)[base]:
+            _, cert = pr.min_entropy_cq(CQState(ms), tol=1e-9, max_iter=NEWTON_STEP_CAP)
+            assert cert["converged"] and 0.0 <= cert["gap"] <= 1e-9
+            assert 0 < cert["iterations"] <= NEWTON_STEP_CAP
+            # the guessing probability is unitarily invariant
+            p_guess = cert["p_upper"] if p_guess is None else p_guess
+            assert abs(cert["p_upper"] - p_guess) <= 2e-9
+
+    def test_sigma_strictly_feasible(self):
+        for ms in _rotated_bases(1).values():
+            _, cert = pr.min_entropy_cq(CQState(ms[0]), tol=1e-9)
+            np.linalg.cholesky(cert["sigma"] - np.array(ms[0]))  # raises unless positive definite
+            assert cert["p_upper"] == pytest.approx(np.trace(cert["sigma"]).real, abs=1e-15)
+
+    def test_step_cap_reported_as_not_converged(self):
+        ms = _entropy_base(*ENTROPY_BASES[0])
+        _, cert = pr.min_entropy_cq(CQState(ms), tol=1e-9, max_iter=5)
+        assert cert["iterations"] == 5
+        assert not cert["converged"] and cert["gap"] > 1e-9
+        assert cert["p_lower"] <= cert["p_upper"]
+
+
 class TestProtocolGrammar:
     def test_empty_protocol_is_identity(self):
         p = pr.build_di_protocol([])

@@ -455,3 +455,58 @@ class TestAscentMatchesReference:
         want = _ascent_reference(p1, p2, seed=7)
         assert abs(got.lower - want) <= 1e-12
         assert got.upper <= _choi_upper(p1, p2)
+
+
+def _sampled_values(p1, p2, rng, n=64):
+    """Half the trace norm of the output difference on n random pure
+    inputs on input (x) ancilla: each is a lower bound on half the
+    diamond distance, found without the ascent."""
+    diff = rc.ProcessTensor(p1.in_regs, p1.out_regs, p1.matrix - p2.matrix)
+    dext = rc.compose_par(diff, rc.identity((rc.Q(rc.base_dim(p1.in_regs)),)))
+    din = rc.base_dim(dext.in_regs)
+    values = []
+    for _ in range(n):
+        psi = random_complex(rng, din)
+        rho = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+        values.append(0.5 * rc.trace_norm(rc.apply_to_operator(dext, rho)))
+    return values
+
+
+class TestDualCertificate:
+    @pytest.mark.parametrize("theta", [0.3, 1.0, 2.0, 3.0])
+    def test_unitary_pair_closed_form(self, theta):
+        # half the diamond distance of the identity and diag(1, e^{i theta})
+        # conjugation is sin(theta / 2)
+        phase = rc.channel_from_kraus([Q2], [Q2], [np.diag([1.0, np.exp(1j * theta)])])
+        d = rc.process_distance(rc.identity([Q2]), phase, seed=1)
+        assert d.lower - 1e-12 <= np.sin(theta / 2) <= d.upper + 1e-12
+        assert d.upper - d.lower <= 1e-9
+
+    @pytest.mark.parametrize("case", [c for c in DISTANCE_CASES if c[2]], ids=repr)
+    def test_channel_pairs_close(self, case):
+        p1, p2 = _seeded_pair(case)
+        d = rc.process_distance(p1, p2, seed=case[3])
+        assert d.upper - d.lower <= 1e-6
+        assert max(_sampled_values(p1, p2, np.random.default_rng(case[3]))) <= d.upper
+
+    @pytest.mark.parametrize("case", [c for c in DISTANCE_CASES if not c[2]], ids=repr)
+    def test_trace_decreasing_pairs_sound(self, case):
+        # the dual bound carries the trace-leak term, so it stays above
+        # every sampled value
+        p1, p2 = _seeded_pair(case)
+        d = rc.process_distance(p1, p2, seed=case[3])
+        assert d.upper < _choi_upper(p1, p2)
+        assert max(_sampled_values(p1, p2, np.random.default_rng(case[3]))) <= d.upper
+
+    def test_golden_pair_upper_below_choi_bound(self):
+        p1, p2 = _golden_pair()
+        d = rc.process_distance(p1, p2, seed=7)
+        assert d.lower <= d.upper <= 0.18 < _choi_upper(p1, p2)
+
+    def test_trace_leak_term(self):
+        # 0.4 id - id is negative, so Z = 0 is dual-feasible and the whole
+        # bound is the trace-leak term: half of 0.6
+        shrunk = rc.ProcessTensor((Q2,), (Q2,), 0.4 * np.eye(4))
+        d = rc.process_distance(shrunk, rc.identity([Q2]), seed=0)
+        assert d.lower == pytest.approx(0.3, abs=1e-12)
+        assert d.upper == pytest.approx(0.3, abs=1e-12)
