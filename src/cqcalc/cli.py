@@ -321,7 +321,9 @@ def cmd_entropy(args) -> int:
         raise CliError("provide --state FILE or --example diagonal")
     h, cert = pr.min_entropy_cq(psi, tol=_default_tol(args))
     report = {
-        "format_version": FORMAT_VERSION,
+        # 2: the solver is the log-barrier method; iterations counts its
+        # Newton steps
+        "format_version": 2,
         "command": "entropy",
         "seed": args.seed,
         "h_min": h,

@@ -257,6 +257,7 @@ class TestEntropy:
         rep = json.loads(out.read_text())
         assert rep["h_min"] == pytest.approx(-math.log2(0.65), abs=1e-6)
         assert rep["converged"]
+        assert rep["format_version"] == 2
 
     def test_state_file(self, tmp_path):
         state = {

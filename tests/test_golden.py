@@ -214,7 +214,7 @@ def test_rules_report_bytes(tmp_path, dim):
 
 
 # three full-rank qubit branches that do not commute, so that
-# min_entropy_cq runs its fixed-point iteration
+# min_entropy_cq runs its barrier solver
 ENTROPY_STATE = {
     "branches": [
         {"re": [[0.3, 0.1], [0.1, 0.1]]},
@@ -226,14 +226,14 @@ ENTROPY_STATE = {
 
 def test_entropy_diagonal_report_bytes(tmp_path):
     digest = cli_report_digest(tmp_path, ["entropy", "--example", "diagonal"])
-    assert digest == "071de4d8ee0836ea9ae096ac1ab97a12f4c06bb6a6b3810a5b2c228e57640549"
+    assert digest == "f79d71bbd0e97cafab579dfb1e196e93f41ba325560b3f6f6292d947494b719b"
 
 
 def test_entropy_state_report_bytes(tmp_path):
     sfile = tmp_path / "state.json"
     sfile.write_text(json.dumps(ENTROPY_STATE))
     digest = cli_report_digest(tmp_path, ["entropy", "--state", str(sfile)])
-    assert digest == "eb406705b9c194f02d50830e4fdca7947f940bc017c01d6968a4d46b3af64457"
+    assert digest == "afef5a59cbf38eef409965a2c341a6eb41ae80b58158f8df8cc70c6f5fa17ef6"
 
 
 def wishart_state(branches: int, dim: int, seed: int, rank=None) -> dict:
@@ -256,12 +256,12 @@ def wishart_state(branches: int, dim: int, seed: int, rank=None) -> dict:
 # (branches, dim, seed[, rank]): the five branch/dimension shapes the
 # certify benchmark solves, and one state whose branch sum has rank 3
 WISHART_ENTROPY_DIGESTS = {
-    (3, 8, 2): "6ecf2cf8ce863788a6427f17e90e44c8ec3a38b2c30bf8b26853c306ae267dc3",
-    (4, 8, 3): "712a5880103a489cec41fe03815e2c0186d88d4ad4382cb13bfa2da95178afa9",
-    (5, 7, 1): "c195d70445c199d40a09717d3833eaaaf5bd5fd34a5b369a34ae88df173eaae8",
-    (6, 8, 0): "da9d7b4b5445d62a22ffdc184d058d11669a049b892418fa93ccf4203c69f503",
-    (6, 8, 1): "fdcd2b37b24890a8325a39e514a5fb455cb7a1b86b9d92b30d6d46e0848af2b1",
-    (4, 6, 0, 3): "94e7b241661e20e88984684e7b2941b20fd4186e5dd691447d721d1c007568db",
+    (3, 8, 2): "a2d9465fcc68b43ddc378fc663ac732c3f95f2223989a5e27aee4c30c6bce401",
+    (4, 8, 3): "ac781aef1e59424346355300ef071695b9617d2d9769f1d29403f26a4b4a3c8e",
+    (5, 7, 1): "cb6d1c89188b1af84d8dc07a641ca41a7fb5446cd04f13c753ca82e402d86db3",
+    (6, 8, 0): "ba9e4e455dcf44cd2c347664b6f9a630aba7c5fd58cd112ef2230a5702f4f7a2",
+    (6, 8, 1): "876cdb74e884fdba9e6862b17d02c976d85368af3267e58495cb042eba5419fc",
+    (4, 6, 0, 3): "5e20ddaf8c97e1e073481a9acdf24d7209addd8c17978aa7607b7aa15d59de10",
 }
 
 
@@ -318,7 +318,8 @@ def test_random_cq_channel_bytes(in_regs, out_regs, causal):
 
 
 def test_process_distance_bytes():
-    # a causal C2 (x) Q2 -> Q2 pair whose Choi bound lies below 1
+    # a causal C2 (x) Q2 -> Q2 pair whose Choi bound lies below 1; its
+    # upper end is the dual certificate
     rng = np.random.default_rng(45)
     p1 = rc.random_cq_channel((C2, Q2), (Q2,), rng)
     p3 = rc.random_cq_channel((C2, Q2), (Q2,), rng)
@@ -326,4 +327,4 @@ def test_process_distance_bytes():
     iv = rc.process_distance(p1, p2, seed=7)
     assert iv.upper < 1.0
     digest = sha256(np.array([iv.lower, iv.upper]).tobytes())
-    assert digest == "40b3156260c63271bf71970babfadcf47d6372992d0eae6e21ccea3517db5ea8"
+    assert digest == "b50a7b89a34acd3d9eadac06d5702fed78505f990cba41eb1a7e1c02c977e9c5"
