@@ -510,6 +510,9 @@ class CQState:
         for m in ops:
             if m.shape != (d, d):
                 raise ValueError("branch operators must share one square shape")
+            # NaN passes every comparison below, so test for it first
+            if not np.isfinite(m).all():
+                raise ValueError("branch operator has an entry that is not finite")
             if np.max(np.abs(m - np.conj(m.T))) > max(1e3 * tol, 1e-7):
                 raise ValueError("branch operator is not Hermitian")
             if np.linalg.eigvalsh(0.5 * (m + np.conj(m.T))).min() < -max(tol, 1e-8):

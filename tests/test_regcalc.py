@@ -357,6 +357,16 @@ class TestLayout:
         assert np.array_equal(rc.choi_operator(p), want)
 
 
+class TestCQState:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.1, np.nan)], ids=repr)
+    def test_non_finite_entry_rejected(self, bad):
+        # NaN passes every comparison-based check, so it is tested first
+        m = np.diag([0.25, 0.25]).astype(complex)
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            rc.CQState([m, np.diag([0.25, 0.25])])
+
+
 class TestJson:
     def test_round_trip(self):
         rng = np.random.default_rng(23)
