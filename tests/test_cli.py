@@ -132,6 +132,18 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
 
+    @pytest.mark.parametrize(
+        "spec",
+        ["-1,1", "nan,1", "inf,1", "1,nan", "-inf,1", '{"eps": "-0.5,1"}'],
+        ids=["negative", "nan_constant", "inf_constant", "nan_rate", "minus_inf", "table_negative"],
+    )
+    def test_bad_eps_fn_constant_exit_2(self, tmp_path, capsys, spec):
+        # an error function is a non-negative bound c * 2^(-a n) with
+        # finite c and a; a negative c used to give a negative budget
+        argv = ["check", "soundness_k2", f"--eps-fn={spec}", "--out", str(tmp_path / "x")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: bad decay spec")
+
     def test_unbound_dims_symbol_exit_2_names_it(self, tmp_path, capsys):
         argv = ["check", "single_stage", "--dims", "N=1", "--out", str(tmp_path / "x")]
         assert cli.main(argv) == 2
@@ -286,8 +298,11 @@ class TestEntropy:
             [],
             [[[0.5]], [[0.25, 0.0], [0.0, 0.25]]],  # shapes differ
             [[[0.0, 0.0], [0.0, 0.0]]] * 3,  # total trace 0: nothing to guess
+            [[[math.nan, 0.0], [0.0, 0.5]], [[0.1, 0.0], [0.0, 0.1]]],  # NaN entry
+            [[[0.25, 0.0], [0.0, math.inf]], [[0.1, 0.0], [0.0, 0.1]]] * 2,  # infinite entry
         ],
-        ids=["non_hermitian", "non_psd", "trace_above_1", "empty", "mixed_shapes", "trace_0"],
+        ids=["non_hermitian", "non_psd", "trace_above_1", "empty", "mixed_shapes", "trace_0",
+             "nan_entry", "inf_entry"],
     )
     def test_bad_state_exit_2(self, tmp_path, capsys, branches):
         sfile = tmp_path / "st.json"
