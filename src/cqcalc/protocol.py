@@ -462,9 +462,10 @@ def min_entropy_cq(psi: CQState, tol: float = 1e-6, max_iter: int = 1000):
     steps in total.  sigma stays strictly feasible, so p_upper = Tr sigma
     is certified; the dual POVM E_i = F^-1/2 (S_i / t) F^-1/2, with
     S_i = (sigma - M_i)^-1 and F = sum_i S_i / t, gives
-    p_lower = sum_i Tr E_i M_i.  The gap p_upper - p_lower is asserted
-    <= tol when converged.  Returns (H_min, certificate dict with sigma,
-    gap, p_guess bounds and the number of Newton steps as iterations)."""
+    p_lower = sum_i Tr E_i M_i.  The solve has converged when the gap
+    p_upper - p_lower is <= tol; then sigma's dominance of every branch
+    is asserted.  Returns (H_min, certificate dict with sigma, gap,
+    p_guess bounds and the number of Newton steps as iterations)."""
     ms = np.array(psi.branch_ops, dtype=complex)  # branches stacked (k, d, d)
     d = ms.shape[1]
     if len(ms) == 1:
@@ -499,9 +500,13 @@ def min_entropy_cq(psi: CQState, tol: float = 1e-6, max_iter: int = 1000):
                 "p_upper": p, "converged": True}
         return -math.log2(p), cert
 
+    # start strictly inside: sigma - M_i is the other branches plus a
+    # positive multiple of I, which also covers the slightly negative
+    # eigenvalues that CQState tolerates
     ms = _herm(ms)
     total = ms.sum(axis=0)
-    sigma = total + (float(np.trace(total).real) / d) * np.eye(d)
+    negative = float(np.clip(-np.linalg.eigvalsh(ms)[:, 0], 0.0, None).sum())
+    sigma = total + (float(np.trace(total).real) / d + negative) * np.eye(d)
     logdet = _slack_logdet(sigma, ms)
     s = _herm(np.linalg.inv(sigma - ms))
     t = float(np.trace(s.sum(axis=0)).real) / d

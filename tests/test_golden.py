@@ -261,7 +261,7 @@ WISHART_ENTROPY_DIGESTS = {
     (5, 7, 1): "cb6d1c89188b1af84d8dc07a641ca41a7fb5446cd04f13c753ca82e402d86db3",
     (6, 8, 0): "ba9e4e455dcf44cd2c347664b6f9a630aba7c5fd58cd112ef2230a5702f4f7a2",
     (6, 8, 1): "876cdb74e884fdba9e6862b17d02c976d85368af3267e58495cb042eba5419fc",
-    (4, 6, 0, 3): "5e20ddaf8c97e1e073481a9acdf24d7209addd8c17978aa7607b7aa15d59de10",
+    (4, 6, 0, 3): "e57d3f5fbef7fcc524f749f72dbb1a533db84b962a13ae890a6557a40396f9cd",
 }
 
 

@@ -479,6 +479,15 @@ class TestBarrierSolver:
             np.linalg.cholesky(cert["sigma"] - np.array(ms[0]))  # raises unless positive definite
             assert cert["p_upper"] == pytest.approx(np.trace(cert["sigma"]).real, abs=1e-15)
 
+    def test_tolerated_negative_eigenvalues(self):
+        # CQState accepts eigenvalues down to -1e-8; the start point must
+        # still be strictly feasible
+        ms = [np.diag([-1e-8, 0.0]), np.array([[0.0, 5e-9], [5e-9, 0.0]]), np.diag([0.0, 3e-8])]
+        _, cert = pr.min_entropy_cq(CQState(ms), tol=1e-12)
+        assert cert["converged"] and 0.0 <= cert["gap"] <= 1e-12
+        for m in ms:
+            assert np.linalg.eigvalsh(cert["sigma"] - m).min() >= -1e-8
+
     def test_step_cap_reported_as_not_converged(self):
         ms = _entropy_base(*ENTROPY_BASES[0])
         _, cert = pr.min_entropy_cq(CQState(ms), tol=1e-9, max_iter=5)
