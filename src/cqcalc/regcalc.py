@@ -620,7 +620,8 @@ def process_distance(
             break
         prev[active] = val
         # pull each output's sign projector back, and take the input
-        # maximising it
+        # maximising it; the pull-back fills only the lifted carrier
+        # positions, so it is already classically decohered
         sign = (v * np.sign(w)[:, None, :]) @ v.conj().swapaxes(1, 2)
         pulled = np.zeros((len(active), din, din), dtype=complex)
         pulled[:, ci, ri] = sign[:, co, ro] @ dext.matrix
