@@ -428,8 +428,8 @@ class TestFixedPointMatchesReference:
 # benchmark (bench/jobs.py ENTROPY_BASES)
 ENTROPY_BASES = ((3, 8, 2), (4, 8, 3), (5, 7, 1), (6, 8, 0), (6, 8, 1))
 # Newton steps that every rotation of every base converges within; the
-# solver takes at most 43 on these.  An Armijo test that differences two
-# barrier values near 1e11 takes 95 on one rotation of (4, 8, 3).
+# solver takes at most 43 on these.  An Armijo test that subtracts two
+# barrier values of order 1e10 takes 95 on one rotation of (4, 8, 3).
 NEWTON_STEP_CAP = 60
 
 
