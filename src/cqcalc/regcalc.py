@@ -375,18 +375,6 @@ def operator_effect(op: np.ndarray, regs: Sequence[Register]) -> np.ndarray:
     return np.asarray(op).reshape(d, d)[cols, rows]
 
 
-def apply_to_operator(p: ProcessTensor, rho: np.ndarray) -> np.ndarray:
-    """Apply the process to a density operator in operator form."""
-    vec = operator_state(rho, p.in_regs)
-    return state_operator(p.matrix @ vec, p.out_regs)
-
-
-def apply_adjoint_to_effect(p: ProcessTensor, E: np.ndarray) -> np.ndarray:
-    """Pull an output-effect operator back through the process."""
-    row = operator_effect(E, p.out_regs)
-    return effect_operator(row @ p.matrix, p.in_regs)
-
-
 def choi_operator(p: ProcessTensor) -> np.ndarray:
     """Unnormalized process (Choi) operator on in_base (x) out_base.
 

@@ -400,13 +400,14 @@ def _ascent_reference(p1, p2, restarts=32, seed=0):
         for _ in range(rc.ASCENT_ITERS):
             rho = rc.state_operator(rc.operator_state(np.outer(psi, psi.conj()), dext.in_regs),
                                     dext.in_regs)
-            X = rc.apply_to_operator(dext, rho)
+            X = rc.state_operator(dext.matrix @ rc.operator_state(rho, dext.in_regs), dext.out_regs)
             w, V = np.linalg.eigh(0.5 * (X + X.conj().T))
             val = 0.5 * float(np.abs(w).sum())
             if val <= prev + 1e-13:
                 break
             prev = val
-            T = rc.apply_adjoint_to_effect(dext, (V * np.sign(w)) @ V.conj().T)
+            row = rc.operator_effect((V * np.sign(w)) @ V.conj().T, dext.out_regs)
+            T = rc.effect_operator(row @ dext.matrix, dext.in_regs)
             T = 0.5 * (T + T.conj().T)
             T = rc.state_operator(rc.operator_state(T, dext.in_regs), dext.in_regs)
             psi = np.linalg.eigh(T)[1][:, -1]
@@ -478,7 +479,8 @@ def _sampled_values(p1, p2, rng, n=64):
     for _ in range(n):
         psi = random_complex(rng, din)
         rho = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
-        values.append(0.5 * rc.trace_norm(rc.apply_to_operator(dext, rho)))
+        out = rc.state_operator(dext.matrix @ rc.operator_state(rho, dext.in_regs), dext.out_regs)
+        values.append(0.5 * rc.trace_norm(out))
     return values
 
 
