@@ -1,5 +1,6 @@
 """Tests for the diagram IR, DSL, and evaluation."""
 
+import json
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from cqcalc import diagram as dg
 from cqcalc import regcalc as rc
+from cqcalc import rewrite as rw
 
 C2, C3, Q2 = rc.C(2), rc.C(3), rc.Q(2)
 
@@ -327,3 +329,152 @@ class TestCompositionLaws:
         rng = np.random.default_rng(seed)
         binding = {h: rc.random_cq_channel(*io, rng) for h, io in {**left, **right}.items()}
         assert np.allclose(lhs.evaluate(binding).matrix, rhs.evaluate(binding).matrix, atol=1e-12, rtol=0)
+
+
+def _sweep_reference(d, binding=None):
+    """The single-accumulator sweep that `Diagram.evaluate` ran before it
+    contracted connected pieces: every node is folded into one tensor in
+    topological order, and pass-through wires are multiplied on last.
+    Kept as the reference that pins `evaluate`."""
+    binding = binding or {}
+    by_src, by_dst = {}, {}
+    for i, (s, t) in enumerate(d.wires):
+        by_src[s] = i
+        by_dst[t] = i
+
+    current = np.array(1.0, dtype=complex)
+    axes: list = []  # wire indices of open axes
+
+    for nid in d.topo_order():
+        g = d.nodes[nid]
+        sem = g.semantics(binding)
+        out_w = [by_src[("n", nid, i)] for i in range(len(g.out_ports))]
+        in_w = [by_dst[("n", nid, i)] for i in range(len(g.in_ports))]
+        dims = [r.total_dim for r in g.out_ports] + [r.total_dim for r in g.in_ports]
+        t = np.asarray(sem.matrix).reshape(dims) if dims else np.asarray(sem.matrix).reshape(())
+        node_axes = out_w + in_w
+        shared = [w for w in in_w if w in axes]
+        c_pos = [axes.index(w) for w in shared]
+        n_pos = [node_axes.index(w) for w in shared]
+        current = np.tensordot(current, t, axes=(c_pos, n_pos)) if shared else np.multiply.outer(current, t)
+        axes = [w for w in axes if w not in shared] + [w for w in node_axes if w not in shared]
+
+    # pass-through wires (boundary input straight to boundary output)
+    pass_through = [
+        i for i, (s, t) in enumerate(d.wires) if s[0] == "in" and t[0] == "out"
+    ]
+    pt_axes = {}
+    for i in pass_through:
+        dim = d.in_types[d.wires[i][0][1]].total_dim
+        current = np.multiply.outer(current, np.eye(dim, dtype=complex))
+        pt_axes[i] = (len(axes), len(axes) + 1)  # (out-side, in-side)
+        axes += [("pto", i), ("pti", i)]
+
+    # assemble boundary axis order
+    out_axis, in_axis = [], []
+    for k in range(len(d.out_types)):
+        i = by_dst[("out", k)]
+        out_axis.append(pt_axes[i][0] if i in pt_axes else axes.index(i))
+    for k in range(len(d.in_types)):
+        i = by_src[("in", k)]
+        in_axis.append(pt_axes[i][1] if i in pt_axes else axes.index(i))
+    perm = out_axis + in_axis
+    if sorted(perm) != list(range(len(axes))):
+        raise AssertionError("internal contraction bookkeeping error")
+    current = np.transpose(current, axes=perm) if perm else current
+    d_out = rc.total_dim(d.out_types)
+    d_in = rc.total_dim(d.in_types)
+    return rc.ProcessTensor(d.in_types, d.out_types, current.reshape(d_out, d_in))
+
+
+def _closed_stack(data, tags):
+    """A `_stack` composed with `>>`, fed by a uniform on some classical
+    inputs and closed by a discard on some outputs, so that it can hold
+    unconnected pieces next to pass-through wires."""
+    layers, holes = _stack(data, tags)
+    d = layers[0]
+    for layer in layers[1:]:
+        d = d >> layer
+    pre = post = dg.Diagram.id_wires(())
+    for r in d.in_types:
+        feed = r.kind == rc.CLASSICAL and data.draw(st.booleans())
+        pre = pre @ (dg.Diagram.from_generator(dg.uniform_gen(r, 1)) if feed else dg.Diagram.id_wires([r]))
+    for r in d.out_types:
+        close = data.draw(st.booleans())
+        post = post @ (dg.Diagram.from_generator(dg.discard_gen(r)) if close else dg.Diagram.id_wires([r]))
+    return pre >> d >> post, holes
+
+
+def _channels(holes, rng):
+    # channels, so that entries stay at most 1 and 1e-12 is a rounding bound
+    return {h: rc.random_cq_channel(*io, rng) for h, io in holes.items()}
+
+
+def _assert_matches_sweep(d, binding):
+    assert np.allclose(d.evaluate(binding).matrix, _sweep_reference(d, binding).matrix, atol=1e-12, rtol=0)
+
+
+class TestEvaluateMatchesSweep:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**16))
+    def test_closed_stacks(self, data, seed):
+        d, holes = _closed_stack(data, "abc")
+        _assert_matches_sweep(d, _channels(holes, np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("name", sorted(rw.SHIPPED_SCRIPTS))
+    def test_script_steps_at_base_1(self, name):
+        _, records = rw.replay_script(rw.SHIPPED_SCRIPTS[name]())
+        rng = np.random.default_rng(0)
+        checked = 0
+        for rec in records:
+            for side in (rec["lhs"], rec["rhs"]):
+                d = side.subst({"N": 1, "M": 1})
+                if not rw._tractable(d, rw.DIM_CAP**2):
+                    continue
+                binding = {g.label: rw.sample_hole(g, rng) for g in rw._holes_sorted(d)}
+                _assert_matches_sweep(d, binding)
+                checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_rule_sides(self, dim):
+        rng = np.random.default_rng(dim)
+        for rule in rw.builtin_rules(dim) + rw.axiom_rules():
+            for side in (rule.lhs, rule.rhs):
+                d = side.subst({"N": dim})
+                binding = {g.label: rw.sample_hole(g, rng) for g in rw._holes_sorted(d)}
+                _assert_matches_sweep(d, binding)
+
+
+class TestStructuralLaws:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_dagger_involution_wire_for_wire(self, data):
+        (a, b), _ = _stack(data, "ab")
+        d = a >> b
+        assert d.dagger().dagger() == d
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**16))
+    def test_dagger_evaluates_to_adjoint(self, data, seed):
+        d, holes = _closed_stack(data, "ab")
+        binding = _channels(holes, np.random.default_rng(seed))
+        adjoint = {h: rc.dagger_conjugate_transpose(p) for h, p in binding.items()}
+        ev = d.evaluate(binding).matrix
+        assert np.allclose(d.dagger().evaluate(adjoint).matrix, ev.conj().T, atol=1e-12, rtol=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_json_round_trip_wire_for_wire(self, data):
+        d, _ = _closed_stack(data, "ab")
+        assert dg.diagram_from_json(json.loads(json.dumps(dg.diagram_to_json(d)))) == d
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_dsl_round_trip(self, data):
+        d, _ = _closed_stack(data, "ab")
+        again = dg.parse_diagram(dg.print_diagram(d))
+        if d.nodes or d.wires:
+            assert dg.diagrams_equal(again, d)
+        else:  # the DSL has no empty expression: the empty diagram prints as `scalar 1`
+            assert again.evaluate().number() == 1
