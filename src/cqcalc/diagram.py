@@ -23,9 +23,11 @@ before evaluation.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import re
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -77,6 +79,11 @@ class Generator:
     @property
     def symbolic(self) -> bool:
         return any(r.symbolic for r in self.in_ports + self.out_ports)
+
+    @property
+    def opaque(self) -> bool:
+        """Its process comes from a binding: a hole, or a box with no payload."""
+        return self.kind == HOLE or (self.kind == BOX and not isinstance(self.payload, ProcessTensor))
 
     def subst(self, values: Mapping[str, int]) -> "Generator":
         return replace(
@@ -249,35 +256,39 @@ class Diagram:
             return self.nodes[s[1]].out_ports[s[2]]
         return self.in_types[s[1]]
 
-    def successors(self, nid: int) -> set[int]:
-        return {t[1] for s, t in self.wires if s[0] == "n" and s[1] == nid and t[0] == "n"}
-
     def topo_order(self) -> list[int]:
-        preds = {nid: 0 for nid in self.nodes}
-        seen_pairs = set()
+        """Node ids, each after every node that feeds it, the least ready
+        id first.  Needs well-formed wiring (see `typecheck`)."""
+        succ = {nid: set() for nid in self.nodes}
+        preds = dict.fromkeys(self.nodes, 0)
         for s, t in self.wires:
-            # parallel wires between one node pair count once, matching
-            # the successor sets used to decrement below
-            if s[0] == "n" and t[0] == "n" and (s[1], t[1]) not in seen_pairs:
-                seen_pairs.add((s[1], t[1]))
+            # parallel wires between one node pair count once
+            if s[0] == "n" and t[0] == "n" and t[1] not in succ[s[1]]:
+                succ[s[1]].add(t[1])
                 preds[t[1]] += 1
-        ready = sorted(nid for nid, c in preds.items() if c == 0)
+        ready = [nid for nid, c in preds.items() if c == 0]
+        heapq.heapify(ready)
         order = []
         while ready:
-            nid = ready.pop(0)
+            nid = heapq.heappop(ready)
             order.append(nid)
-            for m in sorted(self.successors(nid)):
+            for m in succ[nid]:
                 preds[m] -= 1
                 if preds[m] == 0:
-                    ready.append(m)
-            ready.sort()
+                    heapq.heappush(ready, m)
         if len(order) != len(self.nodes):
             raise ValueError("diagram contains a cycle")
         return order
 
     # -- typing ------------------------------------------------------------
     def typecheck(self) -> list[str]:
-        """Return all violations (empty list when well-typed)."""
+        """Return all violations (empty list when well-typed).  A cycle is
+        looked for once the wiring is otherwise well formed."""
+        return self._typecheck()[0]
+
+    def _typecheck(self) -> tuple[list[str], list[int]]:
+        """(violations, topological order); the order is empty unless the
+        diagram is well typed."""
         errors = []
         seen_src, seen_dst = {}, {}
         for w in self.wires:
@@ -311,82 +322,76 @@ class Diagram:
             for i in range(len(g.out_ports)):
                 if ("n", nid, i) not in seen_src:
                     errors.append(f"node {nid} output port {i} dangling")
+        if errors:
+            return errors, []
         try:
-            self.topo_order()
+            return [], self.topo_order()
         except ValueError as e:
-            errors.append(str(e))
-        return errors
+            return [str(e)], []
 
     # -- evaluation ---------------------------------------------------------
     def evaluate(self, binding: Mapping[str, ProcessTensor] | None = None) -> ProcessTensor:
-        """Contract the diagram to a ProcessTensor (topological sweep)."""
-        errs = self.typecheck()
+        """Contract the diagram to a ProcessTensor.
+
+        Wire i labels its axes.  Nodes run in topological order; each is
+        contracted into every connected piece that holds one of its input
+        wires, and the result is one piece, so unconnected pieces meet
+        only in the final outer product.  A boundary-to-boundary wire is
+        an identity whose input end is labelled n + i (n wires)."""
+        errs, order = self._typecheck()
         if errs:
             raise ValueError("ill-typed diagram: " + "; ".join(errs))
         if self.symbolic:
             raise ValueError("symbolic diagram: substitute widths before evaluating")
         binding = binding or {}
         # check binding types up front for clearer errors
-        for nid, g in self.nodes.items():
-            if g.kind == HOLE:
+        for g in self.nodes.values():
+            if g.opaque:
                 if g.label not in binding:
-                    raise KeyError(f"unbound hole {g.label!r}")
+                    raise KeyError(f"unbound {g.kind} {g.label!r}")
                 b = binding[g.label]
                 if tuple(b.in_regs) != g.in_ports or tuple(b.out_regs) != g.out_ports:
                     raise TypeError(
-                        f"binding for hole {g.label!r} has type "
+                        f"binding for {g.kind} {g.label!r} has type "
                         f"{list(b.in_regs)}->{list(b.out_regs)}, expected "
                         f"{list(g.in_ports)}->{list(g.out_ports)}"
                     )
 
-        by_src, by_dst = {}, {}
-        for i, (s, t) in enumerate(self.wires):
-            by_src[s] = i
-            by_dst[t] = i
+        n = len(self.wires)
+        by_src = {s: i for i, (s, _) in enumerate(self.wires)}
+        by_dst = {t: i for i, (_, t) in enumerate(self.wires)}
 
-        current = np.array(1.0, dtype=complex)
-        axes: list = []  # wire indices of open axes
-
-        for nid in self.topo_order():
+        pieces: dict[int, tuple[np.ndarray, list[int]]] = {}  # (tensor, axis labels)
+        piece_of: dict[int, int] = {}  # open wire -> key of the piece holding it
+        for nid in order:
             g = self.nodes[nid]
-            sem = g.semantics(binding)
             out_w = [by_src[("n", nid, i)] for i in range(len(g.out_ports))]
             in_w = [by_dst[("n", nid, i)] for i in range(len(g.in_ports))]
-            dims = [r.total_dim for r in g.out_ports] + [r.total_dim for r in g.in_ports]
-            t = np.asarray(sem.matrix).reshape(dims) if dims else np.asarray(sem.matrix).reshape(())
-            node_axes = out_w + in_w
-            shared = [w for w in in_w if w in axes]
-            c_pos = [axes.index(w) for w in shared]
-            n_pos = [node_axes.index(w) for w in shared]
-            current = np.tensordot(current, t, axes=(c_pos, n_pos)) if shared else np.multiply.outer(current, t)
-            axes = [w for w in axes if w not in shared] + [w for w in node_axes if w not in shared]
+            t = g.semantics(binding).matrix.reshape([r.total_dim for r in g.out_ports + g.in_ports])
+            labels = out_w + in_w
+            for key in dict.fromkeys(piece_of[w] for w in in_w if w in piece_of):
+                p, p_labels = pieces.pop(key)
+                shared = [w for w in in_w if piece_of.get(w) == key]
+                axes = ([p_labels.index(w) for w in shared], [labels.index(w) for w in shared])
+                t = np.tensordot(p, t, axes)
+                labels = [w for w in p_labels if w not in shared] + [w for w in labels if w not in shared]
+            pieces[nid] = (t, labels)
+            piece_of.update(dict.fromkeys(labels, nid))
 
-        # pass-through wires (boundary input straight to boundary output)
-        pass_through = [
-            i for i, (s, t) in enumerate(self.wires) if s[0] == "in" and t[0] == "out"
+        terms = list(pieces.values()) + [
+            (np.eye(self.in_types[s[1]].total_dim), [i, n + i])
+            for i, (s, t) in enumerate(self.wires)
+            if s[0] == "in" and t[0] == "out"
         ]
-        pt_axes = {}
-        for i in pass_through:
-            d = self.in_types[self.wires[i][0][1]].total_dim
-            current = np.multiply.outer(current, np.eye(d, dtype=complex))
-            pt_axes[i] = (len(axes), len(axes) + 1)  # (out-side, in-side)
-            axes += [("pto", i), ("pti", i)]
-
-        # assemble boundary axis order
-        out_axis, in_axis = [], []
-        for k in range(len(self.out_types)):
-            i = by_dst[("out", k)]
-            out_axis.append(pt_axes[i][0] if i in pt_axes else axes.index(i))
-        for k in range(len(self.in_types)):
-            i = by_src[("in", k)]
-            in_axis.append(pt_axes[i][1] if i in pt_axes else axes.index(i))
-        perm = out_axis + in_axis
-        if sorted(perm) != list(range(len(axes))):
-            raise AssertionError("internal contraction bookkeeping error")
-        current = np.transpose(current, axes=perm) if perm else current
+        tensor = reduce(np.multiply.outer, [p for p, _ in terms] or [np.ones(())])
+        pos = {w: k for k, w in enumerate(w for _, labels in terms for w in labels)}
+        ins = [by_src[("in", k)] for k in range(len(self.in_types))]
+        ends = [by_dst[("out", k)] for k in range(len(self.out_types))]
+        ends += [n + i if self.wires[i][1][0] == "out" else i for i in ins]
+        tensor = np.transpose(tensor, [pos[w] for w in ends])
         d_out = rc.total_dim(self.out_types)
         d_in = rc.total_dim(self.in_types)
-        return ProcessTensor(self.in_types, self.out_types, current.reshape(d_out, d_in))
+        return ProcessTensor(self.in_types, self.out_types, tensor.reshape(d_out, d_in))
 
     def dagger(self) -> "Diagram":
         """Mirror the diagram top-to-bottom (adjoint of the denotation).
@@ -397,7 +402,7 @@ class Diagram:
         """
         nodes = {}
         for nid, g in self.nodes.items():
-            if g.kind == HOLE or (g.kind == BOX and not isinstance(g.payload, ProcessTensor)):
+            if g.opaque:
                 nodes[nid] = Generator(g.kind, g.label, g.out_ports, g.in_ports, None, g.flags)
             else:
                 sem = g.semantics({})

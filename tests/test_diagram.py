@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +156,25 @@ class TestEvaluate:
         out = d.evaluate()
         oracle = rc.compose_par(rc.identity([C2]), rc.uniform(C3, 1))
         assert np.allclose(out.matrix, oracle.matrix)
+
+    def test_layered_lanes_contract_one_piece_at_a_time(self):
+        # ten `uniform C4 1` states, then ten discards: multiplying every
+        # state out before a discard meets it holds 4^10 entries, 16 MB
+        d = dg.parse_diagram(" * ".join(["uniform C4 1"] * 10) + " ; " + " * ".join(["discard C4"] * 10))
+        tracemalloc.start()
+        try:
+            value = d.evaluate().number()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == pytest.approx(1, abs=1e-12)
+        assert peak < 1 << 20
+
+    def test_sixty_wires(self):
+        # more wires than `np.einsum` has index letters
+        d = dg.parse_diagram(" * ".join(["(uniform C4 1 ; discard C4)"] * 60))
+        assert len(d.wires) == 60
+        assert d.evaluate().number() == pytest.approx(1, abs=1e-12)
 
     def test_chsh_scoring_value(self):
         from cqcalc import protocol
