@@ -141,6 +141,8 @@ def cmd_eval(args) -> int:
     errors = d.typecheck()
     if errors:
         raise CliError("type errors: " + "; ".join(errors))
+    if d.symbolic:
+        raise CliError("symbolic register widths: eval needs concrete widths")
     binding = {}
     if args.bindings:
         raw = _load_json(args.bindings)
@@ -150,16 +152,12 @@ def cmd_eval(args) -> int:
             binding = {label: rc.tensor_from_json(t) for label, t in raw.items()}
         except ValueError as e:
             raise CliError(f"bad bindings file {args.bindings}: {e}") from e
-    missing = sorted(
-        g.label
-        for g in d.nodes.values()
-        if g.kind == dg.HOLE and g.label not in binding
-    )
+    missing = sorted({f"{g.kind} {g.label}" for g in d.nodes.values() if g.opaque and g.label not in binding})
     if missing:
-        raise CliError("missing bindings for holes: " + ", ".join(missing))
+        raise CliError("missing bindings for " + ", ".join(missing))
     try:
         result = d.evaluate(binding)
-    except TypeError as e:  # a binding typed unlike its hole
+    except TypeError as e:  # a binding typed unlike its hole or box
         raise CliError(str(e)) from e
     report = {
         "format_version": FORMAT_VERSION,

@@ -570,15 +570,21 @@ class _Env:
         raise DiagramParseError([(lineno, col, f"unknown register {name!r}")])
 
 
+def _tok(tokens, i):
+    """tokens[i], or a parse error when the input ends before it."""
+    if i < len(tokens):
+        return tokens[i]
+    _, ln, col = tokens[-1] if tokens else ("", 0, 0)
+    raise DiagramParseError([(ln, col, "unexpected end of input")])
+
+
 def _parse_type(tokens, i, env):
     # 'I' or reg ('*' reg)*
     regs = []
-    tok, ln, col = tokens[i]
-    if tok == "I":
+    if _tok(tokens, i)[0] == "I":
         return (), i + 1
     while True:
-        tok, ln, col = tokens[i]
-        regs.append(env.reg(tok, ln, col))
+        regs.append(env.reg(*_tok(tokens, i)))
         i += 1
         if i < len(tokens) and tokens[i][0] == "*":
             i += 1
@@ -620,11 +626,11 @@ def parse_diagram(text: str) -> Diagram:
                     dim = SymWidth(1, dim_tok)
                 env.regs[name] = Register(kind, dim)
             elif head in ("box", "hole"):
-                name = toks[1][0]
-                if toks[2][0] != ":":
+                name = _tok(toks, 1)[0]
+                if _tok(toks, 2)[0] != ":":
                     raise DiagramParseError([(lineno, toks[2][2], "expected `:`")])
                 tin, i = _parse_type(toks, 3, env)
-                if toks[i][0] != "->":
+                if _tok(toks, i)[0] != "->":
                     raise DiagramParseError([(lineno, toks[i][2], "expected `->`")])
                 tout, i = _parse_type(toks, i + 1, env)
                 flags = frozenset(t[0] for t in toks[i:] if t[0] in ("causal", "stochastic"))
@@ -668,46 +674,44 @@ def _parse_par(tokens, i, env):
 
 
 def _expect_int(tokens, i):
-    tok, ln, col = tokens[i]
+    tok, ln, col = _tok(tokens, i)
     if not tok.isdigit():
         raise DiagramParseError([(ln, col, f"expected integer, got {tok!r}")])
     return int(tok), i + 1
 
 
 def _parse_atom(tokens, i, env):
-    if i >= len(tokens):
-        raise DiagramParseError([(0, 0, "unexpected end of expression")])
-    tok, ln, col = tokens[i]
+    tok, ln, col = _tok(tokens, i)
     if tok == "(":
         d, i = _parse_expr(tokens, i + 1, env)
         if i >= len(tokens) or tokens[i][0] != ")":
             raise DiagramParseError([(ln, col, "unbalanced parenthesis")])
         return d, i + 1
     if tok == "id":
-        r = env.reg(*tokens[i + 1])
+        r = env.reg(*_tok(tokens, i + 1))
         return Diagram.id_wires([r]), i + 2
     if tok == "swap":
-        r1 = env.reg(*tokens[i + 1])
-        r2 = env.reg(*tokens[i + 2])
+        r1 = env.reg(*_tok(tokens, i + 1))
+        r2 = env.reg(*_tok(tokens, i + 2))
         return Diagram.swap(r1, r2), i + 3
     if tok == "spider":
-        r = env.reg(*tokens[i + 1])
+        r = env.reg(*_tok(tokens, i + 1))
         k_in, j = _expect_int(tokens, i + 2)
         k_out, j = _expect_int(tokens, j)
         if k_in + k_out < 1:
             raise DiagramParseError([(ln, col, "spider needs at least one leg")])
         return Diagram.from_generator(spider_gen(r, k_in, k_out)), j
     if tok == "uniform":
-        r = env.reg(*tokens[i + 1])
+        r = env.reg(*_tok(tokens, i + 1))
         k, j = _expect_int(tokens, i + 2)
         if k < 1:
             raise DiagramParseError([(ln, col, "uniform needs at least one leg")])
         return Diagram.from_generator(uniform_gen(r, k)), j
     if tok == "discard":
-        r = env.reg(*tokens[i + 1])
+        r = env.reg(*_tok(tokens, i + 1))
         return Diagram.from_generator(discard_gen(r)), i + 2
     if tok == "scalar":
-        val, j = tokens[i + 1][0], i + 2
+        val, j = _tok(tokens, i + 1)[0], i + 2
         try:
             x = float(val)
         except ValueError:

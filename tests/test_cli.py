@@ -68,7 +68,9 @@ class TestEval:
             src.write_text(json.dumps(j).replace('"classical"', '"quantum"'))
         assert cli.main(["eval", str(src)]) == 2
 
-    @pytest.mark.parametrize("defect", ["no_types", "binding_without_matrix", "mistyped_binding"])
+    @pytest.mark.parametrize(
+        "defect", ["no_types", "wire_to_missing_node", "binding_without_matrix", "mistyped_binding"]
+    )
     def test_malformed_eval_input_exit_2(self, tmp_path, capsys, defect):
         src = tmp_path / "d.dg"
         src.write_text("hole f : C2 -> C2\nuniform C2 1 ; f ; discard C2")
@@ -76,6 +78,11 @@ class TestEval:
         if defect == "no_types":
             src = tmp_path / "d.json"
             src.write_text(json.dumps({"nodes": [], "wires": []}))
+        elif defect == "wire_to_missing_node":
+            j = dg.diagram_to_json(dg.parse_diagram("uniform C2 1 ; discard C2"))
+            j["wires"][0][1][1] = 5
+            src = tmp_path / "d.json"
+            src.write_text(json.dumps(j))
         elif defect == "binding_without_matrix":
             del binding["matrix"]
         else:
@@ -84,6 +91,25 @@ class TestEval:
         bfile.write_text(json.dumps({"f": binding}))
         assert cli.main(["eval", str(src), "--bindings", str(bfile)]) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "reg S = classical N\nuniform S 1 ; discard S",  # a symbolic width
+            "swap C2",  # atoms and a declaration missing an operand
+            "uniform C2",
+            "spider C2 1",
+            "discard",
+            "box f : C2 ->",
+            "box b : C2 -> C2\nuniform C2 1 ; b ; discard C2",  # no payload and no binding
+        ],
+    )
+    def test_bad_eval_source_exit_2(self, tmp_path, capsys, source):
+        src = tmp_path / "d.dg"
+        src.write_text(source)
+        assert cli.main(["eval", str(src)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestCheck:
