@@ -237,8 +237,9 @@ def _node_compatible(pg: dg.Generator, hg: dg.Generator) -> bool:
     return pg.in_ports == hg.in_ports and pg.out_ports == hg.out_ports
 
 
-def find_matches(host: dg.Diagram, pattern: dg.Diagram) -> list[Match]:
-    """All embeddings of the pattern into the host.
+def find_matches(host: dg.Diagram, pattern: dg.Diagram, within=None) -> list[Match]:
+    """All embeddings of the pattern into the host, or with `within` all
+    that use only those host nodes, found in the same order.
 
     Node identity is matched on kind/label/flags/port types; uniform
     legs are matched up to permutation.  Pattern boundary wires record
@@ -247,6 +248,7 @@ def find_matches(host: dg.Diagram, pattern: dg.Diagram) -> list[Match]:
     by_src = {s: (s, t) for s, t in host.wires}
     by_dst = {t: (s, t) for s, t in host.wires}
     pids = sorted(pattern.nodes)
+    hosts = [(h, g) for h, g in host.nodes.items() if within is None or h in within]
     out: list[Match] = []
     seen = set()
 
@@ -300,7 +302,7 @@ def find_matches(host: dg.Diagram, pattern: dg.Diagram) -> list[Match]:
             return
         pid = pids[i]
         pg = pattern.nodes[pid]
-        for hid, hg in host.nodes.items():
+        for hid, hg in hosts:
             if hid in nmap.values() or not _node_compatible(pg, hg):
                 continue
             nmap[pid] = hid
@@ -347,12 +349,13 @@ class RewriteState:
 def apply_rule(state: RewriteState, rule: RewriteRule, loc=None):
     """Apply a rule; returns (new state, loc used).  loc is the sorted
     tuple of matched host node ids; omit it when the match is unique."""
-    found = find_matches(state.diagram, rule.lhs)
-    if loc is not None:
+    if loc is None:
+        matches = find_matches(state.diagram, rule.lhs)
+    else:
         loc = tuple(sorted(loc))
-    matches = [m for m in found if loc is None or m.loc == loc]
+        matches = [m for m in find_matches(state.diagram, rule.lhs, loc) if m.loc == loc]
     if not matches:
-        cands = sorted({m.loc for m in found})
+        cands = sorted({m.loc for m in find_matches(state.diagram, rule.lhs)})
         raise RewriteError(
             f"rule {rule.name!r} does not match at {loc}; candidate locations: {cands}"
         )

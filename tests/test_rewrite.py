@@ -87,7 +87,22 @@ class TestMatcher:
             (),
         )
         pattern = rw.rule_uniform_absorbs_discard(C2).lhs
-        assert len(rw.find_matches(host, pattern)) == 2
+        found = rw.find_matches(host, pattern)
+        assert len(found) == 2
+        assert rw.find_matches(host, pattern, (0, 2)) == [m for m in found if m.loc == (0, 2)]
+
+    @pytest.mark.parametrize("name", sorted(rw.SHIPPED_SCRIPTS))
+    def test_search_within_loc_finds_the_whole_host_matches(self, name):
+        # apply_rule searches only the loc nodes and applies the first match
+        script = rw.SHIPPED_SCRIPTS[name]()
+        state = rw.RewriteState(script.initial)
+        for step in script.steps:
+            before = state.diagram
+            state, lhs, _, rule = rw._step_apply(state, step)
+            if rule is not None:
+                loc = tuple(sorted(step["loc"]))
+                whole = [m for m in rw.find_matches(before, lhs) if m.loc == loc]
+                assert whole and [m for m in rw.find_matches(before, lhs, loc) if m.loc == loc] == whole
 
     def test_flags_must_agree(self):
         host = dg.Diagram.from_generator(dg.hole("h", (C2,), (C2,)))
