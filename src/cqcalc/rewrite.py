@@ -1027,6 +1027,9 @@ def _ensure_bindings(d: dg.Diagram, binding: dict, rng, cap2: int) -> bool:
 
 
 DIM_CAP = 2**7  # run_script checks a step numerically up to DIM_CAP**2 carrier entries
+# 2: step distances come from evaluate, which contracts one connected
+# piece at a time and can move the last digits
+CHECK_FORMAT_VERSION = 2
 
 
 def run_script(
@@ -1100,7 +1103,7 @@ def run_script(
     claimed_matches = state.budget == script.claimed_total
     verified = verified and claimed_matches
     report = {
-        "format_version": 1,
+        "format_version": CHECK_FORMAT_VERSION,
         "script": script.name,
         "verified": verified,
         "claimed_total_matches": claimed_matches,

@@ -28,7 +28,7 @@ class TestEval:
         assert code == 0
         rep = json.loads(out.read_text())
         assert rep["matrix_re"] == [[0.5], [0.5]]
-        assert rep["format_version"] == 1
+        assert rep["format_version"] == 2
 
     def test_chsh_scalar(self, tmp_path):
         d, b = pr.chsh_scoring_diagram()

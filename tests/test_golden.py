@@ -94,12 +94,12 @@ def test_pipeline_report_bytes():
 
 
 CHECK_DIGESTS = {
-    ("chain_k1", "N=1"): "7504dd04e7d323c19f6148067d12bed91b1a5b56a712ce8f4e1d1cc8ef3bbf73",
-    ("chain_k2", "N=1"): "da01cc9e4bafa575ec59d30b2cab480b3a9dcdf1cb132143ec7f7f1cad3efff9",
-    ("chain_k3", "N=1"): "bb85033cbbb319dd47920751e8681b050dcd38170d92fd5e9b9b8be8ba8952cc",
-    ("single_stage", "M=1"): "2f30efbac3ddcf630cdfd108137076563f1a87508484521da0d89a516a6e90a8",
-    ("soundness_k2", "N=1"): "6b3a869ae06a2eb97cfcd9590717699f52788685877236d650f27c74d6d93967",
-    ("spot_check_lemma", "N=1"): "6d10773c026790956a75f13f9c814ac16cf89e44904f1e94b3490e55dcd9898e",
+    ("chain_k1", "N=1"): "13156e8420a5c201f4a181e9ef95921ac7e29300b74ccb8d36aefe061df738ad",
+    ("chain_k2", "N=1"): "1a2bc3fded72280545f45f7cb55b0589d3f111fc5d6d2735a30e3924724ddc45",
+    ("chain_k3", "N=1"): "46bc37948dec800f70929c5e66d075ec3dea9450c6f17107c17c8b980ed6fab3",
+    ("single_stage", "M=1"): "ca69419fc82cebd463fba3126c0d2a177a94854c7451f7861285d079c184f13b",
+    ("soundness_k2", "N=1"): "3df081e12cac448b51b5f5cc273bff44c30ebba88643e93f70f5eb05259fc0ce",
+    ("spot_check_lemma", "N=1"): "05a7860472fc84d8af17940d2db9a759447f85e49a98f2d011e1a7f8ae770244",
 }
 
 
@@ -119,54 +119,54 @@ def test_check_report_bytes(tmp_path, name, dims):
 # and 2, at two seeds: the proof diagrams are built by composition, and
 # a change in node numbering or wire order moves these bytes
 CHECK_GRID_DIGESTS = {
-    ("chain_k1", None, 0): "b49b53cbcc56df8360d919653b9ada6cee821998770587bdeeab77a586b09166",
-    ("chain_k1", None, 7): "b49b53cbcc56df8360d919653b9ada6cee821998770587bdeeab77a586b09166",
-    ("chain_k1", 0, 0): "98294e19b82324aa59b88a01b7a40bcea4c5090be0bfe7b3b2a0224c891b46cd",
-    ("chain_k1", 0, 7): "7f4d55012c20bbfca0c1eb8cb6b0ba91a38e6659f92faa4f7d305fdfc8c59539",
-    ("chain_k1", 1, 0): "1776f1f693581d1646f7de2491dfaeeac99e3385814754c6a83793654d6eafc5",
-    ("chain_k1", 1, 7): "b1a9b701018a6594e20275766c76a3a91131219f71aa6b1e937a1e8679f9a465",
-    ("chain_k1", 2, 0): "0f1c5a4e0f7e9cc3a119f43e03661a3ec53dc184c0342fe6754cc92f7249b8b9",
-    ("chain_k1", 2, 7): "348a57f6b58e115ccce1c66d2f1c65b9b348c5b17a5758128b9b8f8f0ac1cc96",
-    ("chain_k2", None, 0): "73e68868a22d5eab54c8154f5a5c7d8f6e192e81d783e5c21f2beb62b1f723b7",
-    ("chain_k2", None, 7): "73e68868a22d5eab54c8154f5a5c7d8f6e192e81d783e5c21f2beb62b1f723b7",
-    ("chain_k2", 0, 0): "1bac92f2420d3968c06996a4dc9f38490985402ac8a04f64c9c22653be8713ae",
-    ("chain_k2", 0, 7): "25aeb95b6df866bdf6ad57d3aa29ec3c1e37e976ac3b2e4bbd5cccc6a8cf52c9",
-    ("chain_k2", 1, 0): "89ed4fcadcc9f7a8da49324484cc036d6bcb3b0141a47f7c05915df7e3e11c17",
-    ("chain_k2", 1, 7): "194fb10b05068e011a8213031b26dd6cd11c72ea650873dc9ba4a4b28df4192b",
-    ("chain_k2", 2, 0): "64ffdbc379f36d91bd833cdee23fb48ed511ce52a09148697aebabfc340ed455",
-    ("chain_k2", 2, 7): "524003e033c87a41ef099afbb82f5c1fb6c7589dc881d432ddbb1a73e4244746",
-    ("chain_k3", None, 0): "debf900276197bd76af9b1773fb0c46bcf449826c5e7e287a74da83d34bd58f0",
-    ("chain_k3", None, 7): "debf900276197bd76af9b1773fb0c46bcf449826c5e7e287a74da83d34bd58f0",
-    ("chain_k3", 0, 0): "fc9a74513d3f0e669afee99794e31ea8c58297de6614560fb2a436f939970739",
-    ("chain_k3", 0, 7): "61d20839d232d9ce12e39f076200e4cb96ac4fad49a8381a1c9cb1078c4d0334",
-    ("chain_k3", 1, 0): "a9dc4fe5f0e08803addb7db9ef8811b0031f03ec6c2ee46e511ff8570699e486",
-    ("chain_k3", 1, 7): "8a59e0ddc04a4ff3913804ef89b6f02d81d386880c50f2fd0f334960e6aebbb2",
-    ("chain_k3", 2, 0): "9af1b5a88a3c8b8be7ada122d06eb1be62f9510bd46d21dce67269a5f6256646",
-    ("chain_k3", 2, 7): "008d349b19422b373f191f3ecaf891889710dc57bdce6b7de18986ef29257caa",
-    ("single_stage", None, 0): "308cb15942fdb7c6d6a83598b1a36dcb4860b0fdbf16d6b5d32abc1d244992e0",
-    ("single_stage", None, 7): "308cb15942fdb7c6d6a83598b1a36dcb4860b0fdbf16d6b5d32abc1d244992e0",
-    ("single_stage", 0, 0): "f41b248166ac272d0f169ddec19213e1b45e944c8aff573700fce75bcb77906c",
-    ("single_stage", 0, 7): "19b3c1cc84976f88a2a642767f06c8ee9ddcdc84f6fb91ece6ba4889762a19c5",
-    ("single_stage", 1, 0): "7c34a698fa73189cdd5f8bfe5fef1109636dd1ddba8ed6583bf675caeb12234c",
-    ("single_stage", 1, 7): "c00219c51918b5dfb122152c09766540463cfa3ae8f807ad08ea3abeb4f7c13a",
-    ("single_stage", 2, 0): "b96fe07e1711041edd0781b083a1d4c44ad25d8b0c06f01df6d202845744b0b0",
-    ("single_stage", 2, 7): "d9de38a72bab39d6faf931ac0b1ce821bb1d13c2ea51ba5b20c4c4f91021678b",
-    ("soundness_k2", None, 0): "b3ff85e508fa6c40d671e883d1a8d77b2786098f53faa350fdc6628679c2e663",
-    ("soundness_k2", None, 7): "b3ff85e508fa6c40d671e883d1a8d77b2786098f53faa350fdc6628679c2e663",
-    ("soundness_k2", 0, 0): "7a56fa135529268fefd98540afb89040f507c45b5e3416b4333b98628417c9ce",
-    ("soundness_k2", 0, 7): "c59de26a21d2632e2a3262fcc09cbf8072dc59e6513584c6c911e25215e169ea",
-    ("soundness_k2", 1, 0): "8d0e9fe358e9ad9982a4fbf650b15752adc86f5a933d530229a7dd78d201f4cd",
-    ("soundness_k2", 1, 7): "7bcedbddf0ec766d5882902052a31976586316bffb17696f185f04f5fb239267",
-    ("soundness_k2", 2, 0): "2b3b56c2c9d4745b070bc2ab2271ad272a36319c6d309b916af71d63042b3849",
-    ("soundness_k2", 2, 7): "1b98e3a91d13429b50e985a5d78792dbf680f108ddab0abfd529d1ef077336fa",
-    ("spot_check_lemma", None, 0): "7727db88c532eaf732320793227f446f4ce58dd8f6b8c53e768e3ed8cc851ceb",
-    ("spot_check_lemma", None, 7): "7727db88c532eaf732320793227f446f4ce58dd8f6b8c53e768e3ed8cc851ceb",
-    ("spot_check_lemma", 0, 0): "211e406b5946cab4811e603138e8ce1a54bdd7f728d2b5d028112cf3b511c2d7",
-    ("spot_check_lemma", 0, 7): "1821fe4ac81c0cc4ac298a9b9db0a99397adade2bd464ade08e1ec57abb58fcd",
-    ("spot_check_lemma", 1, 0): "70c167d9281f97440be3597c49b4c183748160c6c8130164b648af33a0aaec85",
-    ("spot_check_lemma", 1, 7): "d277b4d577f980fa9a4e8d3f10a4e97186eb5921bd33bb95587f5da3b20c6a6c",
-    ("spot_check_lemma", 2, 0): "5f8c3f0fdd12bc8817af8e85303f918a07efbdb82a281b32678313f7f05e7474",
-    ("spot_check_lemma", 2, 7): "6affd871c3315d7768b22afcd4ab06516808ae8ce47a263ad17c32dc0d495a36",
+    ("chain_k1", None, 0): "e4abd5a0226eb9e8f874c531cba9795edcceef3505763fc7f2a8a3d8f184a6fe",
+    ("chain_k1", None, 7): "e4abd5a0226eb9e8f874c531cba9795edcceef3505763fc7f2a8a3d8f184a6fe",
+    ("chain_k1", 0, 0): "0b4593f6a26450ff9fde651830422ab7725a6b3687abb874f8345326e2b6afa1",
+    ("chain_k1", 0, 7): "798c9f19c9fb6de6da2abc38b5015d89a4b116ee3be44f53ea960681d3ae8454",
+    ("chain_k1", 1, 0): "c94dda8232143de548069203a00a22dd6bfa11d9580e812e74711a277516618a",
+    ("chain_k1", 1, 7): "64bc975afbf9c14b1d48fc926a571a29de1fb39b5f276f0de1e93b1da4aff6e8",
+    ("chain_k1", 2, 0): "1625507febcbc7238623ee12c9368567186f9c703059e9503359365710b10d41",
+    ("chain_k1", 2, 7): "e82fa326af4fb857b17ae283f19ab89e6d9bdd43a34f3be9cd3c48eb8a523f22",
+    ("chain_k2", None, 0): "b64e923861235f33685a83b98a4e4e68b9a448381a00b6db89e3d626e2dd2700",
+    ("chain_k2", None, 7): "b64e923861235f33685a83b98a4e4e68b9a448381a00b6db89e3d626e2dd2700",
+    ("chain_k2", 0, 0): "64b267dfdf8adca7b0cb892be18aab7332f913f32629c65a5cb69316d18c2e64",
+    ("chain_k2", 0, 7): "f1b1094941aac3ef30bda64eedcaae13f59bf1c36fe70bf9c96c979aceb262a9",
+    ("chain_k2", 1, 0): "4a8962c22c9f1c0c41e86ac742d3b1724a364c1684a252395263be1db6fbaa7a",
+    ("chain_k2", 1, 7): "df2c97d9ba54d59360f6909da8ca69fe41a8f7ebea6fb75eb7cddd5604255008",
+    ("chain_k2", 2, 0): "00feeab00c3cc36780bc9ab8db6966d921cc323e6eb9307bc92c7ded4d868941",
+    ("chain_k2", 2, 7): "5d4c1681511540f57261d0575f70246fa5b282ba0e75dd9f95ac6884b9470ad0",
+    ("chain_k3", None, 0): "f6475cdc7b5f4e2095991e79917a6dc18558fcdac16573194cb4e60551c2cd71",
+    ("chain_k3", None, 7): "f6475cdc7b5f4e2095991e79917a6dc18558fcdac16573194cb4e60551c2cd71",
+    ("chain_k3", 0, 0): "3dd48aea44382e52aa239bb341f2d61a03fe4ac58efaf51b46a59a6646291c8f",
+    ("chain_k3", 0, 7): "5d3acd43211c7051cd9a3e1d9a6d7e43af07f77d9f04bb8f317356dd46e42a33",
+    ("chain_k3", 1, 0): "0141fc800066567f0c593602aac0f5ce3231128aec4332a3051576741924838c",
+    ("chain_k3", 1, 7): "0345e683977cd936a316fdc9a7048f36169e11f0a5065d3eae646092d65ee671",
+    ("chain_k3", 2, 0): "5fed5d0d6a46962f14359e14390c18f3271435854dae98eb84730d265415cc6c",
+    ("chain_k3", 2, 7): "423575c2f412a746e8e861eb59c1a93c529e503224e848035a384d2dafee857e",
+    ("single_stage", None, 0): "085e4ad8357c9c36c5cd7141fb368b901f9de59c21b959c283d29b3676a0b6a3",
+    ("single_stage", None, 7): "085e4ad8357c9c36c5cd7141fb368b901f9de59c21b959c283d29b3676a0b6a3",
+    ("single_stage", 0, 0): "cbd626cd5d030a3629f30e2bf34caedec9c47c2345bbfc1920d59330679e36a3",
+    ("single_stage", 0, 7): "37244d787704f06f6763d42fde9406776e14c48e761cbd3803eb0b90addb8923",
+    ("single_stage", 1, 0): "28753e439f8ba8dd61cf3d0289e74868068f14c102880534a527369cbeebff38",
+    ("single_stage", 1, 7): "be2895188585f81d426a1f7b215a84dc476744245c5707790de6511bfa31243d",
+    ("single_stage", 2, 0): "95f41ea2a8f614237f4cf1127937ee1ba305ceb3b8f9cd56d954d432a7b6a9ae",
+    ("single_stage", 2, 7): "020e871e133c98e5b26b343da2f5b02f2d7c45737e21377cf760f9b58dcb8a11",
+    ("soundness_k2", None, 0): "592fe43a7c182a032c690b82caadba0610cdc8d442f29f67943284b0ebd54d77",
+    ("soundness_k2", None, 7): "592fe43a7c182a032c690b82caadba0610cdc8d442f29f67943284b0ebd54d77",
+    ("soundness_k2", 0, 0): "8ec24b7d725fbfe73c002b0c73d4a9aeced5e3320010bfba26aeb38c8026730f",
+    ("soundness_k2", 0, 7): "2b1358623ef4d5ce7de31cd4b6db6a0ae61d3e9cccf81ef813f947c9142105d0",
+    ("soundness_k2", 1, 0): "6940677073e89e9e6943a19618f91f7819692313a8f7ca3aa6a976717826ca00",
+    ("soundness_k2", 1, 7): "6b43d468a521db12b48d39dd605e2fc398e8be787f9f2e0a155eb37928a6e713",
+    ("soundness_k2", 2, 0): "6837eb85d415c42fd49ac405726148851a3fd615ab2d436b3e40e6f09b18224c",
+    ("soundness_k2", 2, 7): "7cfb22aac6b54ba449237ec445bdd72f506a82defcaf0d903f651b2dce03920d",
+    ("spot_check_lemma", None, 0): "ab7be682e9f1633a3c0fa26123ee4d6f31745567fdd19d818f6b5e7f96cfe00b",
+    ("spot_check_lemma", None, 7): "ab7be682e9f1633a3c0fa26123ee4d6f31745567fdd19d818f6b5e7f96cfe00b",
+    ("spot_check_lemma", 0, 0): "97030065a60644b4ca2fbfe709d06391e0db1db4d0b582dfde903ef5bdb669c6",
+    ("spot_check_lemma", 0, 7): "1fecab6d4ece9bd5c5007b5a82cbcfc47c7bee28842ed1e17ac7c64fd54a90b8",
+    ("spot_check_lemma", 1, 0): "c03087e98bf7809e779cda87b9d6f4989c516286f230a7a8899250446180e850",
+    ("spot_check_lemma", 1, 7): "859f011f56887d7e26532d46c99adc10bd5aa9a073109da9a87913250a07ccae",
+    ("spot_check_lemma", 2, 0): "e5a657d0419cb161488db7a59f8fd217fed6c71f9fe92b6ce76864460830a90e",
+    ("spot_check_lemma", 2, 7): "02ba001aaee34ce8131b1afc79921979dc2bbc4cc0318249f60d3794922617da",
 }
 
 
@@ -186,7 +186,7 @@ def test_chsh_scoring_evaluate_bytes():
 
 def test_check_budget_report_bytes(tmp_path):
     digest = cli_report_digest(tmp_path, ["check", "soundness_k2", "--eps-fn", "1,1"])
-    assert digest == "2a01237ee4c99aa4a5197029b3a68f88b779295ab8edd7df6b517f2f2fb338d9"
+    assert digest == "2de849004923a1dfc79cf0151c6bee0e6012f5b72f620030f7af5f9139afe139"
 
 
 EXTRACT_DIGESTS = {
@@ -203,8 +203,8 @@ def test_extract_hmin_report_bytes(tmp_path, n, m, k):
 
 
 RULES_DIGESTS = {
-    2: "5b9a6b9c68ca009ffc3c5b592beecf4cfeb88d8165476656b1e37c4bb6e3217a",
-    3: "69d87551bdd80031a8ad05ce024303f6da3414be69e677bf9ba3a2a0d5ab1964",
+    2: "ddd7bfee4cbfb5c017c759aa36f1e46416600c6eba48e7708fc307086789bd39",
+    3: "1d37c2c54e9256c958be61f549293c3bc56355c561adb1cd32ee3d149b6b69bf",
 }
 
 
@@ -281,7 +281,7 @@ def test_eval_bindings_report_bytes(tmp_path):
     bfile = tmp_path / "bind.json"
     bfile.write_text(json.dumps({"f": rc.tensor_to_json(f)}))
     digest = cli_report_digest(tmp_path, ["eval", str(src), "--bindings", str(bfile)])
-    assert digest == "161700bba38fbce7422ae64cfe0c060c3af7e34137b111271b9c2e0d9b9beec2"
+    assert digest == "f4465f28afa362b4bd052fc2b93cbaf01b54efef3ac8d45e15e765c810123311"
 
 
 SCRIPT_JSON_DIGESTS = {
