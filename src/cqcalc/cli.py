@@ -138,11 +138,6 @@ def _load_diagram(path) -> dg.Diagram:
 
 def cmd_eval(args) -> int:
     d = _load_diagram(args.diagram)
-    errors = d.typecheck()
-    if errors:
-        raise CliError("type errors: " + "; ".join(errors))
-    if d.symbolic:
-        raise CliError("symbolic register widths: eval needs concrete widths")
     binding = {}
     if args.bindings:
         raw = _load_json(args.bindings)
@@ -157,11 +152,10 @@ def cmd_eval(args) -> int:
         raise CliError("missing bindings for " + ", ".join(missing))
     try:
         result = d.evaluate(binding)
-    except TypeError as e:  # a binding typed unlike its hole or box
+    except (TypeError, ValueError) as e:  # a binding typed unlike its node; ill-typed or symbolic
         raise CliError(str(e)) from e
     report = {
-        # 2: evaluate contracts one connected piece at a time, which can
-        # move the last digits of an entry
+        # 2: evaluate's summation order changed, which moves last digits
         "format_version": 2,
         "command": "eval",
         "in_dims": [r.total_dim for r in result.in_regs],

@@ -94,16 +94,12 @@ class Generator:
 
     def semantics(self, binding: Mapping[str, ProcessTensor] | None = None) -> ProcessTensor:
         """Concrete ProcessTensor of this generator (holes via binding)."""
-        if self.kind == BOX:
-            if isinstance(self.payload, ProcessTensor):
-                return self.payload
-            if binding and self.label in binding:
-                return binding[self.label]
-            raise KeyError(f"box {self.label!r} has no payload and no binding")
-        if self.kind == HOLE:
+        if self.opaque:
             if not binding or self.label not in binding:
-                raise KeyError(f"unbound hole {self.label!r}")
+                raise KeyError(f"unbound {self.kind} {self.label!r}")
             return binding[self.label]
+        if self.kind == BOX:
+            return self.payload
         if self.kind == SPIDER:
             reg = (self.in_ports + self.out_ports)[0]
             return rc.spider_map(reg, len(self.in_ports), len(self.out_ports))
@@ -282,13 +278,12 @@ class Diagram:
 
     # -- typing ------------------------------------------------------------
     def typecheck(self) -> list[str]:
-        """Return all violations (empty list when well-typed).  A cycle is
-        looked for once the wiring is otherwise well formed."""
+        """Return all violations (empty list when well-typed)."""
         return self._typecheck()[0]
 
     def _typecheck(self) -> tuple[list[str], list[int]]:
-        """(violations, topological order); the order is empty unless the
-        diagram is well typed."""
+        """(violations, topological order).  A cycle is looked for once the
+        wiring is otherwise well formed; the order is empty on a violation."""
         errors = []
         seen_src, seen_dst = {}, {}
         for w in self.wires:
@@ -344,12 +339,10 @@ class Diagram:
         if self.symbolic:
             raise ValueError("symbolic diagram: substitute widths before evaluating")
         binding = binding or {}
-        # check binding types up front for clearer errors
+        # check bindings up front for clearer errors
         for g in self.nodes.values():
             if g.opaque:
-                if g.label not in binding:
-                    raise KeyError(f"unbound {g.kind} {g.label!r}")
-                b = binding[g.label]
+                b = g.semantics(binding)
                 if tuple(b.in_regs) != g.in_ports or tuple(b.out_regs) != g.out_ports:
                     raise TypeError(
                         f"binding for {g.kind} {g.label!r} has type "
@@ -385,12 +378,10 @@ class Diagram:
         ]
         tensor = reduce(np.multiply.outer, [p for p, _ in terms] or [np.ones(())])
         pos = {w: k for k, w in enumerate(w for _, labels in terms for w in labels)}
+        outs = [by_dst[("out", k)] for k in range(len(self.out_types))]
         ins = [by_src[("in", k)] for k in range(len(self.in_types))]
-        ends = [by_dst[("out", k)] for k in range(len(self.out_types))]
-        ends += [n + i if self.wires[i][1][0] == "out" else i for i in ins]
-        tensor = np.transpose(tensor, [pos[w] for w in ends])
-        d_out = rc.total_dim(self.out_types)
-        d_in = rc.total_dim(self.in_types)
+        tensor = np.transpose(tensor, [pos[w] for w in outs] + [pos.get(n + i, pos[i]) for i in ins])
+        d_out, d_in = rc.total_dim(self.out_types), rc.total_dim(self.in_types)
         return ProcessTensor(self.in_types, self.out_types, tensor.reshape(d_out, d_in))
 
     def dagger(self) -> "Diagram":
@@ -571,11 +562,11 @@ class _Env:
 
 
 def _tok(tokens, i):
-    """tokens[i], or a parse error when the input ends before it."""
-    if i < len(tokens):
-        return tokens[i]
-    _, ln, col = tokens[-1] if tokens else ("", 0, 0)
-    raise DiagramParseError([(ln, col, "unexpected end of input")])
+    """tokens[i]; a parse error at the last token when the input ends first."""
+    if i >= len(tokens):
+        _, ln, col = tokens[-1]
+        raise DiagramParseError([(ln, col, "unexpected end of input")])
+    return tokens[i]
 
 
 def _parse_type(tokens, i, env):

@@ -1027,9 +1027,7 @@ def _ensure_bindings(d: dg.Diagram, binding: dict, rng, cap2: int) -> bool:
 
 
 DIM_CAP = 2**7  # run_script checks a step numerically up to DIM_CAP**2 carrier entries
-# 2: step distances come from evaluate, which contracts one connected
-# piece at a time and can move the last digits
-CHECK_FORMAT_VERSION = 2
+CHECK_FORMAT_VERSION = 2  # 2: step distances come from evaluate, whose summation order changed
 
 
 def run_script(
