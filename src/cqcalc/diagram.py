@@ -590,8 +590,9 @@ def parse_diagram(text: str) -> Diagram:
     `box NAME : T1*T2 -> T3`, `hole NAME : T -> T` (append `causal` or
     `stochastic` after the type to set flags).  Every remaining
     non-comment line is part of one diagram expression over `;`
-    (run first ; run second), `*` (side by side), `id R`, `swap R S`,
-    `spider R k_in k_out`, `uniform R k`, `discard R`, `scalar X`.
+    (run first ; run second), `*` (side by side), `id R` (`id I` is
+    the empty diagram), `swap R S`, `spider R k_in k_out`, `uniform R k`,
+    `discard R`, `scalar X`.
     Names C<n> and Q<n> are implicitly declared registers.
     """
     env = _Env()
@@ -679,6 +680,8 @@ def _parse_atom(tokens, i, env):
             raise DiagramParseError([(ln, col, "unbalanced parenthesis")])
         return d, i + 1
     if tok == "id":
+        if _tok(tokens, i + 1)[0] == "I":
+            return Diagram.id_wires(()), i + 2
         r = env.reg(*_tok(tokens, i + 1))
         return Diagram.id_wires([r]), i + 2
     if tok == "swap":
@@ -842,10 +845,7 @@ def print_diagram(d: Diagram) -> str:
     target = [by_dst[("out", k)] for k in range(len(d.out_types))]
     emit_permutation(target)
     if not terms:
-        if d.in_types:
-            terms.append(" * ".join(f"id {_reg_name(r, regnames)}" for r in d.in_types))
-        else:
-            terms.append("scalar 1")
+        terms.append(" * ".join(f"id {_reg_name(r, regnames)}" for r in d.in_types) or "id I")
 
     # register declarations may have been added lazily by _reg_name
     expr = " ;\n".join(terms)
