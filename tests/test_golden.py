@@ -189,6 +189,30 @@ def test_check_budget_report_bytes(tmp_path):
     assert digest == "2de849004923a1dfc79cf0151c6bee0e6012f5b72f620030f7af5f9139afe139"
 
 
+def spot_check_first_script() -> dict:
+    """A saved script whose one step is the spot-check axiom on the
+    copied-seed diagram: both sides carry holes that no earlier step
+    bound, so the report depends on the order in which they are drawn."""
+    rule = rw.rule_spot_check(1, "N")
+    state, loc = rw.apply_rule(rw.RewriteState(rule.lhs), rule)
+    step = {"rule": "spot_check", "loc": loc, "params": {"scale": 1, "base": "N"}}
+    return rw.script_to_json(rw.ProofScript("spot_check_first", rule.lhs, [step], state.budget))
+
+
+SPOT_CHECK_FIRST_DIGESTS = {
+    0: "c54d2f479f7148192fabc27a7819f28ff23c599a8370d08f6c8cd9002ec44202",
+    5: "7038bbaa0ce3b62b1b8068caa0754432f3b06e5b4abd9652e04f90f11306f12a",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SPOT_CHECK_FIRST_DIGESTS))
+def test_check_saved_script_bytes(tmp_path, seed):
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(spot_check_first_script()))
+    argv = ["check", str(path), "--dims", "N=1", "--seed", str(seed)]
+    assert cli_report_digest(tmp_path, argv) == SPOT_CHECK_FIRST_DIGESTS[seed]
+
+
 EXTRACT_DIGESTS = {
     (10, 3, 7): "c0164e6c69fb49b3bf69631199b509b7a77acccb996aad480dfd735261d21870",
     (10, 3, 10): "26fcec8d19babb8ca5fecf36eadcb7a4d92e80b41f5d928d9e8ac2dd9e64e90b",
