@@ -28,7 +28,7 @@ CLAMP_WINDOW = 1e-10
 
 
 def _psd_sqrt(m: np.ndarray, tol: float = CLAMP_WINDOW) -> np.ndarray:
-    w, v = np.linalg.eigh(0.5 * (m + np.conj(m.T)))
+    w, v = np.linalg.eigh(rc.hermitian_part(m))
     if w.min() < -tol:
         raise ValueError(f"matrix is not PSD within tolerance (min eigenvalue {w.min()})")
     w = np.clip(w, 0.0, None)
@@ -120,7 +120,7 @@ def _purification_rows(tau: np.ndarray, dq: int, env: int, aux: int) -> np.ndarr
     the vector sum_m |m> (x) B[m,:] on Q (x) (env, aux) reduces to tau
     on (Q, env) after tracing aux.  Built from the eigendecomposition of
     tau, one aux slot per eigenvalue."""
-    w, vecs = np.linalg.eigh(0.5 * (tau + np.conj(tau.T)))
+    w, vecs = np.linalg.eigh(rc.hermitian_part(tau))
     w = np.clip(w, 0.0, None)
     B = np.zeros((dq, env * aux), dtype=complex)
     bv = B.reshape(dq, env, aux)

@@ -403,18 +403,13 @@ def spotcheck_run(M: int, q: float, chi: float, s: DeviceStrategy, seed: int) ->
 # conditional min-entropy
 
 
-def _herm(h: np.ndarray) -> np.ndarray:
-    """Hermitian part of one matrix or of each matrix in a stack."""
-    return (h + h.conj().swapaxes(-1, -2)) / 2
-
-
 def _tn(h: np.ndarray) -> float:
-    return float(np.abs(np.linalg.eigvalsh(_herm(h))).sum())
+    return float(np.abs(np.linalg.eigvalsh(rc.hermitian_part(h))).sum())
 
 
 def _psd_part(h: np.ndarray) -> np.ndarray:
     """PSD part of the Hermitian part of h, per matrix of a stack."""
-    w, v = np.linalg.eigh(_herm(h))
+    w, v = np.linalg.eigh(rc.hermitian_part(h))
     return (v * np.clip(w, 0.0, None)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
@@ -446,7 +441,7 @@ def _newton_direction(s: np.ndarray, t: float):
     grad = t * np.eye(d) - s.sum(axis=0)
     hess = (s.reshape(k, d * d).T @ s.swapaxes(1, 2).reshape(k, d * d)).reshape(d, d, d, d)
     hess = hess.transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    delta = _herm(np.linalg.solve(hess, -grad.reshape(-1)).reshape(d, d))
+    delta = rc.hermitian_part(np.linalg.solve(hess, -grad.reshape(-1)).reshape(d, d))
     return delta, -float(np.vdot(grad, delta).real)
 
 
@@ -492,7 +487,7 @@ def min_entropy_cq(psi: CQState, tol: float = 1e-6, max_iter: int = 1000):
     ):
         rng = np.random.default_rng(0)
         mix = sum(float(c) * m for c, m in zip(rng.uniform(1.0, 2.0, len(ms)), ms))
-        _, v = np.linalg.eigh(_herm(mix))
+        _, v = np.linalg.eigh(rc.hermitian_part(mix))
         diag = np.array([np.diag(v.conj().T @ m @ v).real for m in ms])
         p = float(diag.max(axis=0).sum())
         sigma = v @ np.diag(diag.max(axis=0)) @ v.conj().T
@@ -503,12 +498,12 @@ def min_entropy_cq(psi: CQState, tol: float = 1e-6, max_iter: int = 1000):
     # start strictly inside: sigma - M_i is the other branches plus a
     # positive multiple of I, which also covers the slightly negative
     # eigenvalues that CQState tolerates
-    ms = _herm(ms)
+    ms = rc.hermitian_part(ms)
     total = ms.sum(axis=0)
     negative = float(np.clip(-np.linalg.eigvalsh(ms)[:, 0], 0.0, None).sum())
     sigma = total + (float(np.trace(total).real) / d + negative) * np.eye(d)
     logdet = _slack_logdet(sigma, ms)
-    s = _herm(np.linalg.inv(sigma - ms))
+    s = rc.hermitian_part(np.linalg.inv(sigma - ms))
     t = float(np.trace(s.sum(axis=0)).real) / d
     p_lower, p_upper, gap, steps = 0.0, math.inf, math.inf, 0
     for _ in range(BARRIER_STAGES):
@@ -530,14 +525,14 @@ def min_entropy_cq(psi: CQState, tol: float = 1e-6, max_iter: int = 1000):
             else:
                 break
             try:
-                s_next = _herm(np.linalg.inv(sigma + step * delta - ms))
+                s_next = rc.hermitian_part(np.linalg.inv(sigma + step * delta - ms))
             except np.linalg.LinAlgError:  # a slack at the rounding floor
                 break
             sigma, logdet, s = sigma + step * delta, trial, s_next
         # sigma is strictly feasible; S_i / t normalised to sum to the
         # identity is a POVM
         p_upper = float(np.trace(sigma).real)
-        w, v = np.linalg.eigh(_herm(s.sum(axis=0)))
+        w, v = np.linalg.eigh(rc.hermitian_part(s.sum(axis=0)))
         root = (v * w ** -0.5) @ v.conj().T  # (sum_i S_i)^-1/2
         p_lower = float(np.einsum("iab,iba->", root @ s @ root, ms).real)
         gap = p_upper - p_lower

@@ -393,9 +393,9 @@ def choi_operator(p: ProcessTensor) -> np.ndarray:
 # predicates and distances
 
 
-def _herm_eigs(op: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the Hermitian part of op."""
-    return np.linalg.eigvalsh(0.5 * (op + np.conj(op.T)))
+def hermitian_part(op: np.ndarray) -> np.ndarray:
+    """Hermitian part of one matrix or of each matrix in a stack."""
+    return 0.5 * (op + op.conj().swapaxes(-1, -2))
 
 
 def structural_predicates(p: ProcessTensor, tol: float = DEFAULT_TOL) -> dict:
@@ -407,7 +407,7 @@ def structural_predicates(p: ProcessTensor, tol: float = DEFAULT_TOL) -> dict:
 
     # dual of discard . p as an operator on the input space
     E = effect_operator(traced.reshape(-1), p.in_regs)
-    evals = _herm_eigs(E)
+    evals = np.linalg.eigvalsh(hermitian_part(E))
     herm_ok = np.max(np.abs(E - np.conj(E.T))) <= max(1e3 * tol, 1e-6)
     stochastic = bool(herm_ok and evals.min() >= -tol and evals.max() <= 1 + tol)
 
@@ -415,7 +415,7 @@ def structural_predicates(p: ProcessTensor, tol: float = DEFAULT_TOL) -> dict:
     choi = choi_operator(p)
     cp = bool(
         np.max(np.abs(choi - np.conj(choi.T))) <= max(1e3 * tol, 1e-6)
-        and np.linalg.eigvalsh(0.5 * (choi + np.conj(choi.T))).min() >= -max(tol, 1e-9) * max(1, np.abs(choi).max())
+        and np.linalg.eigvalsh(hermitian_part(choi)).min() >= -max(tol, 1e-9) * max(1, np.abs(choi).max())
     )
 
     # pure means of the form double(f), with no normalisation
@@ -424,7 +424,7 @@ def structural_predicates(p: ProcessTensor, tol: float = DEFAULT_TOL) -> dict:
 
     if p.is_effect:
         Eo = effect_operator(p.matrix.reshape(-1), p.in_regs)
-        ev = _herm_eigs(Eo)
+        ev = np.linalg.eigvalsh(hermitian_part(Eo))
         effect_valid = bool(
             np.max(np.abs(Eo - np.conj(Eo.T))) <= max(1e3 * tol, 1e-6)
             and ev.min() >= -tol
@@ -452,7 +452,7 @@ def _pure_process(p: ProcessTensor, tol: float) -> bool:
     this form and report False.
     """
     choi = choi_operator(p)  # realignment of the lifted map, PSD iff CP
-    H = 0.5 * (choi + np.conj(choi.T))
+    H = hermitian_part(choi)
     if np.max(np.abs(choi - H)) > max(1e3 * tol, 1e-6):
         return False
     ev = np.sort(np.linalg.eigvalsh(H))[::-1]
@@ -467,7 +467,7 @@ def _pure_process(p: ProcessTensor, tol: float) -> bool:
 
 
 def trace_norm(op: np.ndarray) -> float:
-    H = 0.5 * (op + np.conj(op.T))
+    H = hermitian_part(op)
     if np.max(np.abs(op - H)) <= 1e-8 * max(1.0, np.abs(op).max()):
         return float(np.abs(np.linalg.eigvalsh(H)).sum())
     return float(np.linalg.svd(op, compute_uv=False).sum())
@@ -503,7 +503,7 @@ class CQState:
                 raise ValueError("branch operator has an entry that is not finite")
             if np.max(np.abs(m - np.conj(m.T))) > max(1e3 * tol, 1e-7):
                 raise ValueError("branch operator is not Hermitian")
-            if np.linalg.eigvalsh(0.5 * (m + np.conj(m.T))).min() < -max(tol, 1e-8):
+            if np.linalg.eigvalsh(hermitian_part(m)).min() < -max(tol, 1e-8):
                 raise ValueError("branch operator is not PSD within tolerance")
         tr = sum(float(np.trace(m).real) for m in ops)
         if tr > 1 + max(tol, 1e-8):
@@ -600,7 +600,7 @@ def process_distance(
         # output of each active input, with classical inputs decohered
         x = np.zeros((len(active), dout, dout), dtype=complex)
         x[:, ro, co] = (psi[active][:, ri] * psi[active][:, ci].conj()) @ dext.matrix.T
-        w, v = np.linalg.eigh(_hermitian(x))
+        w, v = np.linalg.eigh(hermitian_part(x))
         val = 0.5 * np.abs(w).sum(axis=1)
         rising = val > prev[active] + 1e-13
         active, val, w, v = active[rising], val[rising], w[rising], v[rising]
@@ -613,7 +613,7 @@ def process_distance(
         sign = (v * np.sign(w)[:, None, :]) @ v.conj().swapaxes(1, 2)
         pulled = np.zeros((len(active), din, din), dtype=complex)
         pulled[:, ci, ri] = sign[:, co, ro] @ dext.matrix
-        psi[active] = np.linalg.eigh(_hermitian(pulled))[1][:, :, -1]
+        psi[active] = np.linalg.eigh(hermitian_part(pulled))[1][:, :, -1]
     lower = float(prev.max())
     if all(f["completely_positive"] for f in flags):
         upper = min(upper, _dual_upper(choi, psi, prev, p1.in_regs))
@@ -621,11 +621,6 @@ def process_distance(
         upper = min(upper, 1.0)
     lower = min(lower, upper)
     return DistanceInterval(lower, max(upper, lower))
-
-
-def _hermitian(op: np.ndarray) -> np.ndarray:
-    """Hermitian part of each matrix of a stack."""
-    return 0.5 * (op + op.conj().swapaxes(-1, -2))
 
 
 DUAL_MIX = 1e-6  # weight of I/d mixed into each block of the dual certificate's input
@@ -666,18 +661,18 @@ def _dual_upper(choi: np.ndarray, psi: np.ndarray, value: np.ndarray,
             a = amp[ranked[np.argmax(value[ranked])], k]
             block = (1 - DUAL_MIX) * (a @ a.conj().T) / np.vdot(a, a).real + DUAL_MIX * block
         rho[k, :, k, :] = block
-    w, v = np.linalg.eigh(_hermitian(rho.reshape(di, di).T))
+    w, v = np.linalg.eigh(hermitian_part(rho.reshape(di, di).T))
     w = np.clip(w, DUAL_MIX / qd, None)
     root = np.kron((v * np.sqrt(w)) @ v.conj().T, np.eye(do))
     inv_root = np.kron((v / np.sqrt(w)) @ v.conj().T, np.eye(do))
-    mw, mv = np.linalg.eigh(_hermitian(root @ choi @ root))
-    z = _hermitian(inv_root @ ((mv * np.clip(mw, 0.0, None)) @ mv.conj().T) @ inv_root)
-    shift = max(0.0, -np.linalg.eigvalsh(_hermitian(z - choi)).min(), -np.linalg.eigvalsh(z).min())
+    mw, mv = np.linalg.eigh(hermitian_part(root @ choi @ root))
+    z = hermitian_part(inv_root @ ((mv * np.clip(mw, 0.0, None)) @ mv.conj().T) @ inv_root)
+    shift = max(0.0, -np.linalg.eigvalsh(hermitian_part(z - choi)).min(), -np.linalg.eigvalsh(z).min())
     z = z + shift * np.eye(len(z))
     marginal = np.trace(z.reshape(di, do, di, do), axis1=1, axis2=3)
     leak = np.trace(choi.reshape(di, do, di, do), axis1=1, axis2=3)
-    return float(np.linalg.eigvalsh(_hermitian(marginal)).max()
-                 + 0.5 * max(0.0, -np.linalg.eigvalsh(_hermitian(leak)).min()))
+    return float(np.linalg.eigvalsh(hermitian_part(marginal)).max()
+                 + 0.5 * max(0.0, -np.linalg.eigvalsh(hermitian_part(leak)).min()))
 
 
 # ---------------------------------------------------------------------------
