@@ -197,9 +197,11 @@ class RewriteRule:
     validation_mode "exact" rules are numeric identities; "axiom" rules
     carry an unproven cost and are only probed numerically.  Holes with
     the same label on both sides denote the same process.  binding_mode
-    controls how numeric self-tests bind holes: "fresh" draws every hole
+    controls how rule_distance binds holes: "fresh" draws every hole
     independently; "derive_lhs" (single-hole lhs) defines the lhs hole
-    as the evaluated rhs, for definition-unfolding rules."""
+    as the evaluated rhs, for definition-unfolding rules; "derive_rhs"
+    (single-hole rhs) defines the rhs hole as the evaluated lhs, for
+    merges."""
 
     name: str
     lhs: dg.Diagram
@@ -211,6 +213,8 @@ class RewriteRule:
     def __post_init__(self):
         if self.lhs.in_types != self.rhs.in_types or self.lhs.out_types != self.rhs.out_types:
             raise ValueError(f"rule {self.name}: boundary typing differs between sides")
+        if self.binding_mode not in ("fresh", "derive_lhs", "derive_rhs"):
+            raise ValueError(f"rule {self.name}: unknown binding_mode {self.binding_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -420,7 +424,8 @@ def merge_step(d: dg.Diagram, loc, name: str):
 
     The hole keeps the cut's boundary order and inherits the strongest
     flag set shared by the parts (causal things compose causally;
-    stochastic likewise).  Returns (new diagram, local lhs, local rhs)."""
+    stochastic likewise).  Returns (new diagram, the exact rule from the
+    cut to the hole, which defines the hole as the evaluated cut)."""
     sub, in_atts, out_atts = cut_subdiagram(d, loc)
     parts = list(sub.nodes.values())
     if all(_node_is_causal(g) for g in parts):
@@ -431,7 +436,7 @@ def merge_step(d: dg.Diagram, loc, name: str):
         flags = frozenset()
     rhs = dg.Diagram.from_generator(dg.hole(name, sub.in_types, sub.out_types, flags))
     m = Match(tuple(enumerate(sorted(loc))), (), tuple(in_atts), tuple(out_atts))
-    return _apply_match(d, rhs, m), sub, rhs
+    return _apply_match(d, rhs, m), RewriteRule("merge", sub, rhs, binding_mode="derive_rhs")
 
 
 # ---------------------------------------------------------------------------
@@ -669,10 +674,6 @@ RULE_FACTORIES = {
 }
 
 
-def _hole_specs(d: dg.Diagram):
-    return {g.label: g for g in d.nodes.values() if g.kind == dg.HOLE}
-
-
 def sample_hole(g: dg.Generator, rng) -> rc.ProcessTensor:
     """Flag-respecting random instantiation of a hole."""
     causal = "causal" in g.flags
@@ -680,25 +681,9 @@ def sample_hole(g: dg.Generator, rng) -> rc.ProcessTensor:
 
 
 def validate_rule(rule: RewriteRule, rng, dims=None) -> float:
-    """Numeric self-test: evaluate both sides under one random binding
-    and return the maximum matrix-entry discrepancy."""
-    lhs, rhs = rule.lhs, rule.rhs
-    if dims:
-        lhs, rhs = lhs.subst(dims), rhs.subst(dims)
-    binding = {}
-    lhs_holes, rhs_holes = _hole_specs(lhs), _hole_specs(rhs)
-    for label, g in rhs_holes.items():
-        binding[label] = sample_hole(g, rng)
-    if rule.binding_mode == "derive_lhs":
-        (label,) = lhs_holes.keys()
-        binding[label] = rhs.evaluate(binding)
-    else:
-        for label, g in lhs_holes.items():
-            if label not in binding:
-                binding[label] = sample_hole(g, rng)
-    m1 = lhs.evaluate(binding).matrix
-    m2 = rhs.evaluate(binding).matrix
-    return float(np.abs(m1 - m2).max())
+    """Numeric self-test: rule_distance from an empty binding, with no
+    size cap."""
+    return rule_distance(rule, {}, rng, dims, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -964,6 +949,7 @@ STRUCTURAL = {"causality", "absorb_discard", "widen_uniform"}
 
 
 def _step_apply(state: RewriteState, step):
+    """Apply one script step; returns (new state, the rule it applied)."""
     name, loc = step["rule"], tuple(step["loc"])
     params = dict(step.get("params", {}))
     absent = [n for n in loc if n not in state.diagram.nodes]
@@ -972,29 +958,29 @@ def _step_apply(state: RewriteState, step):
     if name == "merge":
         if not isinstance(params.get("name"), str):
             raise RewriteError("a merge step needs a hole name in params.name")
-        d, sub, rhs = merge_step(state.diagram, loc, params["name"])
-        return RewriteState(d, state.budget), sub, rhs, None
-    if name in STRUCTURAL:
-        rule = _structural_rule(name, state.diagram, loc)
-    elif name in RULE_FACTORIES:
-        try:
-            rule = RULE_FACTORIES[name](params)
-        except (KeyError, TypeError, ValueError) as e:
-            raise RewriteError(f"bad params for rule {name!r}: {e!r}") from e
+        d, rule = merge_step(state.diagram, loc, params["name"])
+        new = RewriteState(d, state.budget + rule.cost)
     else:
-        raise RewriteError(f"unknown rule {name!r}")
-    new, _ = apply_rule(state, rule, loc)
-    return new, rule.lhs, rule.rhs, rule
+        if name in STRUCTURAL:
+            rule = _structural_rule(name, state.diagram, loc)
+        elif name in RULE_FACTORIES:
+            try:
+                rule = RULE_FACTORIES[name](params)
+            except (KeyError, TypeError, ValueError) as e:
+                raise RewriteError(f"bad params for rule {name!r}: {e!r}") from e
+        else:
+            raise RewriteError(f"unknown rule {name!r}")
+        new, _ = apply_rule(state, rule, loc)
+    return new, rule
 
 
 def replay_script(script: ProofScript):
-    """Symbolic replay; returns (final state, per-step records)."""
+    """Symbolic replay; returns (final state, (step, rule) per step)."""
     state = RewriteState(script.initial)
     records = []
     for step in script.steps:
-        state, lhs, rhs, rule = _step_apply(state, step)
-        cost = rule.cost if rule is not None else EpsExpr.zero()
-        records.append({"step": step, "lhs": lhs, "rhs": rhs, "rule": rule, "cost": cost})
+        state, rule = _step_apply(state, step)
+        records.append((step, rule))
     return state, records
 
 
@@ -1026,6 +1012,34 @@ def _ensure_bindings(d: dg.Diagram, binding: dict, rng, cap2: int) -> bool:
     return ok
 
 
+def rule_distance(rule: RewriteRule, binding: dict, rng, dims=None, cap2=math.inf):
+    """Numeric check of a rule: bind its unbound holes, evaluate both
+    sides and return the largest entry of their difference.
+
+    Per binding_mode, "fresh" draws the lhs holes, then the rhs holes;
+    "derive_lhs" draws the rhs holes and binds the lhs hole to the
+    evaluated rhs; "derive_rhs" mirrors it.  New bindings are added to
+    `binding`, so the steps of one script share their processes.
+    Returns None when a side, or a hole that side needs, has more than
+    cap2 carrier entries."""
+    lhs, rhs = rule.lhs, rule.rhs
+    if dims is not None:
+        lhs, rhs = lhs.subst(dims), rhs.subst(dims)
+    if rule.binding_mode == "fresh":
+        _ensure_bindings(lhs, binding, rng, cap2)
+        _ensure_bindings(rhs, binding, rng, cap2)
+    else:
+        src, dst = (rhs, lhs) if rule.binding_mode == "derive_lhs" else (lhs, rhs)
+        (label,) = [g.label for g in _holes_sorted(dst)]
+        have = _ensure_bindings(src, binding, rng, cap2)
+        if have and _tractable(src, cap2) and label not in binding:
+            binding[label] = src.evaluate(binding)
+    tractable = _tractable(lhs, cap2) and _tractable(rhs, cap2)
+    if not tractable or any(g.label not in binding for g in _holes_sorted(lhs) + _holes_sorted(rhs)):
+        return None
+    return float(np.abs(lhs.evaluate(binding).matrix - rhs.evaluate(binding).matrix).max())
+
+
 DIM_CAP = 2**7  # run_script checks a step numerically up to DIM_CAP**2 carrier entries
 CHECK_FORMAT_VERSION = 2  # 2: step distances come from evaluate, whose summation order changed
 
@@ -1054,49 +1068,24 @@ def run_script(
     binding: dict = {}
     verified = True
     steps_out = []
-    for rec in records:
-        step, rule = rec["step"], rec["rule"]
+    for step, rule in records:
         entry = {
             "rule": step["rule"],
             "loc": list(step["loc"]),
-            "cost": str(rec["cost"]),
+            "cost": str(rule.cost),
             "status": "symbolic",
             "distance": None,
         }
         if dims is not None:
-            lhs_c = rec["lhs"].subst(dims)
-            rhs_c = rec["rhs"].subst(dims)
-            tract = _tractable(lhs_c, cap2) and _tractable(rhs_c, cap2)
-            if rule is not None and rule.binding_mode == "derive_lhs":
-                have = _ensure_bindings(rhs_c, binding, rng, cap2)
-                (label,) = [g.label for g in _holes_sorted(rec["lhs"])]
-                if have and _tractable(rhs_c, cap2) and label not in binding:
-                    binding[label] = rhs_c.evaluate(binding)
-            elif step["rule"] == "merge":
-                have = _ensure_bindings(lhs_c, binding, rng, cap2)
-                name = step["params"]["name"]
-                if have and _tractable(lhs_c, cap2) and name not in binding:
-                    binding[name] = lhs_c.evaluate(binding)
-            else:
-                _ensure_bindings(lhs_c, binding, rng, cap2)
-                _ensure_bindings(rhs_c, binding, rng, cap2)
-            bound = all(
-                g.label in binding for g in _holes_sorted(lhs_c) + _holes_sorted(rhs_c)
-            )
-            if not (tract and bound):
+            dist = rule_distance(rule, binding, rng, dims, cap2)
+            entry["distance"] = dist
+            if dist is None:
                 entry["status"] = "skipped"
+            elif rule.validation_mode == "exact":
+                entry["status"] = "exact-ok" if dist <= tol else "exact-failed"
+                verified = verified and dist <= tol
             else:
-                m1 = lhs_c.evaluate(binding).matrix
-                m2 = rhs_c.evaluate(binding).matrix
-                dist = float(np.abs(m1 - m2).max())
-                entry["distance"] = dist
-                exact = rule is None or rule.validation_mode == "exact"
-                if exact:
-                    entry["status"] = "exact-ok" if dist <= tol else "exact-failed"
-                    if dist > tol:
-                        verified = False
-                else:
-                    entry["status"] = "axiom"
+                entry["status"] = "axiom"
         steps_out.append(entry)
     claimed_matches = state.budget == script.claimed_total
     verified = verified and claimed_matches

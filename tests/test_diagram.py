@@ -449,8 +449,8 @@ class TestEvaluateMatchesSweep:
         _, records = rw.replay_script(rw.SHIPPED_SCRIPTS[name]())
         rng = np.random.default_rng(0)
         checked = 0
-        for rec in records:
-            for side in (rec["lhs"], rec["rhs"]):
+        for _, rule in records:
+            for side in (rule.lhs, rule.rhs):
                 d = side.subst({"N": 1, "M": 1})
                 if not rw._tractable(d, rw.DIM_CAP**2):
                     continue

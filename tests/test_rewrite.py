@@ -98,11 +98,11 @@ class TestMatcher:
         state = rw.RewriteState(script.initial)
         for step in script.steps:
             before = state.diagram
-            state, lhs, _, rule = rw._step_apply(state, step)
-            if rule is not None:
+            state, rule = rw._step_apply(state, step)
+            if rule.name != "merge":
                 loc = tuple(sorted(step["loc"]))
-                whole = [m for m in rw.find_matches(before, lhs) if m.loc == loc]
-                assert whole and [m for m in rw.find_matches(before, lhs, loc) if m.loc == loc] == whole
+                whole = [m for m in rw.find_matches(before, rule.lhs) if m.loc == loc]
+                assert whole and [m for m in rw.find_matches(before, rule.lhs, loc) if m.loc == loc] == whole
 
     def test_flags_must_agree(self):
         host = dg.Diagram.from_generator(dg.hole("h", (C2,), (C2,)))
@@ -173,13 +173,22 @@ class TestSurgical:
         before = d.evaluate(binding)
         fid = [n for n, g in d.nodes.items() if g.label == "f"][0]
         gid = [n for n, g in d.nodes.items() if g.label == "g"][0]
-        merged, sub, _ = rw.merge_step(d, (fid, gid), "fg")
-        binding["fg"] = sub.evaluate(binding)
+        merged, rule = rw.merge_step(d, (fid, gid), "fg")
+        binding["fg"] = rule.lhs.evaluate(binding)
         assert np.allclose(merged.evaluate(binding).matrix, before.matrix, atol=1e-12)
+
+    def test_merge_is_an_exact_rule_that_derives_its_hole(self):
+        d = dg.parse_diagram("hole f : C2 -> C2\nhole g : C2 -> C2 causal\nuniform C2 1 ; f ; g")
+        holes = tuple(n for n, g in d.nodes.items() if g.kind == dg.HOLE)
+        _, rule = rw.merge_step(d, holes, "fg")
+        assert (rule.name, rule.validation_mode, rule.binding_mode) == ("merge", "exact", "derive_rhs")
+        assert not rule.cost
+        for seed in range(3):
+            assert rw.validate_rule(rule, np.random.default_rng(seed)) <= 1e-12
 
     def test_merge_flag_inference(self):
         d = dg.parse_diagram("hole f : C2 -> C2 causal\nuniform C2 1 ; f")
-        merged, _, _ = rw.merge_step(d, tuple(d.nodes), "all")
+        merged, _ = rw.merge_step(d, tuple(d.nodes), "all")
         (g,) = merged.nodes.values()
         assert g.flags == frozenset({"causal", "stochastic"})
 
@@ -273,6 +282,23 @@ class TestRuleLibrary:
             # both sides evaluate on a common boundary; the deviation is
             # finite and recorded, never asserted against the cost
             assert np.isfinite(rw.validate_rule(rule, rng, dims={"N": 1}))
+
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    @pytest.mark.parametrize("index", range(4), ids=[r.name for r in rw.axiom_rules()])
+    def test_check_step_measures_the_self_test_distance(self, index, seed):
+        # check and rules share one numeric check: a one-step script from
+        # an axiom's lhs reports the distance that validate_rule measures
+        rule = rw.axiom_rules()[index]
+        step = {
+            "rule": rule.name.split("@")[0],
+            "loc": tuple(sorted(rule.lhs.nodes)),
+            "params": {"scale": 1, "base": "N"},
+        }
+        script = rw.ProofScript(rule.name, rule.lhs, [step], rule.cost)
+        rep = rw.run_script(script, dims={"N": 1}, seed=seed)
+        assert rep["verified"] and rep["steps"][0]["status"] == "axiom"
+        want = rw.validate_rule(rule, np.random.default_rng(seed), dims={"N": 1})
+        assert rep["steps"][0]["distance"] == want
 
 
 class TestScripts:
