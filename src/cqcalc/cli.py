@@ -427,8 +427,9 @@ def cmd_rules(args) -> int:
             }
         )
     report = {
-        # 2: as for eval, the self-test deviations come from evaluate
-        "format_version": 2,
+        # 2: as for eval, the self-test deviations come from evaluate;
+        # 3: rule_distance draws the lhs holes of a fresh rule first
+        "format_version": 3,
         "command": "rules",
         "seed": args.seed,
         "dim": args.dim,

@@ -227,8 +227,8 @@ def test_extract_hmin_report_bytes(tmp_path, n, m, k):
 
 
 RULES_DIGESTS = {
-    2: "ddd7bfee4cbfb5c017c759aa36f1e46416600c6eba48e7708fc307086789bd39",
-    3: "1d37c2c54e9256c958be61f549293c3bc56355c561adb1cd32ee3d149b6b69bf",
+    2: "8c76a6ca673280259b8437e306777fd89e22a359b9d169133486a0cf4c113968",
+    3: "86776019c1e3d5707e6db52565cc63627bf542ed115038c8b12e8abac75fbe1d",
 }
 
 
