@@ -971,7 +971,20 @@ def _step_apply(state: RewriteState, step):
         else:
             raise RewriteError(f"unknown rule {name!r}")
         new, _ = apply_rule(state, rule, loc)
+    # holes that share a label denote one process, so a step may not
+    # give a new node the label of a node that it leaves in place
+    outside = _opaque_labels(g for n, g in state.diagram.nodes.items() if n not in loc)
+    reused = _opaque_labels(rule.rhs.nodes.values()) - _opaque_labels(rule.lhs.nodes.values())
+    if reused & outside:
+        raise RewriteError(
+            f"step {name!r}: its rhs reuses the label(s) {sorted(reused & outside)}"
+            " of nodes outside its loc"
+        )
     return new, rule
+
+
+def _opaque_labels(gens) -> set:
+    return {g.label for g in gens if g.opaque}
 
 
 def replay_script(script: ProofScript):

@@ -207,6 +207,28 @@ class TestCheck:
         assert not rep["verified"]
         assert "absent" in rep["error"]
 
+    @pytest.mark.parametrize("case", ["merge_g_as_f", "chain_k1_merge_as_A@2"])
+    def test_step_reusing_a_label_fails_verification(self, tmp_path, case):
+        # holes that share a label denote one process, so a merge may not
+        # name its hole after a node that it leaves in place
+        if case == "merge_g_as_f":
+            d = dg.parse_diagram(
+                "hole f : C2 -> C2\nhole g : C2 -> C2\nuniform C2 1 ; f ; g ; discard C2"
+            )
+            (gid,) = [n for n, g in d.nodes.items() if g.label == "g"]
+            step = {"rule": "merge", "loc": (gid,), "params": {"name": "f"}}
+            script, label = rw.ProofScript("reuse", d, [step], rw.EpsExpr.zero()), "f"
+        else:
+            script, label = rw.script_chain(1), "A@2"
+            script.steps[-1]["params"] = {"name": label}
+        sfile = tmp_path / "s.json"
+        sfile.write_text(json.dumps(rw.script_to_json(script)))
+        code, out = run_to_file(tmp_path, ["check", str(sfile), "--dims", "N=1"])
+        assert code == 1
+        rep = json.loads(out.read_text())
+        assert not rep["verified"]
+        assert repr(label) in rep["error"] and "outside its loc" in rep["error"]
+
     def test_empty_script_zero_budget(self, tmp_path):
         initial = dg.Diagram.from_generator(dg.uniform_gen(rc.C(2), 1))
         script = rw.ProofScript("empty", initial, [], rw.EpsExpr.zero())

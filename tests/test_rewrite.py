@@ -374,6 +374,21 @@ class TestScripts:
         assert [st["cost"] for st in rep["steps"]] == ["eps(2*N)", "eps(1*N)"]
         assert rep["verified"]
 
+    @pytest.mark.parametrize("rule,label", [("spot_check", "B@1"), ("starting_soundness", "R@1")])
+    def test_new_node_may_not_take_the_label_of_a_node_left_in_place(self, rule, label):
+        # holes that share a label denote one process: spot_check adds a
+        # B@1 next to the one already there; starting_soundness keeps its
+        # R@1, so a second R@1 outside its loc stays the same process
+        lhs = rw.rule_spot_check(1, "N").lhs
+        other = dg.Diagram.from_generator(dg.hole(label, (C2,), (C2,)))
+        step = {"rule": rule, "loc": tuple(sorted(lhs.nodes)), "params": {"scale": 1, "base": "N"}}
+        script = rw.ProofScript("reuse", lhs @ other, [step], rw.EpsExpr.zero())
+        if rule == "starting_soundness":
+            rw.replay_script(script)
+        else:
+            with pytest.raises(rw.RewriteError, match="B@1"):
+                rw.replay_script(script)
+
     def test_report_is_deterministic_json(self):
         s = rw.script_single_stage()
         r1 = rw.run_script(s, dims={"M": 1}, seed=7)
