@@ -213,8 +213,6 @@ class RewriteRule:
     def __post_init__(self):
         if self.lhs.in_types != self.rhs.in_types or self.lhs.out_types != self.rhs.out_types:
             raise ValueError(f"rule {self.name}: boundary typing differs between sides")
-        if self.binding_mode not in ("fresh", "derive_lhs", "derive_rhs"):
-            raise ValueError(f"rule {self.name}: unknown binding_mode {self.binding_mode!r}")
 
 
 @dataclass(frozen=True)
