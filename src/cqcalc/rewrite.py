@@ -971,12 +971,12 @@ def _step_apply(state: RewriteState, step):
         new, _ = apply_rule(state, rule, loc)
     # holes that share a label denote one process, so a step may not
     # give a new node the label of a node that it leaves in place
-    outside = _opaque_labels(g for n, g in state.diagram.nodes.items() if n not in loc)
-    reused = _opaque_labels(rule.rhs.nodes.values()) - _opaque_labels(rule.lhs.nodes.values())
-    if reused & outside:
+    fresh = _opaque_labels(rule.rhs.nodes.values()) - _opaque_labels(rule.lhs.nodes.values())
+    nodes = state.diagram.nodes
+    reused = {g.label for n, g in nodes.items() if g.label in fresh and n not in loc and g.opaque}
+    if reused:
         raise RewriteError(
-            f"step {name!r}: its rhs reuses the label(s) {sorted(reused & outside)}"
-            " of nodes outside its loc"
+            f"step {name!r}: its rhs reuses the label(s) {sorted(reused)} of nodes outside its loc"
         )
     return new, rule
 
