@@ -93,6 +93,64 @@ def test_pipeline_report_bytes():
     assert sha256(text.encode()) == "b0ba80c4abf94ee537963771338a5d617722c97691ff9f15daf300d519960dfd"
 
 
+PIPELINE_DIGESTS = {
+    # seeds 0-3 at q=0.9, chi=0.75; each mix has a level that is never
+    # reached ("aborted": null) and, for the honest pair, a full run
+    (1, 2, "honest"): "6897e7d10705ae7c30b25391b2f5f35ce5f073345fe90c6eb6126df7767da71c",
+    (1, 2, "all-zero"): "c95c50df3fee885d61ea5100c76420d4114a697f526a81b5d11a849c05def728",
+    (2, 2, "honest"): "944d994da4b7d842f3db06e6c1015bd03a11b47091294de5662f635ab5984734",
+    (2, 2, "all-zero"): "bd95fbb499b95ddb385c6309df6f45bf106940381cb15d9edd613a7943b84b78",
+    (1, 3, "honest"): "80439049184113b54b5bdd093206d643375272697e9556debe531e0d78e2a1a1",
+    (1, 3, "all-zero"): "a25952fbabede8a6a2da4a9f7430de40b961a382162bdaa681091333201387e5",
+}
+
+
+def pipeline_strategy(name: str) -> pr.DeviceStrategy:
+    if name == "honest":
+        return pr.optimal_chsh_strategy()
+    return pr.deterministic_strategy(lambda x: 0, lambda y: 0)
+
+
+@pytest.mark.parametrize("N,k,strategy", sorted(PIPELINE_DIGESTS))
+def test_pipeline_plan_bytes(N, k, strategy):
+    s = pipeline_strategy(strategy)
+    reps = [ex.unbounded_pipeline(ex.ExpansionPlan(N, k), [s, s], seed, q=0.9, chi=0.75) for seed in range(4)]
+    assert any(lv["aborted"] is None for rep in reps for lv in rep["levels"])
+    text = json.dumps(reps, sort_keys=True)
+    assert sha256(text.encode()) == PIPELINE_DIGESTS[(N, k, strategy)]
+
+
+@pytest.mark.parametrize(
+    "m,seed_bits,digest",
+    [
+        (4, [0, 1, 1, 0], "a682c72c97129901a5dd41665399e8bd4b9e6fd216d3a5d4a62a42d2aaaa6b43"),
+        (1, [1], "278f6f6e2fc6fe4f46e6e3c598d7b7abd940c28d5f69c23030faf8fe3d5481c2"),
+    ],
+)
+def test_doubling_stage_run_bytes(m, seed_bits, digest):
+    stage = ex.DoublingStage(m, allow_single_bit=True)
+    rep = stage.run(pr.optimal_chsh_strategy(), seed_bits, 0.2, 0.85, 7)
+    assert sha256(json.dumps(rep, sort_keys=True).encode()) == digest
+
+
+@pytest.mark.parametrize(
+    "m,digest",
+    [
+        (1, "bc4a19c8073a9c7d8dec9173d89dc68e5388e2af3f85aee90d4add00b871bf66"),
+        (2, "6a395819dace7dac5e0afd20b16ec270cc65dff08c94a5980ef87cf00dedaecb"),
+    ],
+)
+def test_exact_stage_distribution_bytes(m, digest):
+    stage = ex.DoublingStage(m, allow_single_bit=True)
+    per_seed = ex._exact_stage_distribution(stage, pr.optimal_chsh_strategy(), 0.9, 0.75)
+    assert sorted(per_seed) == list(range(2**m))
+    data = b"".join(
+        np.int64(s).tobytes() + per_seed[s][0].tobytes() + np.float64(per_seed[s][1]).tobytes()
+        for s in sorted(per_seed)
+    )
+    assert sha256(data) == digest
+
+
 CHECK_DIGESTS = {
     ("chain_k1", "N=1"): "13156e8420a5c201f4a181e9ef95921ac7e29300b74ccb8d36aefe061df738ad",
     ("chain_k2", "N=1"): "1a2bc3fded72280545f45f7cb55b0589d3f111fc5d6d2735a30e3924724ddc45",
