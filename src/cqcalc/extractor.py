@@ -34,8 +34,7 @@ class ExtractorParams:
     e: int = 10
 
     def __post_init__(self):
-        if not 1 <= self.m <= self.n:
-            raise ValueError("need 1 <= m <= n")
+        check_hash_shape(self.n, self.m)
 
     @property
     def seed_len(self) -> int:
@@ -162,40 +161,34 @@ def extract_subnormalized(y: CQState, params: ExtractorParams, seed=None):
     for z, op in zip(zs, y.branch_ops):
         branches[z] += op
     out = CQState(branches)
-    small_branch = cutoff
-    if trace < cutoff:
-        report = {
-            "case": "small-trace",
-            "trace": trace,
-            "bound_small": small_branch,
-            "bound_normalized": None,
-            "bound": small_branch,
-        }
-        return out, report
-    h_min, _ = pr.min_entropy_cq(
-        CQState([b / trace for b in y.branch_ops if np.trace(b).real > 0])
-    )
-    normalized_branch = trace * leftover_hash_bound(h_min, params.m)
     report = {
-        "case": "normalized",
+        "case": "small-trace",
         "trace": trace,
-        "h_min_normalized": h_min,
-        "bound_small": small_branch,
-        "bound_normalized": normalized_branch,
-        "bound": normalized_branch,
+        "bound_small": cutoff,
+        "bound_normalized": None,
+        "bound": cutoff,
     }
+    if trace >= cutoff:
+        h_min, _ = pr.min_entropy_cq(
+            CQState([b / trace for b in y.branch_ops if np.trace(b).real > 0])
+        )
+        bound = trace * leftover_hash_bound(h_min, params.m)
+        report.update(
+            case="normalized", h_min_normalized=h_min, bound_normalized=bound, bound=bound
+        )
     return out, report
 
 
 # ---------------------------------------------------------------------------
 # the seed-doubling composed protocol
 
+RATIO = 4  # a stage's protocol emits RATIO raw bits per protocol-key bit of a split seed
 
-def _expand_seed_bits(seed_bits, length: int) -> np.ndarray:
-    """Deterministically stretch a short bit string into a hash seed."""
-    key = int("".join(str(int(b)) for b in seed_bits), 2) if len(seed_bits) else 0
-    rng = np.random.Generator(np.random.Philox(key))
-    return rng.integers(0, 2, size=length, dtype=np.uint8)
+
+def _bits_int(bits) -> int:
+    """The integer that bits spell, most significant bit first (0 for
+    no bits); exact at any width, where _pack stops at 63 bits."""
+    return int("".join(map(str, bits)) or "0", 2)
 
 
 @dataclass
@@ -208,7 +201,6 @@ class DoublingStage:
     and second half swapped back to original order)."""
 
     m_bits: int
-    ratio: int = 4
     allow_single_bit: bool = False
 
     def __post_init__(self):
@@ -216,12 +208,10 @@ class DoublingStage:
             raise ValueError(
                 "M=1 leaves an empty hash-seed half; use allow_single_bit"
             )
-        if self.ratio * math.ceil(self.m_bits / 2) < 2 * self.m_bits:
-            raise ValueError("expansion ratio too small for the output width")
 
     @property
     def raw_bits(self) -> int:
-        return self.ratio * math.ceil(self.m_bits / 2)
+        return RATIO * math.ceil(self.m_bits / 2)
 
     @property
     def rounds(self) -> int:
@@ -231,21 +221,26 @@ class DoublingStage:
     def out_bits(self) -> int:
         return 2 * self.m_bits
 
+    def split_seed(self, seed_bits):
+        """(Toeplitz hash seed, protocol key) of a seed: the first half
+        is stretched into the hash seed and the second half keys the
+        protocol.  With M = 1 the one bit does both."""
+        half = self.m_bits // 2
+        hash_half, proto_half = seed_bits[:half], seed_bits[half:]
+        rng = np.random.Generator(np.random.Philox(_bits_int(hash_half or proto_half)))
+        hash_seed = rng.integers(0, 2, size=self.raw_bits + self.out_bits - 1, dtype=np.uint8)
+        return hash_seed, _bits_int(proto_half)
+
     def run(self, strategy, seed_bits, q: float, chi: float, run_seed: int):
         """Execute the stage; returns a per-stage report dict."""
         seed_bits = list(map(int, seed_bits))
         if len(seed_bits) != self.m_bits:
             raise ValueError(f"expected {self.m_bits} seed bits")
-        half = self.m_bits // 2
-        hash_half, proto_half = seed_bits[:half], seed_bits[half:]
-        proto_key = int("".join(map(str, proto_half)), 2)
+        hash_seed, proto_key = self.split_seed(seed_bits)
         rep = pr.spotcheck_run(
             self.rounds, q, chi, strategy, seed=run_seed * 65537 + proto_key
         )
         raw = list(rep.output_bits)
-        hash_seed = _expand_seed_bits(
-            hash_half if hash_half else proto_half, self.raw_bits + self.out_bits - 1
-        )
         out = toeplitz_extract(raw, hash_seed, self.out_bits)
         return {
             "aborted": rep.aborted,
@@ -255,11 +250,6 @@ class DoublingStage:
             "output_bits": [int(b) for b in out],
             "seed_copy": seed_bits,
         }
-
-
-def compose_R(M: int, ratio: int = 4, allow_single_bit: bool = False) -> DoublingStage:
-    """Doubling protocol taking M seed bits to 2M output bits."""
-    return DoublingStage(M, ratio, allow_single_bit)
 
 
 # ---------------------------------------------------------------------------
@@ -273,19 +263,10 @@ class ExpansionPlan:
 
     N: int
     k: int
-    ratio: int = 4
 
     def __post_init__(self):
         if self.N < 1 or self.k < 1:
             raise ValueError("need N >= 1 and k >= 1")
-
-    def widths(self) -> list:
-        return [self.N * 4**i for i in range(self.k + 1)]
-
-
-def _level_budget_atoms(plan: ExpansionPlan, level: int, base: str = "N"):
-    scale = 4**level
-    return [rw.eps(scale, base), rw.eps(2 * scale, base)]
 
 
 def _exact_stage_distribution(stage: DoublingStage, strategy, q: float, chi: float):
@@ -308,11 +289,8 @@ def _exact_stage_distribution(stage: DoublingStage, strategy, q: float, chi: flo
                 if w > 0:
                     passed = bool(g.predicate(xx, yy, aa, bb)) if t else None
                     round_options.append((w, t, passed, aa, bb))
-    for seed_val in range(2**stage.m_bits):
-        seed_bits = [(seed_val >> j) & 1 for j in range(stage.m_bits)][::-1]
-        half = stage.m_bits // 2
-        hash_half = seed_bits[:half] if half else seed_bits[half:]
-        hash_seed = _expand_seed_bits(hash_half, stage.raw_bits + stage.out_bits - 1)
+    for seed_val, seed_bits in enumerate(_bits(np.arange(2**stage.m_bits), stage.m_bits).tolist()):
+        hash_seed, _ = stage.split_seed(seed_bits)
         t_mat = toeplitz_matrix(hash_seed, stage.out_bits)
         dist = np.zeros(2**stage.out_bits)
         abort_mass = 0.0
@@ -329,8 +307,7 @@ def _exact_stage_distribution(stage: DoublingStage, strategy, q: float, chi: flo
             if tests == 0 or passes / tests < chi:
                 abort_mass += wgt
                 continue
-            z = (t_mat @ np.array(raw, dtype=np.uint8)) % 2
-            dist[int("".join(map(str, z)), 2)] += wgt
+            dist[_pack((t_mat @ np.array(raw, dtype=np.uint8)) % 2)] += wgt
         per_seed[seed_val] = (dist, abort_mass)
     return per_seed
 
@@ -340,94 +317,80 @@ def unbounded_pipeline(plan: ExpansionPlan, strategies, seed: int, q: float = 0.
 
     Each level performs two doublings on alternating device pairs,
     consuming the previous level's output as its seed.  The report
-    carries per-level abort flags, widths, and symbolic budget atoms;
-    when the first level is small enough, the exact distance of the
-    final output distribution from uniform is enumerated."""
+    carries per-level abort flags, widths, and the budget atoms of the
+    level's two spot-check steps in the k-stage chain proof; when the
+    first level is small enough, the exact distance of the final output
+    distribution from uniform is enumerated."""
     if len(strategies) != 2:
         raise ValueError("supply exactly two device-pair strategies")
     for s in strategies:
         s.validate()
+    chain = rw.script_chain(plan.k)
+    _, records = rw.replay_script(chain)
+    costs = [str(rule.cost) for _, rule in records if rule.cost]
     rng = np.random.Generator(np.random.Philox(seed))
     current = [int(b) for b in rng.integers(0, 2, size=plan.N)]
+    stages = [
+        (DoublingStage(w, allow_single_bit=True), DoublingStage(2 * w, allow_single_bit=True))
+        for w in (plan.N * 4**level for level in range(plan.k))
+    ]
     levels = []
     aborted = False
-    for level in range(plan.k):
-        width = plan.N * 4**level
-        pair = strategies[level % 2]
-        stage1 = compose_R(width, plan.ratio, allow_single_bit=True)
-        stage2 = compose_R(2 * width, plan.ratio, allow_single_bit=True)
+    for level, level_stages in enumerate(stages):
         rec = {
             "level": level,
-            "input_width": width,
-            "output_width": 4 * width,
+            "input_width": level_stages[0].m_bits,
+            "output_width": level_stages[1].out_bits,
             "device_pair": level % 2,
-            "budget_atoms": [str(a) for a in _level_budget_atoms(plan, level)],
-            "aborted": False,
+            "budget_atoms": costs[2 * level : 2 * level + 2],
+            "aborted": None,  # never reached
         }
         if not aborted:
-            r1 = stage1.run(pair, current, q, chi, run_seed=seed * 1000 + 2 * level)
-            if r1["aborted"]:
-                rec["aborted"] = True
-                aborted = True
-            else:
-                r2 = stage2.run(
-                    pair, r1["output_bits"], q, chi, run_seed=seed * 1000 + 2 * level + 1
+            for j, stage in enumerate(level_stages):
+                r = stage.run(
+                    strategies[level % 2], current, q, chi, run_seed=seed * 1000 + 2 * level + j
                 )
-                if r2["aborted"]:
-                    rec["aborted"] = True
-                    aborted = True
-                else:
-                    current = r2["output_bits"]
-        else:
-            rec["aborted"] = None  # never reached
+                aborted = r["aborted"]
+                if aborted:
+                    break
+                current = r["output_bits"]
+            rec["aborted"] = aborted
         levels.append(rec)
-    total = rw.EpsExpr.zero()
-    for level in range(plan.k):
-        for atom in _level_budget_atoms(plan, level):
-            total = total + atom
     report = {
         "format_version": 1,
-        "plan": {"N": plan.N, "k": plan.k, "ratio": plan.ratio},
+        "plan": {"N": plan.N, "k": plan.k, "ratio": RATIO},
         "seed": seed,
         "aborted": aborted,
         "levels": levels,
         "output_width": plan.N * 4**plan.k,
         "output_bits": None if aborted else [int(b) for b in current],
-        "budget": str(total),
-        "budget_atoms": [str(rw.EpsExpr((a,))) for a in total.atoms()],
+        "budget": str(chain.claimed_total),
+        "budget_atoms": [str(rw.EpsExpr((a,))) for a in chain.claimed_total.atoms()],
     }
-    first = compose_R(plan.N, plan.ratio, allow_single_bit=True)
-    second = compose_R(2 * plan.N, plan.ratio, allow_single_bit=True)
-    if (
-        plan.k == 1
-        and plan.N * 4 <= 12
-        and first.rounds <= 2
-        and second.rounds <= 2
-        and all(s.mode == "iid" for s in strategies)
-    ):
+    # enumeration costs (round outcomes)^rounds per seed: only N = 1 has two-round stages
+    first, second = stages[0]
+    if plan.k == 1 and second.rounds <= 2 and all(s.mode == "iid" for s in strategies):
         report["uniform_distance_exact"] = _pipeline_exact_distance(
-            plan, strategies, q, chi
+            first, second, strategies[0], q, chi
         )
     return report
 
 
-def _pipeline_exact_distance(plan: ExpansionPlan, strategies, q: float, chi: float) -> float:
+def _pipeline_exact_distance(
+    first: DoublingStage, second: DoublingStage, pair, q: float, chi: float
+) -> float:
     """Exact distance of the k=1 final output from uniform, averaged
     over the initial seed and enumerated over all protocol randomness."""
-    pair = strategies[0]
-    stage1 = compose_R(plan.N, plan.ratio, allow_single_bit=True)
-    stage2 = compose_R(2 * plan.N, plan.ratio, allow_single_bit=True)
-    d1 = _exact_stage_distribution(stage1, pair, q, chi)
-    d2 = _exact_stage_distribution(stage2, pair, q, chi)
-    w_out = 2**stage2.out_bits
+    d1 = _exact_stage_distribution(first, pair, q, chi)
+    d2 = _exact_stage_distribution(second, pair, q, chi)
+    w_out = 2**second.out_bits
     final = np.zeros(w_out)
-    for s1 in d1:
-        dist1, _ = d1[s1]
+    for dist1, _ in d1.values():
         for mid, w1 in enumerate(dist1):
             if w1 == 0:
                 continue
             dist2, _ = d2[mid]
-            final += w1 * dist2 / 2**plan.N
+            final += w1 * dist2 / 2**first.m_bits
     mass = final.sum()
     if mass == 0:
         return 1.0

@@ -201,22 +201,22 @@ class TestSubnormalized:
 class TestDoublingStage:
     def test_width_accounting(self):
         for m in (2, 3, 4, 6):
-            st = ex.compose_R(m)
+            st = ex.DoublingStage(m)
             assert st.out_bits == 2 * m
 
     def test_single_bit_rejected_by_default(self):
         with pytest.raises(ValueError):
-            ex.compose_R(1)
-        assert ex.compose_R(1, allow_single_bit=True).out_bits == 2
+            ex.DoublingStage(1)
+        assert ex.DoublingStage(1, allow_single_bit=True).out_bits == 2
 
     def test_end_to_end_toy_run(self):
-        st = ex.compose_R(4)
+        st = ex.DoublingStage(4)
         rep = st.run(pr.optimal_chsh_strategy(), [0, 1, 1, 0], 0.2, 0.85, 7)
         assert len(rep["output_bits"]) == 8
         assert rep["seed_copy"] == [0, 1, 1, 0]
 
     def test_run_is_deterministic(self):
-        st = ex.compose_R(4)
+        st = ex.DoublingStage(4)
         s = pr.optimal_chsh_strategy()
         r1 = st.run(s, [1, 0, 0, 1], 0.2, 0.85, 3)
         r2 = st.run(s, [1, 0, 0, 1], 0.2, 0.85, 3)
@@ -273,7 +273,7 @@ class TestPipeline:
         q, w = 0.4, math.cos(math.pi / 8) ** 2
         fail_two = (1 - w) ** 2 if chi <= 0.5 else 1 - w**2
         want = (1 - q) ** 2 + 2 * q * (1 - q) * (1 - w) + q**2 * fail_two
-        stage = ex.compose_R(1, allow_single_bit=True)
+        stage = ex.DoublingStage(1, allow_single_bit=True)
         assert stage.rounds == 2
         per_seed = ex._exact_stage_distribution(stage, self.honest, q, chi)
         for dist, abort_mass in per_seed.values():
