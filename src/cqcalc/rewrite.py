@@ -425,6 +425,8 @@ def merge_step(d: dg.Diagram, loc, name: str):
     stochastic likewise).  Returns (new diagram, the exact rule from the
     cut to the hole, which defines the hole as the evaluated cut)."""
     sub, in_atts, out_atts = cut_subdiagram(d, loc)
+    if name in _opaque_labels(sub):
+        raise RewriteError(f"merge: the new hole takes the label {name!r} of a node it fuses")
     parts = list(sub.nodes.values())
     if all(_node_is_causal(g) for g in parts):
         flags = frozenset({"causal", "stochastic"})
@@ -971,7 +973,7 @@ def _step_apply(state: RewriteState, step):
         new, _ = apply_rule(state, rule, loc)
     # holes that share a label denote one process, so a step may not
     # give a new node the label of a node that it leaves in place
-    fresh = _opaque_labels(rule.rhs.nodes.values()) - _opaque_labels(rule.lhs.nodes.values())
+    fresh = _new_labels(rule)
     nodes = state.diagram.nodes
     reused = {g.label for n, g in nodes.items() if g.label in fresh and n not in loc and g.opaque}
     if reused:
@@ -981,8 +983,18 @@ def _step_apply(state: RewriteState, step):
     return new, rule
 
 
-def _opaque_labels(gens) -> set:
-    return {g.label for g in gens if g.opaque}
+def _opaque_sorted(d: dg.Diagram):
+    """The nodes of d whose processes come from a binding, by node id."""
+    return [d.nodes[nid] for nid in sorted(d.nodes) if d.nodes[nid].opaque]
+
+
+def _opaque_labels(d: dg.Diagram) -> set:
+    return {g.label for g in _opaque_sorted(d)}
+
+
+def _new_labels(rule: RewriteRule) -> set:
+    """Labels of the opaque nodes that a rule introduces."""
+    return _opaque_labels(rule.rhs) - _opaque_labels(rule.lhs)
 
 
 def replay_script(script: ProofScript):
@@ -1005,15 +1017,12 @@ def _tractable(d: dg.Diagram, cap2: int) -> bool:
     return rc.total_dim(d.in_types + d.out_types) <= cap2
 
 
-def _holes_sorted(d: dg.Diagram):
-    return [d.nodes[nid] for nid in sorted(d.nodes) if d.nodes[nid].kind == dg.HOLE]
-
-
 def _ensure_bindings(d: dg.Diagram, binding: dict, rng, cap2: int) -> bool:
-    """Draw flag-respecting processes for unbound holes; skip any too
-    large to represent.  True iff every hole ends up bound."""
+    """Draw flag-respecting processes for unbound holes and payload-less
+    boxes; skip any too large to represent.  True iff every one ends up
+    bound."""
     ok = True
-    for g in _holes_sorted(d):
+    for g in _opaque_sorted(d):
         if g.label in binding:
             continue
         if _gen_size(g) <= cap2:
@@ -1041,12 +1050,12 @@ def rule_distance(rule: RewriteRule, binding: dict, rng, dims=None, cap2=math.in
         _ensure_bindings(rhs, binding, rng, cap2)
     else:
         src, dst = (rhs, lhs) if rule.binding_mode == "derive_lhs" else (lhs, rhs)
-        (label,) = [g.label for g in _holes_sorted(dst)]
+        (label,) = [g.label for g in _opaque_sorted(dst)]
         have = _ensure_bindings(src, binding, rng, cap2)
         if have and _tractable(src, cap2) and label not in binding:
             binding[label] = src.evaluate(binding)
     tractable = _tractable(lhs, cap2) and _tractable(rhs, cap2)
-    if not tractable or any(g.label not in binding for g in _holes_sorted(lhs) + _holes_sorted(rhs)):
+    if not tractable or (_opaque_labels(lhs) | _opaque_labels(rhs)) - binding.keys():
         return None
     return float(np.abs(lhs.evaluate(binding).matrix - rhs.evaluate(binding).matrix).max())
 
@@ -1088,6 +1097,10 @@ def run_script(
             "distance": None,
         }
         if dims is not None:
+            # a label the step introduces names a new process; a binding
+            # left by an earlier node of that label is stale
+            for label in _new_labels(rule):
+                binding.pop(label, None)
             dist = rule_distance(rule, binding, rng, dims, cap2)
             entry["distance"] = dist
             if dist is None:

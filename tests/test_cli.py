@@ -229,6 +229,50 @@ class TestCheck:
         assert not rep["verified"]
         assert repr(label) in rep["error"] and "outside its loc" in rep["error"]
 
+    @pytest.mark.parametrize("dims", [[], ["--dims", "N=1"]])
+    def test_merge_named_after_a_node_it_fuses_fails_verification(self, tmp_path, dims):
+        # the lhs already binds f, so a hole f derived from the cut would
+        # denote a second process under the same label
+        d = dg.parse_diagram(
+            "hole f : C2 -> C2\nhole g : C2 -> C2\nuniform C2 1 ; f ; g ; discard C2"
+        )
+        loc = sorted(n for n, g in d.nodes.items() if g.label in ("f", "g"))
+        step = {"rule": "merge", "loc": loc, "params": {"name": "f"}}
+        sfile = tmp_path / "s.json"
+        sfile.write_text(json.dumps(rw.script_to_json(rw.ProofScript("fuse", d, [step], rw.EpsExpr.zero()))))
+        code, out = run_to_file(tmp_path, ["check", str(sfile)] + dims)
+        assert code == 1
+        rep = json.loads(out.read_text())
+        assert not rep["verified"]
+        assert "'f'" in rep["error"] and "fuses" in rep["error"]
+
+    def test_merge_of_a_payloadless_box_is_checked(self, tmp_path):
+        d = dg.parse_diagram(
+            "box f : C2 -> C2\nhole g : C2 -> C2\nuniform C2 1 ; f ; g ; discard C2"
+        )
+        loc = sorted(n for n, g in d.nodes.items() if g.label in ("f", "g"))
+        step = {"rule": "merge", "loc": loc, "params": {"name": "h"}}
+        sfile = tmp_path / "s.json"
+        sfile.write_text(json.dumps(rw.script_to_json(rw.ProofScript("box", d, [step], rw.EpsExpr.zero()))))
+        code, out = run_to_file(tmp_path, ["check", str(sfile), "--dims", "N=1"])
+        assert code == 0
+        rep = json.loads(out.read_text())
+        assert rep["verified"]
+        assert [s["status"] for s in rep["steps"]] == ["exact-ok"]
+
+    def test_step_reusing_a_removed_label_is_checked(self, tmp_path):
+        # the first merge consumes B@1, so the second may name its hole B@1;
+        # the binding of the removed node must not stand for the new one
+        script = rw.script_chain(2)
+        script.steps[-1]["params"] = {"name": "B@1"}
+        sfile = tmp_path / "s.json"
+        sfile.write_text(json.dumps(rw.script_to_json(script)))
+        code, out = run_to_file(tmp_path, ["check", str(sfile), "--dims", "N=0"])
+        assert code == 0
+        rep = json.loads(out.read_text())
+        assert rep["verified"]
+        assert rep["steps"][-1]["rule"] == "merge" and rep["steps"][-1]["status"] == "exact-ok"
+
     def test_empty_script_zero_budget(self, tmp_path):
         initial = dg.Diagram.from_generator(dg.uniform_gen(rc.C(2), 1))
         script = rw.ProofScript("empty", initial, [], rw.EpsExpr.zero())
