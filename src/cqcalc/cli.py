@@ -404,7 +404,7 @@ def cmd_rules(args) -> int:
         worst = 0.0
         for offset in range(args.trials):
             rng = np.random.default_rng(args.seed + offset)
-            worst = max(worst, rw.validate_rule(rule, rng))
+            worst = max(worst, rw.rule_distance(rule, {}, rng))
         records.append(
             {
                 "name": rule.name,
@@ -416,7 +416,7 @@ def cmd_rules(args) -> int:
         )
     for rule in rw.axiom_rules():
         rng = np.random.default_rng(args.seed)
-        dev = rw.validate_rule(rule, rng, dims={"N": 1})
+        dev = rw.rule_distance(rule, {}, rng, {"N": 1})
         records.append(
             {
                 "name": rule.name,

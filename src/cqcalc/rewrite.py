@@ -680,12 +680,6 @@ def sample_hole(g: dg.Generator, rng) -> rc.ProcessTensor:
     return rc.random_cq_channel(g.in_ports, g.out_ports, rng, causal=causal)
 
 
-def validate_rule(rule: RewriteRule, rng, dims=None) -> float:
-    """Numeric self-test: rule_distance from an empty binding, with no
-    size cap."""
-    return rule_distance(rule, {}, rng, dims, math.inf)
-
-
 # ---------------------------------------------------------------------------
 # proof scripts
 

@@ -34,7 +34,7 @@ def test_2_exact_rules_50_seeds():
         for rule in rw.builtin_rules(dim):
             for seed in range(50):
                 rng = np.random.default_rng(1000 * dim + seed)
-                assert rw.validate_rule(rule, rng) <= 1e-12, (rule.name, dim, seed)
+                assert rw.rule_distance(rule, {}, rng) <= 1e-12, (rule.name, dim, seed)
     assert time.monotonic() - start < 10.0
 
 

@@ -184,7 +184,7 @@ class TestSurgical:
         assert (rule.name, rule.validation_mode, rule.binding_mode) == ("merge", "exact", "derive_rhs")
         assert not rule.cost
         for seed in range(3):
-            assert rw.validate_rule(rule, np.random.default_rng(seed)) <= 1e-12
+            assert rw.rule_distance(rule, {}, np.random.default_rng(seed)) <= 1e-12
 
     def test_merge_flag_inference(self):
         d = dg.parse_diagram("hole f : C2 -> C2 causal\nuniform C2 1 ; f")
@@ -272,7 +272,7 @@ class TestRuleLibrary:
         for rule in rw.builtin_rules(dim):
             for seed in range(5):
                 rng = np.random.default_rng(100 * dim + seed)
-                assert rw.validate_rule(rule, rng) <= 1e-12, rule.name
+                assert rw.rule_distance(rule, {}, rng) <= 1e-12, rule.name
 
     def test_axiom_rules_well_formed(self):
         for rule in rw.axiom_rules():
@@ -281,13 +281,13 @@ class TestRuleLibrary:
             rng = np.random.default_rng(0)
             # both sides evaluate on a common boundary; the deviation is
             # finite and recorded, never asserted against the cost
-            assert np.isfinite(rw.validate_rule(rule, rng, dims={"N": 1}))
+            assert np.isfinite(rw.rule_distance(rule, {}, rng, {"N": 1}))
 
     @pytest.mark.parametrize("seed", [0, 1, 5])
     @pytest.mark.parametrize("index", range(4), ids=[r.name for r in rw.axiom_rules()])
     def test_check_step_measures_the_self_test_distance(self, index, seed):
         # check and rules share one numeric check: a one-step script from
-        # an axiom's lhs reports the distance that validate_rule measures
+        # an axiom's lhs reports the distance that the rules self-test measures
         rule = rw.axiom_rules()[index]
         step = {
             "rule": rule.name.split("@")[0],
@@ -297,7 +297,7 @@ class TestRuleLibrary:
         script = rw.ProofScript(rule.name, rule.lhs, [step], rule.cost)
         rep = rw.run_script(script, dims={"N": 1}, seed=seed)
         assert rep["verified"] and rep["steps"][0]["status"] == "axiom"
-        want = rw.validate_rule(rule, np.random.default_rng(seed), dims={"N": 1})
+        want = rw.rule_distance(rule, {}, np.random.default_rng(seed), {"N": 1})
         assert rep["steps"][0]["distance"] == want
 
 
