@@ -384,19 +384,60 @@ def test_script_format_bytes(name):
 
 
 C2, C3, Q2, Q3 = rc.C(2), rc.C(3), rc.Q(2), rc.Q(3)
+C4, C9, C16, C81 = rc.C(4), rc.C(9), rc.C(16), rc.C(81)
 
+# (in_regs, out_regs, causal) -> (matrix digest, digest of the generator
+# state after the call); the state pins how many draws the call made
 CHANNEL_DIGESTS = {
-    ((C2, Q2), (Q2,), True): "2735d88e3b8beebde6c62df3bc7a1a3603b7169faa7789ed109d37242ae62767",
-    ((Q2,), (C3, Q2), True): "027c5bc7268ed639af2bee26c0cbfb24d88e04afb8821d1e794db9d3158d2506",
-    ((Q2, C2), (C2, Q3), False): "1cfab26cc6c766767524ad2379baf5d0a25929d3275f60805437851d3e8e1823",
+    ((C2, Q2), (Q2,), True): (
+        "2735d88e3b8beebde6c62df3bc7a1a3603b7169faa7789ed109d37242ae62767",
+        "9599e1be92c929899d9b1e8397c5ccf6ea4f8b585df705653be5e70caef4895c",
+    ),
+    ((Q2,), (C3, Q2), True): (
+        "027c5bc7268ed639af2bee26c0cbfb24d88e04afb8821d1e794db9d3158d2506",
+        "60f00ec00f3d5efdbcf0b73655b77050e0ec102d5e96d78f29f98debff0d0be2",
+    ),
+    ((Q2, C2), (C2, Q3), False): (
+        "1cfab26cc6c766767524ad2379baf5d0a25929d3275f60805437851d3e8e1823",
+        "772f1e8e188f6dc60e9a4d636528516524cd74c046279afbed0f6cbb982c7e3a",
+    ),
+    # the hot shapes of the proofs benchmark's rule checks
+    ((C16, C4, Q2), (Q2,), True): (
+        "9cdcf92c9f2b2a571271e8134e1d884e53d4fb17aab6e1adbc461037d43f02b9",
+        "5a22ac9242f2ecff04df10c831b7c4f03956744c74685c86e0056ae1481cde34",
+    ),
+    ((C9, Q2), (C81, Q2), False): (
+        "df8045e57432b512edac3c42621f17663108b433980cc634de7dce2d187665ed",
+        "11a90e6926f90bb9f194b273760acf232fe57a8719a26226b6e39f877265cbe6",
+    ),
+    ((C16, Q2), (C16, Q2), False): (
+        "66c98a932d1ad8700b08aa7c0fe6bd2cab881e5d94ac8a52120ca86ecc501896",
+        "c02a03a9755435176a2b1578e042338d842705f886e9ccc828fdba2c06ac30f6",
+    ),
+    ((C4, C2, Q2), (Q2,), True): (
+        "84ea539ed4875573794a0dd2b897c3ff68a3f5897d0cd9d091538944aeb3f233",
+        "4d6d42fba9137e2ec63b40169f429c99cb18e47433821dcf2e71a3b462bf3a97",
+    ),
+    # one classical input symbol, and no input at all
+    ((Q2,), (Q3,), False): (
+        "48f39941359fd07ac288133ccb20ccdd1a6c3ec91e30e86541a4228c354444e0",
+        "ee55705fc33999b160617fc49fdac5aab564e13df6911b00496dde5dae85c76a",
+    ),
+    ((), (C2, Q2), True): (
+        "11b1fcf17a151a2caca5011d95c0136b0c074c4ed120a5fbbab5f0eb0f82b3ab",
+        "22498c794c34e96660dd28d701b7a42b0d07f3f262c1ebc83ab2782b22b8885d",
+    ),
 }
 
 
 @pytest.mark.parametrize("in_regs,out_regs,causal", list(CHANNEL_DIGESTS), ids=repr)
 def test_random_cq_channel_bytes(in_regs, out_regs, causal):
     # proof replay samples its holes with this sampler
-    p = rc.random_cq_channel(in_regs, out_regs, np.random.default_rng(44), causal=causal)
-    assert sha256(p.matrix.tobytes()) == CHANNEL_DIGESTS[(in_regs, out_regs, causal)]
+    rng = np.random.default_rng(44)
+    p = rc.random_cq_channel(in_regs, out_regs, rng, causal=causal)
+    state = json.dumps(rng.bit_generator.state, sort_keys=True)
+    digests = (sha256(p.matrix.tobytes()), sha256(state.encode()))
+    assert digests == CHANNEL_DIGESTS[(in_regs, out_regs, causal)]
 
 
 def test_process_distance_bytes():
