@@ -712,6 +712,10 @@ def random_cq_channel(
     a random distribution over classical output symbols and, per output
     symbol, a CP map on the quantum part; branches sum to a causal (or
     strictly stochastic) process.
+
+    All symbols' instruments are built in one stacked kernel.  The draws
+    come per symbol, in order: the real then the imaginary Gaussian
+    block, then (non-causal only) the branch weights.
     """
     in_regs, out_regs = tuple(in_regs), tuple(out_regs)
     Ki = _kind_dim(in_regs, CLASSICAL)
@@ -730,18 +734,26 @@ def random_cq_channel(
     rows_out = grouped(out_regs, dqo)
 
     env = max(1, dqi)
-    for ci in range(Ki):
-        # draw an instrument: for each classical output, Kraus ops on Q
-        g = rng.normal(size=(Ko * dqo * env, dqi)) + 1j * rng.normal(size=(Ko * dqo * env, dqi))
-        V, _ = np.linalg.qr(g)
-        V = V[:, :dqi]
-        if not causal:
-            V = V @ np.diag(np.sqrt(rng.uniform(0.1, 1.0, size=dqi)))
-        branches = V.reshape(Ko, dqo, env, dqi)
-        # grouped doubled action summed over Kraus branches, gathered
-        # into the carrier layout
-        doubled = np.einsum("cpea,cqeb->cpqab", branches, np.conj(branches))
-        m[:, order[ci]] += doubled.reshape(Ko * dqo * dqo, dqi * dqi)[rows_out]
+    R = Ko * dqo * env
+    # per symbol an isometry V: for each classical output, Kraus ops on Q
+    if causal:
+        z = rng.normal(size=(Ki, 2, R, dqi))
+    else:
+        # weights follow each symbol's Gaussians in the stream
+        z = np.empty((Ki, 2, R, dqi))
+        w = np.empty((Ki, 1, dqi))
+        for ci in range(Ki):
+            z[ci] = rng.normal(size=(2, R, dqi))
+            w[ci, 0] = rng.uniform(0.1, 1.0, size=dqi)
+    V, _ = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
+    if not causal:
+        V = V * np.sqrt(w)
+    branches = V.reshape(Ki, Ko, dqo, env, dqi)
+    # grouped doubled action summed over Kraus branches, gathered into
+    # the carrier layout; += onto zeros keeps the signed zeros of the sum
+    doubled = np.einsum("kcpea,kcqeb->kcpqab", branches, np.conj(branches))
+    blocks = doubled.reshape(Ki, Ko * dqo * dqo, dqi * dqi)[:, rows_out]
+    m[:, order.ravel()] += blocks.transpose(1, 0, 2).reshape(m.shape[0], Ki * dqi * dqi)
     return ProcessTensor(in_regs, out_regs, m)
 
 

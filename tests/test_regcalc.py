@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cqcalc import regcalc as rc
 
@@ -522,3 +523,50 @@ class TestDualCertificate:
         d = rc.process_distance(shrunk, rc.identity([Q2]), seed=0)
         assert d.lower == pytest.approx(0.3, abs=1e-12)
         assert d.upper == pytest.approx(0.3, abs=1e-12)
+
+
+def _random_cq_channel_loop(in_regs, out_regs, rng, causal=True):
+    """The sampler as one instrument per classical input symbol: the
+    reference for the stacked kernel, which must draw the same stream
+    and give the same bytes."""
+    in_regs, out_regs = tuple(in_regs), tuple(out_regs)
+    Ki = rc._kind_dim(in_regs, rc.CLASSICAL)
+    Ko = rc._kind_dim(out_regs, rc.CLASSICAL)
+    dqi, dqo = rc._kind_dim(in_regs, rc.QUANTUM), rc._kind_dim(out_regs, rc.QUANTUM)
+
+    def grouped(regs, dq):
+        rows, cols, _ = rc._lift(regs)
+        return rows * dq + cols % dq
+
+    m = np.zeros((rc.total_dim(out_regs), rc.total_dim(in_regs)), dtype=complex)
+    order = np.argsort(grouped(in_regs, dqi)).reshape(Ki, dqi * dqi)
+    rows_out = grouped(out_regs, dqo)
+    env = max(1, dqi)
+    for ci in range(Ki):
+        g = rng.normal(size=(Ko * dqo * env, dqi)) + 1j * rng.normal(size=(Ko * dqo * env, dqi))
+        V, _ = np.linalg.qr(g)
+        V = V[:, :dqi]
+        if not causal:
+            V = V @ np.diag(np.sqrt(rng.uniform(0.1, 1.0, size=dqi)))
+        branches = V.reshape(Ko, dqo, env, dqi)
+        doubled = np.einsum("cpea,cqeb->cpqab", branches, np.conj(branches))
+        m[:, order[ci]] += doubled.reshape(Ko * dqo * dqo, dqi * dqi)[rows_out]
+    return rc.ProcessTensor(in_regs, out_regs, m)
+
+
+_registers = st.lists(
+    st.one_of(st.builds(rc.C, st.integers(1, 6)), st.builds(rc.Q, st.integers(1, 3))),
+    max_size=3,
+)
+
+
+class TestStackedSamplerMatchesLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(_registers, _registers, st.booleans(), st.integers(0, 2**32 - 1))
+    def test_bytes_and_stream(self, in_regs, out_regs, causal, seed):
+        assume(rc.total_dim(in_regs) * rc.total_dim(out_regs) <= 4096)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = rc.random_cq_channel(in_regs, out_regs, rng, causal=causal)
+        want = _random_cq_channel_loop(in_regs, out_regs, ref_rng, causal=causal)
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
