@@ -1039,6 +1039,8 @@ def rule_distance(rule: RewriteRule, binding: dict, rng, dims=None, cap2=math.in
     lhs, rhs = rule.lhs, rule.rhs
     if dims is not None:
         lhs, rhs = lhs.subst(dims), rhs.subst(dims)
+    # a side already evaluated to bind the derived hole is not evaluated again
+    lhs_value = rhs_value = None
     if rule.binding_mode == "fresh":
         _ensure_bindings(lhs, binding, rng, cap2)
         _ensure_bindings(rhs, binding, rng, cap2)
@@ -1047,11 +1049,20 @@ def rule_distance(rule: RewriteRule, binding: dict, rng, dims=None, cap2=math.in
         (label,) = [g.label for g in _opaque_sorted(dst)]
         have = _ensure_bindings(src, binding, rng, cap2)
         if have and _tractable(src, cap2) and label not in binding:
-            binding[label] = src.evaluate(binding)
+            value = src.evaluate(binding)
+            binding[label] = value
+            if rule.binding_mode == "derive_lhs":
+                rhs_value = value
+            else:
+                lhs_value = value
     tractable = _tractable(lhs, cap2) and _tractable(rhs, cap2)
     if not tractable or (_opaque_labels(lhs) | _opaque_labels(rhs)) - binding.keys():
         return None
-    return float(np.abs(lhs.evaluate(binding).matrix - rhs.evaluate(binding).matrix).max())
+    if lhs_value is None:
+        lhs_value = lhs.evaluate(binding)
+    if rhs_value is None:
+        rhs_value = rhs.evaluate(binding)
+    return float(np.abs(lhs_value.matrix - rhs_value.matrix).max())
 
 
 DIM_CAP = 2**7  # run_script checks a step numerically up to DIM_CAP**2 carrier entries

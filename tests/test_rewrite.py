@@ -301,6 +301,52 @@ class TestRuleLibrary:
         assert rep["steps"][0]["distance"] == want
 
 
+def _merge_rule():
+    d = dg.parse_diagram("hole f : C2 -> C2\nhole g : C2 -> C2 causal\nuniform C2 1 ; f ; g")
+    holes = tuple(n for n, g in d.nodes.items() if g.kind == dg.HOLE)
+    return rw.merge_step(d, holes, "fg")[1]
+
+
+def _count_evaluations(monkeypatch, rule):
+    """Count Diagram.evaluate calls on each side of rule."""
+    calls = {"lhs": 0, "rhs": 0}
+    evaluate = dg.Diagram.evaluate
+
+    def counted(self, binding=None):
+        calls["lhs" if self is rule.lhs else "rhs"] += 1
+        return evaluate(self, binding)
+
+    monkeypatch.setattr(dg.Diagram, "evaluate", counted)
+    return calls
+
+
+class TestRuleDistanceEvaluations:
+    # a derive mode's source side is evaluated once: that value binds the
+    # derived hole and is also that side of the final difference
+    @pytest.mark.parametrize(
+        "make_rule", [lambda: rw.rule_expand_S(1, 3), _merge_rule], ids=["expand_S", "merge"]
+    )
+    def test_derive_mode_evaluates_each_side_once(self, monkeypatch, make_rule):
+        rule = make_rule()
+        calls = _count_evaluations(monkeypatch, rule)
+        binding = {}
+        dist = rw.rule_distance(rule, binding, np.random.default_rng(3))
+        assert calls == {"lhs": 1, "rhs": 1}
+        # the two-evaluation path, under the binding just made
+        want = np.abs(rule.lhs.evaluate(binding).matrix - rule.rhs.evaluate(binding).matrix).max()
+        assert dist == float(want)
+        # with the derived label already bound, both sides are evaluated
+        calls.update(lhs=0, rhs=0)
+        assert rw.rule_distance(rule, binding, np.random.default_rng(3)) == dist
+        assert calls == {"lhs": 1, "rhs": 1}
+
+    def test_fresh_rule_evaluates_both_sides(self, monkeypatch):
+        (rule,) = [r for r in rw.builtin_rules(2) if r.name == "causality"]
+        calls = _count_evaluations(monkeypatch, rule)
+        rw.rule_distance(rule, {}, np.random.default_rng(0))
+        assert calls == {"lhs": 1, "rhs": 1}
+
+
 class TestScripts:
     def test_single_stage_budget(self):
         s = rw.script_single_stage()
