@@ -108,10 +108,19 @@ def _dumps(x, ind="") -> str:
 def _emit(report: dict, out_path):
     text = _dumps(report) + "\n"
     if out_path:
-        with open(out_path, "w") as f:
-            f.write(text)
+        try:
+            with open(out_path, "w") as f:
+                f.write(text)
+        except OSError as e:
+            raise CliError(f"cannot write report file {out_path}: {e}") from e
     else:
         sys.stdout.write(text)
+
+
+def _check_seed(args):
+    """numpy's generators take only a non-negative seed."""
+    if args.seed < 0:
+        raise CliError(f"--seed must be >= 0, got {args.seed}")
 
 
 def _load_json(path):
@@ -197,6 +206,7 @@ def _parse_decay(text) -> rw.ExpDecay:
 def cmd_check(args) -> int:
     if args.n_value < 0:
         raise CliError("--n-value must be >= 0: it is a bit width")
+    _check_seed(args)
     if args.script in rw.SHIPPED_SCRIPTS:
         script = rw.SHIPPED_SCRIPTS[args.script]()
     else:
@@ -250,6 +260,7 @@ def _load_strategy(path) -> pr.DeviceStrategy:
 def cmd_simulate(args) -> int:
     if args.sweep < 0:
         raise CliError("--sweep must be >= 0")
+    _check_seed(args)
     config = {
         "rounds": args.rounds,
         "q": args.q,
@@ -362,6 +373,7 @@ def cmd_extract(args) -> int:
         "m": args.m,
     }
     if args.source is not None:
+        _check_seed(args)
         try:
             ex.check_hash_shape(args.n, args.m)
         except ValueError as e:
@@ -399,6 +411,7 @@ def cmd_rules(args) -> int:
         raise CliError("--dim must be >= 1")
     if args.trials < 1:
         raise CliError("--trials must be >= 1: a rule is ok only once it is checked")
+    _check_seed(args)
     records = []
     for rule in rw.builtin_rules(args.dim):
         worst = 0.0

@@ -506,6 +506,35 @@ class TestTolerance:
             cli._default_tol(Args())
 
 
+class TestCommonFlags:
+    @pytest.mark.parametrize("argv", [
+        ["check", "soundness_k2"],
+        ["check", "soundness_k2", "--dims", "N=1"],
+        ["rules", "--trials", "1"],
+        ["extract", "--n", "8", "--m", "2", "--source", "a5"],
+        ["simulate", "--rounds", "5"],
+    ], ids=" ".join)
+    def test_negative_seed_exit_2(self, tmp_path, capsys, argv):
+        # numpy's generators take no negative seed; this was a traceback
+        out = tmp_path / "r.json"
+        assert cli.main(argv + ["--seed", "-1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--seed" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["rules", "--trials", "1"],
+        ["check", "soundness_k2"],
+        ["simulate", "--rounds", "5"],
+    ], ids=" ".join)
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, argv, where):
+        out = tmp_path / "no" / "r.json" if where == "missing_dir" else tmp_path
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write report file")
+
+
 class TestSharedParser:
     def test_one_parser_per_process(self):
         assert cli._parser() is cli._parser()
