@@ -1,0 +1,48 @@
+"""Timings of the kernels under the proofs benchmark's rule checks.
+
+    PYTHONPATH=src python -m pytest tests/test_kernels.py
+
+pytest-benchmark prints a table of the timings.  Each case runs a few
+fixed rounds, so the module adds well under a second to the suite; the
+end-to-end figures come from bench/run.py, not from here.
+"""
+
+import numpy as np
+import pytest
+
+from cqcalc import regcalc as rc
+from cqcalc import rewrite as rw
+
+pytest.importorskip("pytest_benchmark")
+
+ROUNDS = 5
+
+C4, C9, C16, C81, Q2 = rc.C(4), rc.C(9), rc.C(16), rc.C(81), rc.Q(2)
+
+# the hottest hole shapes of the proofs benchmark
+CHANNEL_SHAPES = [
+    ((C16, C4, Q2), (Q2,), True),
+    ((C9, Q2), (C81, Q2), False),
+    ((C16, Q2), (C16, Q2), False),
+]
+
+
+@pytest.mark.parametrize("in_regs,out_regs,causal", CHANNEL_SHAPES, ids=repr)
+def test_random_cq_channel(benchmark, in_regs, out_regs, causal):
+    rng = np.random.default_rng(0)
+    p = benchmark.pedantic(
+        rc.random_cq_channel,
+        args=(in_regs, out_regs, rng),
+        kwargs={"causal": causal},
+        rounds=ROUNDS,
+        warmup_rounds=1,
+    )
+    assert p.matrix.shape == (rc.total_dim(out_regs), rc.total_dim(in_regs))
+
+
+def test_rule_distance_expand_S(benchmark):
+    rule = rw.rule_expand_S(1, 3)
+    rng = np.random.default_rng(0)
+    # a fresh binding per round, so every round derives the stage hole
+    dist = benchmark.pedantic(lambda: rw.rule_distance(rule, {}, rng), rounds=ROUNDS, warmup_rounds=1)
+    assert dist <= 1e-12
