@@ -353,6 +353,29 @@ class TestSimulate:
         assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 2
         assert "strategy" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("defect", ["one_input", "not_psd", "negative_row"])
+    def test_bad_strategy_sweep_exit_2(self, tmp_path, capsys, defect):
+        # negative_row passes strategy_from_json; the sampler's
+        # probability checks refuse it
+        s = pr.optimal_chsh_strategy()
+        if defect == "one_input":
+            s = pr.DeviceStrategy(s.shared_state, [t[:1] for t in s.povms])
+        elif defect == "not_psd":
+            rho = s.density() + 0.1 * np.diag([1.0, -1.0, 1.0, -1.0])
+            s = pr.DeviceStrategy(pr.bipartite_state(rho, 2, 2), s.povms)
+        else:
+            z = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+            rho = np.diag([1.0 + 1e-10, -1e-10, 0.0, 0.0]).astype(complex)
+            s = pr.DeviceStrategy(pr.bipartite_state(rho, 2, 2), [[z, z], [z, z]])
+        j = pr.strategy_to_json(s)
+        sfile = tmp_path / "s.json"
+        sfile.write_text(json.dumps(j))
+        argv = ["simulate", "--rounds", "20", "--sweep", "5", "--strategy", str(sfile)]
+        assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 2
+        assert not (tmp_path / "x").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
 
 class TestEntropy:
     def test_diagonal_example_matches_closed_form(self, tmp_path):

@@ -157,6 +157,40 @@ def test_density_round_trip_2x3():
     assert np.array_equal(pr.DeviceStrategy(state, []).density(), rho)
 
 
+def negative_row_strategy():
+    """Z measurements on diag(1 + eps, -eps, 0, 0): validate() accepts the
+    state within its tolerance, but every outcome row gives (a, b) =
+    (0, 1) the probability -eps."""
+    z = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
+    rho = np.diag([1.0 + 1e-10, -1e-10, 0.0, 0.0]).astype(complex)
+    return pr.DeviceStrategy(pr.bipartite_state(rho, 2, 2), [[z, z], [z, z]])
+
+
+def invalid_spotcheck_inputs():
+    """(M, q, chi, strategy, message) for each input the sampler refuses."""
+    s = pr.optimal_chsh_strategy()
+    rho = s.density()
+    return {
+        "M=0": (0, 0.2, 0.85, s, "invalid spot-check parameters"),
+        "q=1": (10, 1.0, 0.85, s, "invalid spot-check parameters"),
+        "chi=0.4": (10, 0.2, 0.4, s, "invalid spot-check parameters"),
+        "trace_2": (10, 0.2, 0.85, pr.DeviceStrategy(pr.bipartite_state(2 * rho, 2, 2), s.povms),
+                    "shared state must have unit trace"),
+        "not_psd": (10, 0.2, 0.85, pr.DeviceStrategy(
+            pr.bipartite_state(rho + 0.1 * np.diag([1.0, -1.0, 1.0, -1.0]), 2, 2), s.povms),
+                    "shared state is not PSD"),
+        "one_input": (10, 0.2, 0.85, pr.DeviceStrategy(s.shared_state, [t[:1] for t in s.povms]),
+                      "CHSH needs two inputs and two outcomes per player, got (x, y, a, b) sizes (1, 1, 2, 2)"),
+        "short_scripted": (4, 0.2, 0.85, pr.DeviceStrategy(
+            s.shared_state, [[t] * 3 for t in s.povms], mode="scripted"),
+                           "scripted strategy has fewer than 4 rounds"),
+        "negative_row": (10, 0.2, 0.85, negative_row_strategy(), "probabilities are not non-negative"),
+    }
+
+
+INVALID_SPOTCHECK_INPUTS = invalid_spotcheck_inputs()
+
+
 class TestSpotcheck:
     @pytest.mark.parametrize(
         "s",
@@ -166,11 +200,11 @@ class TestSpotcheck:
     def test_matches_scalar_choice_loop(self, s):
         for r in range(3 if s.mode == "scripted" else 1):
             assert pr.conditional_distribution(s, r).tobytes() == reference_conditional_distribution(s, r).tobytes()
-        for q in (0.1, 0.6):
+        for M, q in ((40, 0.1), (40, 0.6), (1, 0.6)):
             for seed in range(3):
-                want = reference_spotcheck(40, q, 0.75, s, seed).to_json()
-                got = pr.spotcheck_run(40, q, 0.75, s, seed).to_json()
-                assert got == want
+                want = reference_spotcheck(M, q, 0.75, s, seed).to_json()
+                got = pr.spotcheck_run(M, q, 0.75, s, seed).to_json()
+                assert json.dumps(got) == json.dumps(want)
                 # to_json passes the values through: both builders must
                 # give Python ints (1 == True and np.int64(1) == 1 would hide it)
                 for rep in (got, want):
@@ -218,6 +252,13 @@ class TestSpotcheck:
             pr.game_value(pr.chsh_game(), doubled)
         with pytest.raises(ValueError, match="trace"):
             pr.spotcheck_run(10, 0.2, 0.85, doubled, seed=0)
+
+    @pytest.mark.parametrize("case", sorted(INVALID_SPOTCHECK_INPUTS))
+    def test_invalid_input_messages(self, case):
+        M, q, chi, s, message = INVALID_SPOTCHECK_INPUTS[case]
+        with pytest.raises(ValueError) as e:
+            pr.spotcheck_run(M, q, chi, s, seed=0)
+        assert str(e.value) == message
 
     def test_all_zero_devices_mostly_abort(self):
         z = pr.deterministic_strategy(lambda x: 0, lambda y: 0)
