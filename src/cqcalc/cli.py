@@ -272,8 +272,9 @@ def cmd_simulate(args) -> int:
     try:
         strategy = _load_strategy(args.strategy)
         if args.sweep:
+            table = pr.round_table(args.rounds, args.q, args.chi, strategy)
             runs = [
-                pr.spotcheck_run(args.rounds, args.q, args.chi, strategy, s)
+                pr.spotcheck_run(args.rounds, args.q, args.chi, table, s)
                 for s in range(args.seed, args.seed + args.sweep)
             ]
             aborts = sum(r.aborted for r in runs)

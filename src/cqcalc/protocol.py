@@ -347,11 +347,11 @@ def _require_chsh_alphabet(p: np.ndarray):
         )
 
 
-def _inverse_cdf(p: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Draw from the distributions p[..., :] with the uniform doubles
-    u[...], as Generator.choice(n, p=...) does for one double: the same
-    checks on p, and searchsorted(side="right") into cumsum(p) / its
-    last entry."""
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """Normalised cumulative sums of the distributions p[..., :], with
+    the checks Generator.choice(n, p=...) runs on p: a draw with the
+    uniform double u is (cdf <= u).sum(-1), searchsorted(side="right")
+    into cumsum(p) / its last entry, as choice does for one double."""
     if np.isnan(p).any():
         raise ValueError("probabilities contain NaN")
     if (p < 0).any():
@@ -359,21 +359,27 @@ def _inverse_cdf(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     if (np.abs(p.sum(axis=-1) - 1.0) > math.sqrt(np.finfo(float).eps)).any():
         raise ValueError("probabilities do not sum to 1")
     cdf = p.cumsum(axis=-1)
-    cdf = cdf / cdf[..., -1:]
-    # a row-wise searchsorted(side="right"): cdf is non-decreasing
-    return (cdf <= u[..., None]).sum(axis=-1)
+    return cdf / cdf[..., -1:]
 
 
-def spotcheck_run(M: int, q: float, chi: float, s: DeviceStrategy, seed: int) -> RunReport:
-    """Seeded spot-checking loop: each round draws (t, a1, a2) from the
-    biased input distribution; test rounds (t=1) play the game on inputs
-    (a1, a2) and are scored, generation rounds use inputs (0, 0).  The
-    run aborts when no round was tested or the pass rate falls below
-    chi.  Bit-exact reproducible from (seed, parameters, strategy).
+@dataclass(frozen=True)
+class RoundTable:
+    """The seed-independent part of spotcheck_run for one strategy and
+    one (M, q, chi): the cumulative distribution of the round symbol
+    (t, a1, a2), and per input pair (x, y) of the outcome pair (a, b),
+    indexed [x, y, ab] in "iid" mode and [round, x, y, ab] in
+    "scripted" mode."""
 
-    All rounds are drawn at once; the random stream and its use match
-    one Generator.choice call for the round symbol and one for the
-    outcome pair per round, so reports do not depend on the batching."""
+    M: int
+    q: float
+    chi: float
+    symbol_cdf: np.ndarray
+    outcome_cdf: np.ndarray
+
+
+def round_table(M: int, q: float, chi: float, s: DeviceStrategy) -> RoundTable:
+    """Validate the spot-check parameters and the strategy, and tabulate
+    the draws of spotcheck_run(M, q, chi, s, seed) for any seed."""
     if M < 1 or not 0.0 < q < 1.0 or not 0.5 <= chi <= 1.0:
         raise ValueError("invalid spot-check parameters")
     s.validate()
@@ -384,16 +390,39 @@ def spotcheck_run(M: int, q: float, chi: float, s: DeviceStrategy, seed: int) ->
     else:
         p = np.array([conditional_distribution(s, r) for r in range(M)])
     _require_chsh_alphabet(p)
+    symbol_cdf = _cdf(b_q_distribution(q))
+    flat = p.reshape(*p.shape[:-2], 4)
+    return RoundTable(M, q, chi, symbol_cdf, _cdf(flat / flat.sum(axis=-1, keepdims=True)))
+
+
+def spotcheck_run(M: int, q: float, chi: float, s, seed: int) -> RunReport:
+    """Seeded spot-checking loop: each round draws (t, a1, a2) from the
+    biased input distribution; test rounds (t=1) play the game on inputs
+    (a1, a2) and are scored, generation rounds use inputs (0, 0).  The
+    run aborts when no round was tested or the pass rate falls below
+    chi.  Bit-exact reproducible from (seed, parameters, strategy).
+
+    s is a DeviceStrategy or the RoundTable that round_table(M, q, chi,
+    strategy) built for it; a sweep over seeds builds the table once.
+    All rounds are drawn at once; the random stream and its use match
+    one Generator.choice call for the round symbol and one for the
+    outcome pair per round, so reports do not depend on the batching."""
+    table = s if isinstance(s, RoundTable) else round_table(M, q, chi, s)
+    if (table.M, table.q, table.chi) != (M, q, chi):
+        raise ValueError(
+            f"round table was built for (M, q, chi) = {(table.M, table.q, table.chi)}, not {(M, q, chi)}"
+        )
     u = np.random.Generator(np.random.Philox(seed)).random((M, 2))
-    sym = _inverse_cdf(b_q_distribution(q), u[:, 0])
+    sym = (table.symbol_cdf <= u[:, :1]).sum(axis=-1)
     t, a1, a2 = sym >> 2, (sym >> 1) & 1, sym & 1
     xx, yy = a1 * t, a2 * t
-    flat = (p[xx, yy] if p.ndim == 4 else p[np.arange(M), xx, yy]).reshape(M, 4)
-    ab = _inverse_cdf(flat / flat.sum(axis=1, keepdims=True), u[:, 1])
+    cdf = table.outcome_cdf
+    rows = cdf[xx, yy] if cdf.ndim == 3 else cdf[np.arange(M), xx, yy]
+    ab = (rows <= u[:, 1:]).sum(axis=-1)
     aa, bb = ab >> 1, ab & 1
     tests = int(t.sum())
     passes = int(chsh_game().predicate(xx, yy, aa, bb)[t == 1].sum())
-    transcript = list(zip(t.tolist(), a1.tolist(), a2.tolist(), aa.tolist(), bb.tolist()))
+    transcript = np.stack([t, a1, a2, aa, bb], axis=1).tolist()
     outputs = np.stack([aa, bb], axis=1).reshape(-1).tolist()
     aborted = tests == 0 or passes / tests < chi
     return RunReport(aborted, transcript, tests, passes, outputs, seed)

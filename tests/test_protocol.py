@@ -201,13 +201,15 @@ class TestSpotcheck:
         for r in range(3 if s.mode == "scripted" else 1):
             assert pr.conditional_distribution(s, r).tobytes() == reference_conditional_distribution(s, r).tobytes()
         for M, q in ((40, 0.1), (40, 0.6), (1, 0.6)):
+            table = pr.round_table(M, q, 0.75, s)
             for seed in range(3):
                 want = reference_spotcheck(M, q, 0.75, s, seed).to_json()
                 got = pr.spotcheck_run(M, q, 0.75, s, seed).to_json()
-                assert json.dumps(got) == json.dumps(want)
+                tabled = pr.spotcheck_run(M, q, 0.75, table, seed).to_json()
+                assert json.dumps(got) == json.dumps(want) == json.dumps(tabled)
                 # to_json passes the values through: both builders must
                 # give Python ints (1 == True and np.int64(1) == 1 would hide it)
-                for rep in (got, want):
+                for rep in (got, want, tabled):
                     rows = rep["classical_transcript"]
                     assert {type(v) for row in rows for v in row} == {int}
                     assert {type(v) for v in rep["output_bits"]} == {int}
@@ -259,6 +261,15 @@ class TestSpotcheck:
         with pytest.raises(ValueError) as e:
             pr.spotcheck_run(M, q, chi, s, seed=0)
         assert str(e.value) == message
+        with pytest.raises(ValueError) as e:
+            pr.round_table(M, q, chi, s)
+        assert str(e.value) == message
+
+    @pytest.mark.parametrize("M,q,chi", [(11, 0.2, 0.85), (10, 0.25, 0.85), (10, 0.2, 0.8)])
+    def test_table_for_other_parameters_refused(self, M, q, chi):
+        table = pr.round_table(10, 0.2, 0.85, pr.optimal_chsh_strategy())
+        with pytest.raises(ValueError, match="round table was built for"):
+            pr.spotcheck_run(M, q, chi, table, seed=0)
 
     def test_all_zero_devices_mostly_abort(self):
         z = pr.deterministic_strategy(lambda x: 0, lambda y: 0)
