@@ -1,4 +1,5 @@
-"""Timings of the kernels under the proofs benchmark's rule checks.
+"""Timings of the kernels under the benchmark's workloads: the proofs
+workload's rule checks and the sweep workload's spot-check sampler.
 
     PYTHONPATH=src python -m pytest tests/test_kernels.py
 
@@ -10,6 +11,7 @@ end-to-end figures come from bench/run.py, not from here.
 import numpy as np
 import pytest
 
+from cqcalc import protocol as pr
 from cqcalc import regcalc as rc
 from cqcalc import rewrite as rw
 
@@ -46,3 +48,14 @@ def test_rule_distance_expand_S(benchmark):
     # a fresh binding per round, so every round derives the stage hole
     dist = benchmark.pedantic(lambda: rw.rule_distance(rule, {}, rng), rounds=ROUNDS, warmup_rounds=1)
     assert dist <= 1e-12
+
+
+def test_spotcheck_sweep(benchmark):
+    # 40 seeds x 100 rounds through one table: the sweep shape where the
+    # per-seed fixed cost outweighs the per-round work
+    def sweep():
+        table = pr.round_table(100, 0.2, 0.85, pr.optimal_chsh_strategy())
+        return [pr.spotcheck_run(100, 0.2, 0.85, table, seed) for seed in range(40)]
+
+    runs = benchmark.pedantic(sweep, rounds=ROUNDS, warmup_rounds=1)
+    assert [len(r.output_bits) for r in runs] == [200] * 40
