@@ -395,7 +395,7 @@ def round_table(M: int, q: float, chi: float, s: DeviceStrategy) -> RoundTable:
     return RoundTable(M, q, chi, symbol_cdf, _cdf(flat / flat.sum(axis=-1, keepdims=True)))
 
 
-def spotcheck_run(M: int, q: float, chi: float, s, seed: int) -> RunReport:
+def spotcheck_run(M: int, q: float, chi: float, s: DeviceStrategy | RoundTable, seed: int) -> RunReport:
     """Seeded spot-checking loop: each round draws (t, a1, a2) from the
     biased input distribution; test rounds (t=1) play the game on inputs
     (a1, a2) and are scored, generation rounds use inputs (0, 0).  The
