@@ -49,17 +49,38 @@ SIMULATE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("strategy,rounds,sweep", sorted(SIMULATE_DIGESTS))
-def test_simulate_sweep_bytes(tmp_path, monkeypatch, strategy, rounds, sweep):
+# simulate without --sweep: one run's report under "report"
+SIMULATE_RUN_DIGESTS = {
+    ("optimal", 1): "95f9efc8056f2ff0151272679df77838cf84e98202058768591bd699c9c43f5f",
+    ("optimal", 1000): "85ce522c0c54261da4671374c0c563bccd4b50d0e815957ce482a4eb6be5fa25",
+    ("all-zero", 1): "f63a68a81958b41d1e945acbd7bdd62e80de867d489e1de18930c706ac27ddde",
+    ("all-zero", 1000): "eb819f34c07e0c844f9866c33d0e5d93580619c1143c5f2e22e51da22ed6577f",
+    ("noisy.json", 1): "04ccd34fb69fd15102e64725f280bee7c166994306e89224580ee969468a80df",
+    ("noisy.json", 1000): "4b925192214f1c1e32fe4dedc0de429030de3c7329fbf2e34eb01346ceb6201a",
+}
+
+
+def simulate_digest(tmp_path, monkeypatch, strategy, argv) -> str:
     # run from tmp_path so the strategy path echoed in the report is relative
     monkeypatch.chdir(tmp_path)
     (tmp_path / "noisy.json").write_text(json.dumps(noisy_bell_json(0.93)))
-    argv = ["simulate", "--rounds", str(rounds), "--sweep", str(sweep), "--seed", "5"]
+    argv = ["simulate", *argv, "--seed", "5"]
     if strategy != "optimal":
         argv += ["--strategy", strategy]
     assert cli.main(argv + ["--out", "out.json"]) == 0
-    digest = sha256((tmp_path / "out.json").read_bytes())
+    return sha256((tmp_path / "out.json").read_bytes())
+
+
+@pytest.mark.parametrize("strategy,rounds,sweep", sorted(SIMULATE_DIGESTS))
+def test_simulate_sweep_bytes(tmp_path, monkeypatch, strategy, rounds, sweep):
+    digest = simulate_digest(tmp_path, monkeypatch, strategy, ["--rounds", str(rounds), "--sweep", str(sweep)])
     assert digest == SIMULATE_DIGESTS[(strategy, rounds, sweep)]
+
+
+@pytest.mark.parametrize("strategy,rounds", sorted(SIMULATE_RUN_DIGESTS))
+def test_simulate_run_bytes(tmp_path, monkeypatch, strategy, rounds):
+    digest = simulate_digest(tmp_path, monkeypatch, strategy, ["--rounds", str(rounds)])
+    assert digest == SIMULATE_RUN_DIGESTS[(strategy, rounds)]
 
 
 def scripted_strategy(rounds: int) -> pr.DeviceStrategy:
