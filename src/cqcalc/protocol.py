@@ -58,6 +58,10 @@ def chsh_game() -> Game:
     )
 
 
+# the game spotcheck_run scores its test rounds with
+_CHSH = chsh_game()
+
+
 @dataclass
 class DeviceStrategy:
     """A bipartite quantum strategy: a shared state plus, per player and
@@ -421,7 +425,7 @@ def spotcheck_run(M: int, q: float, chi: float, s: DeviceStrategy | RoundTable, 
     ab = (rows <= u[:, 1:]).sum(axis=-1)
     aa, bb = ab >> 1, ab & 1
     tests = int(t.sum())
-    passes = int(chsh_game().predicate(xx, yy, aa, bb)[t == 1].sum())
+    passes = int(_CHSH.predicate(xx, yy, aa, bb)[t == 1].sum())
     transcript = np.stack([t, a1, a2, aa, bb], axis=1).tolist()
     outputs = np.stack([aa, bb], axis=1).reshape(-1).tolist()
     aborted = tests == 0 or passes / tests < chi
