@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from itertools import chain
 
 import numpy as np
 
@@ -64,11 +63,34 @@ def _key(k) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
+def _list_text(items, ind: str) -> str:
+    """A JSON list at indent ind whose entries are the texts items."""
+    inner = ind + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + ind + "]"
+
+
+def _digit_array(a: np.ndarray, ind: str) -> str:
+    """_dumps of an integer array of ndim 1 or 2 whose entries are all
+    digits 0..9: the text of one entry with its separator, a "0" in
+    each digit's place, is tiled once per entry along the first axis,
+    and the digits are written over the zeros in one assignment."""
+    inner = ind + "  "
+    sep = ",\n" + inner
+    entry = _list_text("0" * a.shape[1], inner) if a.ndim == 2 else "0"
+    cell = np.frombuffer((entry + sep).encode(), dtype=np.uint8)
+    cells = np.tile(cell, (len(a), 1))
+    cells[:, cell == 48] = a.reshape(len(a), -1) + 48
+    return "[\n" + inner + cells.tobytes()[: -len(sep)].decode() + "\n" + ind + "]"
+
+
 def _dumps(x, ind="") -> str:
-    """The bytes of json.dumps(x, sort_keys=True, indent=2), whose
-    indent forces the pure-Python encoder.  A list of ints (output
-    bits), or of non-empty int lists (transcripts), is written in one
-    pass; everything else recurses."""
+    """The bytes of json.dumps(x, sort_keys=True, indent=2,
+    default=np.ndarray.tolist), whose indent forces the pure-Python
+    encoder.  An integer array of ndim 1 or 2 with all entries in 0..9
+    (a run's transcript and output bits) is written by one fill of a
+    digit template, any other array as its tolist(); a list of ints is
+    written in one pass; everything else recurses.  Numpy scalars other
+    than float64 raise TypeError, as in json.dumps."""
     if isinstance(x, str):
         return _encode_str(x)
     if x is None or x is True or x is False:
@@ -77,30 +99,22 @@ def _dumps(x, ind="") -> str:
         return int.__repr__(x)
     if isinstance(x, float):
         return _float(x)
+    if isinstance(x, np.ndarray):
+        if x.dtype.kind in "iu" and x.ndim in (1, 2) and x.size and x.min() >= 0 and x.max() <= 9:
+            return _digit_array(x, ind)
+        return _dumps(x.tolist(), ind)
     inner = ind + "  "
-    sep = ",\n" + inner
     if isinstance(x, (list, tuple)):
         if not x:
             return "[]"
-        kinds = set(map(type, x))
-        if kinds == {int}:
-            body = sep.join(map(int.__repr__, x))
-        elif kinds == {list} and all(x) and set(map(type, chain.from_iterable(x))) == {int}:
-            # one "%d" template per row length, filled in one formatting pass
-            row_sep = sep + "  "
-            rows = {
-                n: "[\n  " + inner + row_sep.join(["%d"] * n) + "\n" + inner + "]"
-                for n in set(map(len, x))
-            }
-            body = sep.join(map(rows.__getitem__, map(len, x))) % tuple(chain.from_iterable(x))
-        else:
-            body = sep.join([_dumps(v, inner) for v in x])
-        return "[\n" + inner + body + "\n" + ind + "]"
+        if set(map(type, x)) == {int}:
+            return _list_text(map(int.__repr__, x), ind)
+        return _list_text([_dumps(v, inner) for v in x], ind)
     if isinstance(x, dict):
         if not x:
             return "{}"
         items = sorted(x.items())
-        body = sep.join([_encode_str(_key(k)) + ": " + _dumps(v, inner) for k, v in items])
+        body = (",\n" + inner).join([_encode_str(_key(k)) + ": " + _dumps(v, inner) for k, v in items])
         return "{\n" + inner + body + "\n" + ind + "}"
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 

@@ -240,7 +240,7 @@ class DoublingStage:
         rep = pr.spotcheck_run(
             self.rounds, q, chi, strategy, seed=run_seed * 65537 + proto_key
         )
-        raw = list(rep.output_bits)
+        raw = rep.output_bits.tolist()
         out = toeplitz_extract(raw, hash_seed, self.out_bits)
         return {
             "aborted": rep.aborted,

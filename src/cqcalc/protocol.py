@@ -321,11 +321,15 @@ def rational_approx(q: float, M: int) -> dict:
 
 @dataclass
 class RunReport:
+    """One spot-check run.  classical_transcript is an (M, 5) integer
+    array of per-round (t, a1, a2, a, b), and output_bits the (2M,)
+    integer array of the outcome pairs (a, b) in round order."""
+
     aborted: bool
-    classical_transcript: list
+    classical_transcript: np.ndarray
     test_round_count: int
     pass_count: int
-    output_bits: list
+    output_bits: np.ndarray
     rng_seed: int
 
     def __post_init__(self):
@@ -333,9 +337,12 @@ class RunReport:
             raise ValueError("pass_count cannot exceed test_round_count")
 
     def to_json(self) -> dict:
+        """The report fields; the two arrays are passed as they are, so
+        serialise with json.dumps(..., default=np.ndarray.tolist) or
+        cli._dumps."""
         return {
             "aborted": self.aborted,
-            "classical_transcript": [list(r) for r in self.classical_transcript],
+            "classical_transcript": self.classical_transcript,
             "test_round_count": self.test_round_count,
             "pass_count": self.pass_count,
             "output_bits": self.output_bits,
@@ -426,8 +433,8 @@ def spotcheck_run(M: int, q: float, chi: float, s: DeviceStrategy | RoundTable, 
     aa, bb = ab >> 1, ab & 1
     tests = int(t.sum())
     passes = int(_CHSH.predicate(xx, yy, aa, bb)[t == 1].sum())
-    transcript = np.stack([t, a1, a2, aa, bb], axis=1).tolist()
-    outputs = np.stack([aa, bb], axis=1).reshape(-1).tolist()
+    transcript = np.stack([t, a1, a2, aa, bb], axis=1)
+    outputs = np.stack([aa, bb], axis=1).reshape(-1)
     aborted = tests == 0 or passes / tests < chi
     return RunReport(aborted, transcript, tests, passes, outputs, seed)
 

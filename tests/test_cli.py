@@ -637,7 +637,7 @@ def golden_argvs(tmp_path) -> list:
 
 
 def reference_dumps(x) -> str:
-    return json.dumps(x, sort_keys=True, indent=2)
+    return json.dumps(x, sort_keys=True, indent=2, default=np.ndarray.tolist)
 
 
 _json_leaves = st.one_of(

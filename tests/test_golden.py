@@ -102,7 +102,7 @@ def scripted_strategy(rounds: int) -> pr.DeviceStrategy:
 
 def test_scripted_run_bytes():
     run = pr.spotcheck_run(90, 0.3, 0.6, scripted_strategy(90), seed=12)
-    text = json.dumps(run.to_json(), sort_keys=True)
+    text = json.dumps(run.to_json(), sort_keys=True, default=np.ndarray.tolist)
     assert sha256(text.encode()) == "2cf528af1746ebc7b3e6aa03fa94fbea058b57194bd3de2b944df9868c3fbe89"
 
 
