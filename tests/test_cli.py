@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cqcalc import cli
 from cqcalc import diagram as dg
@@ -640,7 +641,34 @@ def reference_dumps(x) -> str:
     return json.dumps(x, sort_keys=True, indent=2, default=np.ndarray.tolist)
 
 
+def _view(a, how):
+    """a itself, or a view that is not C-contiguous: every other entry
+    along the first axis, or the transpose."""
+    if how == "a[::2]" and a.ndim:
+        return a[::2]
+    return a.T if how == "a.T" else a
+
+
+# ndim 1 and 2 with no empty axis: where the digit template applies
+_filled_shapes = hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=6)
+_arrays = st.builds(
+    _view,
+    st.one_of(
+        # each entry drawn on its own (no fill value), so boundary values turn up;
+        # digits at ndim 0 and 3 too, which the template does not take
+        hnp.arrays(st.sampled_from([np.int8, np.uint8, np.int64]),
+                   hnp.array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=4),
+                   elements=st.integers(0, 9), fill=st.nothing()),
+        hnp.arrays(st.sampled_from([np.int8, np.int64]), _filled_shapes,
+                   elements=st.integers(-1, 10), fill=st.nothing()),
+        # any of the dtypes at ndim 0-3, empty shapes included
+        hnp.arrays(st.sampled_from([np.int8, np.uint8, np.int64, np.bool_, np.float64]),
+                   hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)),
+    ),
+    st.sampled_from(["a", "a[::2]", "a.T"]),
+)
 _json_leaves = st.one_of(
+    _arrays,
     st.none(),
     st.booleans(),
     st.integers(),
@@ -660,7 +688,7 @@ _json_values = st.recursive(
         # keys json converts to text: mutually comparable ints, floats and bools, or None
         st.dictionaries(st.integers() | st.floats() | st.booleans(), kids, max_size=5),
         st.dictionaries(st.none(), kids),
-        # int rows, with bools and empty rows mixed in, reach the one-pass path
+        # int rows, with bools and empty rows mixed in: a row of plain ints is written in one pass
         st.lists(st.lists(st.integers() | st.booleans(), max_size=4), max_size=4),
     ),
     max_leaves=30,
@@ -683,10 +711,19 @@ class TestEmitter:
     def test_matches_json_dumps(self, x):
         assert cli._dumps(x) == reference_dumps(x)
 
+    @settings(max_examples=300, deadline=None)
+    @given(x=_arrays | st.lists(_arrays, max_size=3) | st.dictionaries(st.text(max_size=2), _arrays, max_size=3))
+    def test_arrays_match_json_dumps(self, x):
+        assert cli._dumps(x) == reference_dumps(x)
+
     @pytest.mark.parametrize(
         "x",
         [
             np.int64(3),
+            np.int8(1),
+            np.bool_(True),
+            {"bits": [np.uint8(1)]},
+            np.array([{1}], dtype=object),
             {1, 2},
             b"ab",
             [1, np.int64(2)],
