@@ -1,5 +1,6 @@
 """Timings of the kernels under the benchmark's workloads: the proofs
-workload's rule checks and the sweep workload's spot-check sampler.
+workload's rule checks, and the sweep workload's spot-check sampler
+and report emitter.
 
     PYTHONPATH=src python -m pytest tests/test_kernels.py
 
@@ -8,9 +9,12 @@ fixed rounds, so the module adds well under a second to the suite; the
 end-to-end figures come from bench/run.py, not from here.
 """
 
+import json
+
 import numpy as np
 import pytest
 
+from cqcalc import cli
 from cqcalc import protocol as pr
 from cqcalc import regcalc as rc
 from cqcalc import rewrite as rw
@@ -59,3 +63,12 @@ def test_spotcheck_sweep(benchmark):
 
     runs = benchmark.pedantic(sweep, rounds=ROUNDS, warmup_rounds=1)
     assert [len(r.output_bits) for r in runs] == [200] * 40
+
+
+def test_emit_sweep_report(benchmark, monkeypatch):
+    # the largest report shape of the sweep workload: 4 seeds x 1000 rounds
+    reports = []
+    monkeypatch.setattr(cli, "_emit", lambda report, out: reports.append(report))
+    assert cli.main(["simulate", "--rounds", "1000", "--sweep", "4", "--seed", "5"]) == 0
+    text = benchmark.pedantic(cli._dumps, args=(reports[0],), rounds=ROUNDS, warmup_rounds=1)
+    assert len(text) == len(json.dumps(reports[0], sort_keys=True, indent=2, default=np.ndarray.tolist))
