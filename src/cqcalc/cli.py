@@ -89,8 +89,8 @@ def _dumps(x, ind="") -> str:
     encoder.  An integer array of ndim 1 or 2 with all entries in 0..9
     (a run's transcript and output bits) is written by one fill of a
     digit template, any other array as its tolist(); a list of ints is
-    written in one pass; everything else recurses.  Numpy scalars other
-    than float64 raise TypeError, as in json.dumps."""
+    written in one pass; everything else recurses.  Numpy integer and
+    bool scalars raise TypeError, as in json.dumps."""
     if isinstance(x, str):
         return _encode_str(x)
     if x is None or x is True or x is False:
