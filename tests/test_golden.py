@@ -46,6 +46,13 @@ SIMULATE_DIGESTS = {
     ("noisy.json", 1000, 4): "ce55b613a956955234d3aa3e20f3e7fd0bd39ec5514467820d9d65d1ecdee0a8",
     ("noisy.json", 100, 40): "e9cd7f79d7812b180066c9aadb059a0a39b2df39e57d5b4fe4ede524b77cc75b",
     ("noisy.json", 1, 8): "dcfa539f87289fe3d8987c8521e167e6a3f593df34ddb2c09934bd26c6be4e30",
+    # a one-record runs list and the smallest stack of records
+    ("optimal", 100, 1): "f82ec9c3a770c600cb0bd7f1bb256aaebe001c1dbdc7c9db9715013997e29c2d",
+    ("optimal", 100, 2): "c57fa65215bb1c60dc921c72ce54bfd29bc6097fd125f3174f1514d14cbcb1ef",
+    ("all-zero", 100, 1): "19ab69045fb9459feac74d3e1d4ecced7f9a03f5d5209aebb16ef0bbe3830cd2",
+    ("all-zero", 100, 2): "1a3cefbf67fcee21be6aef040b3b5c918c4cdee7e9385ead0bbf14f33011d7ff",
+    ("noisy.json", 100, 1): "904a80a2ddeab5bac80dd812680a9508f800cf902ab468742b09eb499c74583e",
+    ("noisy.json", 100, 2): "d09126033dde863d1673adaf59a763b4951267b1c7bb46f60ec116b8f2045493",
 }
 
 
@@ -104,6 +111,31 @@ def test_scripted_run_bytes():
     run = pr.spotcheck_run(90, 0.3, 0.6, scripted_strategy(90), seed=12)
     text = json.dumps(run.to_json(), sort_keys=True, default=np.ndarray.tolist)
     assert sha256(text.encode()) == "2cf528af1746ebc7b3e6aa03fa94fbea058b57194bd3de2b944df9868c3fbe89"
+
+
+# seeds 95-105 at 40 rounds: rng_seed goes from 2 to 3 digits and
+# pass_count from 1 to 2 digits; the scripted table has a round axis
+SPOTCHECK_SEEDS_DIGESTS = {
+    "optimal": "5f6a9e6b0d1058954a5996ae4986b54bb294f95e26c42d16c7a125780f22e88d",
+    "all-zero": "ab9e4b81d813daa9c7c929436ad79c48a18463ec5a32558d508284d68c238cc9",
+    "scripted": "fe4e7e5bfd22b9b719dcbf39dd9216d87aead73dc6634a5daa7356b57ee429b1",
+}
+
+
+def spotcheck_strategy(name: str) -> pr.DeviceStrategy:
+    if name == "optimal":
+        return pr.optimal_chsh_strategy()
+    if name == "all-zero":
+        return pr.deterministic_strategy(lambda x: 0, lambda y: 0)
+    return scripted_strategy(90)
+
+
+@pytest.mark.parametrize("strategy", sorted(SPOTCHECK_SEEDS_DIGESTS))
+def test_spotcheck_seeds_bytes(strategy):
+    s = spotcheck_strategy(strategy)
+    runs = [pr.spotcheck_run(40, 0.3, 0.6, s, seed) for seed in range(95, 106)]
+    text = json.dumps([r.to_json() for r in runs], sort_keys=True, default=np.ndarray.tolist)
+    assert sha256(text.encode()) == SPOTCHECK_SEEDS_DIGESTS[strategy]
 
 
 def test_pipeline_report_bytes():
