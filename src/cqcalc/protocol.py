@@ -11,6 +11,8 @@ diagram and a process-tensor representation.
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -406,7 +408,9 @@ def round_table(M: int, q: float, chi: float, s: DeviceStrategy) -> RoundTable:
     return RoundTable(M, q, chi, symbol_cdf, _cdf(flat / flat.sum(axis=-1, keepdims=True)))
 
 
-def spotcheck_run(M: int, q: float, chi: float, s: DeviceStrategy | RoundTable, seed: int) -> RunReport:
+def spotcheck_run(
+    M: int, q: float, chi: float, s: DeviceStrategy | RoundTable, seed: int | Sequence[int]
+) -> RunReport | list[RunReport]:
     """Seeded spot-checking loop: each round draws (t, a1, a2) from the
     biased input distribution; test rounds (t=1) play the game on inputs
     (a1, a2) and are scored, generation rounds use inputs (0, 0).  The
@@ -414,29 +418,40 @@ def spotcheck_run(M: int, q: float, chi: float, s: DeviceStrategy | RoundTable, 
     chi.  Bit-exact reproducible from (seed, parameters, strategy).
 
     s is a DeviceStrategy or the RoundTable that round_table(M, q, chi,
-    strategy) built for it; a sweep over seeds builds the table once.
-    All rounds are drawn at once; the random stream and its use match
-    one Generator.choice call for the round symbol and one for the
-    outcome pair per round, so reports do not depend on the batching."""
+    strategy) built for it.  seed is one seed, which returns one
+    RunReport, or a sequence of seeds (a range, say), which returns one
+    RunReport per seed in order; their arrays are rows of one (S, M, 5)
+    and one (S, 2M) stack.  All rounds of all seeds are drawn and scored
+    at once; each seed's random stream and its use match one
+    Generator.choice call for the round symbol and one for the outcome
+    pair per round, so reports do not depend on the batching."""
     table = s if isinstance(s, RoundTable) else round_table(M, q, chi, s)
     if (table.M, table.q, table.chi) != (M, q, chi):
         raise ValueError(
             f"round table was built for (M, q, chi) = {(table.M, table.q, table.chi)}, not {(M, q, chi)}"
         )
-    u = np.random.Generator(np.random.Philox(seed)).random((M, 2))
-    sym = (table.symbol_cdf <= u[:, :1]).sum(axis=-1)
+    seeds = [seed] if isinstance(seed, numbers.Integral) else list(seed)
+    if not seeds:
+        raise ValueError("spotcheck_run needs at least one seed")
+    u = np.empty((len(seeds), M, 2))
+    for row, x in zip(u, seeds):
+        np.random.Generator(np.random.Philox(x)).random(out=row)
+    sym = (table.symbol_cdf <= u[..., :1]).sum(axis=-1)
     t, a1, a2 = sym >> 2, (sym >> 1) & 1, sym & 1
     xx, yy = a1 * t, a2 * t
     cdf = table.outcome_cdf
     rows = cdf[xx, yy] if cdf.ndim == 3 else cdf[np.arange(M), xx, yy]
-    ab = (rows <= u[:, 1:]).sum(axis=-1)
+    ab = (rows <= u[..., 1:]).sum(axis=-1)
     aa, bb = ab >> 1, ab & 1
-    tests = int(t.sum())
-    passes = int(_CHSH.predicate(xx, yy, aa, bb)[t == 1].sum())
-    transcript = np.stack([t, a1, a2, aa, bb], axis=1)
-    outputs = np.stack([aa, bb], axis=1).reshape(-1)
-    aborted = tests == 0 or passes / tests < chi
-    return RunReport(aborted, transcript, tests, passes, outputs, seed)
+    tests = t.sum(axis=1).tolist()
+    passes = (_CHSH.predicate(xx, yy, aa, bb) & (t == 1)).sum(axis=1).tolist()
+    transcripts = np.stack([t, a1, a2, aa, bb], axis=-1)
+    outputs = np.stack([aa, bb], axis=-1).reshape(len(seeds), 2 * M)
+    reports = [
+        RunReport(n == 0 or k / n < chi, transcript, n, k, bits, x)
+        for transcript, n, k, bits, x in zip(transcripts, tests, passes, outputs, seeds)
+    ]
+    return reports[0] if isinstance(seed, numbers.Integral) else reports
 
 
 # ---------------------------------------------------------------------------

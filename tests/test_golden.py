@@ -133,9 +133,10 @@ def spotcheck_strategy(name: str) -> pr.DeviceStrategy:
 @pytest.mark.parametrize("strategy", sorted(SPOTCHECK_SEEDS_DIGESTS))
 def test_spotcheck_seeds_bytes(strategy):
     s = spotcheck_strategy(strategy)
-    runs = [pr.spotcheck_run(40, 0.3, 0.6, s, seed) for seed in range(95, 106)]
-    text = json.dumps([r.to_json() for r in runs], sort_keys=True, default=np.ndarray.tolist)
-    assert sha256(text.encode()) == SPOTCHECK_SEEDS_DIGESTS[strategy]
+    one_by_one = [pr.spotcheck_run(40, 0.3, 0.6, s, seed) for seed in range(95, 106)]
+    for runs in (one_by_one, pr.spotcheck_run(40, 0.3, 0.6, s, range(95, 106))):
+        text = json.dumps([r.to_json() for r in runs], sort_keys=True, default=np.ndarray.tolist)
+        assert sha256(text.encode()) == SPOTCHECK_SEEDS_DIGESTS[strategy]
 
 
 def test_pipeline_report_bytes():

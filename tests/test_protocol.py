@@ -125,6 +125,40 @@ def reference_spotcheck(M, q, chi, s, seed):
     return pr.RunReport(tests == 0 or passes / tests < chi, transcript, tests, passes, outputs, seed)
 
 
+def per_seed_spotcheck(M, q, chi, s, seed):
+    """One seed's run drawn and scored on its own: the kernel spotcheck_run
+    stacks over seeds."""
+    table = s if isinstance(s, pr.RoundTable) else pr.round_table(M, q, chi, s)
+    u = np.random.Generator(np.random.Philox(seed)).random((M, 2))
+    sym = (table.symbol_cdf <= u[:, :1]).sum(axis=-1)
+    t, a1, a2 = sym >> 2, (sym >> 1) & 1, sym & 1
+    xx, yy = a1 * t, a2 * t
+    cdf = table.outcome_cdf
+    rows = cdf[xx, yy] if cdf.ndim == 3 else cdf[np.arange(M), xx, yy]
+    ab = (rows <= u[:, 1:]).sum(axis=-1)
+    aa, bb = ab >> 1, ab & 1
+    tests = int(t.sum())
+    passes = int(pr.chsh_game().predicate(xx, yy, aa, bb)[t == 1].sum())
+    transcript = np.stack([t, a1, a2, aa, bb], axis=1)
+    outputs = np.stack([aa, bb], axis=1).reshape(-1)
+    aborted = tests == 0 or passes / tests < chi
+    return pr.RunReport(aborted, transcript, tests, passes, outputs, seed)
+
+
+def assert_same_report(got, want):
+    """Equal fields with equal types: arrays of one dtype and shape,
+    plain int counts and seed, a bool abort."""
+    assert type(got) is pr.RunReport
+    for name in ("classical_transcript", "output_bits"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert np.array_equal(a, b)
+    assert type(got.aborted) is bool and got.aborted == want.aborted
+    for name in ("test_round_count", "pass_count", "rng_seed"):
+        assert type(getattr(got, name)) is int
+        assert getattr(got, name) == getattr(want, name)
+
+
 def random_strategy(seed, da=3, db=2, rounds=None):
     """Random full-rank complex state with random projective measurements."""
     rng = np.random.default_rng(seed)
@@ -220,6 +254,40 @@ class TestSpotcheck:
                     assert rep["classical_transcript"].shape == (M, 5)
                     assert rep["output_bits"].dtype.kind == "i"
                     assert rep["output_bits"].shape == (2 * M,)
+
+    @pytest.mark.parametrize(
+        "s",
+        [pr.optimal_chsh_strategy(), random_strategy(1), random_strategy(2, 2, 2), random_strategy(3, rounds=100)],
+        ids=["optimal", "random3x2", "random2x2", "scripted"],
+    )
+    @pytest.mark.parametrize("M", [1, 7, 100])
+    @pytest.mark.parametrize(
+        "seeds", [range(5), range(95, 103), [41, 3, 1000, 7, 3], [12]], ids=["range", "range95", "list", "one"]
+    )
+    def test_stack_matches_per_seed_runs(self, s, M, seeds):
+        table = pr.round_table(M, 0.3, 0.75, s)
+        want = [per_seed_spotcheck(M, 0.3, 0.75, table, seed) for seed in seeds]
+        for source in (s, table):
+            got = pr.spotcheck_run(M, 0.3, 0.75, source, seeds)
+            assert type(got) is list and len(got) == len(want)
+            for g, w in zip(got, want):
+                assert_same_report(g, w)
+        # the runs' arrays are rows of one stack per field
+        assert all(g.classical_transcript.base is got[0].classical_transcript.base for g in got)
+
+    def test_int_seed_returns_one_report(self):
+        s = pr.optimal_chsh_strategy()
+        for seed in (0, 17):
+            assert_same_report(pr.spotcheck_run(7, 0.3, 0.75, s, seed), per_seed_spotcheck(7, 0.3, 0.75, s, seed))
+        # a numpy integer is one seed too, not a sequence of them
+        got = pr.spotcheck_run(7, 0.3, 0.75, s, np.int64(17))
+        assert type(got) is pr.RunReport
+        assert np.array_equal(got.output_bits, per_seed_spotcheck(7, 0.3, 0.75, s, 17).output_bits)
+
+    @pytest.mark.parametrize("seeds", [[], range(0), range(5, 5), ()], ids=repr)
+    def test_empty_seed_sequence_refused(self, seeds):
+        with pytest.raises(ValueError, match="at least one seed"):
+            pr.spotcheck_run(7, 0.3, 0.75, pr.optimal_chsh_strategy(), seeds)
 
     def test_reproducible_bit_exact(self):
         s = pr.optimal_chsh_strategy()
