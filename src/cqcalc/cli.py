@@ -69,26 +69,31 @@ def _list_text(items, ind: str) -> str:
     return "[\n" + inner + (",\n" + inner).join(items) + "\n" + ind + "]"
 
 
-def _digit_array(a: np.ndarray, ind: str) -> str:
-    """_dumps of an integer array of ndim 1 or 2 whose entries are all
-    digits 0..9: the text of one entry with its separator, a "0" in
-    each digit's place, is tiled once per entry along the first axis,
-    and the digits are written over the zeros in one assignment."""
+def _digit_fill(stack: np.ndarray, ind: str):
+    """The texts at indent ind of the arrays stack[0], stack[1], ...,
+    as the rows of an (S, L) uint8 array, when they are integer arrays
+    of ndim 1 or 2 with no empty axis and every entry a digit 0..9;
+    else None.  The text of one array with a "0" in each digit's place
+    is tiled once per array, and the digits are written over the zeros
+    in one assignment."""
+    if stack.dtype.kind not in "iu" or stack.ndim not in (2, 3) or not stack.size:
+        return None
+    if stack.min() < 0 or stack.max() > 9:
+        return None
     inner = ind + "  "
-    sep = ",\n" + inner
-    entry = _list_text("0" * a.shape[1], inner) if a.ndim == 2 else "0"
-    cell = np.frombuffer((entry + sep).encode(), dtype=np.uint8)
-    cells = np.tile(cell, (len(a), 1))
-    cells[:, cell == 48] = a.reshape(len(a), -1) + 48
-    return "[\n" + inner + cells.tobytes()[: -len(sep)].decode() + "\n" + ind + "]"
+    entry = _list_text("0" * stack.shape[2], inner) if stack.ndim == 3 else "0"
+    template = np.frombuffer(_list_text([entry] * stack.shape[1], ind).encode(), dtype=np.uint8)
+    fill = np.tile(template, (len(stack), 1))
+    fill[:, np.flatnonzero(template == 48)] = stack.reshape(len(stack), -1) + 48
+    return fill
 
 
 def _dumps(x, ind="") -> str:
     """The bytes of json.dumps(x, sort_keys=True, indent=2,
     default=np.ndarray.tolist), whose indent forces the pure-Python
     encoder.  An integer array of ndim 1 or 2 with all entries in 0..9
-    (a run's transcript and output bits) is written by one fill of a
-    digit template, any other array as its tolist(); a list of ints is
+    (a run's transcript and output bits) is written by _digit_fill as
+    a stack of one, any other array as its tolist(); a list of ints is
     written in one pass; everything else recurses.  Numpy integer and
     bool scalars raise TypeError, as in json.dumps."""
     if isinstance(x, str):
@@ -100,9 +105,8 @@ def _dumps(x, ind="") -> str:
     if isinstance(x, float):
         return _float(x)
     if isinstance(x, np.ndarray):
-        if x.dtype.kind in "iu" and x.ndim in (1, 2) and x.size and x.min() >= 0 and x.max() <= 9:
-            return _digit_array(x, ind)
-        return _dumps(x.tolist(), ind)
+        fill = _digit_fill(x[None], ind)
+        return _dumps(x.tolist(), ind) if fill is None else fill.tobytes().decode()
     inner = ind + "  "
     if isinstance(x, (list, tuple)):
         if not x:
@@ -119,16 +123,83 @@ def _dumps(x, ind="") -> str:
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
+def _record_fills(x, ind: str) -> dict:
+    """For a list of two or more dicts with the same str keys, records
+    at indent ind: per key whose values are all digit arrays of one shape
+    and dtype, the _digit_fill of their stack.  Empty otherwise."""
+    if not isinstance(x, list) or len(x) < 2 or not isinstance(x[0], dict):
+        return {}
+    keys = x[0].keys()
+    candidates = [k for k, v in x[0].items() if isinstance(v, np.ndarray)]
+    if not candidates or not all(type(k) is str for k in keys):
+        return {}
+    if not all(isinstance(r, dict) and r.keys() == keys for r in x):
+        return {}
+    fills = {}
+    for k in candidates:
+        arrays = [r[k] for r in x]
+        a = arrays[0]
+        if all(isinstance(b, np.ndarray) and b.dtype == a.dtype and b.shape == a.shape for b in arrays):
+            fill = _digit_fill(np.stack(arrays), ind)
+            if fill is not None:
+                fills[k] = fill
+    return fills
+
+
+def _chunks(x, ind: str, text: list, out: list):
+    """Append the text of _dumps(x, ind) to out, as bytes and memoryview
+    pieces; text holds the str pieces not yet encoded.  Dicts are walked
+    entry by entry, and a record list that _record_fills fills is written
+    with memoryview slices of the fills; every other subtree is one
+    _dumps call."""
+    inner = ind + "  "
+    if isinstance(x, dict) and x:
+        text.append("{\n" + inner)
+        for i, (k, v) in enumerate(sorted(x.items())):
+            text.append(("" if not i else ",\n" + inner) + _encode_str(_key(k)) + ": ")
+            _chunks(v, inner, text, out)
+        text.append("\n" + ind + "}")
+        return
+    fills = _record_fills(x, inner + "  ")
+    if not fills:
+        text.append(_dumps(x, ind))
+        return
+    ii = inner + "  "
+    heads = [(k, _encode_str(k) + ": ") for k in sorted(x[0])]
+    views = {k: memoryview(fill.reshape(-1)) for k, fill in fills.items()}
+    text.append("[\n" + inner)
+    for i, record in enumerate(x):
+        text.append("{\n" + ii if not i else ",\n" + inner + "{\n" + ii)
+        for j, (k, head) in enumerate(heads):
+            text.append(head if not j else ",\n" + ii + head)
+            if k in fills:
+                size = fills[k].shape[1]
+                out.append("".join(text).encode())
+                text.clear()
+                out.append(views[k][i * size : (i + 1) * size])
+            else:
+                text.append(_dumps(record[k], ii))
+        text.append("\n" + inner + "}")
+    text.append("\n" + ind + "]")
+
+
 def _emit(report: dict, out_path):
-    text = _dumps(report) + "\n"
+    """Write _dumps(report) and a newline to out_path, or to stdout when
+    out_path is empty.  The text is assembled by _chunks, joined once and
+    written in binary; nothing is written until all of it is built."""
+    text, out = [], []
+    _chunks(report, "", text, out)
+    text.append("\n")
+    out.append("".join(text).encode())
+    data = b"".join(out)
     if out_path:
         try:
-            with open(out_path, "w") as f:
-                f.write(text)
+            with open(out_path, "wb") as f:
+                f.write(data)
         except OSError as e:
             raise CliError(f"cannot write report file {out_path}: {e}") from e
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(data.decode())
 
 
 def _check_seed(args):
@@ -286,11 +357,8 @@ def cmd_simulate(args) -> int:
     try:
         strategy = _load_strategy(args.strategy)
         if args.sweep:
-            table = pr.round_table(args.rounds, args.q, args.chi, strategy)
-            runs = [
-                pr.spotcheck_run(args.rounds, args.q, args.chi, table, s)
-                for s in range(args.seed, args.seed + args.sweep)
-            ]
+            seeds = range(args.seed, args.seed + args.sweep)
+            runs = pr.spotcheck_run(args.rounds, args.q, args.chi, strategy, seeds)
             aborts = sum(r.aborted for r in runs)
             report = {
                 "format_version": FORMAT_VERSION,

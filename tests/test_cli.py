@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -617,8 +618,9 @@ def golden_argvs(tmp_path) -> list:
     argvs = [
         ["simulate", "--rounds", str(rounds), "--sweep", str(sweep), "--seed", "5"] + strategy
         for strategy in strategies
-        for rounds, sweep in ((1000, 4), (100, 40), (1, 8))
+        for rounds, sweep in ((1000, 4), (100, 40), (1, 8), (100, 1), (100, 2))
     ]
+    argvs.append(["simulate", "--rounds", "1000", "--seed", "5"])
     argvs += [["check", name, "--dims", dims, "--seed", "5"] for name, dims in (
         ("chain_k1", "N=1"), ("chain_k2", "N=1"), ("chain_k3", "N=1"),
         ("single_stage", "M=1"), ("soundness_k2", "N=1"), ("spot_check_lemma", "N=1"),
@@ -695,16 +697,92 @@ _json_values = st.recursive(
 )
 
 
+
+@st.composite
+def _record_lists(draw):
+    """Lists of records.  Most keys hold digit arrays of one shape and
+    dtype in every record, some as views that are not C-contiguous; at
+    a mixed key a record may instead hold digits of a longer shape, an
+    array of another shape or dtype, with a 10 or a -1, or of bools, or
+    no array.  Now and then a record has another key set."""
+    names = st.text(max_size=3) | st.sampled_from(["output_bits", "é", 'a"b'])
+    if draw(st.integers(0, 3)):
+        keys = draw(st.lists(names, min_size=1, max_size=4, unique=True))
+    else:  # keys json converts to text, which no fill takes
+        keys = draw(st.lists(st.integers(), min_size=1, max_size=3, unique=True))
+    mixed = {k: draw(st.integers(0, 3)) == 0 for k in keys}
+    shapes = {k: draw(hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=4)) for k in keys}
+    dtypes = {k: draw(st.sampled_from([np.int8, np.uint8, np.int64])) for k in keys}
+    records = []
+    for _ in range(draw(st.sampled_from([1, 2, 3, 4, 5]))):
+        record = {}
+        for k in keys:
+            kind = draw(st.sampled_from(["digits", "reshaped", "array", "leaf"])) if mixed[k] else "digits"
+            if kind in ("digits", "reshaped"):
+                how = draw(st.sampled_from(["a", "a[::2]", "a.T"]))
+                shape = shapes[k] if kind == "digits" else (shapes[k][0] + 1, *shapes[k][1:])
+                if how == "a[::2]":
+                    shape = (2 * shape[0], *shape[1:])
+                elif how == "a.T":
+                    shape = shape[::-1]
+                a = draw(hnp.arrays(dtypes[k], shape, elements=st.integers(0, 9), fill=st.nothing()))
+                record[k] = _view(a, how)
+            else:
+                record[k] = draw(_arrays if kind == "array" else _json_leaves)
+        if draw(st.integers(0, 9)) == 0:
+            record[draw(names)] = draw(_json_leaves)
+        records.append(record)
+    return records
+
+
+# record lists on their own, under dict keys next to other values, in
+# nested dicts, in a list, and as a field of each record of a record list
+_reports = st.one_of(
+    _record_lists(),
+    st.dictionaries(st.text(max_size=4), _record_lists() | _json_leaves, max_size=3),
+    st.dictionaries(st.text(max_size=2), st.dictionaries(st.text(max_size=2), _record_lists(), max_size=2), max_size=2),
+    st.lists(_record_lists(), max_size=2),
+    st.tuples(_record_lists(), _record_lists()).map(lambda p: [dict(r, inner=p[1]) for r in p[0]]),
+)
+
 class TestEmitter:
     def test_golden_reports_match_json_dumps(self, tmp_path, monkeypatch):
-        reports = []
-        monkeypatch.setattr(cli, "_emit", lambda report, out: reports.append(report))
+        reports, emit = [], cli._emit
+        out = tmp_path / "out.json"
+
+        def keep(report, out_path):
+            reports.append(report)
+            emit(report, out_path)
+
+        monkeypatch.setattr(cli, "_emit", keep)
         argvs = golden_argvs(tmp_path)
         for argv in argvs:
-            cli.main(argv)
+            out.unlink(missing_ok=True)
+            cli.main(argv + ["--out", str(out)])
+            assert out.read_bytes() == (reference_dumps(reports[-1]) + "\n").encode(), argv
         assert len(reports) == len(argvs)
         for argv, report in zip(argvs, reports):
             assert cli._dumps(report) == reference_dumps(report), argv
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=_reports)
+    def test_record_lists_match_json_dumps(self, x, tmp_path_factory):
+        out = tmp_path_factory.mktemp("emit") / "out.json"
+        try:
+            want = reference_dumps(x)
+        except TypeError:  # keys json cannot sort
+            with pytest.raises(TypeError):
+                cli._emit(x, str(out))
+            assert not out.exists()
+            return
+        cli._emit(x, str(out))
+        assert out.read_bytes() == (want + "\n").encode()
+
+    def test_stdout_prints_the_file_text(self, tmp_path, capsys):
+        argv = ["simulate", "--rounds", "7", "--sweep", "3", "--seed", "5"]
+        assert cli.main(argv + ["--out", str(tmp_path / "out.json")]) == 0
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == (tmp_path / "out.json").read_text()
 
     @settings(max_examples=300, deadline=None)
     @given(x=_json_values)
@@ -735,8 +813,28 @@ class TestEmitter:
         ],
         ids=repr,
     )
-    def test_rejects_what_json_dumps_rejects(self, x):
+    def test_rejects_what_json_dumps_rejects(self, x, tmp_path):
         with pytest.raises(TypeError):
             reference_dumps(x)
         with pytest.raises(TypeError):
             cli._dumps(x)
+        out = tmp_path / "out.json"
+        for report in (x, {"report": x}, {"runs": [{"a": x}, {"a": x}]}):
+            with pytest.raises(TypeError):
+                cli._emit(report, str(out))
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("rounds,sweep", [(10_000, 10), (100, 1000)])
+def test_sweep_peak_memory(tmp_path, rounds, sweep):
+    # the stacked runs and their fills stay below the report's text
+    # copied per run: the traced peak is at most 3.3x the report bytes
+    out = tmp_path / "out.json"
+    argv = ["simulate", "--rounds", str(rounds), "--sweep", str(sweep), "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.3 * out.stat().st_size

@@ -18,6 +18,7 @@ from cqcalc import cli
 from cqcalc import protocol as pr
 from cqcalc import regcalc as rc
 from cqcalc import rewrite as rw
+from test_protocol import assert_same_report, per_seed_spotcheck
 
 pytest.importorskip("pytest_benchmark")
 
@@ -55,20 +56,29 @@ def test_rule_distance_expand_S(benchmark):
 
 
 def test_spotcheck_sweep(benchmark):
-    # 40 seeds x 100 rounds through one table: the sweep shape where the
+    # 40 seeds x 100 rounds in one stacked call: the sweep shape where the
     # per-seed fixed cost outweighs the per-round work
-    def sweep():
-        table = pr.round_table(100, 0.2, 0.85, pr.optimal_chsh_strategy())
-        return [pr.spotcheck_run(100, 0.2, 0.85, table, seed) for seed in range(40)]
-
-    runs = benchmark.pedantic(sweep, rounds=ROUNDS, warmup_rounds=1)
-    assert [len(r.output_bits) for r in runs] == [200] * 40
+    table = pr.round_table(100, 0.2, 0.85, pr.optimal_chsh_strategy())
+    runs = benchmark.pedantic(pr.spotcheck_run, args=(100, 0.2, 0.85, table, range(40)), rounds=ROUNDS, warmup_rounds=1)
+    for seed, run in enumerate(runs):
+        assert_same_report(run, per_seed_spotcheck(100, 0.2, 0.85, table, seed))
 
 
-def test_emit_sweep_report(benchmark, monkeypatch):
-    # the largest report shape of the sweep workload: 4 seeds x 1000 rounds
-    reports = []
+def test_emit_sweep_report(benchmark, monkeypatch, tmp_path):
+    # the sweep workload's largest report (4 seeds x 1000 rounds) and
+    # its longest runs list (40 seeds x 100 rounds), each to its file
+    reports, emit = [], cli._emit
     monkeypatch.setattr(cli, "_emit", lambda report, out: reports.append(report))
-    assert cli.main(["simulate", "--rounds", "1000", "--sweep", "4", "--seed", "5"]) == 0
-    text = benchmark.pedantic(cli._dumps, args=(reports[0],), rounds=ROUNDS, warmup_rounds=1)
-    assert len(text) == len(json.dumps(reports[0], sort_keys=True, indent=2, default=np.ndarray.tolist))
+    shapes = [(1000, 4), (100, 40)]
+    for rounds, sweep in shapes:
+        assert cli.main(["simulate", "--rounds", str(rounds), "--sweep", str(sweep), "--seed", "5"]) == 0
+    outs = [tmp_path / f"{rounds}x{sweep}.json" for rounds, sweep in shapes]
+
+    def emit_both():
+        for report, out in zip(reports, outs):
+            emit(report, str(out))
+
+    benchmark.pedantic(emit_both, rounds=ROUNDS, warmup_rounds=1)
+    for report, out in zip(reports, outs):
+        want = json.dumps(report, sort_keys=True, indent=2, default=np.ndarray.tolist) + "\n"
+        assert out.read_bytes() == want.encode()
