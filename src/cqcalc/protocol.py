@@ -325,7 +325,9 @@ def rational_approx(q: float, M: int) -> dict:
 class RunReport:
     """One spot-check run.  classical_transcript is an (M, 5) integer
     array of per-round (t, a1, a2, a, b), and output_bits the (2M,)
-    integer array of the outcome pairs (a, b) in round order."""
+    integer array of the outcome pairs (a, b) in round order.  The runs
+    of one spotcheck_run call over several seeds hold rows of shared
+    (S, M, 5) and (S, 2M) stacks."""
 
     aborted: bool
     classical_transcript: np.ndarray
@@ -430,7 +432,8 @@ def spotcheck_run(
         raise ValueError(
             f"round table was built for (M, q, chi) = {(table.M, table.q, table.chi)}, not {(M, q, chi)}"
         )
-    seeds = [seed] if isinstance(seed, numbers.Integral) else list(seed)
+    one = isinstance(seed, numbers.Integral)
+    seeds = [seed] if one else list(seed)
     if not seeds:
         raise ValueError("spotcheck_run needs at least one seed")
     u = np.empty((len(seeds), M, 2))
@@ -451,7 +454,7 @@ def spotcheck_run(
         RunReport(n == 0 or k / n < chi, transcript, n, k, bits, x)
         for transcript, n, k, bits, x in zip(transcripts, tests, passes, outputs, seeds)
     ]
-    return reports[0] if isinstance(seed, numbers.Integral) else reports
+    return reports[0] if one else reports
 
 
 # ---------------------------------------------------------------------------
