@@ -497,3 +497,17 @@ class TestStructuralLaws:
     def test_dsl_round_trip(self, data):
         d, _ = _closed_stack(data, "ab")
         assert dg.diagrams_equal(dg.parse_diagram(dg.print_diagram(d)), d)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**16))
+    def test_evaluate_repeats_bytes(self, data, seed):
+        # a second evaluate reuses the diagram's plan; a rebuilt equal
+        # diagram plans afresh: all three give the same bytes
+        d, holes = _closed_stack(data, "ab")
+        text = dg.print_diagram(d)
+        a, b = dg.parse_diagram(text), dg.parse_diagram(text)
+        assert a == b
+        binding = _channels(holes, np.random.default_rng(seed))
+        first = a.evaluate(binding).matrix.tobytes()
+        assert a.evaluate(binding).matrix.tobytes() == first
+        assert b.evaluate(binding).matrix.tobytes() == first

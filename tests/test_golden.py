@@ -290,6 +290,27 @@ def test_check_report_grid_bytes(tmp_path, name, base, seed):
     assert cli_report_digest(tmp_path, argv) == CHECK_GRID_DIGESTS[(name, base, seed)]
 
 
+def test_proof_reports_repeat_in_one_process(tmp_path):
+    """Every rules and check pin, twice in one process: a diagram's type
+    check, order and width substitutions are kept on it, and the rule
+    sides of the library are built once, so the second pass reuses what
+    the first computed."""
+    for _ in range(2):
+        for dim in sorted(RULES_DIGESTS):
+            assert cli_report_digest(tmp_path, ["rules", "--dim", str(dim)]) == RULES_DIGESTS[dim]
+        for name, dims in sorted(CHECK_DIGESTS):
+            argv = ["check", name, "--dims", dims, "--seed", "5"]
+            assert cli_report_digest(tmp_path, argv) == CHECK_DIGESTS[(name, dims)]
+
+
+def test_check_report_across_widths_in_one_process(tmp_path):
+    """N=1, then N=2, then N=1 again: each width's substitution of the
+    shared rule sides stays its own."""
+    for base in (1, 2, 1):
+        argv = ["check", "soundness_k2", "--dims", f"N={base}", "--seed", "7"]
+        assert cli_report_digest(tmp_path, argv) == CHECK_GRID_DIGESTS[("soundness_k2", base, 7)]
+
+
 def test_chsh_scoring_evaluate_bytes():
     d, binding = pr.chsh_scoring_diagram()
     digest = sha256(d.evaluate(binding).matrix.tobytes())
