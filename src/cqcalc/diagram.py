@@ -27,7 +27,8 @@ import heapq
 import json
 import re
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import cached_property, reduce
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -142,17 +143,29 @@ Src = tuple
 Dst = tuple
 
 
-@dataclass
+@dataclass(frozen=True)
 class Diagram:
     """Open port graph.  Nodes keyed by integer ids; wires are
     (source endpoint, target endpoint) pairs.  Sources are boundary
     inputs ("in", k) or node output ports ("n", nid, i); targets are
-    boundary outputs ("out", k) or node input ports ("n", nid, i)."""
+    boundary outputs ("out", k) or node input ports ("n", nid, i).
 
-    nodes: dict[int, Generator] = field(default_factory=dict)
-    wires: list[tuple[Src, Dst]] = field(default_factory=list)
+    A diagram is an immutable value: `nodes` is a read-only mapping and
+    `wires` a tuple, and code that changes a diagram builds a new one.
+    So its type check, topological order and contraction plan, and each
+    width substitution, are computed once per diagram object and kept on
+    it, outside the fields that `==` and `repr` read."""
+
+    nodes: Mapping[int, Generator] = field(default_factory=dict)
+    wires: tuple[tuple[Src, Dst], ...] = ()
     in_types: tuple[Register, ...] = ()
     out_types: tuple[Register, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "nodes", MappingProxyType(dict(self.nodes)))
+        object.__setattr__(self, "wires", tuple(self.wires))
+        object.__setattr__(self, "in_types", tuple(self.in_types))
+        object.__setattr__(self, "out_types", tuple(self.out_types))
 
     # -- construction ------------------------------------------------------
     @staticmethod
@@ -232,19 +245,30 @@ class Diagram:
         return self.beside(other)
 
     # -- structure accessors ----------------------------------------------
-    @property
+    @cached_property
     def symbolic(self) -> bool:
         return any(g.symbolic for g in self.nodes.values()) or any(
             r.symbolic for r in self.in_types + self.out_types
         )
 
+    @cached_property
+    def _substs(self) -> dict:
+        return {}
+
     def subst(self, values: Mapping[str, int]) -> "Diagram":
-        return Diagram(
-            {nid: g.subst(values) for nid, g in self.nodes.items()},
-            list(self.wires),
-            tuple(r.subst(values) for r in self.in_types),
-            tuple(r.subst(values) for r in self.out_types),
-        )
+        """The diagram with every symbolic width instantiated from
+        `values`.  Built once per diagram and set of values; a later call
+        with equal values returns the same diagram object."""
+        key = tuple(sorted(values.items()))
+        out = self._substs.get(key)
+        if out is None:
+            out = self._substs[key] = Diagram(
+                {nid: g.subst(values) for nid, g in self.nodes.items()},
+                self.wires,
+                tuple(r.subst(values) for r in self.in_types),
+                tuple(r.subst(values) for r in self.out_types),
+            )
+        return out
 
     def wire_type(self, wire: tuple[Src, Dst]) -> Register:
         s, t = wire
@@ -255,6 +279,10 @@ class Diagram:
     def topo_order(self) -> list[int]:
         """Node ids, each after every node that feeds it, the least ready
         id first.  Needs well-formed wiring (see `typecheck`)."""
+        return list(self._order)
+
+    @cached_property
+    def _order(self) -> tuple[int, ...]:
         succ = {nid: set() for nid in self.nodes}
         preds = dict.fromkeys(self.nodes, 0)
         for s, t in self.wires:
@@ -274,14 +302,15 @@ class Diagram:
                     heapq.heappush(ready, m)
         if len(order) != len(self.nodes):
             raise ValueError("diagram contains a cycle")
-        return order
+        return tuple(order)
 
     # -- typing ------------------------------------------------------------
     def typecheck(self) -> list[str]:
         """Return all violations (empty list when well-typed)."""
-        return self._typecheck()[0]
+        return list(self._checked[0])
 
-    def _typecheck(self) -> tuple[list[str], list[int]]:
+    @cached_property
+    def _checked(self) -> tuple[tuple[str, ...], tuple[int, ...]]:
         """(violations, topological order).  A cycle is looked for once the
         wiring is otherwise well formed; the order is empty on a violation."""
         errors = []
@@ -318,22 +347,61 @@ class Diagram:
                 if ("n", nid, i) not in seen_src:
                     errors.append(f"node {nid} output port {i} dangling")
         if errors:
-            return errors, []
+            return tuple(errors), ()
         try:
-            return [], self.topo_order()
+            return (), self._order
         except ValueError as e:
-            return [str(e)], []
+            return (str(e),), ()
 
     # -- evaluation ---------------------------------------------------------
+    @cached_property
+    def _plan(self):
+        """evaluate's contraction, worked out from the wiring alone: per
+        node in topological order its tensor shape and the (piece, axes)
+        pairs it is contracted with, then the dimensions of the
+        pass-through identities, the axis permutation of the outer
+        product of the pieces left, and the matrix shape.  Wire i labels
+        its axes; a pass-through wire's input end is labelled n + i."""
+        n = len(self.wires)
+        by_src = {s: i for i, (s, _) in enumerate(self.wires)}
+        by_dst = {t: i for i, (_, t) in enumerate(self.wires)}
+        steps = []
+        pieces: dict[int, list[int]] = {}  # piece key -> axis labels
+        piece_of: dict[int, int] = {}  # open wire -> key of the piece holding it
+        for nid in self._checked[1]:
+            g = self.nodes[nid]
+            in_w = [by_dst[("n", nid, i)] for i in range(len(g.in_ports))]
+            labels = [by_src[("n", nid, i)] for i in range(len(g.out_ports))] + in_w
+            merges = []
+            for key in dict.fromkeys(piece_of[w] for w in in_w if w in piece_of):
+                p_labels = pieces.pop(key)
+                shared = [w for w in in_w if piece_of.get(w) == key]
+                merges.append((key, ([p_labels.index(w) for w in shared], [labels.index(w) for w in shared])))
+                labels = [w for w in p_labels if w not in shared] + [w for w in labels if w not in shared]
+            steps.append((nid, [r.total_dim for r in g.out_ports + g.in_ports], merges))
+            pieces[nid] = labels
+            piece_of.update(dict.fromkeys(labels, nid))
+        through = [i for i, (s, t) in enumerate(self.wires) if s[0] == "in" and t[0] == "out"]
+        terms = list(pieces.values()) + [[i, n + i] for i in through]
+        pos = {w: k for k, w in enumerate(w for labels in terms for w in labels)}
+        outs = [by_dst[("out", k)] for k in range(len(self.out_types))]
+        ins = [by_src[("in", k)] for k in range(len(self.in_types))]
+        perm = [pos[w] for w in outs] + [pos.get(n + i, pos[i]) for i in ins]
+        eyes = [self.in_types[self.wires[i][0][1]].total_dim for i in through]
+        return steps, eyes, perm, (rc.total_dim(self.out_types), rc.total_dim(self.in_types))
+
     def evaluate(self, binding: Mapping[str, ProcessTensor] | None = None) -> ProcessTensor:
         """Contract the diagram to a ProcessTensor.
 
-        Wire i labels its axes.  Nodes run in topological order; each is
-        contracted into every connected piece that holds one of its input
-        wires, and the result is one piece, so unconnected pieces meet
-        only in the final outer product.  A boundary-to-boundary wire is
-        an identity whose input end is labelled n + i (n wires)."""
-        errs, order = self._typecheck()
+        Nodes run in topological order; each is contracted into every
+        connected piece that holds one of its input wires, and the result
+        is one piece, so unconnected pieces meet only in the final outer
+        product.  A boundary-to-boundary wire is an identity.  The type
+        check and this contraction plan are worked out on the first call
+        and reused by every later one; only the binding's and the
+        generators' tensors are read per call.  The result's matrix is
+        frozen, so its ProcessTensor keeps it without a copy."""
+        errs, _ = self._checked
         if errs:
             raise ValueError("ill-typed diagram: " + "; ".join(errs))
         if self.symbolic:
@@ -350,39 +418,22 @@ class Diagram:
                         f"{list(g.in_ports)}->{list(g.out_ports)}"
                     )
 
-        n = len(self.wires)
-        by_src = {s: i for i, (s, _) in enumerate(self.wires)}
-        by_dst = {t: i for i, (_, t) in enumerate(self.wires)}
-
-        pieces: dict[int, tuple[np.ndarray, list[int]]] = {}  # (tensor, axis labels)
-        piece_of: dict[int, int] = {}  # open wire -> key of the piece holding it
-        for nid in order:
-            g = self.nodes[nid]
-            out_w = [by_src[("n", nid, i)] for i in range(len(g.out_ports))]
-            in_w = [by_dst[("n", nid, i)] for i in range(len(g.in_ports))]
-            t = g.semantics(binding).matrix.reshape([r.total_dim for r in g.out_ports + g.in_ports])
-            labels = out_w + in_w
-            for key in dict.fromkeys(piece_of[w] for w in in_w if w in piece_of):
-                p, p_labels = pieces.pop(key)
-                shared = [w for w in in_w if piece_of.get(w) == key]
-                axes = ([p_labels.index(w) for w in shared], [labels.index(w) for w in shared])
-                t = np.tensordot(p, t, axes)
-                labels = [w for w in p_labels if w not in shared] + [w for w in labels if w not in shared]
-            pieces[nid] = (t, labels)
-            piece_of.update(dict.fromkeys(labels, nid))
-
-        terms = list(pieces.values()) + [
-            (np.eye(self.in_types[s[1]].total_dim), [i, n + i])
-            for i, (s, t) in enumerate(self.wires)
-            if s[0] == "in" and t[0] == "out"
-        ]
-        tensor = reduce(np.multiply.outer, [p for p, _ in terms] or [np.ones(())])
-        pos = {w: k for k, w in enumerate(w for _, labels in terms for w in labels)}
-        outs = [by_dst[("out", k)] for k in range(len(self.out_types))]
-        ins = [by_src[("in", k)] for k in range(len(self.in_types))]
-        tensor = np.transpose(tensor, [pos[w] for w in outs] + [pos.get(n + i, pos[i]) for i in ins])
-        d_out, d_in = rc.total_dim(self.out_types), rc.total_dim(self.in_types)
-        return ProcessTensor(self.in_types, self.out_types, tensor.reshape(d_out, d_in))
+        steps, eyes, perm, shape = self._plan
+        pieces: dict[int, np.ndarray] = {}
+        for nid, dims, merges in steps:
+            t = self.nodes[nid].semantics(binding).matrix.reshape(dims)
+            for key, axes in merges:
+                t = np.tensordot(pieces.pop(key), t, axes)
+            pieces[nid] = t
+        tensor = reduce(np.multiply.outer, [*pieces.values(), *map(np.eye, eyes)] or [np.ones(())])
+        m = np.transpose(tensor, perm).reshape(shape)
+        # freeze what was made here; the first read-only array down the
+        # chain is, or is a view of, a ProcessTensor's matrix
+        a = m
+        while isinstance(a, np.ndarray) and a.flags.writeable:
+            a.setflags(write=False)
+            a = a.base
+        return ProcessTensor(self.in_types, self.out_types, m)
 
     def dagger(self) -> "Diagram":
         """Mirror the diagram top-to-bottom (adjoint of the denotation).
@@ -745,16 +796,17 @@ def print_diagram(d: Diagram) -> str:
     lines = []
     decls = {}
     gensym = 0
-    for nid, g in sorted(d.nodes.items()):
+    nodes = dict(d.nodes)  # the canonical form with unlabelled boxes named
+    for nid, g in sorted(nodes.items()):
         if g.kind in (BOX, HOLE):
             label = g.label
             if label is None:
                 label = f"f{gensym}"
                 gensym += 1
-                d.nodes[nid] = replace(g, label=label)
-                g = d.nodes[nid]
+                g = nodes[nid] = replace(g, label=label)
             if label not in decls:
                 decls[label] = g
+    d = Diagram(nodes, d.wires, d.in_types, d.out_types)
 
     # registers in order of first appearance, so names do not follow string hashing
     ports = [p for _, g in sorted(d.nodes.items()) for p in g.in_ports + g.out_ports]

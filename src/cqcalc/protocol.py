@@ -451,7 +451,7 @@ def spotcheck_run(
     transcripts = np.stack([t, a1, a2, aa, bb], axis=-1)
     outputs = np.stack([aa, bb], axis=-1).reshape(len(seeds), 2 * M)
     reports = [
-        RunReport(n == 0 or k / n < chi, transcript, n, k, bits, x)
+        RunReport(n == 0 or k / n < chi, transcript, n, k, bits, int(x))
         for transcript, n, k, bits, x in zip(transcripts, tests, passes, outputs, seeds)
     ]
     return reports[0] if one else reports

@@ -138,9 +138,24 @@ def _kind_dim(regs: Sequence[Register], kind: str) -> int:
     return base_dim([r for r in regs if r.kind == kind])
 
 
+def _frozen(a: np.ndarray) -> bool:
+    """True when a and every array in its base chain are read-only, so
+    that no one holds a writable handle on a's data."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None
+
+
 @dataclass(frozen=True)
 class ProcessTensor:
-    """A concrete linear map between tensor products of registers."""
+    """A concrete linear map between tensor products of registers.
+
+    The matrix is read-only.  A complex matrix that is read-only down
+    its whole base chain (a fresh array its maker froze, or a view of
+    another ProcessTensor's matrix) is kept as given; anything else,
+    including a read-only view of a writable array, is copied."""
 
     in_regs: tuple[Register, ...]
     out_regs: tuple[Register, ...]
@@ -153,8 +168,9 @@ class ProcessTensor:
         want = (total_dim(self.out_regs), total_dim(self.in_regs))
         if m.shape != want:
             raise ValueError(f"matrix shape {m.shape} inconsistent with registers {want}")
-        m = m.copy()
-        m.setflags(write=False)
+        if not _frozen(m):
+            m = m.copy()
+            m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     # -- convenience views -------------------------------------------------
@@ -257,8 +273,10 @@ def spider(reg: Register, legs: int) -> ProcessTensor:
     return spider_map(reg, 0, legs)
 
 
+@lru_cache(maxsize=None)
 def spider_map(reg: Register, legs_in: int, legs_out: int) -> ProcessTensor:
-    """Spider with legs split into inputs and outputs: sum_i |i..><..i|."""
+    """Spider with legs split into inputs and outputs: sum_i |i..><..i|.
+    Built once per register and leg counts."""
     _require_classical(reg)
     if legs_in < 0 or legs_out < 0 or legs_in + legs_out < 1:
         raise ValueError("spider needs at least one leg")
@@ -274,14 +292,18 @@ def spider_map(reg: Register, legs_in: int, legs_out: int) -> ProcessTensor:
     return ProcessTensor((reg,) * legs_in, (reg,) * legs_out, m)
 
 
+@lru_cache(maxsize=None)
 def uniform(reg: Register, legs: int) -> ProcessTensor:
-    """spider(reg, legs) scaled by 1/m where m is the register dimension."""
+    """spider(reg, legs) scaled by 1/m where m is the register dimension.
+    Built once per register and leg count."""
     s = spider(reg, legs)
     return ProcessTensor((), s.out_regs, s.matrix / reg.total_dim)
 
 
+@lru_cache(maxsize=None)
 def discard(reg: Register) -> ProcessTensor:
-    """Trace effect: sum of diagonal (quantum) or plain sum (classical)."""
+    """Trace effect: sum of diagonal (quantum) or plain sum (classical).
+    Built once per register."""
     if reg.kind == CLASSICAL:
         row = np.ones(reg.base_dim, dtype=complex)
     else:
@@ -754,6 +776,7 @@ def random_cq_channel(
     doubled = np.einsum("kcpea,kcqeb->kcpqab", branches, np.conj(branches))
     blocks = doubled.reshape(Ki, Ko * dqo * dqo, dqi * dqi)[:, rows_out]
     m[:, order.ravel()] += blocks.transpose(1, 0, 2).reshape(m.shape[0], Ki * dqi * dqi)
+    m.setflags(write=False)  # no one else holds m: the ProcessTensor keeps it
     return ProcessTensor(in_regs, out_regs, m)
 
 

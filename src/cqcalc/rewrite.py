@@ -461,7 +461,7 @@ CAUSAL = frozenset({"causal"})
 
 _gen, _wires = dg.Diagram.from_generator, dg.Diagram.id_wires
 
-# Nothing mutates a rule's diagrams, so each rule is built once per
+# A diagram cannot change once built, so each rule is built once per
 # argument tuple; typed, so that a script's scale 1.0 gets its own rule.
 _memo = lru_cache(maxsize=None, typed=True)
 
@@ -1062,7 +1062,8 @@ def rule_distance(rule: RewriteRule, binding: dict, rng, dims=None, cap2=math.in
         lhs_value = lhs.evaluate(binding)
     if rhs_value is None:
         rhs_value = rhs.evaluate(binding)
-    return float(np.abs(lhs_value.matrix - rhs_value.matrix).max())
+    d = lhs_value.matrix - rhs_value.matrix
+    return float(np.abs(d, out=d).real.max())
 
 
 DIM_CAP = 2**7  # run_script checks a step numerically up to DIM_CAP**2 carrier entries

@@ -260,6 +260,62 @@ class TestPrint:
         assert dg.diagrams_equal(dg.parse_diagram(texts.pop()), dg.parse_diagram(source))
 
 
+class TestImmutable:
+    def test_nodes_and_wires_cannot_change(self):
+        d = dg.parse_diagram("uniform C2 2 ; id C2 * discard C2")
+        with pytest.raises(TypeError):
+            d.nodes[0] = dg.discard_gen(C2)
+        with pytest.raises(AttributeError):
+            d.wires.append((("in", 0), ("out", 0)))
+        with pytest.raises(AttributeError):
+            d.in_types = (C2,)
+
+    def test_builder_dict_is_not_shared(self):
+        nodes = {0: dg.uniform_gen(C2, 1)}
+        d = dg.Diagram(nodes, [(("n", 0, 0), ("out", 0))], (), (C2,))
+        nodes[1] = dg.discard_gen(C2)
+        assert list(d.nodes) == [0] and d.typecheck() == []
+
+    def test_typecheck_result_is_fresh(self):
+        d = dg.parse_diagram("uniform C2 1")
+        d.typecheck().append("spoiled")
+        d.topo_order().append(9)
+        assert d.typecheck() == [] and d.topo_order() == [0]
+
+    def test_subst_built_once_per_values(self):
+        d = dg.parse_diagram("reg S = classical N\nuniform S 1")
+        one = d.subst({"N": 1})
+        assert d.subst({"N": 1}) is one and d.subst({"N": np.int64(1)}) is one
+        assert d.subst({"N": 2}).out_types == (rc.C(4),) and one.out_types == (C2,)
+
+    def test_caches_are_not_fields(self):
+        d = dg.parse_diagram("uniform C2 1 ; discard C2")
+        fresh = repr(d)
+        d.evaluate()
+        d.subst({})
+        assert repr(d) == fresh and d == dg.parse_diagram("uniform C2 1 ; discard C2")
+
+    def test_print_leaves_diagram_and_canonical_form(self, monkeypatch):
+        f = dg.Diagram.from_generator(dg.box(None, (C2,), (C2,)))
+        g = dg.Diagram.from_generator(dg.box(None, (C2,), (C2,)))
+        d = f >> g
+        snapshot = dg.Diagram(dict(d.nodes), list(d.wires), d.in_types, d.out_types)
+        forms, canonical = [], dg.canonical_form
+        monkeypatch.setattr(dg, "canonical_form", lambda *a: forms.append(canonical(*a)) or forms[-1])
+        text = dg.print_diagram(d)
+        assert text == "box f0 : C2 -> C2\nbox f1 : C2 -> C2\nf0 ;\nf1\n"
+        assert d == snapshot
+        assert forms == [canonical(d)]
+        assert all(g.label is None for g in forms[0].nodes.values())
+
+    def test_evaluate_result_shares_generator_tensor(self):
+        # a lone generator's matrix is frozen already, so evaluate's
+        # ProcessTensor keeps a view of it instead of a copy
+        d = dg.parse_diagram("uniform C3 2")
+        assert np.shares_memory(d.evaluate().matrix, rc.uniform(C3, 2).matrix)
+        assert not d.evaluate().matrix.flags.writeable
+
+
 class TestJson:
     def test_round_trip(self):
         d = dg.parse_diagram("hole h : C2 -> Q2\nuniform C2 1 ; h ; discard Q2")

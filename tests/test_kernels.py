@@ -1,5 +1,5 @@
 """Timings of the kernels under the benchmark's workloads: the proofs
-workload's rule checks, and the sweep workload's spot-check sampler
+workload's rule checks and rule-side evaluation, and the sweep workload's spot-check sampler
 and report emitter.
 
     PYTHONPATH=src python -m pytest tests/test_kernels.py
@@ -24,7 +24,7 @@ pytest.importorskip("pytest_benchmark")
 
 ROUNDS = 5
 
-C4, C9, C16, C81, Q2 = rc.C(4), rc.C(9), rc.C(16), rc.C(81), rc.Q(2)
+C2, C4, C9, C16, C81, Q2 = rc.C(2), rc.C(4), rc.C(9), rc.C(16), rc.C(81), rc.Q(2)
 
 # the hottest hole shapes of the proofs benchmark
 CHANNEL_SHAPES = [
@@ -53,6 +53,15 @@ def test_rule_distance_expand_S(benchmark):
     # a fresh binding per round, so every round derives the stage hole
     dist = benchmark.pedantic(lambda: rw.rule_distance(rule, {}, rng), rounds=ROUNDS, warmup_rounds=1)
     assert dist <= 1e-12
+
+
+@pytest.mark.parametrize("side", ["lhs", "rhs"])
+def test_evaluate_spider_fusion(benchmark, side):
+    # a small rule side: its plan is reused, so a round reads the cached
+    # generator tensors and runs the contractions alone
+    d = getattr(rw.rule_spider_fusion(C2), side)
+    p = benchmark.pedantic(d.evaluate, rounds=ROUNDS, warmup_rounds=1)
+    assert np.array_equal(p.matrix, rc.spider(C2, 4).matrix)
 
 
 def test_spotcheck_sweep(benchmark):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cqcalc import cli
 from cqcalc import diagram as dg
 from cqcalc import protocol as pr
 from cqcalc import regcalc as rc
@@ -283,6 +284,15 @@ class TestSpotcheck:
         got = pr.spotcheck_run(7, 0.3, 0.75, s, np.int64(17))
         assert type(got) is pr.RunReport
         assert np.array_equal(got.output_bits, per_seed_spotcheck(7, 0.3, 0.75, s, 17).output_bits)
+
+    def test_numpy_integer_seeds_report_as_ints(self):
+        s = pr.optimal_chsh_strategy()
+        want = [pr.spotcheck_run(7, 0.3, 0.75, s, x) for x in (17, 18, 19)]
+        got = [pr.spotcheck_run(7, 0.3, 0.75, s, np.int64(17))]
+        got += pr.spotcheck_run(7, 0.3, 0.75, s, np.arange(18, 20))
+        for g, w in zip(got, want):
+            assert_same_report(g, w)
+        assert cli._dumps([g.to_json() for g in got]) == cli._dumps([w.to_json() for w in want])
 
     @pytest.mark.parametrize("seeds", [[], range(0), range(5, 5), ()], ids=repr)
     def test_empty_seed_sequence_refused(self, seeds):

@@ -124,6 +124,44 @@ class TestGenerators:
         assert np.allclose(sm.matrix.reshape(-1), rc.spider(C3, 2).vector())
 
 
+class TestAdoption:
+    """A ProcessTensor keeps a matrix that no one can write and copies
+    any other."""
+
+    def test_copies_writable_array(self):
+        m = np.eye(2, dtype=complex)
+        p = rc.ProcessTensor((C2,), (C2,), m)
+        m[0, 0] = 5
+        assert p.matrix[0, 0] == 1 and not p.matrix.flags.writeable
+
+    def test_copies_broadcast_view_of_writable_base(self):
+        base = np.ones(2, dtype=complex)
+        view = np.broadcast_to(base, (2, 2))
+        assert not view.flags.writeable
+        p = rc.ProcessTensor((C2,), (C2,), view)
+        base[0] = 7
+        assert np.array_equal(p.matrix, np.ones((2, 2)))
+
+    def test_copies_read_only_view_of_writable_base(self):
+        base = np.eye(2, dtype=complex)
+        view = base.view()
+        view.setflags(write=False)
+        p = rc.ProcessTensor((C2,), (C2,), view)
+        base[1, 0] = 3
+        assert np.array_equal(p.matrix, np.eye(2))
+
+    def test_adopts_fresh_read_only_array(self):
+        m = np.eye(2, dtype=complex)
+        m.setflags(write=False)
+        assert np.shares_memory(rc.ProcessTensor((C2,), (C2,), m).matrix, m)
+
+    def test_generators_built_once(self):
+        assert rc.spider_map(C3, 1, 2) is rc.spider_map(C3, 1, 2)
+        assert rc.uniform(C2, 2) is rc.uniform(C2, 2)
+        assert rc.discard(Q2) is rc.discard(Q2)
+        assert not rc.uniform(C2, 2).matrix.flags.writeable
+
+
 class TestDagger:
     def test_involution(self):
         rng = np.random.default_rng(15)
