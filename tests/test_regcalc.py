@@ -150,6 +150,14 @@ class TestAdoption:
         base[1, 0] = 3
         assert np.array_equal(p.matrix, np.eye(2))
 
+    def test_copies_read_only_array_over_a_writable_buffer(self):
+        buf = bytearray(np.eye(2, dtype=complex).tobytes())
+        flat = np.frombuffer(buf, dtype=complex)
+        flat.setflags(write=False)
+        p = rc.ProcessTensor((C2,), (C2,), flat.reshape(2, 2))
+        buf[:16] = bytes(16)
+        assert np.array_equal(p.matrix, np.eye(2))
+
     def test_adopts_fresh_read_only_array(self):
         m = np.eye(2, dtype=complex)
         m.setflags(write=False)

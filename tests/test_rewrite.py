@@ -346,6 +346,16 @@ class TestRuleDistanceEvaluations:
         rw.rule_distance(rule, {}, np.random.default_rng(0))
         assert calls == {"lhs": 1, "rhs": 1}
 
+    def test_nan_entry_gives_nan(self):
+        # one NaN among finite entries: the largest entry is NaN, as with
+        # np.abs(lhs - rhs).max()
+        (rule,) = [r for r in rw.builtin_rules(2) if r.name == "causality"]
+        (h,) = rw._opaque_sorted(rule.lhs)
+        m = rw.sample_hole(h, np.random.default_rng(0)).matrix.copy()
+        m[0, 0] = np.nan
+        dist = rw.rule_distance(rule, {h.label: rc.ProcessTensor(h.in_ports, h.out_ports, m)}, None)
+        assert math.isnan(dist)
+
 
 class TestScripts:
     def test_single_stage_budget(self):
