@@ -526,3 +526,44 @@ def test_process_distance_bytes():
     assert iv.upper < 1.0
     digest = sha256(np.array([iv.lower, iv.upper]).tobytes())
     assert digest == "b50a7b89a34acd3d9eadac06d5702fed78505f990cba41eb1a7e1c02c977e9c5"
+
+
+def closed_form_state(case: str) -> rc.CQState:
+    """States that min_entropy_cq solves in closed form: one branch
+    (subnormalised), two branches that do not commute (Helstrom), and
+    three branches diagonal in one Haar basis (commuting)."""
+    if case in ("one", "two"):
+        scale = 0.7 if case == "one" else 1.0
+        branches = wishart_state(1 if case == "one" else 2, 3, 0)["branches"]
+        return rc.CQState([scale * (np.array(b["re"]) + 1j * np.array(b["im"])) for b in branches])
+    rng = np.random.default_rng(9)
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    w = rng.random((3, 3))
+    w /= w.sum()
+    return rc.CQState([(u * row) @ u.conj().T for row in w])
+
+
+# case -> (SHA-256 of sigma's bytes, repr of h, p_lower, p_upper)
+CLOSED_FORM_ENTROPY = {
+    "one": (
+        "19500199e66291437f169e7eb6251ea3c6db11dc388b5fc96e93332a917c9a97",
+        "0.5145731728297583", "0.7", "0.7",
+    ),
+    "two": (
+        "66c72af14aac456eca0dc321c66e9f38f15f409ab6bc1eb47df9aae954a4b92c",
+        "0.3522925874599302", "0.7833383049950288", "0.7833383049950288",
+    ),
+    "three": (
+        "7791da69449b93e17d0ca79b0316fd68700f132b880c23f311a7375270f48174",
+        "1.2036941438821611", "0.43416214785498597", "0.43416214785498597",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLOSED_FORM_ENTROPY))
+def test_min_entropy_closed_form_certificates(case):
+    h, cert = pr.min_entropy_cq(closed_form_state(case))
+    got = (sha256(cert["sigma"].tobytes()), repr(h), repr(cert["p_lower"]), repr(cert["p_upper"]))
+    assert got == CLOSED_FORM_ENTROPY[case]
+    assert (cert["gap"], cert["iterations"], cert["converged"]) == (0.0, 0, True)

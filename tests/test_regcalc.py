@@ -187,6 +187,82 @@ class TestDagger:
         assert e.is_effect and np.allclose(e.matrix, [[1, 0]])
 
 
+def reference_structural_predicates(p, tol):
+    """structural_predicates as it was written with the Choi operator
+    built and diagonalised once for complete positivity and once more
+    for purity, as the reference the one-spectrum version must match."""
+    d_out = rc.discard_all(p.out_regs).matrix.reshape(1, -1)
+    d_in = rc.discard_all(p.in_regs).matrix.reshape(1, -1)
+    traced = d_out @ p.matrix
+    causal = bool(np.max(np.abs(traced - d_in)) <= tol)
+    E = rc.effect_operator(traced.reshape(-1), p.in_regs)
+    evals = np.linalg.eigvalsh(rc.hermitian_part(E))
+    herm_ok = np.max(np.abs(E - np.conj(E.T))) <= max(1e3 * tol, 1e-6)
+    stochastic = bool(herm_ok and evals.min() >= -tol and evals.max() <= 1 + tol)
+    choi = rc.choi_operator(p)
+    cp = bool(
+        np.max(np.abs(choi - np.conj(choi.T))) <= max(1e3 * tol, 1e-6)
+        and np.linalg.eigvalsh(rc.hermitian_part(choi)).min() >= -max(tol, 1e-9) * max(1, np.abs(choi).max())
+    )
+
+    def pure_process():
+        choi = rc.choi_operator(p)
+        H = rc.hermitian_part(choi)
+        if np.max(np.abs(choi - H)) > max(1e3 * tol, 1e-6):
+            return False
+        ev = np.sort(np.linalg.eigvalsh(H))[::-1]
+        if ev[0] < -tol:
+            return False
+        rest = np.abs(ev[1:]).sum() if len(ev) > 1 else 0.0
+        return not rest > 1e2 * tol * max(1.0, ev[0])
+
+    pure = pure_process()
+    if p.is_effect:
+        Eo = rc.effect_operator(p.matrix.reshape(-1), p.in_regs)
+        ev = np.linalg.eigvalsh(rc.hermitian_part(Eo))
+        effect_valid = bool(
+            np.max(np.abs(Eo - np.conj(Eo.T))) <= max(1e3 * tol, 1e-6) and ev.min() >= -tol and ev.max() <= 1 + tol
+        )
+    else:
+        effect_valid = stochastic
+    return {
+        "causal": causal,
+        "stochastic": stochastic,
+        "pure_state": p.is_state and pure,
+        "pure_process": pure,
+        "completely_positive": cp,
+        "effect_valid": effect_valid,
+    }
+
+
+def transpose_map(regs):
+    """rho -> rho^T on the carrier of regs: positive, not completely
+    positive."""
+    d = rc.total_dim(regs)
+    m = np.zeros((d, d), dtype=complex)
+    for k in range(d):
+        m[:, k] = rc.operator_state(rc.state_operator(np.eye(d)[k], regs).T, regs)
+    return rc.ProcessTensor(tuple(regs), tuple(regs), m)
+
+
+def predicate_pool():
+    rng = np.random.default_rng(31)
+    causal = rc.random_cq_channel([C2, Q2], [Q2], rng, causal=True)
+    return {
+        "subnormalised_pure_state": rc.state([Q2], [0.5, 0, 0, 0]),
+        "identity_Q2": rc.identity([Q2]),
+        "identity_C2_Q2": rc.identity([C2, Q2]),
+        "spider_map_C3": rc.spider_map(C3, 1, 2),
+        "uniform_C2": rc.uniform(C2, 2),
+        "discard_Q2": rc.discard(Q2),
+        "causal_channel": causal,
+        "noncausal_channel": rc.random_cq_channel([Q2], [C2, Q2], rng, causal=False),
+        "half_channel": rc.ProcessTensor(causal.in_regs, causal.out_regs, 0.5 * causal.matrix),
+        "transpose_Q2": transpose_map([Q2]),
+        "non_hermitian_choi": random_tensor(rng, [Q2], [Q2]),
+    }
+
+
 class TestPredicates:
     def test_identity_flags(self):
         flags = rc.structural_predicates(rc.identity([Q2]))
@@ -242,6 +318,19 @@ class TestPredicates:
         Z = np.diag([1.0, -1.0])
         dep = rc.channel_from_kraus([Q2], [Q2], [np.eye(2) / np.sqrt(2), Z / np.sqrt(2)])
         assert not rc.structural_predicates(dep)["pure_process"]
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
+    @pytest.mark.parametrize("name", sorted(predicate_pool()))
+    def test_flags_match_two_spectrum_reference(self, name, tol):
+        p = predicate_pool()[name]
+        assert rc.structural_predicates(p, tol) == reference_structural_predicates(p, tol)
+
+    def test_pool_covers_every_flag_both_ways(self):
+        seen = {}
+        for p in predicate_pool().values():
+            for k, v in rc.structural_predicates(p).items():
+                seen.setdefault(k, set()).add(v)
+        assert all(values == {False, True} for values in seen.values()), seen
 
 
 class TestDistances:
