@@ -1,8 +1,9 @@
 """Command-line front end for batch evaluation, proof checking,
 simulation, entropy certification, and extraction.
 
-All commands emit deterministic JSON (sorted keys, format-versioned,
-seed echoed) so repeated runs with the same inputs are byte-identical.
+All commands emit deterministic JSON (sorted keys, format-versioned)
+so repeated runs with the same inputs are byte-identical; the simulate,
+entropy, extract and rules reports echo the seed.
 Exit codes: 0 success/verified, 1 verification failure, 2 usage or
 parse error.
 """
@@ -13,7 +14,7 @@ import argparse
 import functools
 import json
 import math
-import os
+import re
 import sys
 
 import numpy as np
@@ -26,23 +27,9 @@ from . import regcalc as rc
 from . import rewrite as rw
 from .regcalc import CQState
 
-TOL_ENV_VAR = "CQCALC_TOL"
-
 
 class CliError(Exception):
     """Usage or input error; maps to exit code 2."""
-
-
-def _default_tol(args) -> float:
-    if args.tol is not None:
-        return args.tol
-    env = os.environ.get(TOL_ENV_VAR)
-    if env is not None:
-        try:
-            return float(env)
-        except ValueError as e:
-            raise CliError(f"bad {TOL_ENV_VAR} value {env!r}") from e
-    return 1e-9
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -208,6 +195,13 @@ def _check_seed(args):
         raise CliError(f"--seed must be >= 0, got {args.seed}")
 
 
+def _tol(args) -> float:
+    """--tol, which bounds a deviation, so it must be finite and >= 0."""
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise CliError(f"--tol must be finite and >= 0, got {args.tol}")
+    return args.tol
+
+
 def _load_json(path):
     try:
         with open(path) as f:
@@ -224,9 +218,7 @@ def _load_diagram(path) -> dg.Diagram:
             return dg.parse_diagram(f.read())
     except OSError as e:
         raise CliError(f"cannot read diagram file {path}: {e}") from e
-    except dg.DiagramParseError as e:
-        raise CliError(f"parse error in {path}: {e}") from e
-    except ValueError as e:
+    except (dg.DiagramParseError, ValueError) as e:
         raise CliError(f"parse error in {path}: {e}") from e
 
 
@@ -292,6 +284,7 @@ def cmd_check(args) -> int:
     if args.n_value < 0:
         raise CliError("--n-value must be >= 0: it is a bit width")
     _check_seed(args)
+    tol = _tol(args)
     if args.script in rw.SHIPPED_SCRIPTS:
         script = rw.SHIPPED_SCRIPTS[args.script]()
     else:
@@ -316,7 +309,7 @@ def cmd_check(args) -> int:
             N=args.n_value,
             dims=dims or None,
             seed=args.seed,
-            tol=_default_tol(args),
+            tol=tol,
         )
     except rc.UnboundSymbolError as e:
         raise CliError(f"--dims gives no value for symbol {e.symbol!r}") from e
@@ -395,6 +388,7 @@ def _diagonal_example() -> CQState:
 
 
 def cmd_entropy(args) -> int:
+    tol = _tol(args)
     if args.example == "diagonal":
         psi = _diagonal_example()
     elif args.state:
@@ -411,7 +405,7 @@ def cmd_entropy(args) -> int:
             raise CliError("bad state file: total trace must be positive")
     else:
         raise CliError("provide --state FILE or --example diagonal")
-    h, cert = pr.min_entropy_cq(psi, tol=_default_tol(args))
+    h, cert = pr.min_entropy_cq(psi, tol=tol)
     report = {
         # 2: the solver is the log-barrier method; iterations counts its
         # Newton steps
@@ -430,21 +424,18 @@ def cmd_entropy(args) -> int:
 
 
 def _bits_from_hex(text: str, nbits: int):
-    try:
-        value = int(text, 16)
-    except ValueError as e:
-        raise CliError(f"bad hex string {text!r}") from e
+    """The nbits bits, most significant first, of a string of hex digits
+    (no sign, prefix, separator or space)."""
+    if not re.fullmatch("[0-9a-fA-F]+", text):
+        raise CliError(f"bad hex string {text!r}; expected hex digits 0-9, a-f")
+    value = int(text, 16)
     if value >= 1 << nbits:
         raise CliError(f"hex value {text!r} does not fit in {nbits} bits")
     return [(value >> (nbits - 1 - i)) & 1 for i in range(nbits)]
 
 
 def _bits_to_hex(bits) -> str:
-    value = 0
-    for b in bits:
-        value = (value << 1) | int(b)
-    width = (len(bits) + 3) // 4
-    return f"{value:0{width}x}"
+    return f"{ex.bits_int(bits):0{(len(bits) + 3) // 4}x}"
 
 
 def cmd_extract(args) -> int:
@@ -495,6 +486,7 @@ def cmd_rules(args) -> int:
     if args.trials < 1:
         raise CliError("--trials must be >= 1: a rule is ok only once it is checked")
     _check_seed(args)
+    tol = _tol(args)
     records = []
     for rule in rw.builtin_rules(args.dim):
         worst = 0.0
@@ -507,7 +499,7 @@ def cmd_rules(args) -> int:
                 "mode": rule.validation_mode,
                 "cost": str(rule.cost),
                 "max_deviation": worst,
-                "ok": worst <= _default_tol(args),
+                "ok": worst <= tol,
             }
         )
     for rule in rw.axiom_rules():
@@ -543,11 +535,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, tol=False):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; has no effect")
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance, finite and >= 0")
 
     p = sub.add_parser("eval", help="evaluate a diagram file to a tensor")
     p.add_argument("diagram")
@@ -560,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-fn", default=None, help="'c,a' for c*2^(-a*n), or JSON table")
     p.add_argument("--n-value", type=int, default=1)
     p.add_argument("--dims", nargs="*", default=None, metavar="SYM=INT")
-    common(p)
+    common(p, tol=True)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("simulate", help="run the spot-checking protocol")
@@ -569,13 +561,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi", type=float, default=0.85)
     p.add_argument("--strategy", default=None, help="JSON file or 'all-zero'")
     p.add_argument("--sweep", type=int, default=0, help="run this many consecutive seeds")
+    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; has no effect")
     common(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("entropy", help="certify min-entropy of a cq state")
     p.add_argument("--state", default=None)
     p.add_argument("--example", choices=["diagonal"], default=None)
-    common(p)
+    common(p, tol=True)
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("extract", help="Toeplitz hashing and exact distances")
@@ -590,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rules", help="list the rule library with self-test results")
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--trials", type=int, default=5)
-    common(p)
+    common(p, tol=True)
     p.set_defaults(func=cmd_rules)
 
     return parser

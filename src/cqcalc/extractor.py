@@ -185,7 +185,7 @@ def extract_subnormalized(y: CQState, params: ExtractorParams, seed=None):
 RATIO = 4  # a stage's protocol emits RATIO raw bits per protocol-key bit of a split seed
 
 
-def _bits_int(bits) -> int:
+def bits_int(bits) -> int:
     """The integer that bits spell, most significant bit first (0 for
     no bits); exact at any width, where _pack stops at 63 bits."""
     return int("".join(map(str, bits)) or "0", 2)
@@ -201,13 +201,10 @@ class DoublingStage:
     and second half swapped back to original order)."""
 
     m_bits: int
-    allow_single_bit: bool = False
 
     def __post_init__(self):
-        if self.m_bits < 2 and not self.allow_single_bit:
-            raise ValueError(
-                "M=1 leaves an empty hash-seed half; use allow_single_bit"
-            )
+        if self.m_bits < 1:
+            raise ValueError(f"a doubling stage needs M >= 1 seed bits, got {self.m_bits}")
 
     @property
     def raw_bits(self) -> int:
@@ -227,9 +224,9 @@ class DoublingStage:
         protocol.  With M = 1 the one bit does both."""
         half = self.m_bits // 2
         hash_half, proto_half = seed_bits[:half], seed_bits[half:]
-        rng = np.random.Generator(np.random.Philox(_bits_int(hash_half or proto_half)))
+        rng = np.random.Generator(np.random.Philox(bits_int(hash_half or proto_half)))
         hash_seed = rng.integers(0, 2, size=self.raw_bits + self.out_bits - 1, dtype=np.uint8)
-        return hash_seed, _bits_int(proto_half)
+        return hash_seed, bits_int(proto_half)
 
     def run(self, strategy, seed_bits, q: float, chi: float, run_seed: int):
         """Execute the stage; returns a per-stage report dict."""
@@ -275,20 +272,17 @@ def _exact_stage_distribution(stage: DoublingStage, strategy, q: float, chi: flo
     rate falls below chi count as abort mass."""
     bq = pr.b_q_distribution(q)
     p_cond = pr.conditional_distribution(strategy)
-    g = pr.chsh_game()
     per_seed = {}
     round_options = []
     for sym in range(8):
         if bq[sym] == 0:
             continue
-        t, a1, a2 = sym >> 2, (sym >> 1) & 1, sym & 1
-        xx, yy = (a1, a2) if t else (0, 0)
+        t, _, _, xx, yy = pr.round_inputs(sym)
         for aa in range(2):
             for bb in range(2):
                 w = bq[sym] * p_cond[xx, yy, aa, bb]
                 if w > 0:
-                    passed = bool(g.predicate(xx, yy, aa, bb)) if t else None
-                    round_options.append((w, t, passed, aa, bb))
+                    round_options.append((w, t, pr.round_passes(t, xx, yy, aa, bb), aa, bb))
     for seed_val, seed_bits in enumerate(_bits(np.arange(2**stage.m_bits), stage.m_bits).tolist()):
         hash_seed, _ = stage.split_seed(seed_bits)
         t_mat = toeplitz_matrix(hash_seed, stage.out_bits)
@@ -301,10 +295,9 @@ def _exact_stage_distribution(stage: DoublingStage, strategy, q: float, chi: flo
             for w, t, passed, aa, bb in combo:
                 wgt *= w
                 raw += [aa, bb]
-                if t:
-                    tests += 1
-                    passes += bool(passed)
-            if tests == 0 or passes / tests < chi:
+                tests += t
+                passes += passed
+            if pr.run_aborts(tests, passes, chi):
                 abort_mass += wgt
                 continue
             dist[_pack((t_mat @ np.array(raw, dtype=np.uint8)) % 2)] += wgt
@@ -331,7 +324,7 @@ def unbounded_pipeline(plan: ExpansionPlan, strategies, seed: int, q: float = 0.
     rng = np.random.Generator(np.random.Philox(seed))
     current = [int(b) for b in rng.integers(0, 2, size=plan.N)]
     stages = [
-        (DoublingStage(w, allow_single_bit=True), DoublingStage(2 * w, allow_single_bit=True))
+        (DoublingStage(w), DoublingStage(2 * w))
         for w in (plan.N * 4**level for level in range(plan.k))
     ]
     levels = []

@@ -377,17 +377,33 @@ def _cdf(p: np.ndarray) -> np.ndarray:
     return cdf / cdf[..., -1:]
 
 
+def round_inputs(sym):
+    """(t, a1, a2, x, y) of round symbols sym = 4t + 2a1 + a2, an int or
+    an integer array: a test round (t = 1) plays the game on inputs
+    (a1, a2), a generation round on (0, 0)."""
+    t, a1, a2 = sym >> 2, (sym >> 1) & 1, sym & 1
+    return t, a1, a2, a1 * t, a2 * t
+
+
+def round_passes(t, x, y, a, b):
+    """Whether a round is a test round that wins CHSH, per entry for
+    arrays."""
+    return _CHSH.predicate(x, y, a, b) & (t == 1)
+
+
+def run_aborts(tests: int, passes: int, chi: float) -> bool:
+    """A run aborts when no round was tested or its pass rate is below
+    chi."""
+    return tests == 0 or passes / tests < chi
+
+
 @dataclass(frozen=True)
 class RoundTable:
-    """The seed-independent part of spotcheck_run for one strategy and
-    one (M, q, chi): the cumulative distribution of the round symbol
-    (t, a1, a2), and per input pair (x, y) of the outcome pair (a, b),
-    indexed [x, y, ab] in "iid" mode and [round, x, y, ab] in
-    "scripted" mode."""
+    """The seed-independent part of spotcheck_run for one strategy: the
+    cumulative distribution of the round symbol (t, a1, a2), and per
+    input pair (x, y) of the outcome pair (a, b), indexed [x, y, ab] in
+    "iid" mode and [round, x, y, ab] in "scripted" mode."""
 
-    M: int
-    q: float
-    chi: float
     symbol_cdf: np.ndarray
     outcome_cdf: np.ndarray
 
@@ -407,11 +423,11 @@ def round_table(M: int, q: float, chi: float, s: DeviceStrategy) -> RoundTable:
     _require_chsh_alphabet(p)
     symbol_cdf = _cdf(b_q_distribution(q))
     flat = p.reshape(*p.shape[:-2], 4)
-    return RoundTable(M, q, chi, symbol_cdf, _cdf(flat / flat.sum(axis=-1, keepdims=True)))
+    return RoundTable(symbol_cdf, _cdf(flat / flat.sum(axis=-1, keepdims=True)))
 
 
 def spotcheck_run(
-    M: int, q: float, chi: float, s: DeviceStrategy | RoundTable, seed: int | Sequence[int]
+    M: int, q: float, chi: float, s: DeviceStrategy, seed: int | Sequence[int]
 ) -> RunReport | list[RunReport]:
     """Seeded spot-checking loop: each round draws (t, a1, a2) from the
     biased input distribution; test rounds (t=1) play the game on inputs
@@ -419,19 +435,15 @@ def spotcheck_run(
     run aborts when no round was tested or the pass rate falls below
     chi.  Bit-exact reproducible from (seed, parameters, strategy).
 
-    s is a DeviceStrategy or the RoundTable that round_table(M, q, chi,
-    strategy) built for it.  seed is one seed, which returns one
-    RunReport, or a sequence of seeds (a range, say), which returns one
-    RunReport per seed in order; their arrays are rows of one (S, M, 5)
-    and one (S, 2M) stack.  All rounds of all seeds are drawn and scored
-    at once; each seed's random stream and its use match one
-    Generator.choice call for the round symbol and one for the outcome
-    pair per round, so reports do not depend on the batching."""
-    table = s if isinstance(s, RoundTable) else round_table(M, q, chi, s)
-    if (table.M, table.q, table.chi) != (M, q, chi):
-        raise ValueError(
-            f"round table was built for (M, q, chi) = {(table.M, table.q, table.chi)}, not {(M, q, chi)}"
-        )
+    seed is one seed, which returns one RunReport, or a sequence of
+    seeds (a range, say), which returns one RunReport per seed in order;
+    their arrays are rows of one (S, M, 5) and one (S, 2M) stack.  The
+    strategy is validated and tabulated once by round_table, and all
+    rounds of all seeds are drawn and scored at once; each seed's random
+    stream and its use match one Generator.choice call for the round
+    symbol and one for the outcome pair per round, so reports do not
+    depend on the batching."""
+    table = round_table(M, q, chi, s)
     one = isinstance(seed, numbers.Integral)
     seeds = [seed] if one else list(seed)
     if not seeds:
@@ -440,18 +452,17 @@ def spotcheck_run(
     for row, x in zip(u, seeds):
         np.random.Generator(np.random.Philox(x)).random(out=row)
     sym = (table.symbol_cdf <= u[..., :1]).sum(axis=-1)
-    t, a1, a2 = sym >> 2, (sym >> 1) & 1, sym & 1
-    xx, yy = a1 * t, a2 * t
+    t, a1, a2, xx, yy = round_inputs(sym)
     cdf = table.outcome_cdf
     rows = cdf[xx, yy] if cdf.ndim == 3 else cdf[np.arange(M), xx, yy]
     ab = (rows <= u[..., 1:]).sum(axis=-1)
     aa, bb = ab >> 1, ab & 1
     tests = t.sum(axis=1).tolist()
-    passes = (_CHSH.predicate(xx, yy, aa, bb) & (t == 1)).sum(axis=1).tolist()
+    passes = round_passes(t, xx, yy, aa, bb).sum(axis=1).tolist()
     transcripts = np.stack([t, a1, a2, aa, bb], axis=-1)
     outputs = np.stack([aa, bb], axis=-1).reshape(len(seeds), 2 * M)
     reports = [
-        RunReport(n == 0 or k / n < chi, transcript, n, k, bits, int(x))
+        RunReport(run_aborts(n, k, chi), transcript, n, k, bits, int(x))
         for transcript, n, k, bits, x in zip(transcripts, tests, passes, outputs, seeds)
     ]
     return reports[0] if one else reports
@@ -503,56 +514,34 @@ def _newton_direction(s: np.ndarray, t: float):
     return delta, -float(np.vdot(grad, delta).real)
 
 
-def min_entropy_cq(psi: CQState, tol: float = 1e-6, max_iter: int = 1000):
-    """Min-entropy of the classical register given the quantum side.
-
-    -log2 of the optimal guessing probability min_{sigma >= M_i} Tr
-    sigma.  One branch, two branches (the Helstrom closed form) and
-    commuting branches are solved exactly.  More branches run a
-    log-barrier interior-point method: damped Newton steps on
-    t Tr sigma - sum_i log det(sigma - M_i), with t raised by
-    BARRIER_GROWTH after each centring, for at most max_iter Newton
-    steps in total.  sigma stays strictly feasible, so p_upper = Tr sigma
-    is certified; the dual POVM E_i = F^-1/2 (S_i / t) F^-1/2, with
-    S_i = (sigma - M_i)^-1 and F = sum_i S_i / t, gives
-    p_lower = sum_i Tr E_i M_i.  The solve has converged when the gap
-    p_upper - p_lower is <= tol; then sigma's dominance of every branch
-    is asserted.  Returns (H_min, certificate dict with sigma, gap,
-    p_guess bounds and the number of Newton steps as iterations)."""
-    ms = np.array(psi.branch_ops, dtype=complex)  # branches stacked (k, d, d)
-    d = ms.shape[1]
+def _closed_form(ms: np.ndarray):
+    """(sigma, p_guess) of the branches ms, stacked (k, d, d), when they
+    have an exact solution: one branch, two branches (the Helstrom
+    closed form) or commuting branches (simultaneously diagonalised, the
+    largest branch weight per joint eigenvector); else None."""
     if len(ms) == 1:
-        p = float(np.trace(ms[0]).real)
-        sigma = ms[0]
-        cert = {"sigma": sigma, "gap": 0.0, "iterations": 0, "p_lower": p, "p_upper": p,
-                "converged": True}
-        return -math.log2(p), cert
+        return ms[0], float(np.trace(ms[0]).real)
     if len(ms) == 2:
         diff = ms[1] - ms[0]
-        sigma = ms[0] + _psd_part(diff)
-        p = 0.5 * (float(np.trace(ms[0] + ms[1]).real) + _tn(diff))
-        cert = {"sigma": sigma, "gap": 0.0, "iterations": 0, "p_lower": p, "p_upper": p,
-                "converged": True}
-        return -math.log2(p), cert
-
-    # commuting branches: simultaneously diagonalize and pick the
-    # largest branch weight per joint eigenvector (exact, no iteration)
+        return ms[0] + _psd_part(diff), 0.5 * (float(np.trace(ms[0] + ms[1]).real) + _tn(diff))
     scale = max(float(np.abs(m).max()) for m in ms) or 1.0
-    if all(
+    if not all(
         float(np.abs(a @ b - b @ a).max()) <= 1e-12 * scale * scale
         for i, a in enumerate(ms)
         for b in ms[i + 1 :]
     ):
-        rng = np.random.default_rng(0)
-        mix = sum(float(c) * m for c, m in zip(rng.uniform(1.0, 2.0, len(ms)), ms))
-        _, v = np.linalg.eigh(rc.hermitian_part(mix))
-        diag = np.array([np.diag(v.conj().T @ m @ v).real for m in ms])
-        p = float(diag.max(axis=0).sum())
-        sigma = v @ np.diag(diag.max(axis=0)) @ v.conj().T
-        cert = {"sigma": sigma, "gap": 0.0, "iterations": 0, "p_lower": p,
-                "p_upper": p, "converged": True}
-        return -math.log2(p), cert
+        return None
+    rng = np.random.default_rng(0)
+    mix = sum(float(c) * m for c, m in zip(rng.uniform(1.0, 2.0, len(ms)), ms))
+    _, v = np.linalg.eigh(rc.hermitian_part(mix))
+    best = np.array([np.diag(v.conj().T @ m @ v).real for m in ms]).max(axis=0)
+    return v @ np.diag(best) @ v.conj().T, float(best.sum())
 
+
+def _barrier(ms: np.ndarray, tol: float, max_iter: int):
+    """(sigma, p_lower, p_upper, Newton steps) of the log-barrier solve
+    that min_entropy_cq describes."""
+    d = ms.shape[1]
     # start strictly inside: sigma - M_i is the other branches plus a
     # positive multiple of I, which also covers the slightly negative
     # eigenvalues that CQState tolerates
@@ -563,7 +552,7 @@ def min_entropy_cq(psi: CQState, tol: float = 1e-6, max_iter: int = 1000):
     logdet = _slack_logdet(sigma, ms)
     s = rc.hermitian_part(np.linalg.inv(sigma - ms))
     t = float(np.trace(s.sum(axis=0)).real) / d
-    p_lower, p_upper, gap, steps = 0.0, math.inf, math.inf, 0
+    steps = 0
     for _ in range(BARRIER_STAGES):
         # centre at weight t: damped Newton steps until the decrement is
         # small or no step decreases the barrier any more
@@ -593,23 +582,46 @@ def min_entropy_cq(psi: CQState, tol: float = 1e-6, max_iter: int = 1000):
         w, v = np.linalg.eigh(rc.hermitian_part(s.sum(axis=0)))
         root = (v * w ** -0.5) @ v.conj().T  # (sum_i S_i)^-1/2
         p_lower = float(np.einsum("iab,iba->", root @ s @ root, ms).real)
-        gap = p_upper - p_lower
-        if gap <= tol or steps >= max_iter:
+        if p_upper - p_lower <= tol or steps >= max_iter:
             break
         t *= BARRIER_GROWTH
-    converged = gap <= tol
+    if p_upper - p_lower <= tol:
+        assert np.linalg.eigvalsh(sigma - ms).min() >= -1e-8, "certificate must dominate every branch"
+    return sigma, p_lower, p_upper, steps
+
+
+def min_entropy_cq(psi: CQState, tol: float = 1e-6, max_iter: int = 1000):
+    """Min-entropy of the classical register given the quantum side.
+
+    -log2 of the optimal guessing probability min_{sigma >= M_i} Tr
+    sigma.  One branch, two branches (the Helstrom closed form) and
+    commuting branches are solved exactly.  More branches run a
+    log-barrier interior-point method: damped Newton steps on
+    t Tr sigma - sum_i log det(sigma - M_i), with t raised by
+    BARRIER_GROWTH after each centring, for at most max_iter Newton
+    steps in total.  sigma stays strictly feasible, so p_upper = Tr sigma
+    is certified; the dual POVM E_i = F^-1/2 (S_i / t) F^-1/2, with
+    S_i = (sigma - M_i)^-1 and F = sum_i S_i / t, gives
+    p_lower = sum_i Tr E_i M_i.  The solve has converged when the gap
+    p_upper - p_lower is <= tol; then sigma's dominance of every branch
+    is asserted.  Returns (H_min, certificate dict with sigma, gap,
+    p_guess bounds and the number of Newton steps as iterations)."""
+    ms = np.array(psi.branch_ops, dtype=complex)  # branches stacked (k, d, d)
+    exact = _closed_form(ms)
+    if exact is None:
+        sigma, p_lower, p_upper, steps = _barrier(ms, tol, max_iter)
+    else:
+        sigma, p_lower = exact
+        p_upper, steps = p_lower, 0
+    gap = p_upper - p_lower
     cert = {
         "sigma": sigma,
         "gap": gap,
         "iterations": steps,
         "p_lower": p_lower,
         "p_upper": p_upper,
-        "converged": converged,
+        "converged": exact is not None or gap <= tol,
     }
-    if converged:
-        assert (
-            np.linalg.eigvalsh(sigma - ms).min() >= -1e-8
-        ), "certificate must dominate every branch"
     return -math.log2(p_upper), cert
 
 
@@ -738,23 +750,14 @@ def honest_expansion_round() -> ProcessTensor:
 # strategy (de)serialization
 
 
-def _mat_to_json(m: np.ndarray):
-    a = np.asarray(m, dtype=complex)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in a]
-
-
-def _mat_from_json(j) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in j])
-
-
 def strategy_to_json(s: DeviceStrategy) -> dict:
     if s.mode != "iid":
         raise ValueError("only iid strategies serialize")
     return {
         "format_version": 1,
-        "state": _mat_to_json(s.density()),
+        "state": rc.matrix_to_json(s.density()),
         "povms": [
-            [[_mat_to_json(e) for e in effects] for effects in player]
+            [[rc.matrix_to_json(e) for e in effects] for effects in player]
             for player in s.povms
         ],
     }
@@ -764,9 +767,9 @@ def strategy_from_json(j: dict) -> DeviceStrategy:
     """Inverse of strategy_to_json.  Raises ValueError on malformed
     JSON and on POVM tables that do not fit the CHSH alphabet."""
     try:
-        rho = _mat_from_json(j["state"])
+        rho = rc.matrix_from_json(j["state"])
         povms = [
-            [[_mat_from_json(e) for e in effects] for effects in player]
+            [[rc.matrix_from_json(e) for e in effects] for effects in player]
             for player in j["povms"]
         ]
         da = povms[0][0][0].shape[0]

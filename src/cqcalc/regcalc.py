@@ -319,14 +319,9 @@ def discard_all(regs: Sequence[Register]) -> ProcessTensor:
     return out
 
 
-def dagger_conjugate_transpose(p: ProcessTensor, which: str = "adjoint") -> ProcessTensor:
-    if which == "conjugate":
-        return ProcessTensor(p.in_regs, p.out_regs, np.conj(p.matrix))
-    if which == "transpose":
-        return ProcessTensor(p.out_regs, p.in_regs, p.matrix.T)
-    if which == "adjoint":
-        return ProcessTensor(p.out_regs, p.in_regs, np.conj(p.matrix.T))
-    raise ValueError(f"unknown dagger variant {which!r}")
+def dagger_conjugate_transpose(p: ProcessTensor) -> ProcessTensor:
+    """The adjoint: inputs and outputs swapped, matrix conjugate-transposed."""
+    return ProcessTensor(p.out_regs, p.in_regs, np.conj(p.matrix.T))
 
 
 # ---------------------------------------------------------------------------
@@ -433,15 +428,24 @@ def structural_predicates(p: ProcessTensor, tol: float = DEFAULT_TOL) -> dict:
     herm_ok = np.max(np.abs(E - np.conj(E.T))) <= max(1e3 * tol, 1e-6)
     stochastic = bool(herm_ok and evals.min() >= -tol and evals.max() <= 1 + tol)
 
-    # complete positivity via the process operator
+    # complete positivity via the process operator: PSD Choi operator
     choi = choi_operator(p)
+    H = hermitian_part(choi)
+    ev = np.linalg.eigvalsh(H)  # ascending
     cp = bool(
         np.max(np.abs(choi - np.conj(choi.T))) <= max(1e3 * tol, 1e-6)
-        and np.linalg.eigvalsh(hermitian_part(choi)).min() >= -max(tol, 1e-9) * max(1, np.abs(choi).max())
+        and ev.min() >= -max(tol, 1e-9) * max(1, np.abs(choi).max())
     )
 
-    # pure means of the form double(f), with no normalisation
-    pure_process = _pure_process(p, tol)
+    # pure means of the form double(f), with no normalisation: a Choi
+    # operator of PSD rank one (Kraus rank one).  Maps that genuinely
+    # decohere a classical wire of dimension > 1 are not of this form.
+    desc = ev[::-1]
+    pure_process = not (
+        np.max(np.abs(choi - H)) > max(1e3 * tol, 1e-6)
+        or desc[0] < -tol
+        or np.abs(desc[1:]).sum() > 1e2 * tol * max(1.0, desc[0])
+    )
     pure_state = p.is_state and pure_process
 
     if p.is_effect:
@@ -463,29 +467,6 @@ def structural_predicates(p: ProcessTensor, tol: float = DEFAULT_TOL) -> dict:
         "completely_positive": cp,
         "effect_valid": effect_valid,
     }
-
-
-def _pure_process(p: ProcessTensor, tol: float) -> bool:
-    """True when the map is of the doubled form psi (x) conj(psi).
-
-    Checked by realigning the (classically lifted) doubled matrix into
-    R[(out_row,in_row),(out_col,in_col)] and testing PSD rank one.  Maps
-    that genuinely decohere a classical wire of dimension > 1 are not of
-    this form and report False.
-    """
-    choi = choi_operator(p)  # realignment of the lifted map, PSD iff CP
-    H = hermitian_part(choi)
-    if np.max(np.abs(choi - H)) > max(1e3 * tol, 1e-6):
-        return False
-    ev = np.sort(np.linalg.eigvalsh(H))[::-1]
-    if ev[0] < -tol:
-        return False
-    rest = np.abs(ev[1:]).sum() if len(ev) > 1 else 0.0
-    if rest > 1e2 * tol * max(1.0, ev[0]):
-        return False
-    # rank-one Choi means Kraus rank one; with classical wires the lift
-    # must additionally not mix classical symbols, which rank-one implies.
-    return True
 
 
 def trace_norm(op: np.ndarray) -> float:
@@ -784,6 +765,16 @@ def random_cq_channel(
 # JSON dumps
 
 
+def matrix_to_json(m) -> list:
+    """A complex matrix as rows of [re, im] pairs."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+
+
+def matrix_from_json(j) -> np.ndarray:
+    """Inverse of matrix_to_json."""
+    return np.array([[complex(re, im) for re, im in row] for row in j], dtype=complex)
+
+
 def tensor_to_json(p: ProcessTensor) -> dict:
     from . import FORMAT_VERSION
 
@@ -794,7 +785,7 @@ def tensor_to_json(p: ProcessTensor) -> dict:
         "format_version": FORMAT_VERSION,
         "in_regs": [reg(r) for r in p.in_regs],
         "out_regs": [reg(r) for r in p.out_regs],
-        "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in p.matrix],
+        "matrix": matrix_to_json(p.matrix),
     }
 
 
@@ -805,11 +796,10 @@ def tensor_from_json(d: dict) -> ProcessTensor:
         return Register(r["kind"], int(r["base_dim"]))
 
     try:
-        m = np.array([[complex(a, b) for a, b in row] for row in d["matrix"]], dtype=complex)
         return ProcessTensor(
             tuple(reg(r) for r in d["in_regs"]),
             tuple(reg(r) for r in d["out_regs"]),
-            m,
+            matrix_from_json(d["matrix"]),
         )
     except (KeyError, IndexError, TypeError, ValueError) as e:
         raise ValueError(f"malformed tensor JSON: {e!r}") from e

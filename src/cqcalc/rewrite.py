@@ -126,12 +126,12 @@ def _resolve_fn(eps_fn, name):
     return eps_fn  # single callable serves every function symbol
 
 
-def budget_eval(e: EpsExpr, eps_fn, N: int, k_max: int = 30) -> dict:
+def budget_eval(e: EpsExpr, eps_fn, N: int) -> dict:
     """Numeric value of a budget at base value N.
 
-    Every base symbol is set to N.  Infinite lam sums take k_max partial
-    terms; when the function is an ExpDecay a geometric tail bound is
-    added, otherwise the result carries a divergence flag."""
+    Every base symbol is set to N.  Infinite lam sums take the terms
+    i = 0..LAM_K_MAX; when the function is an ExpDecay a geometric tail
+    bound is added, otherwise the result carries a divergence flag."""
     value = 0.0
     tail = 0.0
     divergent = False
@@ -142,16 +142,16 @@ def budget_eval(e: EpsExpr, eps_fn, N: int, k_max: int = 30) -> dict:
         elif kind == "eps":
             value += _resolve_fn(eps_fn, a[1])(a[2] * N)
         elif kind == "sqrt2eps":
-            inner = budget_eval(EpsExpr(a[1]), eps_fn, N, k_max)
+            inner = budget_eval(EpsExpr(a[1]), eps_fn, N)
             divergent = divergent or inner["divergent"]
             tail += inner["tail_bound"]
             value += math.sqrt(2.0 * inner["value"])
         elif kind == "lam":
             f = _resolve_fn(eps_fn, a[1])
             n0 = a[2] * N
-            value += sum(f(2**i * n0) for i in range(k_max + 1))
+            value += sum(f(2**i * n0) for i in range(LAM_K_MAX + 1))
             if isinstance(f, ExpDecay) and f.a > 0:
-                first_omitted = f(2 ** (k_max + 1) * n0)
+                first_omitted = f(2 ** (LAM_K_MAX + 1) * n0)
                 ratio = 2.0 ** (-f.a * n0)
                 if ratio < 1.0:
                     tail += first_omitted / (1.0 - ratio)
@@ -1066,6 +1066,7 @@ def rule_distance(rule: RewriteRule, binding: dict, rng, dims=None, cap2=math.in
     return float(np.abs(d, out=d).real.max())
 
 
+LAM_K_MAX = 30  # budget_eval sums a lam series over i = 0..LAM_K_MAX and bounds the rest
 DIM_CAP = 2**7  # run_script checks a step numerically up to DIM_CAP**2 carrier entries
 CHECK_FORMAT_VERSION = 2  # 2: step distances come from evaluate, whose summation order changed
 

@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 import math
+import shlex
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -480,6 +483,25 @@ class TestExtract:
             == 2
         )
 
+    @pytest.mark.parametrize("flag", ["--source", "--hash-seed"])
+    @pytest.mark.parametrize("text", ["-1", "+5", "0x5", " 5", "5\n", "a_5", "\uff15", ""], ids=repr)
+    def test_only_hex_digits_accepted(self, tmp_path, capsys, flag, text):
+        # int(text, 16) took a sign, a 0x prefix, spaces, underscores and
+        # non-ASCII digits: --source -1 hashed as all ones
+        values = {"--source": "a5", "--hash-seed": "1ff"}
+        values[flag] = text
+        argv = ["extract", "--n", "8", "--m", "2"] + [f"{k}={v}" for k, v in values.items()]
+        code, out = run_to_file(tmp_path, argv)
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: bad hex string")
+
+    def test_hex_digits_either_case(self, tmp_path):
+        _, lower = run_to_file(tmp_path, ["extract", "--n", "8", "--m", "2", "--source", "a5", "--hash-seed", "1fe"], "l.json")
+        _, upper = run_to_file(tmp_path, ["extract", "--n", "8", "--m", "2", "--source", "A5", "--hash-seed", "1FE"], "u.json")
+        rep_l, rep_u = json.loads(lower.read_text()), json.loads(upper.read_text())
+        assert rep_l["output_hex"] == rep_u["output_hex"] and rep_l["hash_seed_hex"] == "1fe"
+
 
 class TestRules:
     def test_rule_listing_all_ok(self, tmp_path):
@@ -505,30 +527,66 @@ class TestRules:
 
 
 class TestTolerance:
-    def test_env_var_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.TOL_ENV_VAR, "1e-6")
+    TOL_COMMANDS = [
+        ["check", "chain_k1", "--dims", "N=1"],
+        ["rules", "--trials", "1"],
+        ["entropy", "--example", "diagonal"],
+    ]
 
-        class Args:
-            tol = None
+    @pytest.mark.parametrize("argv", TOL_COMMANDS, ids=" ".join)
+    @pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "-1", "-1e-300"])
+    def test_non_finite_or_negative_exit_2(self, tmp_path, capsys, argv, tol):
+        # --tol inf verified everything, and --tol nan failed as a check
+        out = tmp_path / "r.json"
+        assert cli.main(argv + [f"--tol={tol}", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --tol") and err.count("\n") == 1
+        assert not out.exists()
 
-        assert cli._default_tol(Args()) == 1e-6
+    @pytest.mark.parametrize("argv", TOL_COMMANDS, ids=" ".join)
+    def test_zero_accepted(self, tmp_path, argv):
+        code, out = run_to_file(tmp_path, argv + ["--tol", "0"])
+        assert code in (0, 1) and out.exists()
 
-    def test_flag_overrides_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.TOL_ENV_VAR, "1e-6")
+    def test_default_and_environment(self, tmp_path, monkeypatch):
+        assert cli.build_parser().parse_args(["rules"]).tol == 1e-9
+        _, plain = run_to_file(tmp_path, ["rules", "--trials", "1"], "plain.json")
+        monkeypatch.setenv("CQCALC_TOL", "soon")
+        code, env = run_to_file(tmp_path, ["rules", "--trials", "1"], "env.json")
+        assert code == 0 and env.read_bytes() == plain.read_bytes()
 
-        class Args:
-            tol = 1e-3
 
-        assert cli._default_tol(Args()) == 1e-3
+class TestOptionSets:
+    def test_each_command_takes_only_the_options_it_reads(self):
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        got = {
+            name: sorted(o for a in p._actions for o in a.option_strings if o not in ("-h", "--help"))
+            for name, p in sub.choices.items()
+        }
+        assert got == {
+            "eval": ["--bindings", "--out", "--seed"],
+            "check": ["--dims", "--eps-fn", "--n-value", "--out", "--seed", "--tol"],
+            "simulate": ["--chi", "--jobs", "--out", "--q", "--rounds", "--seed", "--strategy", "--sweep"],
+            "entropy": ["--example", "--out", "--seed", "--state", "--tol"],
+            "extract": ["--hash-seed", "--hmin", "--m", "--n", "--out", "--seed", "--source"],
+            "rules": ["--dim", "--out", "--seed", "--tol", "--trials"],
+        }
+        shared = ("--seed", "--out", "--tol", "--jobs")
+        assert sum(o in opts for opts in got.values() for o in shared) == 16
 
-    def test_bad_env_value_is_usage_error(self, monkeypatch):
-        monkeypatch.setenv(cli.TOL_ENV_VAR, "soon")
 
-        class Args:
-            tol = None
-
-        with pytest.raises(cli.CliError):
-            cli._default_tol(Args())
+class TestReadmeExamples:
+    def test_documented_commands_run(self, tmp_path, monkeypatch):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## CLI examples", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+        commands = [argv[1:] for argv in lines if argv and argv[0] == "cqcalc"]
+        assert len(commands) == 7
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "mydiagram.dg").write_text("uniform C2 1 ; discard C2\n")
+        for i, argv in enumerate(commands):
+            assert cli.main(argv + ["--out", f"r{i}.json"]) == 0, argv
 
 
 class TestCommonFlags:

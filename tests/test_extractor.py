@@ -204,10 +204,12 @@ class TestDoublingStage:
             st = ex.DoublingStage(m)
             assert st.out_bits == 2 * m
 
-    def test_single_bit_rejected_by_default(self):
-        with pytest.raises(ValueError):
-            ex.DoublingStage(1)
-        assert ex.DoublingStage(1, allow_single_bit=True).out_bits == 2
+    def test_zero_bits_refused_one_bit_accepted(self):
+        for m in (0, -1):
+            with pytest.raises(ValueError, match="M >= 1"):
+                ex.DoublingStage(m)
+        # with M = 1 the one seed bit both seeds the hash and keys the protocol
+        assert ex.DoublingStage(1).out_bits == 2
 
     def test_end_to_end_toy_run(self):
         st = ex.DoublingStage(4)
@@ -273,7 +275,7 @@ class TestPipeline:
         q, w = 0.4, math.cos(math.pi / 8) ** 2
         fail_two = (1 - w) ** 2 if chi <= 0.5 else 1 - w**2
         want = (1 - q) ** 2 + 2 * q * (1 - q) * (1 - w) + q**2 * fail_two
-        stage = ex.DoublingStage(1, allow_single_bit=True)
+        stage = ex.DoublingStage(1)
         assert stage.rounds == 2
         per_seed = ex._exact_stage_distribution(stage, self.honest, q, chi)
         for dist, abort_mass in per_seed.values():

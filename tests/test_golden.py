@@ -182,7 +182,7 @@ def test_pipeline_plan_bytes(N, k, strategy):
     ],
 )
 def test_doubling_stage_run_bytes(m, seed_bits, digest):
-    stage = ex.DoublingStage(m, allow_single_bit=True)
+    stage = ex.DoublingStage(m)
     rep = stage.run(pr.optimal_chsh_strategy(), seed_bits, 0.2, 0.85, 7)
     assert sha256(json.dumps(rep, sort_keys=True).encode()) == digest
 
@@ -195,7 +195,7 @@ def test_doubling_stage_run_bytes(m, seed_bits, digest):
     ],
 )
 def test_exact_stage_distribution_bytes(m, digest):
-    stage = ex.DoublingStage(m, allow_single_bit=True)
+    stage = ex.DoublingStage(m)
     per_seed = ex._exact_stage_distribution(stage, pr.optimal_chsh_strategy(), 0.9, 0.75)
     assert sorted(per_seed) == list(range(2**m))
     data = b"".join(

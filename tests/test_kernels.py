@@ -67,8 +67,9 @@ def test_evaluate_spider_fusion(benchmark, side):
 def test_spotcheck_sweep(benchmark):
     # 40 seeds x 100 rounds in one stacked call: the sweep shape where the
     # per-seed fixed cost outweighs the per-round work
-    table = pr.round_table(100, 0.2, 0.85, pr.optimal_chsh_strategy())
-    runs = benchmark.pedantic(pr.spotcheck_run, args=(100, 0.2, 0.85, table, range(40)), rounds=ROUNDS, warmup_rounds=1)
+    s = pr.optimal_chsh_strategy()
+    runs = benchmark.pedantic(pr.spotcheck_run, args=(100, 0.2, 0.85, s, range(40)), rounds=ROUNDS, warmup_rounds=1)
+    table = pr.round_table(100, 0.2, 0.85, s)
     for seed, run in enumerate(runs):
         assert_same_report(run, per_seed_spotcheck(100, 0.2, 0.85, table, seed))
 

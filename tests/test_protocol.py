@@ -128,7 +128,7 @@ def reference_spotcheck(M, q, chi, s, seed):
 
 def per_seed_spotcheck(M, q, chi, s, seed):
     """One seed's run drawn and scored on its own: the kernel spotcheck_run
-    stacks over seeds."""
+    stacks over seeds.  s is a strategy or its round_table."""
     table = s if isinstance(s, pr.RoundTable) else pr.round_table(M, q, chi, s)
     u = np.random.Generator(np.random.Philox(seed)).random((M, 2))
     sym = (table.symbol_cdf <= u[:, :1]).sum(axis=-1)
@@ -241,20 +241,17 @@ class TestSpotcheck:
         for r in range(3 if s.mode == "scripted" else 1):
             assert pr.conditional_distribution(s, r).tobytes() == reference_conditional_distribution(s, r).tobytes()
         for M, q in ((40, 0.1), (40, 0.6), (1, 0.6)):
-            table = pr.round_table(M, q, 0.75, s)
             for seed in range(3):
                 want = reference_spotcheck(M, q, 0.75, s, seed).to_json()
                 got = pr.spotcheck_run(M, q, 0.75, s, seed).to_json()
-                tabled = pr.spotcheck_run(M, q, 0.75, table, seed).to_json()
                 # the list-built reference serialises to the same bytes
-                assert dumps(got) == dumps(want) == dumps(tabled)
-                # to_json passes the values through: both sampler paths
-                # give integer arrays (a bool array would write true/false)
-                for rep in (got, tabled):
-                    assert rep["classical_transcript"].dtype.kind == "i"
-                    assert rep["classical_transcript"].shape == (M, 5)
-                    assert rep["output_bits"].dtype.kind == "i"
-                    assert rep["output_bits"].shape == (2 * M,)
+                assert dumps(got) == dumps(want)
+                # to_json passes the values through: the sampler gives
+                # integer arrays (a bool array would write true/false)
+                assert got["classical_transcript"].dtype.kind == "i"
+                assert got["classical_transcript"].shape == (M, 5)
+                assert got["output_bits"].dtype.kind == "i"
+                assert got["output_bits"].shape == (2 * M,)
 
     @pytest.mark.parametrize(
         "s",
@@ -268,11 +265,10 @@ class TestSpotcheck:
     def test_stack_matches_per_seed_runs(self, s, M, seeds):
         table = pr.round_table(M, 0.3, 0.75, s)
         want = [per_seed_spotcheck(M, 0.3, 0.75, table, seed) for seed in seeds]
-        for source in (s, table):
-            got = pr.spotcheck_run(M, 0.3, 0.75, source, seeds)
-            assert type(got) is list and len(got) == len(want)
-            for g, w in zip(got, want):
-                assert_same_report(g, w)
+        got = pr.spotcheck_run(M, 0.3, 0.75, s, seeds)
+        assert type(got) is list and len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_report(g, w)
         # the runs' arrays are rows of one stack per field
         assert all(g.classical_transcript.base is got[0].classical_transcript.base for g in got)
 
@@ -349,12 +345,6 @@ class TestSpotcheck:
         with pytest.raises(ValueError) as e:
             pr.round_table(M, q, chi, s)
         assert str(e.value) == message
-
-    @pytest.mark.parametrize("M,q,chi", [(11, 0.2, 0.85), (10, 0.25, 0.85), (10, 0.2, 0.8)])
-    def test_table_for_other_parameters_refused(self, M, q, chi):
-        table = pr.round_table(10, 0.2, 0.85, pr.optimal_chsh_strategy())
-        with pytest.raises(ValueError, match="round table was built for"):
-            pr.spotcheck_run(M, q, chi, table, seed=0)
 
     def test_all_zero_devices_mostly_abort(self):
         z = pr.deterministic_strategy(lambda x: 0, lambda y: 0)

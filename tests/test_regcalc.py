@@ -177,10 +177,6 @@ class TestDagger:
         q = rc.dagger_conjugate_transpose(rc.dagger_conjugate_transpose(p))
         assert q.in_regs == p.in_regs and np.allclose(q.matrix, p.matrix)
 
-    def test_conjugate_of_real(self):
-        p = rc.identity([C3])
-        assert np.allclose(rc.dagger_conjugate_transpose(p, "conjugate").matrix, p.matrix)
-
     def test_adjoint_of_state_is_effect(self):
         s = rc.state([C2], [1, 0])
         e = rc.dagger_conjugate_transpose(s)
