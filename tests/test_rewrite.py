@@ -16,6 +16,51 @@ from cqcalc.regcalc import SymWidth
 
 C2, C3 = rc.C(2), rc.C(3)
 
+# one generator of each kind and flag set that a merge can fuse
+MERGE_PARTS = [
+    dg.uniform_gen(C2, 1),
+    dg.uniform_gen(C2, 2),
+    dg.discard_gen(C2),
+    dg.spider_gen(C2, 1, 2),
+    dg.scalar_gen(1.0),
+    dg.scalar_gen(0.5),
+    dg.scalar_gen(0.0),
+    dg.box("f", (C2,), (C2,), rc.identity((C2,))),
+    dg.box("g", (C2,), (C2,)),
+    dg.hole("h0", (C2,), (C2,)),
+    dg.hole("h1", (C2,), (C2,), {"stochastic"}),
+    dg.hole("h2", (C2,), (C2,), {"causal"}),
+    dg.hole("h3", (C2,), (C2,), {"causal", "stochastic"}),
+]
+
+
+def _ref_causal(g):
+    if g.kind in (dg.UNIFORM, dg.DISCARD):
+        return True
+    if g.kind == dg.SCALAR:
+        return float(g.payload) == 1.0
+    if g.kind in (dg.HOLE, dg.BOX):
+        return "causal" in g.flags
+    return False
+
+
+def _ref_stochastic(g):
+    if g.kind in (dg.UNIFORM, dg.DISCARD, dg.SCALAR):
+        return True
+    if g.kind in (dg.HOLE, dg.BOX):
+        return "causal" in g.flags or "stochastic" in g.flags
+    return False
+
+
+def _merged_flags(parts):
+    """The flags a merge of parts infers: causal things compose
+    causally, stochastic things stochastically."""
+    if all(map(_ref_causal, parts)):
+        return frozenset({"causal", "stochastic"})
+    if all(map(_ref_stochastic, parts)):
+        return frozenset({"stochastic"})
+    return frozenset()
+
 
 class TestEpsExpr:
     def test_addition_is_commutative(self):
@@ -191,6 +236,17 @@ class TestSurgical:
         merged, _ = rw.merge_step(d, tuple(d.nodes), "all")
         (g,) = merged.nodes.values()
         assert g.flags == frozenset({"causal", "stochastic"})
+
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_merge_flags_per_generator_kind(self, size):
+        # every one-node merge and every two-node mix of the kinds
+        for parts in itertools.combinations_with_replacement(MERGE_PARTS, size):
+            d = dg.Diagram({}, (), (), ())
+            for g in parts:
+                d = d @ dg.Diagram.from_generator(g)
+            merged, _ = rw.merge_step(d, tuple(d.nodes), "merged")
+            (g,) = merged.nodes.values()
+            assert g.flags == _merged_flags(parts), parts
 
     def test_causality_discards_inputs(self):
         rng = np.random.default_rng(1)
