@@ -269,14 +269,14 @@ def _eps_fns_from_spec(spec: str):
 
 
 def _parse_decay(text) -> rw.ExpDecay:
-    """c * 2^(-a n) from "c,a": an error bound, so c must be finite and
-    >= 0, and a finite."""
+    """c * 2^(-a n) from "c,a": an error bound that does not grow with
+    n, so c and a must be finite and >= 0."""
     try:
         c, a = (float(p) for p in text.split(","))
     except (AttributeError, ValueError) as e:
         raise CliError(f"bad decay spec {text!r}; expected 'c,a'") from e
-    if not (math.isfinite(c) and c >= 0 and math.isfinite(a)):
-        raise CliError(f"bad decay spec {text!r}; c must be finite and >= 0, a finite")
+    if not (math.isfinite(c) and c >= 0 and math.isfinite(a) and a >= 0):
+        raise CliError(f"bad decay spec {text!r}; c and a must be finite and >= 0")
     return rw.ExpDecay(c, a)
 
 

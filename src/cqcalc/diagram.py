@@ -3,11 +3,12 @@
 A Diagram is an open acyclic port graph.  Nodes are generators (boxes,
 spiders, uniforms, discards, scalars, holes); wires connect an output
 port of one node (or a boundary input) to an input port of another node
-(or a boundary output).  Identity and swap "generators" are pure wiring
-and are dissolved on construction, so diagrams that differ only by
-sliding wires around (planar isotopy, interchange) share one
-representation; `canonical_form` additionally fixes a deterministic node
-numbering so such diagrams compare equal structurally.
+(or a boundary output).  Identity and swap are not generator kinds:
+they are wiring, made by `Diagram.id_wires` and `Diagram.swap`, so
+diagrams that differ only by sliding wires around (planar isotopy,
+interchange) share one representation; `canonical_form` additionally
+fixes a deterministic node numbering so such diagrams compare equal
+structurally.
 
 Diagrams are read bottom to top: `a >> b` runs a first.  `a @ b` places
 a to the left of b.  Holes are named placeholders; a diagram with holes
@@ -43,10 +44,8 @@ UNIFORM = "uniform"
 DISCARD = "discard"
 SCALAR = "scalar"
 HOLE = "hole"
-SWAP = "swap"
-IDENTITY = "identity"
 
-GENERATOR_KINDS = {BOX, SPIDER, UNIFORM, DISCARD, SCALAR, HOLE, SWAP, IDENTITY}
+GENERATOR_KINDS = {BOX, SPIDER, UNIFORM, DISCARD, SCALAR, HOLE}
 
 
 @dataclass(frozen=True)
@@ -86,6 +85,22 @@ class Generator:
         """Its process comes from a binding: a hole, or a box with no payload."""
         return self.kind == HOLE or (self.kind == BOX and not isinstance(self.payload, ProcessTensor))
 
+    @property
+    def causal(self) -> bool:
+        """Discarding its outputs discards its inputs: uniforms, discards,
+        the scalar 1, and holes and boxes flagged causal."""
+        if self.kind == SCALAR:
+            return float(self.payload) == 1.0
+        return self.kind in (UNIFORM, DISCARD) or (self.kind in (HOLE, BOX) and "causal" in self.flags)
+
+    @property
+    def stochastic(self) -> bool:
+        """Trace non-increasing: uniforms, discards, every scalar (all lie
+        in [0, 1]), and holes and boxes flagged causal or stochastic."""
+        if self.kind in (HOLE, BOX):
+            return "causal" in self.flags or "stochastic" in self.flags
+        return self.kind in (UNIFORM, DISCARD, SCALAR)
+
     def subst(self, values: Mapping[str, int]) -> "Generator":
         return replace(
             self,
@@ -109,9 +124,7 @@ class Generator:
             return rc.uniform(reg, len(self.out_ports))
         if self.kind == DISCARD:
             return rc.discard(self.in_ports[0])
-        if self.kind == SCALAR:
-            return rc.number(float(self.payload))
-        raise ValueError(f"generator kind {self.kind} has no direct semantics")
+        return rc.number(float(self.payload))
 
 
 def box(label, in_ports, out_ports, payload=None, flags=()):
@@ -185,10 +198,6 @@ class Diagram:
 
     @staticmethod
     def from_generator(g: Generator) -> "Diagram":
-        if g.kind == IDENTITY:
-            return Diagram.id_wires(g.in_ports)
-        if g.kind == SWAP:
-            return Diagram.swap(*g.in_ports)
         wires = [(("in", k), ("n", 0, k)) for k in range(len(g.in_ports))]
         wires += [(("n", 0, k), ("out", k)) for k in range(len(g.out_ports))]
         return Diagram({0: g}, wires, g.in_ports, g.out_ports)
@@ -914,29 +923,15 @@ def _atom_text(g: Generator, regnames) -> str:
         return f"uniform {_reg_name(g.out_ports[0], regnames)} {len(g.out_ports)}"
     if g.kind == DISCARD:
         return f"discard {_reg_name(g.in_ports[0], regnames)}"
-    if g.kind == SCALAR:
-        x = float(g.payload)
-        s = f"{x:g}"
-        if "e" in s or "E" in s:
-            s = f"{x:.12f}"
-        return f"scalar {s}"
-    raise ValueError(f"cannot print generator kind {g.kind}")
+    x = float(g.payload)
+    s = f"{x:g}"
+    if "e" in s or "E" in s:
+        s = f"{x:.12f}"
+    return f"scalar {s}"
 
 
 # ---------------------------------------------------------------------------
 # JSON port-graph export
-
-
-def _reg_json(r: Register):
-    if r.symbolic:
-        return {"kind": r.kind, "sym": {"scale": r.base_dim.scale, "symbol": r.base_dim.symbol}}
-    return {"kind": r.kind, "base_dim": r.base_dim}
-
-
-def _reg_from_json(j):
-    if "sym" in j:
-        return Register(j["kind"], SymWidth(j["sym"]["scale"], j["sym"]["symbol"]))
-    return Register(j["kind"], j["base_dim"])
 
 
 def diagram_to_json(d: Diagram) -> dict:
@@ -946,8 +941,8 @@ def diagram_to_json(d: Diagram) -> dict:
             "id": nid,
             "kind": g.kind,
             "label": g.label,
-            "in_ports": [_reg_json(r) for r in g.in_ports],
-            "out_ports": [_reg_json(r) for r in g.out_ports],
+            "in_ports": [rc.register_to_json(r) for r in g.in_ports],
+            "out_ports": [rc.register_to_json(r) for r in g.out_ports],
             "flags": sorted(g.flags),
         }
         if g.kind == SCALAR:
@@ -959,8 +954,8 @@ def diagram_to_json(d: Diagram) -> dict:
         "format_version": FORMAT_VERSION,
         "nodes": nodes,
         "wires": [[list(s), list(t)] for s, t in d.wires],
-        "in_types": [_reg_json(r) for r in d.in_types],
-        "out_types": [_reg_json(r) for r in d.out_types],
+        "in_types": [rc.register_to_json(r) for r in d.in_types],
+        "out_types": [rc.register_to_json(r) for r in d.out_types],
     }
 
 
@@ -975,8 +970,8 @@ def diagram_from_json(j: dict) -> Diagram:
             nodes[int(nd["id"])] = Generator(
                 nd["kind"],
                 nd.get("label"),
-                tuple(_reg_from_json(r) for r in nd["in_ports"]),
-                tuple(_reg_from_json(r) for r in nd["out_ports"]),
+                tuple(rc.register_from_json(r) for r in nd["in_ports"]),
+                tuple(rc.register_from_json(r) for r in nd["out_ports"]),
                 payload,
                 frozenset(nd.get("flags", [])),
             )
@@ -984,8 +979,8 @@ def diagram_from_json(j: dict) -> Diagram:
         return Diagram(
             nodes,
             wires,
-            tuple(_reg_from_json(r) for r in j["in_types"]),
-            tuple(_reg_from_json(r) for r in j["out_types"]),
+            tuple(rc.register_from_json(r) for r in j["in_types"]),
+            tuple(rc.register_from_json(r) for r in j["out_types"]),
         )
     except (AttributeError, KeyError, IndexError, TypeError, ValueError) as e:
         raise ValueError(f"malformed diagram JSON: {e!r}") from e

@@ -472,16 +472,6 @@ def spotcheck_run(
 # conditional min-entropy
 
 
-def _tn(h: np.ndarray) -> float:
-    return float(np.abs(np.linalg.eigvalsh(rc.hermitian_part(h))).sum())
-
-
-def _psd_part(h: np.ndarray) -> np.ndarray:
-    """PSD part of the Hermitian part of h, per matrix of a stack."""
-    w, v = np.linalg.eigh(rc.hermitian_part(h))
-    return (v * np.clip(w, 0.0, None)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-
-
 BARRIER_GROWTH = 16.0  # min_entropy_cq: barrier weight factor per centring
 BARRIER_CENTRED = 1e-6  # min_entropy_cq: squared Newton decrement that ends a centring
 BARRIER_STAGES = 40  # min_entropy_cq: centrings per solve
@@ -523,7 +513,9 @@ def _closed_form(ms: np.ndarray):
         return ms[0], float(np.trace(ms[0]).real)
     if len(ms) == 2:
         diff = ms[1] - ms[0]
-        return ms[0] + _psd_part(diff), 0.5 * (float(np.trace(ms[0] + ms[1]).real) + _tn(diff))
+        # on the Hermitian part, trace_norm takes its eigenvalue branch
+        tn = rc.trace_norm(rc.hermitian_part(diff))
+        return ms[0] + rc.psd_part(diff), 0.5 * (float(np.trace(ms[0] + ms[1]).real) + tn)
     scale = max(float(np.abs(m).max()) for m in ms) or 1.0
     if not all(
         float(np.abs(a @ b - b @ a).max()) <= 1e-12 * scale * scale

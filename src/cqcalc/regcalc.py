@@ -84,9 +84,10 @@ class Register:
             raise ValueError(f"unknown register kind {self.kind!r}")
         if isinstance(self.base_dim, SymWidth):
             return
-        if not isinstance(self.base_dim, (int, np.integer)) or self.base_dim < 1:
-            raise ValueError(f"base_dim must be a positive integer, got {self.base_dim!r}")
-        object.__setattr__(self, "base_dim", int(self.base_dim))
+        n = self.base_dim
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"base_dim must be a positive integer, got {n!r}")
+        object.__setattr__(self, "base_dim", int(n))
 
     @property
     def symbolic(self) -> bool:
@@ -217,22 +218,6 @@ def number(x: complex) -> ProcessTensor:
 def identity(regs: Sequence[Register]) -> ProcessTensor:
     d = total_dim(regs)
     return ProcessTensor(tuple(regs), tuple(regs), np.eye(d))
-
-
-def permutation(regs: Sequence[Register], perm: Sequence[int]) -> ProcessTensor:
-    """Process permuting the wire order: output j is input perm[j]."""
-    regs = tuple(regs)
-    perm = list(perm)
-    if sorted(perm) != list(range(len(regs))):
-        raise ValueError("perm must be a permutation of the register positions")
-    dims = [r.total_dim for r in regs]
-    d = total_dim(regs)
-    n = len(regs)
-    m = np.eye(d).reshape(dims + dims)
-    # output axis j reads input axis perm[j]
-    m = np.transpose(m, axes=list(perm) + [n + i for i in range(n)])
-    m = m.reshape(total_dim([regs[p] for p in perm]), d)
-    return ProcessTensor(regs, tuple(regs[p] for p in perm), m)
 
 
 # ---------------------------------------------------------------------------
@@ -422,11 +407,15 @@ def structural_predicates(p: ProcessTensor, tol: float = DEFAULT_TOL) -> dict:
     traced = d_out @ p.matrix
     causal = bool(np.max(np.abs(traced - d_in)) <= tol)
 
+    def effect_ok(row):
+        """The effect operator of row is Hermitian with spectrum in [0, 1]."""
+        E = effect_operator(row.reshape(-1), p.in_regs)
+        ev = np.linalg.eigvalsh(hermitian_part(E))
+        herm_ok = np.max(np.abs(E - np.conj(E.T))) <= max(1e3 * tol, 1e-6)
+        return bool(herm_ok and ev.min() >= -tol and ev.max() <= 1 + tol)
+
     # dual of discard . p as an operator on the input space
-    E = effect_operator(traced.reshape(-1), p.in_regs)
-    evals = np.linalg.eigvalsh(hermitian_part(E))
-    herm_ok = np.max(np.abs(E - np.conj(E.T))) <= max(1e3 * tol, 1e-6)
-    stochastic = bool(herm_ok and evals.min() >= -tol and evals.max() <= 1 + tol)
+    stochastic = effect_ok(traced)
 
     # complete positivity via the process operator: PSD Choi operator
     choi = choi_operator(p)
@@ -446,27 +435,20 @@ def structural_predicates(p: ProcessTensor, tol: float = DEFAULT_TOL) -> dict:
         or desc[0] < -tol
         or np.abs(desc[1:]).sum() > 1e2 * tol * max(1.0, desc[0])
     )
-    pure_state = p.is_state and pure_process
-
-    if p.is_effect:
-        Eo = effect_operator(p.matrix.reshape(-1), p.in_regs)
-        ev = np.linalg.eigvalsh(hermitian_part(Eo))
-        effect_valid = bool(
-            np.max(np.abs(Eo - np.conj(Eo.T))) <= max(1e3 * tol, 1e-6)
-            and ev.min() >= -tol
-            and ev.max() <= 1 + tol
-        )
-    else:
-        effect_valid = stochastic
-
     return {
         "causal": causal,
         "stochastic": stochastic,
-        "pure_state": pure_state,
+        "pure_state": p.is_state and pure_process,
         "pure_process": pure_process,
         "completely_positive": cp,
-        "effect_valid": effect_valid,
+        "effect_valid": effect_ok(p.matrix) if p.is_effect else stochastic,
     }
+
+
+def psd_part(op: np.ndarray) -> np.ndarray:
+    """PSD part of the Hermitian part of one matrix or of each matrix in a stack."""
+    w, v = np.linalg.eigh(hermitian_part(op))
+    return (v * np.clip(w, 0.0, None)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def trace_norm(op: np.ndarray) -> float:
@@ -668,8 +650,7 @@ def _dual_upper(choi: np.ndarray, psi: np.ndarray, value: np.ndarray,
     w = np.clip(w, DUAL_MIX / qd, None)
     root = np.kron((v * np.sqrt(w)) @ v.conj().T, np.eye(do))
     inv_root = np.kron((v / np.sqrt(w)) @ v.conj().T, np.eye(do))
-    mw, mv = np.linalg.eigh(hermitian_part(root @ choi @ root))
-    z = hermitian_part(inv_root @ ((mv * np.clip(mw, 0.0, None)) @ mv.conj().T) @ inv_root)
+    z = hermitian_part(inv_root @ psd_part(root @ choi @ root) @ inv_root)
     shift = max(0.0, -np.linalg.eigvalsh(hermitian_part(z - choi)).min(), -np.linalg.eigvalsh(z).min())
     z = z + shift * np.eye(len(z))
     marginal = np.trace(z.reshape(di, do, di, do), axis1=1, axis2=3)
@@ -775,30 +756,36 @@ def matrix_from_json(j) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in j], dtype=complex)
 
 
+def register_to_json(r: Register) -> dict:
+    if r.symbolic:
+        return {"kind": r.kind, "sym": {"scale": r.base_dim.scale, "symbol": r.base_dim.symbol}}
+    return {"kind": r.kind, "base_dim": r.base_dim}
+
+
+def register_from_json(j) -> Register:
+    """Inverse of register_to_json; a dimension must be a JSON integer."""
+    if "sym" in j:
+        return Register(j["kind"], SymWidth(j["sym"]["scale"], j["sym"]["symbol"]))
+    return Register(j["kind"], j["base_dim"])
+
+
 def tensor_to_json(p: ProcessTensor) -> dict:
     from . import FORMAT_VERSION
 
-    def reg(r):
-        return {"kind": r.kind, "base_dim": int(r.base_dim)}
-
     return {
         "format_version": FORMAT_VERSION,
-        "in_regs": [reg(r) for r in p.in_regs],
-        "out_regs": [reg(r) for r in p.out_regs],
+        "in_regs": [register_to_json(r) for r in p.in_regs],
+        "out_regs": [register_to_json(r) for r in p.out_regs],
         "matrix": matrix_to_json(p.matrix),
     }
 
 
 def tensor_from_json(d: dict) -> ProcessTensor:
     """Inverse of tensor_to_json; raises ValueError on malformed JSON."""
-
-    def reg(r):
-        return Register(r["kind"], int(r["base_dim"]))
-
     try:
         return ProcessTensor(
-            tuple(reg(r) for r in d["in_regs"]),
-            tuple(reg(r) for r in d["out_regs"]),
+            tuple(register_from_json(r) for r in d["in_regs"]),
+            tuple(register_from_json(r) for r in d["out_regs"]),
             matrix_from_json(d["matrix"]),
         )
     except (KeyError, IndexError, TypeError, ValueError) as e:

@@ -218,7 +218,6 @@ class RewriteRule:
 @dataclass(frozen=True)
 class Match:
     node_map: tuple  # (pattern id, host id) pairs
-    port_maps: tuple  # (pattern id, (host port per pattern out-port)) for uniforms
     in_att: tuple  # host source endpoint per pattern input
     out_att: tuple  # host target endpoint per pattern output
 
@@ -286,12 +285,7 @@ def find_matches(host: dg.Diagram, pattern: dg.Diagram, within=None) -> list[Mat
                 if dst[0] == "n" and dst[1] in matched:
                     return None
                 out_att[pd[1]] = dst
-        return Match(
-            tuple(sorted(nmap.items())),
-            tuple(sorted((p, tuple(v)) for p, v in perms.items())),
-            tuple(in_att),
-            tuple(out_att),
-        )
+        return Match(tuple(sorted(nmap.items())), tuple(in_att), tuple(out_att))
 
     def backtrack(i, nmap, perms):
         if i == len(pids):
@@ -399,24 +393,6 @@ def cut_subdiagram(d: dg.Diagram, loc):
     return sub, in_atts, out_atts
 
 
-def _node_is_causal(g: dg.Generator) -> bool:
-    if g.kind in (dg.UNIFORM, dg.DISCARD):
-        return True
-    if g.kind == dg.SCALAR:
-        return float(g.payload) == 1.0
-    if g.kind in (dg.HOLE, dg.BOX):
-        return "causal" in g.flags
-    return False
-
-
-def _node_is_stochastic(g: dg.Generator) -> bool:
-    if g.kind in (dg.UNIFORM, dg.DISCARD, dg.SCALAR):
-        return True
-    if g.kind in (dg.HOLE, dg.BOX):
-        return "causal" in g.flags or "stochastic" in g.flags
-    return False
-
-
 def merge_step(d: dg.Diagram, loc, name: str):
     """Fuse the nodes at loc into a single opaque hole.
 
@@ -428,14 +404,14 @@ def merge_step(d: dg.Diagram, loc, name: str):
     if name in _opaque_labels(sub):
         raise RewriteError(f"merge: the new hole takes the label {name!r} of a node it fuses")
     parts = list(sub.nodes.values())
-    if all(_node_is_causal(g) for g in parts):
+    if all(g.causal for g in parts):
         flags = frozenset({"causal", "stochastic"})
-    elif all(_node_is_stochastic(g) for g in parts):
+    elif all(g.stochastic for g in parts):
         flags = frozenset({"stochastic"})
     else:
         flags = frozenset()
     rhs = dg.Diagram.from_generator(dg.hole(name, sub.in_types, sub.out_types, flags))
-    m = Match(tuple(enumerate(sorted(loc))), (), tuple(in_atts), tuple(out_atts))
+    m = Match(tuple(enumerate(sorted(loc))), tuple(in_atts), tuple(out_atts))
     return _apply_match(d, rhs, m), RewriteRule("merge", sub, rhs, binding_mode="derive_rhs")
 
 
@@ -666,11 +642,11 @@ def axiom_rules() -> list[RewriteRule]:
 
 
 RULE_FACTORIES = {
-    "expand_S": lambda p: rule_expand_S(p["scale"], p["base"]),
-    "spot_check": lambda p: rule_spot_check(p["scale"], p["base"]),
-    "starting_soundness": lambda p: rule_starting_soundness(p["scale"], p["base"]),
-    "dup_corollary": lambda p: rule_dup_corollary(p["scale"], p["base"]),
-    "adjustment_completeness": lambda p: rule_adjustment_completeness(p["scale"], p["base"]),
+    "expand_S": rule_expand_S,
+    "spot_check": rule_spot_check,
+    "starting_soundness": rule_starting_soundness,
+    "dup_corollary": rule_dup_corollary,
+    "adjustment_completeness": rule_adjustment_completeness,
 }
 
 
@@ -818,23 +794,9 @@ def _apply_stage(bld: _Builder, level: int):
         scale=2 * s,
         base=b,
     )
-    if level == 0:
-        ids = [
-            bld.hole_id("B@1"),
-            bld.hole_id("A@1"),
-            bld.uniform_id(2, 2),
-            bld.hole_id("B@2"),
-        ]
-    else:
-        ids = [
-            bld.hole_id(f"T{level}"),
-            bld.hole_id(f"A@{s // 2}"),
-            bld.uniform_id(s, 2),
-            bld.hole_id(f"B@{s}"),
-            bld.hole_id(f"A@{s}"),
-            bld.uniform_id(2 * s, 2),
-            bld.hole_id(f"B@{2 * s}"),
-        ]
+    ids = [bld.hole_id(f"B@{s}"), bld.hole_id(f"A@{s}"), bld.uniform_id(2 * s, 2), bld.hole_id(f"B@{2 * s}")]
+    if level > 0:  # also the summary so far and the previous stage's last round
+        ids += [bld.hole_id(f"T{level}"), bld.hole_id(f"A@{s // 2}"), bld.uniform_id(s, 2)]
     bld.step("merge", sorted(ids), name=f"T{level + 1}")
 
 
@@ -959,7 +921,7 @@ def _step_apply(state: RewriteState, step):
             rule = _structural_rule(name, state.diagram, loc)
         elif name in RULE_FACTORIES:
             try:
-                rule = RULE_FACTORIES[name](params)
+                rule = RULE_FACTORIES[name](params["scale"], params["base"])
             except (KeyError, TypeError, ValueError) as e:
                 raise RewriteError(f"bad params for rule {name!r}: {e!r}") from e
         else:

@@ -17,6 +17,7 @@ from cqcalc import diagram as dg
 from cqcalc import protocol as pr
 from cqcalc import regcalc as rc
 from cqcalc import rewrite as rw
+from test_diagram import wiring_node_json
 
 
 def run_to_file(tmp_path, argv, name="out.json"):
@@ -97,6 +98,25 @@ class TestEval:
         assert cli.main(["eval", str(src), "--bindings", str(bfile)]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dim,width", [(2.0, 2), ("2", 2), (True, 1)], ids=repr)
+    def test_binding_dimension_not_an_integer_exit_2(self, tmp_path, capsys, dim, width):
+        src = tmp_path / "d.dg"
+        src.write_text(f"hole f : C{width} -> C{width}\nuniform C{width} 1 ; f ; discard C{width}")
+        binding = rc.tensor_to_json(rc.identity([rc.C(width)]))
+        binding["in_regs"][0]["base_dim"] = binding["out_regs"][0]["base_dim"] = dim
+        bfile = tmp_path / "bind.json"
+        bfile.write_text(json.dumps({"f": binding}))
+        assert cli.main(["eval", str(src), "--bindings", str(bfile)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: bad bindings file {bfile}")
+
+    @pytest.mark.parametrize("kind", ["swap", "identity"])
+    def test_wiring_node_kind_fails_at_load(self, tmp_path, capsys, kind):
+        src = tmp_path / "d.json"
+        src.write_text(json.dumps(wiring_node_json(kind)))
+        assert cli.main(["eval", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: parse error in {src}") and f"generator kind '{kind}'" in err
+
 
     @pytest.mark.parametrize(
         "source",
@@ -165,12 +185,16 @@ class TestCheck:
 
     @pytest.mark.parametrize(
         "spec",
-        ["-1,1", "nan,1", "inf,1", "1,nan", "-inf,1", '{"eps": "-0.5,1"}'],
-        ids=["negative", "nan_constant", "inf_constant", "nan_rate", "minus_inf", "table_negative"],
+        ["-1,1", "nan,1", "inf,1", "1,nan", "-inf,1", '{"eps": "-0.5,1"}', "1,-1", "1,-2000", '{"eps": "1,-1"}'],
+        ids=[
+            "negative", "nan_constant", "inf_constant", "nan_rate", "minus_inf", "table_negative",
+            "negative_rate", "overflowing_rate", "table_negative_rate",
+        ],
     )
     def test_bad_eps_fn_constant_exit_2(self, tmp_path, capsys, spec):
         # an error function is a non-negative bound c * 2^(-a n) with
-        # finite c and a; a negative c used to give a negative budget
+        # finite c and a that does not grow with n; a negative c used to
+        # give a negative budget, and a = -2000 an OverflowError
         argv = ["check", "soundness_k2", f"--eps-fn={spec}", "--out", str(tmp_path / "x")]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("error: bad decay spec")

@@ -331,6 +331,28 @@ class TestJson:
         with pytest.raises(ValueError, match="malformed"):
             dg.diagram_from_json({"nodes": [], "wires": []})
 
+    @pytest.mark.parametrize("kind", ["swap", "identity"])
+    def test_wiring_is_not_a_node_kind(self, kind):
+        # identity and swap are made by Diagram.id_wires and Diagram.swap
+        with pytest.raises(ValueError, match=f"malformed.*unknown generator kind '{kind}'"):
+            dg.diagram_from_json(wiring_node_json(kind))
+
+    def test_dimension_is_a_json_integer(self):
+        j = dg.diagram_to_json(dg.parse_diagram("uniform C1 1 ; discard C1"))
+        for reg in j["in_types"] + j["out_types"] + [r for n in j["nodes"] for r in n["in_ports"] + n["out_ports"]]:
+            reg["base_dim"] = True
+        with pytest.raises(ValueError, match="malformed.*positive integer"):
+            dg.diagram_from_json(j)
+
+
+def wiring_node_json(kind: str) -> dict:
+    """Diagram JSON with one node of kind swap (two wires) or identity
+    (one wire), the other fields those of a hole."""
+    ports = (C2, C2) if kind == "swap" else (C2,)
+    j = dg.diagram_to_json(dg.Diagram.from_generator(dg.hole("f", ports, ports)))
+    j["nodes"][0].update(kind=kind, label=None)
+    return j
+
 
 MAX_WIRES = 4  # keeps the evaluated carriers small
 

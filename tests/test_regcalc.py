@@ -514,6 +514,18 @@ class TestJson:
         with pytest.raises(ValueError, match="malformed"):
             rc.tensor_from_json(d)
 
+    @pytest.mark.parametrize("dim", [2.0, "2", True, 2.5], ids=repr)
+    def test_dimension_is_a_json_integer(self, dim):
+        # int() used to turn 2.0, "2" and 2.5 into 2, and True into 1
+        with pytest.raises(ValueError, match="positive integer"):
+            rc.Register(rc.CLASSICAL, dim)
+        with pytest.raises(ValueError, match="positive integer"):
+            rc.register_from_json({"kind": rc.CLASSICAL, "base_dim": dim})
+        d = rc.tensor_to_json(rc.identity([rc.C(1 if dim is True else 2)]))
+        d["in_regs"][0]["base_dim"] = d["out_regs"][0]["base_dim"] = dim
+        with pytest.raises(ValueError, match="malformed"):
+            rc.tensor_from_json(d)
+
 
 def _ascent_reference(p1, p2, restarts=32, seed=0):
     """The per-restart ascent that process_distance runs on stacked
