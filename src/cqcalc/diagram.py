@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import json
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
