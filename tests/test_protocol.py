@@ -588,6 +588,96 @@ def _rotated_bases(blocks):
     return out
 
 
+def _barrier_reference(ms, tol, max_iter=1000):
+    """The log-barrier solve that min_entropy_cq ran before its
+    primal-dual method: damped Newton steps on
+    t Tr sigma - sum_i log det(sigma - M_i), each centring ended when
+    the squared Newton decrement is <= 1e-6 (at most 50 steps, each
+    backtracked by at most 60 halvings), then t raised 16-fold, for at
+    most 40 centrings and max_iter Newton steps in total.  The bounds
+    are p_upper = Tr sigma and p_lower from the POVM F^-1/2 S_i F^-1/2,
+    S_i = (sigma - M_i)^-1, F = sum_i S_i.  Returns
+    (sigma, p_lower, p_upper, Newton steps)."""
+    ms = rc.hermitian_part(np.array(ms, dtype=complex))
+    k, d, _ = ms.shape
+
+    def logdet(sigma):
+        try:
+            chol = np.linalg.cholesky(sigma - ms)
+        except np.linalg.LinAlgError:
+            return None
+        return 2.0 * float(np.log(np.diagonal(chol, axis1=1, axis2=2).real).sum())
+
+    def newton(s, t):
+        grad = t * np.eye(d) - s.sum(axis=0)
+        hess = (s.reshape(k, d * d).T @ s.swapaxes(1, 2).reshape(k, d * d)).reshape(d, d, d, d)
+        hess = hess.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+        delta = rc.hermitian_part(np.linalg.solve(hess, -grad.reshape(-1)).reshape(d, d))
+        return delta, -float(np.vdot(grad, delta).real)
+
+    total = ms.sum(axis=0)
+    negative = float(np.clip(-np.linalg.eigvalsh(ms)[:, 0], 0.0, None).sum())
+    sigma = total + (float(np.trace(total).real) / d + negative) * np.eye(d)
+    ld = logdet(sigma)
+    s = rc.hermitian_part(np.linalg.inv(sigma - ms))
+    t = float(np.trace(s.sum(axis=0)).real) / d
+    steps = 0
+    for _ in range(40):
+        for _ in range(50):
+            delta, lam2 = newton(s, t)
+            if lam2 <= 1e-6 or steps >= max_iter:
+                break
+            steps += 1
+            tr_delta, step = float(np.trace(delta).real), 1.0
+            for _ in range(60):
+                trial = logdet(sigma + step * delta)
+                if trial is not None and t * step * tr_delta - (trial - ld) <= -0.25 * step * lam2:
+                    break
+                step /= 2
+            else:
+                break
+            try:
+                s_next = rc.hermitian_part(np.linalg.inv(sigma + step * delta - ms))
+            except np.linalg.LinAlgError:
+                break
+            sigma, ld, s = sigma + step * delta, trial, s_next
+        p_upper = float(np.trace(sigma).real)
+        w, v = np.linalg.eigh(rc.hermitian_part(s.sum(axis=0)))
+        root = (v * w ** -0.5) @ v.conj().T
+        p_lower = float(np.einsum("iab,iba->", root @ s @ root, ms).real)
+        if p_upper - p_lower <= tol or steps >= max_iter:
+            break
+        t *= 16.0
+    return sigma, p_lower, p_upper, steps
+
+
+class TestMatchesBarrierReference:
+    """The solver's certified interval meets the log-barrier reference's,
+    its gap is in [0, tol] and sigma - M_i passes Cholesky for every
+    branch."""
+
+    TOL = 1e-9
+
+    def check(self, ms):
+        _, lo, hi, _ = _barrier_reference(ms, self.TOL)
+        assert hi - lo <= self.TOL
+        _, cert = pr.min_entropy_cq(CQState(ms), tol=self.TOL)
+        assert cert["converged"] and 0.0 <= cert["gap"] <= self.TOL
+        assert cert["p_lower"] <= hi and lo <= cert["p_upper"]
+        for m in ms:
+            np.linalg.cholesky(cert["sigma"] - rc.hermitian_part(np.asarray(m)))
+
+    @pytest.mark.parametrize("seed", range(len(FIXED_POINT_CASES)))
+    def test_fixed_point_cases(self, seed):
+        k, d, rank = FIXED_POINT_CASES[seed]
+        self.check(_wishart_branches(k, d, rank, np.random.default_rng([k, d, rank, seed])))
+
+    @pytest.mark.parametrize("base", ENTROPY_BASES, ids=repr)
+    def test_entropy_base_rotations(self, base):
+        for ms in _rotated_bases(40)[base]:
+            self.check(ms)
+
+
 class TestBarrierSolver:
     @pytest.mark.parametrize("base", ENTROPY_BASES, ids=repr)
     def test_rotations_converge_within_step_cap(self, base):
