@@ -3,7 +3,7 @@ simulation, entropy certification, and extraction.
 
 All commands emit deterministic JSON (sorted keys, format-versioned)
 so repeated runs with the same inputs are byte-identical; the simulate,
-entropy, extract and rules reports echo the seed.
+extract and rules reports echo the seed.
 Exit codes: 0 success/verified, 1 verification failure, 2 usage or
 parse error.
 """
@@ -407,11 +407,11 @@ def cmd_entropy(args) -> int:
         raise CliError("provide --state FILE or --example diagonal")
     h, cert = pr.min_entropy_cq(psi, tol=tol)
     report = {
-        # 2: the solver is the log-barrier method; iterations counts its
-        # Newton steps
-        "format_version": 2,
+        # 3: the solver is the primal-dual method, iterations counts its
+        # predictor-corrector iterations, and the seed, which the
+        # command never reads, is no longer echoed
+        "format_version": 3,
         "command": "entropy",
-        "seed": args.seed,
         "h_min": h,
         "p_guess_lower": cert["p_lower"],
         "p_guess_upper": cert["p_upper"],

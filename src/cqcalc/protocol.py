@@ -472,36 +472,56 @@ def spotcheck_run(
 # conditional min-entropy
 
 
-BARRIER_GROWTH = 16.0  # min_entropy_cq: barrier weight factor per centring
-BARRIER_CENTRED = 1e-6  # min_entropy_cq: squared Newton decrement that ends a centring
-BARRIER_STAGES = 40  # min_entropy_cq: centrings per solve
-BARRIER_NEWTON = 50  # min_entropy_cq: Newton steps per centring
-BARRIER_HALVINGS = 60  # min_entropy_cq: backtracking halvings per Newton step
+PD_STEP = 0.95  # min_entropy_cq: share of the way to the cone's boundary that a step goes
 
 
-def _slack_logdet(sigma: np.ndarray, ms: np.ndarray):
-    """Sum over branches of log det(sigma - M_i), from one stacked
-    Cholesky factorisation; None when some sigma - M_i is not positive
-    definite."""
+def _inv_chol(x: np.ndarray):
+    """L^-1 for the Cholesky factors x = L L^H of stacked matrices, or
+    None when one of them is not positive definite."""
     try:
-        chol = np.linalg.cholesky(sigma - ms)
+        return np.linalg.inv(np.linalg.cholesky(x))
     except np.linalg.LinAlgError:
         return None
-    return 2.0 * float(np.log(np.diagonal(chol, axis1=1, axis2=2).real).sum())
 
 
-def _newton_direction(s: np.ndarray, t: float):
-    """Newton step delta of t Tr sigma - sum_i log det(sigma - M_i) at
-    S_i = (sigma - M_i)^-1, and the squared Newton decrement.  The
-    Hessian is sum_i kron(S_i, S_i^T), the matrix of
-    delta -> sum_i S_i delta S_i on row-major vec(delta), built as one
-    (d^2, k) x (k, d^2) product."""
+def _step(linv: np.ndarray, dx: np.ndarray) -> float:
+    """min(1, PD_STEP a) for the a at which some L_i L_i^H + a dx_i stops
+    being positive definite: -1 / (least eigenvalue of L_i^-1 dx_i L_i^-H)."""
+    low = float(np.linalg.eigvalsh(linv @ dx @ linv.conj().swapaxes(1, 2)).min())
+    return 1.0 if low >= -PD_STEP else -PD_STEP / low
+
+
+def _schur_solver(s: np.ndarray, e: np.ndarray):
+    """The solver of sum_i herm(S_i X E_i) = Y for Hermitian X and Y.  On
+    the coordinates R = Re X + Im X of a Hermitian X, so that
+    X = ((R + R^T) + i (R - R^T)) / 2, the map is real symmetric; its
+    d^2 x d^2 matrix there is inverted once."""
     k, d, _ = s.shape
-    grad = t * np.eye(d) - s.sum(axis=0)
-    hess = (s.reshape(k, d * d).T @ s.swapaxes(1, 2).reshape(k, d * d)).reshape(d, d, d, d)
-    hess = hess.transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    delta = rc.hermitian_part(np.linalg.solve(hess, -grad.reshape(-1)).reshape(d, d))
-    return delta, -float(np.vdot(grad, delta).real)
+    # p[a, c, f, b] = sum_i S_i[a, c] E_i[f, b]; the map's complex
+    # row-major matrix is h[a, b, c, f] = (p + p^T)[a, c, f, b] / 2
+    p = s.reshape(k, d * d).T @ e.reshape(k, d * d)
+    h = (p + p.T).reshape(d, d, d, d).transpose(0, 3, 1, 2) / 2
+    inv = np.linalg.inv((h.real + h.imag.transpose(0, 1, 3, 2)).reshape(d * d, d * d))
+
+    def solve(y: np.ndarray) -> np.ndarray:
+        r = (inv @ (y.real + y.imag).reshape(-1)).reshape(d, d)
+        return ((r + r.T) + 1j * (r - r.T)) / 2
+
+    return solve
+
+
+def _povm_lower(e: np.ndarray, ms: np.ndarray) -> float:
+    """sum_i Tr E'_i M_i for the sub-POVM E' made from positive definite
+    E_i: normalised to F^-1/2 E_i F^-1/2 with F = sum_i E_i, negative
+    rounding eigenvalues clipped, and divided by the top eigenvalue of
+    sum_i E'_i where that exceeds 1.  A sub-POVM guesses no better than
+    a POVM, so this is a lower bound on p_guess."""
+    w, v = np.linalg.eigh(e.sum(axis=0))
+    root = (v * w**-0.5) @ v.conj().T
+    w, v = np.linalg.eigh(root @ e @ root)
+    povm = (v * np.clip(w, 0.0, None)[:, None, :]) @ v.conj().swapaxes(1, 2)
+    top = max(1.0, float(np.linalg.eigvalsh(povm.sum(axis=0))[-1]))
+    return float(np.einsum("iab,iba->", povm, ms).real) / top
 
 
 def _closed_form(ms: np.ndarray):
@@ -530,56 +550,50 @@ def _closed_form(ms: np.ndarray):
     return v @ np.diag(best) @ v.conj().T, float(best.sum())
 
 
-def _barrier(ms: np.ndarray, tol: float, max_iter: int):
-    """(sigma, p_lower, p_upper, Newton steps) of the log-barrier solve
+def _primal_dual(ms: np.ndarray, tol: float, max_iter: int):
+    """(sigma, p_lower, p_upper, iterations) of the primal-dual solve
     that min_entropy_cq describes."""
-    d = ms.shape[1]
+    k, d, _ = ms.shape
     # start strictly inside: sigma - M_i is the other branches plus a
     # positive multiple of I, which also covers the slightly negative
-    # eigenvalues that CQState tolerates
+    # eigenvalues that CQState tolerates; E_i = I / k sum to I
     ms = rc.hermitian_part(ms)
     total = ms.sum(axis=0)
     negative = float(np.clip(-np.linalg.eigvalsh(ms)[:, 0], 0.0, None).sum())
     sigma = total + (float(np.trace(total).real) / d + negative) * np.eye(d)
-    logdet = _slack_logdet(sigma, ms)
-    s = rc.hermitian_part(np.linalg.inv(sigma - ms))
-    t = float(np.trace(s.sum(axis=0)).real) / d
-    steps = 0
-    for _ in range(BARRIER_STAGES):
-        # centre at weight t: damped Newton steps until the decrement is
-        # small or no step decreases the barrier any more
-        for _ in range(BARRIER_NEWTON):
-            delta, lam2 = _newton_direction(s, t)
-            if lam2 <= BARRIER_CENTRED or steps >= max_iter:
-                break
-            steps += 1
-            # Armijo backtracking on the barrier difference, written so
-            # that no two large barrier values are subtracted
-            tr_delta, step = float(np.trace(delta).real), 1.0
-            for _ in range(BARRIER_HALVINGS):
-                trial = _slack_logdet(sigma + step * delta, ms)
-                if trial is not None and t * step * tr_delta - (trial - logdet) <= -0.25 * step * lam2:
-                    break
-                step /= 2
-            else:
-                break
-            try:
-                s_next = rc.hermitian_part(np.linalg.inv(sigma + step * delta - ms))
-            except np.linalg.LinAlgError:  # a slack at the rounding floor
-                break
-            sigma, logdet, s = sigma + step * delta, trial, s_next
-        # sigma is strictly feasible; S_i / t normalised to sum to the
-        # identity is a POVM
+    e = np.broadcast_to(np.eye(d, dtype=complex) / k, ms.shape)
+    zinv, einv = _inv_chol(sigma - ms), _inv_chol(e)
+    iterations = 0
+    while True:
+        z = sigma - ms
+        gap = float(np.vdot(e, z).real)  # sum_i Tr E_i (sigma - M_i)
         p_upper = float(np.trace(sigma).real)
-        w, v = np.linalg.eigh(rc.hermitian_part(s.sum(axis=0)))
-        root = (v * w ** -0.5) @ v.conj().T  # (sum_i S_i)^-1/2
-        p_lower = float(np.einsum("iab,iba->", root @ s @ root, ms).real)
-        if p_upper - p_lower <= tol or steps >= max_iter:
+        if gap <= tol or iterations == max_iter:
+            p_lower = _povm_lower(e, ms)
+            if p_upper - p_lower <= tol or iterations == max_iter:
+                break
+        iterations += 1
+        s = zinv.conj().swapaxes(1, 2) @ zinv  # S_i = (sigma - M_i)^-1
+        solve = _schur_solver(s, e)
+
+        def direction(mu, corr):
+            ds = solve(mu * s.sum(axis=0) - np.eye(d) - corr.sum(axis=0))
+            return ds, mu * s - e - rc.hermitian_part(s @ ds @ e) - corr
+
+        ds, de = direction(0.0, np.zeros_like(s))  # predictor
+        gap_aff = float(np.vdot(e + _step(einv, de) * de, z + _step(zinv, ds) * ds).real)
+        ds, de = direction((gap_aff / gap) ** 3 * gap / (k * d), rc.hermitian_part(s @ ds @ de))
+        sigma_next, e_next = sigma + _step(zinv, ds) * ds, e + _step(einv, de) * de
+        zinv_next, einv_next = _inv_chol(sigma_next - ms), _inv_chol(e_next)
+        # at the rounding floor a factorisation fails or the gap stops
+        # shrinking; the bounds of the current iterate are certified
+        if zinv_next is None or einv_next is None or not 0.0 < np.vdot(e_next, sigma_next - ms).real < gap:
+            p_lower = _povm_lower(e, ms)
             break
-        t *= BARRIER_GROWTH
-    if p_upper - p_lower <= tol:
+        sigma, e, zinv, einv = sigma_next, e_next, zinv_next, einv_next
+    if 0.0 <= p_upper - p_lower <= tol:
         assert np.linalg.eigvalsh(sigma - ms).min() >= -1e-8, "certificate must dominate every branch"
-    return sigma, p_lower, p_upper, steps
+    return sigma, p_lower, p_upper, iterations
 
 
 def min_entropy_cq(psi: CQState, tol: float = 1e-6, max_iter: int = 1000):
@@ -588,20 +602,31 @@ def min_entropy_cq(psi: CQState, tol: float = 1e-6, max_iter: int = 1000):
     -log2 of the optimal guessing probability min_{sigma >= M_i} Tr
     sigma.  One branch, two branches (the Helstrom closed form) and
     commuting branches are solved exactly.  More branches run a
-    log-barrier interior-point method: damped Newton steps on
-    t Tr sigma - sum_i log det(sigma - M_i), with t raised by
-    BARRIER_GROWTH after each centring, for at most max_iter Newton
-    steps in total.  sigma stays strictly feasible, so p_upper = Tr sigma
-    is certified; the dual POVM E_i = F^-1/2 (S_i / t) F^-1/2, with
-    S_i = (sigma - M_i)^-1 and F = sum_i S_i / t, gives
-    p_lower = sum_i Tr E_i M_i.  The solve has converged when the gap
-    p_upper - p_lower is <= tol; then sigma's dominance of every branch
-    is asserted.  Returns (H_min, certificate dict with sigma, gap,
-    p_guess bounds and the number of Newton steps as iterations)."""
+    feasible primal-dual interior-point method on sigma and a dual POVM
+    E_i (max sum_i Tr E_i M_i s.t. sum_i E_i = I), started at
+    E_i = I / k.  Each of at most max_iter iterations takes Mehrotra's
+    predictor-corrector step along the HKM direction: with
+    S_i = (sigma - M_i)^-1, Delta sigma solves
+    sum_i herm(S_i Delta sigma E_i) = mu sum_i S_i - I - sum_i C_i, and
+    Delta E_i = mu S_i - E_i - herm(S_i Delta sigma E_i) - C_i; the
+    predictor has mu = 0 and C_i = 0, the corrector
+    mu = (gap_aff / gap)^3 gap / (k d) and C_i = herm(S_i Delta sigma_aff
+    Delta E_aff,i).  Each side steps PD_STEP of the way to its cone's
+    boundary, or fully.  One Cholesky factorisation per iterate
+    certifies sigma - M_i and E_i positive definite, and gives S_i and
+    the step lengths.  So p_upper = Tr sigma is certified, and
+    p_lower = sum_i Tr E'_i M_i from the sub-POVM E' of _povm_lower is
+    computed once the gap sum_i Tr E_i (sigma - M_i) is <= tol.  The
+    solve has converged when 0 <= p_upper - p_lower <= tol; then sigma's
+    dominance of every branch is asserted.  At the rounding floor (a
+    factorisation fails, or the gap stops shrinking) the solve stops
+    with the bounds it has certified.  Returns (H_min, certificate dict
+    with sigma, gap, p_guess bounds and the number of predictor-corrector
+    iterations as iterations)."""
     ms = np.array(psi.branch_ops, dtype=complex)  # branches stacked (k, d, d)
     exact = _closed_form(ms)
     if exact is None:
-        sigma, p_lower, p_upper, steps = _barrier(ms, tol, max_iter)
+        sigma, p_lower, p_upper, steps = _primal_dual(ms, tol, max_iter)
     else:
         sigma, p_lower = exact
         p_upper, steps = p_lower, 0
@@ -612,7 +637,7 @@ def min_entropy_cq(psi: CQState, tol: float = 1e-6, max_iter: int = 1000):
         "iterations": steps,
         "p_lower": p_lower,
         "p_upper": p_upper,
-        "converged": exact is not None or gap <= tol,
+        "converged": exact is not None or 0.0 <= gap <= tol,
     }
     return -math.log2(p_upper), cert
 

@@ -18,6 +18,7 @@ from cqcalc import protocol as pr
 from cqcalc import regcalc as rc
 from cqcalc import rewrite as rw
 from test_diagram import wiring_node_json
+from test_golden import ENTROPY_STATE, wishart_state
 
 
 def run_to_file(tmp_path, argv, name="out.json"):
@@ -413,7 +414,7 @@ class TestEntropy:
         rep = json.loads(out.read_text())
         assert rep["h_min"] == pytest.approx(-math.log2(0.65), abs=1e-6)
         assert rep["converged"]
-        assert rep["format_version"] == 2
+        assert rep["format_version"] == 3 and "seed" not in rep
 
     def test_state_file(self, tmp_path):
         state = {
@@ -432,6 +433,20 @@ class TestEntropy:
 
     def test_no_input_exit_2(self, tmp_path):
         assert cli.main(["entropy", "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("tol", ["0", "1e-300", "1e-15"])
+    @pytest.mark.parametrize("state", ["entropy_state", "wishart"])
+    def test_tol_below_rounding_never_inverts_the_interval(self, tmp_path, capsys, state, tol):
+        # --tol 0 reported converged: true with gap -4.44e-16, p_guess_lower
+        # above p_guess_upper
+        sfile = tmp_path / "st.json"
+        sfile.write_text(json.dumps(ENTROPY_STATE if state == "entropy_state" else wishart_state(3, 8, 2)))
+        code, out = run_to_file(tmp_path, ["entropy", "--state", str(sfile), "--tol", tol])
+        assert code == 0 and capsys.readouterr().err == ""
+        rep = json.loads(out.read_text())
+        assert rep["gap"] == rep["p_guess_upper"] - rep["p_guess_lower"]
+        if rep["converged"]:
+            assert 0.0 <= rep["gap"] <= float(tol)
 
     @pytest.mark.parametrize(
         "branches",

@@ -371,7 +371,7 @@ def test_rules_report_bytes(tmp_path, dim):
 
 
 # three full-rank qubit branches that do not commute, so that
-# min_entropy_cq runs its barrier solver
+# min_entropy_cq runs its primal-dual solver
 ENTROPY_STATE = {
     "branches": [
         {"re": [[0.3, 0.1], [0.1, 0.1]]},
@@ -383,14 +383,14 @@ ENTROPY_STATE = {
 
 def test_entropy_diagonal_report_bytes(tmp_path):
     digest = cli_report_digest(tmp_path, ["entropy", "--example", "diagonal"])
-    assert digest == "f79d71bbd0e97cafab579dfb1e196e93f41ba325560b3f6f6292d947494b719b"
+    assert digest == "155f2774c9a9c39126cb6ab20886d6dd8275e6dd6ed9006dc2c2cba69e94290e"
 
 
 def test_entropy_state_report_bytes(tmp_path):
     sfile = tmp_path / "state.json"
     sfile.write_text(json.dumps(ENTROPY_STATE))
     digest = cli_report_digest(tmp_path, ["entropy", "--state", str(sfile)])
-    assert digest == "afef5a59cbf38eef409965a2c341a6eb41ae80b58158f8df8cc70c6f5fa17ef6"
+    assert digest == "761df15f7e748ec28b492fa5e64f81fe458b78feed59881ef6ea4e9ca3afad16"
 
 
 def wishart_state(branches: int, dim: int, seed: int, rank=None) -> dict:
@@ -413,12 +413,12 @@ def wishart_state(branches: int, dim: int, seed: int, rank=None) -> dict:
 # (branches, dim, seed[, rank]): the five branch/dimension shapes the
 # certify benchmark solves, and one state whose branch sum has rank 3
 WISHART_ENTROPY_DIGESTS = {
-    (3, 8, 2): "a2d9465fcc68b43ddc378fc663ac732c3f95f2223989a5e27aee4c30c6bce401",
-    (4, 8, 3): "ac781aef1e59424346355300ef071695b9617d2d9769f1d29403f26a4b4a3c8e",
-    (5, 7, 1): "cb6d1c89188b1af84d8dc07a641ca41a7fb5446cd04f13c753ca82e402d86db3",
-    (6, 8, 0): "ba9e4e455dcf44cd2c347664b6f9a630aba7c5fd58cd112ef2230a5702f4f7a2",
-    (6, 8, 1): "876cdb74e884fdba9e6862b17d02c976d85368af3267e58495cb042eba5419fc",
-    (4, 6, 0, 3): "e57d3f5fbef7fcc524f749f72dbb1a533db84b962a13ae890a6557a40396f9cd",
+    (3, 8, 2): "e6d332bb848be6f465b5c4b7f556742cabcfdadabef4b81896db5f7578c82ce3",
+    (4, 8, 3): "cf82b81d4650f4e0e3bfcfedb1685f51f57c6882023a8094809fb8feffa4144e",
+    (5, 7, 1): "ad262df7e722b4a97de220ef8b9b506667992231c29c1d3414fcee8d29b41a3f",
+    (6, 8, 0): "a0d4d332a86a075db037214cd022c9e18d146c70810bf59aa61d5469c724dfa8",
+    (6, 8, 1): "ac20b83ada90f2c787e448015f309aa7971557ebb9a616d86d98a5f7623310f6",
+    (4, 6, 0, 3): "1d117d2f8f645ec8f51cb76a9a39fe9f54e82231c9d8de9bc1770d203fdb1225",
 }
 
 

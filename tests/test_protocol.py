@@ -554,10 +554,10 @@ class TestFixedPointMatchesReference:
 # (branches, dimension, base seed) of the entropy states of the certify
 # benchmark (bench/jobs.py ENTROPY_BASES)
 ENTROPY_BASES = ((3, 8, 2), (4, 8, 3), (5, 7, 1), (6, 8, 0), (6, 8, 1))
-# Newton steps that every rotation of every base converges within; the
-# solver takes at most 43 on these.  An Armijo test that subtracts two
-# barrier values of order 1e10 takes 95 on one rotation of (4, 8, 3).
-NEWTON_STEP_CAP = 60
+# predictor-corrector iterations that every rotation of every base
+# converges within; the solver takes 10 or 11 on these (the log-barrier
+# solver took 34 to 43 Newton steps, under a cap of 60)
+ITERATION_CAP = 15
 
 
 def _entropy_base(branches, dim, base_seed):
@@ -679,13 +679,15 @@ class TestMatchesBarrierReference:
 
 
 class TestBarrierSolver:
+    # The test ids are kept from when the solver was the log-barrier
+    # method; that method is now _barrier_reference.
     @pytest.mark.parametrize("base", ENTROPY_BASES, ids=repr)
     def test_rotations_converge_within_step_cap(self, base):
         p_guess = None
         for ms in _rotated_bases(40)[base]:
-            _, cert = pr.min_entropy_cq(CQState(ms), tol=1e-9, max_iter=NEWTON_STEP_CAP)
+            _, cert = pr.min_entropy_cq(CQState(ms), tol=1e-9, max_iter=ITERATION_CAP)
             assert cert["converged"] and 0.0 <= cert["gap"] <= 1e-9
-            assert 0 < cert["iterations"] <= NEWTON_STEP_CAP
+            assert 0 < cert["iterations"] <= ITERATION_CAP
             # the guessing probability is unitarily invariant
             p_guess = cert["p_upper"] if p_guess is None else p_guess
             assert abs(cert["p_upper"] - p_guess) <= 2e-9
