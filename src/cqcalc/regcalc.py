@@ -41,6 +41,13 @@ class UnboundSymbolError(KeyError):
         self.symbol = symbol
 
 
+def positive_int(value, what: str) -> int:
+    """value as an int; a bool, a float or a value below 1 is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SymWidth:
     """Symbolic bit width scale*symbol: dimension 2**(scale*value(symbol)).
@@ -54,8 +61,7 @@ class SymWidth:
     symbol: str
 
     def __post_init__(self):
-        if self.scale < 1:
-            raise ValueError("SymWidth scale must be >= 1")
+        object.__setattr__(self, "scale", positive_int(self.scale, "SymWidth scale"))
 
     def value(self, values: dict) -> int:
         if self.symbol not in values:
@@ -82,12 +88,8 @@ class Register:
     def __post_init__(self):
         if self.kind not in (CLASSICAL, QUANTUM):
             raise ValueError(f"unknown register kind {self.kind!r}")
-        if isinstance(self.base_dim, SymWidth):
-            return
-        n = self.base_dim
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"base_dim must be a positive integer, got {n!r}")
-        object.__setattr__(self, "base_dim", int(n))
+        if not isinstance(self.base_dim, SymWidth):
+            object.__setattr__(self, "base_dim", positive_int(self.base_dim, "base_dim"))
 
     @property
     def symbolic(self) -> bool:

@@ -177,7 +177,7 @@ def eps_expr_from_json(j) -> EpsExpr:
             return ("sqrt2eps", tuple(atom(x) for x in a[1]))
         if a[0] == "const":
             return ("const", float(a[1]))
-        return (a[0], a[1], int(a[2]), str(a[3]))
+        return (a[0], a[1], rc.positive_int(a[2], "budget scale"), str(a[3]))
 
     return EpsExpr(tuple(atom(a) for a in j))
 
@@ -692,7 +692,10 @@ def _step_from_json(st) -> dict:
     loc = tuple(st["loc"])
     if not isinstance(st["rule"], str) or not all(isinstance(n, int) for n in loc):
         raise TypeError(f"step {st!r} needs a rule name and integer node ids")
-    return {"rule": st["rule"], "loc": loc, "params": dict(st.get("params", {}))}
+    params = dict(st.get("params", {}))
+    if "scale" in params:
+        params["scale"] = rc.positive_int(params["scale"], "rule scale")
+    return {"rule": st["rule"], "loc": loc, "params": params}
 
 
 def script_from_json(j: dict) -> ProofScript:

@@ -110,6 +110,16 @@ class TestEval:
         assert cli.main(["eval", str(src), "--bindings", str(bfile)]) == 2
         assert capsys.readouterr().err.startswith(f"error: bad bindings file {bfile}")
 
+    @pytest.mark.parametrize("scale", [True, 1.5], ids=repr)
+    def test_symbolic_scale_not_an_integer_fails_at_load(self, tmp_path, capsys, scale):
+        j = dg.diagram_to_json(dg.parse_diagram("reg S = classical N\nuniform S 1 ; discard S"))
+        j["nodes"][0]["out_ports"][0]["sym"]["scale"] = scale
+        src = tmp_path / "d.json"
+        src.write_text(json.dumps(j))
+        assert cli.main(["eval", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: parse error in {src}") and "positive integer" in err
+
     @pytest.mark.parametrize("kind", ["swap", "identity"])
     def test_wiring_node_kind_fails_at_load(self, tmp_path, capsys, kind):
         src = tmp_path / "d.json"
@@ -220,6 +230,24 @@ class TestCheck:
         sfile.write_text(json.dumps(j))
         assert cli.main(["check", str(sfile), "--out", str(tmp_path / "x")]) == 2
         assert "script" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", [True, 1.5], ids=repr)
+    @pytest.mark.parametrize("where", ["initial_diagram", "rule_params", "claimed_total"])
+    def test_symbolic_scale_not_an_integer_exit_2(self, tmp_path, capsys, where, scale):
+        # a scale of true replayed as 1 and verified; 1.5 loaded and
+        # failed later, or was truncated to 1 in the claimed total
+        j = rw.script_to_json(rw.script_single_stage())
+        if where == "initial_diagram":
+            j["initial"]["nodes"][0]["out_ports"][0]["sym"]["scale"] = scale
+        elif where == "rule_params":
+            j["steps"][0]["params"]["scale"] = scale
+        else:
+            j["claimed_total"][0][2] = scale
+        sfile = tmp_path / "s.json"
+        sfile.write_text(json.dumps(j))
+        assert cli.main(["check", str(sfile), "--dims", "M=1", "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "malformed proof script" in err and "positive integer" in err
 
     @pytest.mark.parametrize("rule", ["causality", "merge"])
     def test_loc_naming_absent_node_fails_verification(self, tmp_path, rule):

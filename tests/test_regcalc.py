@@ -514,6 +514,15 @@ class TestJson:
         with pytest.raises(ValueError, match="malformed"):
             rc.tensor_from_json(d)
 
+    @pytest.mark.parametrize("scale", [True, 1.5, 2.0, "2", 0, -1], ids=repr)
+    def test_symbolic_scale_is_a_positive_integer(self, scale):
+        # True loaded as a scale equal to 1 that was written back as true,
+        # and 1.5 failed only at substitution
+        with pytest.raises(ValueError, match="positive integer"):
+            rc.SymWidth(scale, "N")
+        with pytest.raises(ValueError, match="positive integer"):
+            rc.register_from_json({"kind": rc.CLASSICAL, "sym": {"scale": scale, "symbol": "N"}})
+
     @pytest.mark.parametrize("dim", [2.0, "2", True, 2.5], ids=repr)
     def test_dimension_is_a_json_integer(self, dim):
         # int() used to turn 2.0, "2" and 2.5 into 2, and True into 1
