@@ -20,6 +20,8 @@ from cqcalc import rewrite as rw
 from test_diagram import wiring_node_json
 from test_golden import ENTROPY_STATE, wishart_state
 
+C2 = rc.C(2)
+
 
 def run_to_file(tmp_path, argv, name="out.json"):
     out = tmp_path / name
@@ -98,6 +100,35 @@ class TestEval:
         bfile.write_text(json.dumps({"f": binding}))
         assert cli.main(["eval", str(src), "--bindings", str(bfile)]) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "nodes,wires,types,message",
+        [
+            ([], [(("x", 0), ("out", 0))], 1, "malformed wire"),
+            ([dg.uniform_gen(C2, 1)] + [dg.discard_gen(C2)] * 2, [(("n", 0, 0), ("n", 1, 0)), (("n", 0, 0), ("n", 2, 0))], 0,
+             "port ('n', 0, 0) used 2 times"),
+            ([dg.uniform_gen(C2, 1)] * 2 + [dg.discard_gen(C2)], [(("n", 0, 0), ("n", 2, 0)), (("n", 1, 0), ("n", 2, 0))], 0,
+             "port ('n', 2, 0) used 2 times"),
+            ([], [(("in", 0), ("out", 1))], 2, "boundary input 1 not connected"),
+            ([], [(("in", 0), ("out", 0))], (1, 2), "boundary output 1 not connected"),
+            ([dg.spider_gen(C2, 1, 1)], [(("n", 0, 0), ("n", 0, 0))], 0, "diagram contains a cycle"),
+            ([dg.spider_gen(C2, 1, 1)] * 2, [(("n", 0, 0), ("n", 1, 0)), (("n", 1, 0), ("n", 0, 0))], 0,
+             "diagram contains a cycle"),
+            ([dg.spider_gen(C2, 2, 2)] * 2 + [dg.uniform_gen(C2, 1), dg.discard_gen(C2)],
+             [(("n", 2, 0), ("n", 0, 0)), (("n", 0, 0), ("n", 1, 0)), (("n", 1, 0), ("n", 0, 1)),
+              (("n", 0, 1), ("n", 1, 1)), (("n", 1, 1), ("n", 3, 0))], 0, "diagram contains a cycle"),
+        ],
+        ids=["malformed", "source_twice", "target_twice", "input_open", "output_open", "self_loop",
+             "two_cycle", "cycle_with_tails"],
+    )
+    def test_ill_typed_json_exit_2(self, tmp_path, capsys, nodes, wires, types, message):
+        n_in, n_out = types if isinstance(types, tuple) else (types, types)
+        d = dg.Diagram(dict(enumerate(nodes)), wires, (C2,) * n_in, (C2,) * n_out)
+        src = tmp_path / "d.json"
+        src.write_text(json.dumps(dg.diagram_to_json(d)))
+        assert cli.main(["eval", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ill-typed diagram: ") and message in err
 
     @pytest.mark.parametrize("dim,width", [(2.0, 2), ("2", 2), (True, 1)], ids=repr)
     def test_binding_dimension_not_an_integer_exit_2(self, tmp_path, capsys, dim, width):

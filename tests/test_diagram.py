@@ -1,5 +1,6 @@
 """Tests for the diagram IR, DSL, and evaluation."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -589,3 +590,174 @@ class TestStructuralLaws:
         first = a.evaluate(binding).matrix.tobytes()
         assert a.evaluate(binding).matrix.tobytes() == first
         assert b.evaluate(binding).matrix.tobytes() == first
+
+
+# ---------------------------------------------------------------------------
+# the layered printer as it was before its one-pass rewrite, kept as the
+# reference that pins the text of every diagram it printed correctly
+
+
+def _reference_reg_name(r, regnames):
+    if r in regnames:
+        return regnames[r]
+    if not r.symbolic:
+        name = ("C" if r.kind == rc.CLASSICAL else "Q") + str(r.base_dim)
+        m = dg._AUTO_REG.match(name)
+        if m:
+            regnames[r] = name
+            return name
+    name = f"r{len(regnames)}"
+    regnames[r] = name
+    return name
+
+
+def _reference_print(d):
+    d = dg.canonical_form(d)
+    regnames, lines, decls, gensym = {}, [], {}, 0
+    nodes = dict(d.nodes)
+    for nid, g in sorted(nodes.items()):
+        if g.kind in (dg.BOX, dg.HOLE):
+            label = g.label
+            if label is None:
+                label = f"f{gensym}"
+                gensym += 1
+                g = nodes[nid] = dataclasses.replace(g, label=label)
+            if label not in decls:
+                decls[label] = g
+    d = dg.Diagram(nodes, d.wires, d.in_types, d.out_types)
+
+    ports = [p for _, g in sorted(d.nodes.items()) for p in g.in_ports + g.out_ports]
+    for r in dict.fromkeys([*d.in_types, *d.out_types, *ports]):
+        nm = _reference_reg_name(r, regnames)
+        if not dg._AUTO_REG.match(nm):
+            dim = r.base_dim if not r.symbolic else r.base_dim.symbol
+            if r.symbolic and r.base_dim.scale != 1:
+                raise ValueError("cannot print scaled symbolic widths as DSL")
+            lines.append(f"reg {nm} = {r.kind} {dim}")
+
+    for label, g in sorted(decls.items()):
+        tin = "*".join(_reference_reg_name(r, regnames) for r in g.in_ports) or "I"
+        tout = "*".join(_reference_reg_name(r, regnames) for r in g.out_ports) or "I"
+        flag = "".join(f" {f}" for f in ("causal", "stochastic") if f in g.flags)
+        lines.append(f"{'box' if g.kind == dg.BOX else 'hole'} {label} : {tin} -> {tout}{flag}")
+
+    by_src = {s: i for i, (s, t) in enumerate(d.wires)}
+    by_dst = {t: i for i, (s, t) in enumerate(d.wires)}
+    layer = {}
+    for nid in d.topo_order():
+        g = d.nodes[nid]
+        lmax = 0
+        for i in range(len(g.in_ports)):
+            w = d.wires[by_dst[("n", nid, i)]]
+            if w[0][0] == "n":
+                lmax = max(lmax, layer[w[0][1]])
+        layer[nid] = lmax + 1
+    layers = {}
+    for nid, l in layer.items():
+        layers.setdefault(l, []).append(nid)
+
+    open_wires = [by_src[("in", k)] for k in range(len(d.in_types))]
+    terms = []
+
+    def wire_reg(i):
+        return d.wire_type(d.wires[i])
+
+    def emit_permutation(target):
+        nonlocal open_wires
+        cur = list(open_wires)
+        while cur != target:
+            for j in range(len(cur) - 1):
+                if target.index(cur[j]) > target.index(cur[j + 1]):
+                    parts = []
+                    for k2, w in enumerate(cur):
+                        if k2 == j:
+                            r1, r2 = wire_reg(cur[j]), wire_reg(cur[j + 1])
+                            parts.append(f"swap {_reference_reg_name(r1, regnames)} {_reference_reg_name(r2, regnames)}")
+                        elif k2 != j + 1:
+                            parts.append(f"id {_reference_reg_name(wire_reg(w), regnames)}")
+                    terms.append(" * ".join(parts))
+                    cur[j], cur[j + 1] = cur[j + 1], cur[j]
+                    break
+        open_wires = cur
+
+    for l in sorted(layers):
+        nids = sorted(layers[l])
+        needed = []
+        for nid in nids:
+            needed.extend(by_dst[("n", nid, i)] for i in range(len(d.nodes[nid].in_ports)))
+        rest = [w for w in open_wires if w not in needed]
+        emit_permutation(needed + rest)
+        parts, new_open = [], []
+        for nid in nids:
+            g = d.nodes[nid]
+            parts.append(_reference_atom_text(g, regnames))
+            new_open.extend(by_src[("n", nid, i)] for i in range(len(g.out_ports)))
+        parts += [f"id {_reference_reg_name(wire_reg(w), regnames)}" for w in rest]
+        new_open.extend(rest)
+        if parts:
+            terms.append(" * ".join(parts))
+        open_wires = new_open
+
+    emit_permutation([by_dst[("out", k)] for k in range(len(d.out_types))])
+    if not terms:
+        terms.append(" * ".join(f"id {_reference_reg_name(r, regnames)}" for r in d.in_types) or "id I")
+    return "\n".join(lines + [" ;\n".join(terms)]) + "\n"
+
+
+def _reference_atom_text(g, regnames):
+    if g.kind in (dg.BOX, dg.HOLE):
+        return g.label
+    if g.kind == dg.SPIDER:
+        r = (g.in_ports + g.out_ports)[0]
+        return f"spider {_reference_reg_name(r, regnames)} {len(g.in_ports)} {len(g.out_ports)}"
+    if g.kind == dg.UNIFORM:
+        return f"uniform {_reference_reg_name(g.out_ports[0], regnames)} {len(g.out_ports)}"
+    if g.kind == dg.DISCARD:
+        return f"discard {_reference_reg_name(g.in_ports[0], regnames)}"
+    x = float(g.payload)
+    s = f"{x:g}"
+    if "e" in s or "E" in s:
+        s = f"{x:.12f}"
+    return f"scalar {s}"
+
+
+def proof_diagrams():
+    """Each shipped script's initial and final diagram, then both sides
+    of every step's rule, with symbolic widths."""
+    out = []
+    for name in sorted(rw.SHIPPED_SCRIPTS):
+        script = rw.SHIPPED_SCRIPTS[name]()
+        final, records = rw.replay_script(script)
+        out += [script.initial, final.diagram]
+        out += [side for _, rule in records for side in (rule.lhs, rule.rhs)]
+    return out
+
+
+PROOF_DIAGRAMS = proof_diagrams()
+
+
+class TestPrintMatchesReference:
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_closed_stacks(self, data):
+        d, _ = _closed_stack(data, "abc")
+        assert dg.print_diagram(d) == _reference_print(d)
+
+    def test_proof_diagrams_at_width_1(self):
+        assert len(PROOF_DIAGRAMS) == 96
+        for d in PROOF_DIAGRAMS:
+            d = d.subst({"N": 1, "M": 1})
+            assert dg.print_diagram(d) == _reference_print(d)
+
+    def test_symbolic_proof_diagrams_raise_alike(self):
+        raised = 0
+        for d in PROOF_DIAGRAMS:
+            try:
+                expected = _reference_print(d)
+            except ValueError as e:
+                with pytest.raises(ValueError, match=str(e)):
+                    dg.print_diagram(d)
+                raised += 1
+            else:
+                assert dg.print_diagram(d) == expected
+        assert raised == 93

@@ -123,6 +123,15 @@ class TestMatcher:
         )
         assert rw.find_matches(host, pattern) == []
 
+    def test_boundary_input_fed_from_inside_rejected(self):
+        # the pattern's discard takes a boundary input; in the host the
+        # uniform that the match also covers feeds it.  The discard comes
+        # first, so its wire is the first that the matcher checks
+        pattern = dg.parse_diagram("discard C2 * uniform C2 1")
+        assert rw.find_matches(dg.parse_diagram("uniform C2 1 ; discard C2"), pattern) == []
+        lanes = dg.parse_diagram("(uniform C2 1 ; discard C2) * (uniform C2 1 ; discard C2)")
+        assert len(rw.find_matches(lanes, pattern)) == 2
+
     def test_uniform_leg_permutation(self):
         # the pattern's discarded leg may be either host leg
         host = dg.Diagram(
