@@ -28,6 +28,7 @@ import heapq
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
+from itertools import groupby
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -779,20 +780,6 @@ def _parse_atom(tokens, i, env):
 # printing
 
 
-def _reg_name(r: Register, regnames: dict) -> str:
-    if r in regnames:
-        return regnames[r]
-    if not r.symbolic:
-        name = ("C" if r.kind == rc.CLASSICAL else "Q") + str(r.base_dim)
-        m = _AUTO_REG.match(name)
-        if m:
-            regnames[r] = name
-            return name
-    name = f"r{len(regnames)}"
-    regnames[r] = name
-    return name
-
-
 def print_diagram(d: Diagram) -> str:
     """Emit DSL source whose parse is canonically equal to d.
 
@@ -800,133 +787,79 @@ def print_diagram(d: Diagram) -> str:
     swaps route open wires so that each node's inputs are adjacent.
     """
     d = canonical_form(d)
-    regnames: dict[Register, str] = {}
-    lines = []
-    decls = {}
-    gensym = 0
-    nodes = dict(d.nodes)  # the canonical form with unlabelled boxes named
-    for nid, g in sorted(nodes.items()):
-        if g.kind in (BOX, HOLE):
-            label = g.label
-            if label is None:
-                label = f"f{gensym}"
-                gensym += 1
-                g = nodes[nid] = replace(g, label=label)
-            if label not in decls:
-                decls[label] = g
-    d = Diagram(nodes, d.wires, d.in_types, d.out_types)
-
     # registers in order of first appearance, so names do not follow string hashing
-    ports = [p for _, g in sorted(d.nodes.items()) for p in g.in_ports + g.out_ports]
+    regs, lines = {}, []
+    ports = [p for g in d.nodes.values() for p in g.in_ports + g.out_ports]
     for r in dict.fromkeys([*d.in_types, *d.out_types, *ports]):
-        nm = _reg_name(r, regnames)
-        if not _AUTO_REG.match(nm):
-            dim = r.base_dim if not r.symbolic else r.base_dim.symbol
-            if r.symbolic and r.base_dim.scale != 1:
-                raise ValueError("cannot print scaled symbolic widths as DSL")
-            lines.append(f"reg {nm} = {r.kind} {dim}")
+        if not r.symbolic:
+            regs[r] = ("C" if r.kind == rc.CLASSICAL else "Q") + str(r.base_dim)
+            continue
+        if r.base_dim.scale != 1:
+            raise ValueError("cannot print scaled symbolic widths as DSL")
+        regs[r] = f"r{len(regs)}"
+        lines.append(f"reg {regs[r]} = {r.kind} {r.base_dim.symbol}")
 
-    for label, g in sorted(decls.items()):
-        tin = "*".join(_reg_name(r, regnames) for r in g.in_ports) or "I"
-        tout = "*".join(_reg_name(r, regnames) for r in g.out_ports) or "I"
-        flag = ""
-        for f in ("causal", "stochastic"):
-            if f in g.flags:
-                flag += f" {f}"
-        lines.append(f"{'box' if g.kind == BOX else 'hole'} {label} : {tin} -> {tout}{flag}")
+    # each node's text; a box or hole is its label, unlabelled ones named f0, f1, ...
+    atoms, decls, unnamed = {}, {}, 0
+    for nid, g in d.nodes.items():
+        if g.kind in (BOX, HOLE):
+            if g.label is None:
+                atoms[nid], unnamed = f"f{unnamed}", unnamed + 1
+            else:
+                atoms[nid] = g.label
+            decls.setdefault(atoms[nid], g)
+        elif g.kind == SCALAR:
+            s = f"{float(g.payload):g}"
+            atoms[nid] = f"scalar {s if 'e' not in s else f'{float(g.payload):.12f}'}"
+        elif g.kind == SPIDER:
+            atoms[nid] = f"spider {regs[(g.in_ports + g.out_ports)[0]]} {len(g.in_ports)} {len(g.out_ports)}"
+        elif g.kind == UNIFORM:
+            atoms[nid] = f"uniform {regs[g.out_ports[0]]} {len(g.out_ports)}"
+        else:
+            atoms[nid] = f"discard {regs[g.in_ports[0]]}"
+    for name, g in sorted(decls.items()):
+        tin = "*".join(regs[r] for r in g.in_ports) or "I"
+        tout = "*".join(regs[r] for r in g.out_ports) or "I"
+        flags = "".join(f" {f}" for f in ("causal", "stochastic") if f in g.flags)
+        lines.append(f"{g.kind} {name} : {tin} -> {tout}{flags}")
 
-    by_src = {s: i for i, (s, t) in enumerate(d.wires)}
-    by_dst = {t: i for i, (s, t) in enumerate(d.wires)}
-
-    # layering by longest path
-    layer = {}
-    for nid in d.topo_order():
-        g = d.nodes[nid]
-        lmax = 0
-        for i in range(len(g.in_ports)):
-            w = d.wires[by_dst[("n", nid, i)]]
-            if w[0][0] == "n":
-                lmax = max(lmax, layer[w[0][1]])
-        layer[nid] = lmax + 1
-    layers: dict[int, list[int]] = {}
-    for nid, l in layer.items():
-        layers.setdefault(l, []).append(nid)
-
-    open_wires = [by_src[("in", k)] for k in range(len(d.in_types))]
+    by_src = {s: i for i, (s, _) in enumerate(d.wires)}
+    by_dst = {t: i for i, (_, t) in enumerate(d.wires)}
+    names = [regs[d.wire_type(w)] for w in d.wires]
+    ins = {nid: [by_dst[("n", nid, i)] for i in range(len(g.in_ports))] for nid, g in d.nodes.items()}
+    layer = {}  # longest path from the boundary inputs
+    for nid in d._order:
+        layer[nid] = 1 + max((layer[d.wires[w][0][1]] for w in ins[nid] if d.wires[w][0][0] == "n"), default=0)
     terms = []
 
-    def wire_reg(i):
-        return d.wire_type(d.wires[i])
+    def term(left, parts, right):
+        terms.append(" * ".join([*(f"id {names[w]}" for w in left), *parts, *(f"id {names[w]}" for w in right)]))
 
-    def emit_permutation(target):
-        nonlocal open_wires
-        # bubble target order into place with adjacent swaps
-        cur = list(open_wires)
-        while cur != target:
-            for j in range(len(cur) - 1):
-                if target.index(cur[j]) > target.index(cur[j + 1]):
-                    parts = []
-                    for k2, w in enumerate(cur):
-                        if k2 == j:
-                            r1, r2 = wire_reg(cur[j]), wire_reg(cur[j + 1])
-                            parts.append(
-                                f"swap {_reg_name(r1, regnames)} {_reg_name(r2, regnames)}"
-                            )
-                        elif k2 == j + 1:
-                            continue
-                        else:
-                            parts.append(f"id {_reg_name(wire_reg(w), regnames)}")
-                    terms.append(" * ".join(parts))
-                    cur[j], cur[j + 1] = cur[j + 1], cur[j]
-                    break
-        open_wires = cur
+    def route(cur, target):
+        """Bring cur into target's order by adjacent swaps, each time the
+        first out of order."""
+        rank = {w: k for k, w in enumerate(target)}
+        j = 0
+        while j < len(cur) - 1:
+            if rank[cur[j]] > rank[cur[j + 1]]:
+                term(cur[:j], [f"swap {names[cur[j]]} {names[cur[j + 1]]}"], cur[j + 2 :])
+                cur[j], cur[j + 1] = cur[j + 1], cur[j]
+                j = max(j - 1, 0)  # the pairs before j - 1 are still in order
+            else:
+                j += 1
 
-    for l in sorted(layers):
-        nids = sorted(layers[l])
-        needed = []
-        for nid in nids:
-            g = d.nodes[nid]
-            needed.extend(by_dst[("n", nid, i)] for i in range(len(g.in_ports)))
-        rest = [w for w in open_wires if w not in needed]
-        emit_permutation(needed + rest)
-        parts = []
-        new_open = []
-        for nid in nids:
-            g = d.nodes[nid]
-            parts.append(_atom_text(g, regnames))
-            new_open.extend(by_src[("n", nid, i)] for i in range(len(g.out_ports)))
-        for w in rest:
-            parts.append(f"id {_reg_name(wire_reg(w), regnames)}")
-        new_open.extend(rest)
-        if parts:
-            terms.append(" * ".join(parts))
-        open_wires = new_open
-
-    target = [by_dst[("out", k)] for k in range(len(d.out_types))]
-    emit_permutation(target)
+    cur = [by_src[("in", k)] for k in range(len(d.in_types))]
+    for _, group in groupby(sorted(d.nodes, key=lambda n: (layer[n], n)), key=layer.get):
+        nids = list(group)
+        needed = [w for nid in nids for w in ins[nid]]
+        rest = [w for w in cur if w not in needed]
+        route(cur, needed + rest)
+        term((), [atoms[nid] for nid in nids], rest)
+        cur = [by_src[("n", nid, i)] for nid in nids for i in range(len(d.nodes[nid].out_ports))] + rest
+    route(cur, [by_dst[("out", k)] for k in range(len(d.out_types))])
     if not terms:
-        terms.append(" * ".join(f"id {_reg_name(r, regnames)}" for r in d.in_types) or "id I")
-
-    # register declarations may have been added lazily by _reg_name
-    expr = " ;\n".join(terms)
-    return "\n".join(lines + [expr]) + "\n"
-
-
-def _atom_text(g: Generator, regnames) -> str:
-    if g.kind in (BOX, HOLE):
-        return g.label
-    if g.kind == SPIDER:
-        r = (g.in_ports + g.out_ports)[0]
-        return f"spider {_reg_name(r, regnames)} {len(g.in_ports)} {len(g.out_ports)}"
-    if g.kind == UNIFORM:
-        return f"uniform {_reg_name(g.out_ports[0], regnames)} {len(g.out_ports)}"
-    if g.kind == DISCARD:
-        return f"discard {_reg_name(g.in_ports[0], regnames)}"
-    x = float(g.payload)
-    s = f"{x:g}"
-    if "e" in s or "E" in s:
-        s = f"{x:.12f}"
-    return f"scalar {s}"
+        terms.append(" * ".join(f"id {regs[r]}" for r in d.in_types) or "id I")
+    return "\n".join(lines + [" ;\n".join(terms)]) + "\n"
 
 
 # ---------------------------------------------------------------------------
