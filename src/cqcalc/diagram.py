@@ -28,7 +28,7 @@ import heapq
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
-from itertools import groupby
+from itertools import count, groupby
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -586,7 +586,9 @@ class DiagramParseError(Exception):
         super().__init__("; ".join(f"{ln}:{col}: {msg}" for ln, col, msg in self.errors))
 
 
-_TOKEN = re.compile(r"\s*(->|[;*():=]|[A-Za-z_][A-Za-z_0-9]*|[0-9]+(?:\.[0-9]+)?|\S)")
+_NAME = r"[A-Za-z_][A-Za-z_0-9@]*"
+_TOKEN = re.compile(rf"\s*(->|[;*():=]|{_NAME}|[0-9]+(?:\.[0-9]+)?|\S)")
+_KEYWORDS = frozenset({"id", "swap", "spider", "uniform", "discard", "scalar", "reg", "box", "hole"})
 
 
 def _tokenize(line: str, lineno: int):
@@ -653,7 +655,8 @@ def parse_diagram(text: str) -> Diagram:
     (run first ; run second), `*` (side by side), `id R` (`id I` is
     the empty diagram), `swap R S`, `spider R k_in k_out`, `uniform R k`,
     `discard R`, `scalar X`.
-    Names C<n> and Q<n> are implicitly declared registers.
+    Names match `[A-Za-z_][A-Za-z_0-9@]*`; C<n> and Q<n> are implicitly
+    declared registers.
     """
     env = _Env()
     expr_tokens = []
@@ -686,10 +689,7 @@ def parse_diagram(text: str) -> Diagram:
                     raise DiagramParseError([(lineno, toks[i][2], "expected `->`")])
                 tout, i = _parse_type(toks, i + 1, env)
                 flags = frozenset(t[0] for t in toks[i:] if t[0] in ("causal", "stochastic"))
-                if head == "box":
-                    env.decls[name] = box(name, tin, tout)
-                else:
-                    env.decls[name] = hole(name, tin, tout, flags)
+                env.decls[name] = (box if head == "box" else hole)(name, tin, tout, flags=flags)
             else:
                 expr_tokens.extend(toks)
         except DiagramParseError as e:
@@ -780,11 +780,24 @@ def _parse_atom(tokens, i, env):
 # printing
 
 
-def print_diagram(d: Diagram) -> str:
-    """Emit DSL source whose parse is canonically equal to d.
+def _dsl_name(name, what: str) -> str:
+    if not isinstance(name, str) or not re.fullmatch(_NAME, name) or name in _KEYWORDS:
+        raise ValueError(f"cannot print {what} {name!r} as a DSL name")
+    return name
 
-    Layered emission: nodes are grouped by topological layer; explicit
-    swaps route open wires so that each node's inputs are adjacent.
+
+def print_diagram(d: Diagram) -> str:
+    """DSL source for d: layered canonical text whose parse is
+    canonically equal to d, every scalar the same float.
+
+    Nodes are grouped by longest path from the inputs, and adjacent swaps
+    route the open wires so that each node's inputs lie side by side.
+    An unlabelled box or hole is named f0, f1, ..., skipping the labels
+    in use.  Raises ValueError on what the DSL cannot write: a scaled
+    symbolic width, a box payload, a label or width symbol that is not a
+    DSL name (`[A-Za-z_][A-Za-z_0-9@]*`, no keyword), one label on two
+    different generators, or a flag other than `causal` or `stochastic`
+    on a box or hole.
     """
     d = canonical_form(d)
     # registers in order of first appearance, so names do not follow string hashing
@@ -797,20 +810,23 @@ def print_diagram(d: Diagram) -> str:
         if r.base_dim.scale != 1:
             raise ValueError("cannot print scaled symbolic widths as DSL")
         regs[r] = f"r{len(regs)}"
-        lines.append(f"reg {regs[r]} = {r.kind} {r.base_dim.symbol}")
+        lines.append(f"reg {regs[r]} = {r.kind} {_dsl_name(r.base_dim.symbol, 'width symbol')}")
 
-    # each node's text; a box or hole is its label, unlabelled ones named f0, f1, ...
-    atoms, decls, unnamed = {}, {}, 0
+    # each node's text: a box or hole is its declared name
+    atoms, decls = {}, {}
+    taken = {g.label for g in d.nodes.values()}
+    fresh = (f"f{k}" for k in count() if f"f{k}" not in taken)
     for nid, g in d.nodes.items():
+        if g.flags - ({"causal", "stochastic"} if g.kind in (BOX, HOLE) else set()):
+            raise ValueError(f"cannot print the flags {sorted(g.flags)} of a {g.kind} as DSL")
         if g.kind in (BOX, HOLE):
-            if g.label is None:
-                atoms[nid], unnamed = f"f{unnamed}", unnamed + 1
-            else:
-                atoms[nid] = g.label
-            decls.setdefault(atoms[nid], g)
-        elif g.kind == SCALAR:
-            s = f"{float(g.payload):g}"
-            atoms[nid] = f"scalar {s if 'e' not in s else f'{float(g.payload):.12f}'}"
+            if not g.opaque:
+                raise ValueError(f"cannot print the payload of box {g.label!r} as DSL")
+            name = atoms[nid] = next(fresh) if g.label is None else _dsl_name(g.label, "label")
+            if decls.setdefault(name, g) != g:
+                raise ValueError(f"label {name!r} names two different generators")
+        elif g.kind == SCALAR:  # the shortest digits that read back as the same float; -0.0 as 0
+            atoms[nid] = f"scalar {np.format_float_positional(abs(float(g.payload)), trim='-')}"
         elif g.kind == SPIDER:
             atoms[nid] = f"spider {regs[(g.in_ports + g.out_ports)[0]]} {len(g.in_ports)} {len(g.out_ports)}"
         elif g.kind == UNIFORM:

@@ -261,6 +261,91 @@ class TestPrint:
         assert dg.diagrams_equal(dg.parse_diagram(texts.pop()), dg.parse_diagram(source))
 
 
+class TestPrintRefuses:
+    """print_diagram gives text that parses back to the same diagram, or
+    raises ValueError."""
+
+    @pytest.mark.parametrize("x", [0.1234567, 1e-7, 1 / 3, 5e-324, 0.25, 0.5, 1.0, 0.0])
+    def test_scalar_reads_back_as_the_same_float(self, x):
+        text = dg.print_diagram(dg.Diagram.from_generator(dg.scalar_gen(x)))
+        (g,) = dg.parse_diagram(text).nodes.values()
+        assert g.payload == x
+
+    def test_scalar_text(self):
+        texts = [dg.print_diagram(dg.Diagram.from_generator(dg.scalar_gen(x))) for x in (0.25, 0.5, 1, 1e-7)]
+        assert texts == ["scalar 0.25\n", "scalar 0.5\n", "scalar 1\n", "scalar 0.0000001\n"]
+
+    def test_box_payload_raises(self):
+        d = dg.Diagram.from_generator(dg.box("f", (C2,), (C2,), rc.identity((C2,))))
+        with pytest.raises(ValueError, match="payload"):
+            dg.print_diagram(d)
+
+    def test_labels_hold_at(self):
+        d = dg.parse_diagram("hole S@1 : C2 -> C2\nhole R@2 : C2 -> C2\nS@1 ; R@2")
+        assert sorted(g.label for g in d.nodes.values()) == ["R@2", "S@1"]
+        assert dg.diagrams_equal(dg.parse_diagram(dg.print_diagram(d)), d)
+
+    def test_proof_diagrams_at_width_1_round_trip(self):
+        for d in PROOF_DIAGRAMS:
+            d = d.subst({"N": 1, "M": 1})
+            assert dg.diagrams_equal(dg.parse_diagram(dg.print_diagram(d)), d)
+
+    def test_generated_names_skip_labels(self):
+        d = dg.Diagram.from_generator(dg.box("f0", (C2,), (C2,))) @ dg.Diagram.from_generator(dg.box(None, (C3,), (C3,)))
+        text = dg.print_diagram(d)
+        assert text == "box f0 : C2 -> C2\nbox f1 : C3 -> C3\nf0 * f1\n"
+        assert dg.diagrams_equal(_unnamed(dg.parse_diagram(text), {"f0"}), d)
+
+    @pytest.mark.parametrize(
+        "other",
+        [dg.hole("h", (C3,), (C3,)), dg.hole("h", (C2,), (C2,), ("causal",)), dg.box("h", (C2,), (C2,))],
+        ids=["type", "flags", "kind"],
+    )
+    def test_one_label_on_two_generators_raises(self, other):
+        d = dg.Diagram.from_generator(dg.hole("h", (C2,), (C2,))) @ dg.Diagram.from_generator(other)
+        with pytest.raises(ValueError, match="'h' names two different generators"):
+            dg.print_diagram(d)
+
+    @pytest.mark.parametrize("label", ["x y", "2f", "f-g", "", *sorted(dg._KEYWORDS)])
+    def test_label_not_a_name_raises(self, label):
+        with pytest.raises(ValueError, match="DSL name"):
+            dg.print_diagram(dg.Diagram.from_generator(dg.hole(label, (C2,), (C2,))))
+
+    def test_width_symbol_not_a_name_raises(self):
+        r = rc.Register(rc.CLASSICAL, rc.SymWidth(1, "2N"))
+        with pytest.raises(ValueError, match="DSL name"):
+            dg.print_diagram(dg.Diagram.from_generator(dg.uniform_gen(r, 1)))
+
+    @pytest.mark.parametrize(
+        "g", [dg.hole("h", (C2,), (C2,), ("linear",)), dg.Generator(dg.UNIFORM, None, (), (C2,), flags=("causal",))]
+    )
+    def test_unwritable_flag_raises(self, g):
+        with pytest.raises(ValueError, match="flags"):
+            dg.print_diagram(dg.Diagram.from_generator(g))
+
+    def test_box_flags_parse(self):
+        d = dg.parse_diagram("box f : C2 -> C2 causal stochastic\nf")
+        (g,) = d.nodes.values()
+        assert g.flags == {"causal", "stochastic"}
+        assert dg.diagrams_equal(dg.parse_diagram(dg.print_diagram(d)), d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_wide_stacks_parse_back_or_raise(self, data):
+        d = _wide_stack(data)
+        kinds = {}
+        for g in d.nodes.values():
+            if g.label is not None:
+                kinds.setdefault(g.label, set()).add((g.kind, g.in_ports, g.out_ports, g.flags))
+        if any(len(k) > 1 for k in kinds.values()):
+            with pytest.raises(ValueError, match="names two different generators"):
+                dg.print_diagram(d)
+            return
+        again = dg.parse_diagram(dg.print_diagram(d))
+        assert dg.diagrams_equal(_unnamed(again, set(kinds)), d)
+        assert sorted(_scalars(again)) == sorted(_scalars(d))
+
+
 class TestImmutable:
     def test_nodes_and_wires_cannot_change(self):
         d = dg.parse_diagram("uniform C2 2 ; id C2 * discard C2")
@@ -505,6 +590,45 @@ def _closed_stack(data, tags):
         close = data.draw(st.booleans())
         post = post @ (dg.Diagram.from_generator(dg.discard_gen(r)) if close else dg.Diagram.id_wires([r]))
     return pre >> d >> post, holes
+
+
+def _wide_stack(data):
+    """A `_closed_stack` in which each hole may be a payload-less box,
+    unlabelled or labelled from a pool that meets the hole labels and the
+    names given to unlabelled boxes, with scalars and spiders beside it."""
+    d, _ = _closed_stack(data, "ab")
+    labels = st.sampled_from([None, None, None, "f0", "f1", "a0"])
+    flags = st.sets(st.sampled_from(["causal", "stochastic"]))
+    nodes = {
+        nid: dg.box(data.draw(labels), g.in_ports, g.out_ports, flags=data.draw(flags))
+        if g.kind == dg.HOLE and data.draw(st.booleans())
+        else g
+        for nid, g in d.nodes.items()
+    }
+    d = dg.Diagram(nodes, d.wires, d.in_types, d.out_types)
+    for _ in range(data.draw(st.integers(0, 3))):
+        if data.draw(st.booleans()):
+            part = dg.scalar_gen(data.draw(st.floats(0, 1)))
+        else:
+            legs = data.draw(st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(lambda k: sum(k) > 0))
+            part = dg.spider_gen(data.draw(st.sampled_from([C2, C3])), *legs)
+        part = dg.Diagram.from_generator(part)
+        d = part @ d if data.draw(st.booleans()) else d @ part
+    return d
+
+
+def _unnamed(d, labels):
+    """d with the label taken off every box and hole whose label is not
+    in labels: the names that print_diagram gave unlabelled ones."""
+    nodes = {
+        nid: dataclasses.replace(g, label=None) if g.kind in (dg.BOX, dg.HOLE) and g.label not in labels else g
+        for nid, g in d.nodes.items()
+    }
+    return dg.Diagram(nodes, d.wires, d.in_types, d.out_types)
+
+
+def _scalars(d):
+    return [g.payload for g in d.nodes.values() if g.kind == dg.SCALAR]
 
 
 def _channels(holes, rng):
