@@ -42,10 +42,6 @@ class DuplicateState:
     source: CQState
     state: ProcessTensor
 
-    @property
-    def registers(self):
-        return self.state.out_regs
-
 
 def _branch_vector(root: np.ndarray) -> np.ndarray:
     """Doubled carrier of the pure state vec(root)vec(root)* on Q(d) x Q(d).

@@ -502,10 +502,6 @@ class CQState:
         self.base_dim = d
         self.total_trace = tr
 
-    @property
-    def normalized(self) -> bool:
-        return abs(self.total_trace - 1) <= 1e-8
-
     def registers(self) -> tuple[Register, Register]:
         return (C(self.classical_dim), Q(self.base_dim))
 
