@@ -780,25 +780,15 @@ def _parse_atom(tokens, i, env):
 # printing
 
 
-def _dsl_name(name, what: str) -> str:
-    if not isinstance(name, str) or not re.fullmatch(_NAME, name) or name in _KEYWORDS:
-        raise ValueError(f"cannot print {what} {name!r} as a DSL name")
-    return name
-
-
 def print_diagram(d: Diagram) -> str:
-    """DSL source for d: layered canonical text whose parse is
-    canonically equal to d, every scalar the same float.
-
-    Nodes are grouped by longest path from the inputs, and adjacent swaps
-    route the open wires so that each node's inputs lie side by side.
-    An unlabelled box or hole is named f0, f1, ..., skipping the labels
-    in use.  Raises ValueError on what the DSL cannot write: a scaled
-    symbolic width, a box payload, a label or width symbol that is not a
-    DSL name (`[A-Za-z_][A-Za-z_0-9@]*`, no keyword), one label on two
-    different generators, or a flag other than `causal` or `stochastic`
-    on a box or hole.
-    """
+    """DSL source for d: layered canonical text whose parse is canonically
+    equal to d, every scalar the same float.  Nodes are grouped by longest
+    path from the inputs, and adjacent swaps bring each node's inputs side
+    by side.  Unlabelled boxes and holes are named f0, f1, ..., skipping
+    labels in use.  Raises ValueError on what the DSL cannot write: a
+    scaled symbolic width, a box payload, a label or width symbol that is
+    not a DSL name (`[A-Za-z_][A-Za-z_0-9@]*`, no keyword), one label on
+    two different generators, or a flag but `causal` and `stochastic`."""
     d = canonical_form(d)
     # registers in order of first appearance, so names do not follow string hashing
     regs, lines = {}, []
@@ -810,7 +800,7 @@ def print_diagram(d: Diagram) -> str:
         if r.base_dim.scale != 1:
             raise ValueError("cannot print scaled symbolic widths as DSL")
         regs[r] = f"r{len(regs)}"
-        lines.append(f"reg {regs[r]} = {r.kind} {_dsl_name(r.base_dim.symbol, 'width symbol')}")
+        lines.append(f"reg {regs[r]} = {r.kind} {r.base_dim.symbol}")
 
     # each node's text: a box or hole is its declared name
     atoms, decls = {}, {}
@@ -822,7 +812,7 @@ def print_diagram(d: Diagram) -> str:
         if g.kind in (BOX, HOLE):
             if not g.opaque:
                 raise ValueError(f"cannot print the payload of box {g.label!r} as DSL")
-            name = atoms[nid] = next(fresh) if g.label is None else _dsl_name(g.label, "label")
+            name = atoms[nid] = next(fresh) if g.label is None else g.label
             if decls.setdefault(name, g) != g:
                 raise ValueError(f"label {name!r} names two different generators")
         elif g.kind == SCALAR:  # the shortest digits that read back as the same float; -0.0 as 0
@@ -833,6 +823,9 @@ def print_diagram(d: Diagram) -> str:
             atoms[nid] = f"uniform {regs[g.out_ports[0]]} {len(g.out_ports)}"
         else:
             atoms[nid] = f"discard {regs[g.in_ports[0]]}"
+    for name in [*decls, *(r.base_dim.symbol for r in regs if r.symbolic)]:
+        if not isinstance(name, str) or not re.fullmatch(_NAME, name) or name in _KEYWORDS:
+            raise ValueError(f"cannot print {name!r} as a DSL name")
     for name, g in sorted(decls.items()):
         tin = "*".join(regs[r] for r in g.in_ports) or "I"
         tout = "*".join(regs[r] for r in g.out_ports) or "I"
@@ -851,9 +844,7 @@ def print_diagram(d: Diagram) -> str:
     def term(left, parts, right):
         terms.append(" * ".join([*(f"id {names[w]}" for w in left), *parts, *(f"id {names[w]}" for w in right)]))
 
-    def route(cur, target):
-        """Bring cur into target's order by adjacent swaps, each time the
-        first out of order."""
+    def route(cur, target):  # adjacent swaps, each time of the first pair out of order
         rank = {w: k for k, w in enumerate(target)}
         j = 0
         while j < len(cur) - 1:
