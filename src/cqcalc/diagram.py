@@ -788,7 +788,8 @@ def print_diagram(d: Diagram) -> str:
     labels in use.  Raises ValueError on what the DSL cannot write: a
     scaled symbolic width, a box payload, a label or width symbol that is
     not a DSL name (`[A-Za-z_][A-Za-z_0-9@]*`, no keyword), one label on
-    two different generators, or a flag but `causal` and `stochastic`."""
+    two different generators, or a flag other than a box's or a hole's
+    `causal` and `stochastic`."""
     d = canonical_form(d)
     # registers in order of first appearance, so names do not follow string hashing
     regs, lines = {}, []
