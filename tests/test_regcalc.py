@@ -1,5 +1,7 @@
 """Tests for the finite-dimensional wire semantics."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -601,6 +603,45 @@ def _golden_pair():
     p1 = rc.random_cq_channel((C2, Q2), (Q2,), rng)
     p3 = rc.random_cq_channel((C2, Q2), (Q2,), rng)
     return p1, rc.ProcessTensor(p1.in_regs, p1.out_regs, 0.8 * p1.matrix + 0.2 * p3.matrix)
+
+
+def _interval_digest(d):
+    return hashlib.sha256(np.array([d.lower, d.upper]).tobytes()).hexdigest()
+
+
+# sha256 of the [lower, upper] bytes of the DISTANCE_CASES whose input has
+# no classical register
+QUANTUM_INPUT_DIGESTS = {
+    ((Q2,), (Q2,), True, 0): "6e29295021091c1e43a37ac42934344861327ce0800e4c3563f2b08ce4809608",
+    ((Q2,), (Q2,), True, 1): "bc0e68f1c1860a98232ac6d7d82fd36146217fa9993fa3b6f89952ef19165f01",
+    ((Q2,), (C2, Q2), True, 4): "c3e89e01f606d6e08b04665667a8bdeba9437de101f43cd799eb3637d7a8144c",
+    ((Q2,), (Q2,), False, 6): "f0148ab4fe9a415a85e4fa2eb504167d90827d6c91f9bfd783cba1666314f331",
+}
+
+# the intervals that an ascent over the whole lifted input, with an ancilla
+# of the lifted input dimension, certified on the classical-input cases
+LIFTED_ASCENT_INTERVALS = {
+    ((C2, Q2), (Q2,), True, 2): (0.8234964821687122, 0.8234964824257986),
+    ((C2, Q2), (Q2,), True, 3): (0.9383990791084634, 0.9383990798295394),
+    ((C2,), (C3,), True, 5): (0.4473181468563059, 0.4473181468563059),
+    ((C2, Q2), (Q2,), False, 7): (0.5752851084171211, 1.0610637060065193),
+    "golden": (0.177277163842918, 0.17976638206749834),
+}
+
+
+class TestPinnedIntervals:
+    @pytest.mark.parametrize("case", list(QUANTUM_INPUT_DIGESTS), ids=repr)
+    def test_quantum_input_bytes(self, case):
+        p1, p2 = _seeded_pair(case)
+        assert _interval_digest(rc.process_distance(p1, p2, seed=case[3])) == QUANTUM_INPUT_DIGESTS[case]
+
+    @pytest.mark.parametrize("case", list(LIFTED_ASCENT_INTERVALS), ids=repr)
+    def test_classical_input_inside_lifted_interval(self, case):
+        p1, p2 = _golden_pair() if case == "golden" else _seeded_pair(case)
+        d = rc.process_distance(p1, p2, seed=7 if case == "golden" else case[3])
+        lower, upper = LIFTED_ASCENT_INTERVALS[case]
+        assert d.lower >= lower - 1e-12
+        assert d.upper <= upper + 1e-12
 
 
 class TestAscentMatchesReference:
