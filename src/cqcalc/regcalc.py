@@ -546,15 +546,18 @@ def process_distance(
 ) -> DistanceInterval:
     """Certified interval around half the diamond-norm distance.
 
-    Lower bound: alternating ascent over pure inputs on input (x)
-    an ancilla of the lifted input dimension, all restarts stacked into
-    one array, at most ASCENT_ITERS steps per restart; a restart whose
-    value stops rising is masked out.  Deterministic given the seed.
-    Inputs along classical wires are explored over classical-diagonal
-    states only, which keeps the bound sound.  Upper bound: half the
+    Classical inputs are decohered, so half the diamond distance is the
+    largest, over classical input symbols k, of the distance between the
+    two maps on symbol k's quantum input.  Lower bound: alternating
+    ascent over pure inputs on the quantum input (x) an ancilla of the
+    quantum input dimension, `restarts` restarts per classical input
+    symbol, each restart confined to its symbol's block of the lifted
+    input; all restarts are stacked into one array, at most
+    ASCENT_ITERS steps each, and a restart whose value stops rising is
+    masked out.  Deterministic given the seed.  Upper bound: half the
     trace norm of the unnormalized process-operator difference; when
     both processes are completely positive, also the dual certificate
-    of _dual_upper built from the restarts' inputs; when both are
+    of _dual_upper built from each symbol's best restart; when both are
     channels (causal too), also 1.  The upper bound is kept >= lower.
     """
     if p1.in_regs != p2.in_regs or p1.out_regs != p2.out_regs:
@@ -568,21 +571,34 @@ def process_distance(
     upper = 0.5 * trace_norm(choi)
     flags = [structural_predicates(p) for p in (p1, p2)]
 
-    dext = compose_par(diff, identity((Register(QUANTUM, base_dim(p1.in_regs)),)))
+    kd, qd = _kind_dim(p1.in_regs, CLASSICAL), _kind_dim(p1.in_regs, QUANTUM)
+    dext = compose_par(diff, identity((Q(qd),)))
     ri, ci, din = _lift(dext.in_regs)
     ro, co, dout = _lift(dext.out_regs)
+    # the lifted input is classical-first, so symbol k's block is the
+    # contiguous range [k*block, (k+1)*block); its carrier indices, in
+    # carrier order (row k of own), reach the same block entries for every k
+    block = din // kd
+    own = np.argsort(ri // block, kind="stable").reshape(kd, -1)
+    bi, bj = ri[own[0]] % block, ci[own[0]] % block
+    m = np.ascontiguousarray(dext.matrix[:, own.ravel()])  # input carrier grouped by symbol
 
+    # restarts run symbol-major, each a vector on its own symbol's block
     rng = np.random.default_rng(seed)
-    psi = np.empty((max(1, restarts), din), dtype=complex)
+    n = max(1, restarts)
+    symbol = np.repeat(np.arange(kd), n)
+    psi = np.empty((kd * n, block), dtype=complex)
     for r in range(len(psi)):
-        psi[r] = rng.normal(size=din) + 1j * rng.normal(size=din)
+        psi[r] = rng.normal(size=block) + 1j * rng.normal(size=block)
         psi[r] /= np.linalg.norm(psi[r])
     prev = np.full(len(psi), -1.0)
     active = np.arange(len(psi))
     for _ in range(ASCENT_ITERS):
         # output of each active input, with classical inputs decohered
+        pure = np.zeros((len(active), kd, len(bi)), dtype=complex)
+        pure[np.arange(len(active)), symbol[active]] = psi[active][:, bi] * psi[active][:, bj].conj()
         x = np.zeros((len(active), dout, dout), dtype=complex)
-        x[:, ro, co] = (psi[active][:, ri] * psi[active][:, ci].conj()) @ dext.matrix.T
+        x[:, ro, co] = pure.reshape(len(active), -1) @ m.T
         w, v = np.linalg.eigh(hermitian_part(x))
         val = 0.5 * np.abs(w).sum(axis=1)
         rising = val > prev[active] + 1e-13
@@ -590,16 +606,18 @@ def process_distance(
         if not len(active):
             break
         prev[active] = val
-        # pull each output's sign projector back, and take the input
-        # maximising it; the pull-back fills only the lifted carrier
-        # positions, so it is already classically decohered
+        # pull each output's sign projector back onto the restart's own
+        # symbol block, and take the input maximising it there
         sign = (v * np.sign(w)[:, None, :]) @ v.conj().swapaxes(1, 2)
-        pulled = np.zeros((len(active), din, din), dtype=complex)
-        pulled[:, ci, ri] = sign[:, co, ro] @ dext.matrix
+        pulled = np.zeros((len(active), block, block), dtype=complex)
+        back = (sign[:, co, ro] @ m).reshape(len(active), kd, -1)
+        pulled[:, bj, bi] = back[np.arange(len(active)), symbol[active]]
         psi[active] = np.linalg.eigh(hermitian_part(pulled))[1][:, :, -1]
     lower = float(prev.max())
     if all(f["completely_positive"] for f in flags):
-        upper = min(upper, _dual_upper(choi, psi, prev, p1.in_regs))
+        best = prev.reshape(kd, n).argmax(axis=1)
+        amp = psi.reshape(kd, n, qd, qd)[np.arange(kd), best]
+        upper = min(upper, _dual_upper(choi, amp))
     if all(f["causal"] and f["completely_positive"] for f in flags):
         upper = min(upper, 1.0)
     lower = min(lower, upper)
@@ -609,8 +627,7 @@ def process_distance(
 DUAL_MIX = 1e-6  # weight of I/d mixed into each block of the dual certificate's input
 
 
-def _dual_upper(choi: np.ndarray, psi: np.ndarray, value: np.ndarray,
-                in_regs: Sequence[Register]) -> float:
+def _dual_upper(choi: np.ndarray, amp: np.ndarray) -> float:
     """Upper bound on half the diamond norm of a Hermiticity-preserving
     map with Choi operator J on in (x) out, from a feasible point of
     Watrous's dual SDP (arXiv:1207.5726): min ||Tr_out Z||_inf subject
@@ -620,30 +637,25 @@ def _dual_upper(choi: np.ndarray, psi: np.ndarray, value: np.ndarray,
     -Tr M / 2 <= max(0, -lambda_min(Tr_out J)) / 2, so that term is
     added; it is 0 up to rounding for two channels.
 
-    J is block diagonal in the classical input symbol, so the input rho
-    is built block by block: block k is the marginal, on the quantum
-    input, of the highest-valued restart psi[r] (value[r]) that lies
-    mostly on symbol k, normalised and mixed with DUAL_MIX of I (I alone
-    when no restart lies there).  With
+    J is block diagonal in the classical input symbol, and half the
+    diamond norm is the largest over symbols k of that of block k, so
+    both terms are taken per block and the bound is the largest block
+    sum.  The input rho is built block by block: amp[k] is a pure input
+    on symbol k's quantum input (x) ancilla, as a (quantum input,
+    ancilla) matrix, and block k of rho is its marginal on the quantum
+    input, normalised and mixed with DUAL_MIX of I.  With
     M = (sqrt(rho^T) (x) I) J (sqrt(rho^T) (x) I), the point
     Z = (rho^T^-1/2 (x) I) M_+ (rho^T^-1/2 (x) I) satisfies both
     constraints in exact arithmetic, because Z - J is the same
     congruence of M_- >= 0.  Z is shifted by the largest violation of
     either constraint that its eigenvalues show, so that the bound is
     sound in floating point too."""
-    _, _, di = _lift(tuple(in_regs))
-    do, kd = len(choi) // di, _kind_dim(in_regs, CLASSICAL)
-    qd = di // kd
-    amp = psi.reshape(len(psi), kd, qd, -1)  # restart, symbol, quantum input, ancilla
-    weight = (np.abs(amp) ** 2).sum(axis=(2, 3))
+    kd, qd = amp.shape[:2]
+    di = kd * qd
+    do = len(choi) // di
     rho = np.zeros((kd, qd, kd, qd), dtype=complex)
-    for k in range(kd):
-        block = np.eye(qd) / qd
-        ranked = np.flatnonzero(weight.argmax(axis=1) == k)
-        if len(ranked):
-            a = amp[ranked[np.argmax(value[ranked])], k]
-            block = (1 - DUAL_MIX) * (a @ a.conj().T) / np.vdot(a, a).real + DUAL_MIX * block
-        rho[k, :, k, :] = block
+    for k, a in enumerate(amp):
+        rho[k, :, k, :] = (1 - DUAL_MIX) * (a @ a.conj().T) / np.vdot(a, a).real + DUAL_MIX * (np.eye(qd) / qd)
     w, v = np.linalg.eigh(hermitian_part(rho.reshape(di, di).T))
     w = np.clip(w, DUAL_MIX / qd, None)
     root = np.kron((v * np.sqrt(w)) @ v.conj().T, np.eye(do))
@@ -651,10 +663,11 @@ def _dual_upper(choi: np.ndarray, psi: np.ndarray, value: np.ndarray,
     z = hermitian_part(inv_root @ psd_part(root @ choi @ root) @ inv_root)
     shift = max(0.0, -np.linalg.eigvalsh(hermitian_part(z - choi)).min(), -np.linalg.eigvalsh(z).min())
     z = z + shift * np.eye(len(z))
-    marginal = np.trace(z.reshape(di, do, di, do), axis1=1, axis2=3)
-    leak = np.trace(choi.reshape(di, do, di, do), axis1=1, axis2=3)
-    return float(np.linalg.eigvalsh(hermitian_part(marginal)).max()
-                 + 0.5 * max(0.0, -np.linalg.eigvalsh(hermitian_part(leak)).min()))
+    diag = np.arange(kd)
+    marginal = np.trace(z.reshape(di, do, di, do), axis1=1, axis2=3).reshape(kd, qd, kd, qd)[diag, :, diag]
+    leak = np.trace(choi.reshape(di, do, di, do), axis1=1, axis2=3).reshape(kd, qd, kd, qd)[diag, :, diag]
+    return float((np.linalg.eigvalsh(hermitian_part(marginal)).max(axis=1)
+                  + 0.5 * np.maximum(0.0, -np.linalg.eigvalsh(hermitian_part(leak)).min(axis=1))).max())
 
 
 # ---------------------------------------------------------------------------
