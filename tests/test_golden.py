@@ -525,7 +525,7 @@ def test_process_distance_bytes():
     iv = rc.process_distance(p1, p2, seed=7)
     assert iv.upper < 1.0
     digest = sha256(np.array([iv.lower, iv.upper]).tobytes())
-    assert digest == "b50a7b89a34acd3d9eadac06d5702fed78505f990cba41eb1a7e1c02c977e9c5"
+    assert digest == "85f3891e441728936f3a58695f4273faf704b82dfa0fd19ea4b915be543935df"
 
 
 def closed_form_state(case: str) -> rc.CQState:
