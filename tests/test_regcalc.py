@@ -717,6 +717,77 @@ class TestDualCertificate:
         assert d.lower == pytest.approx(0.3, abs=1e-12)
         assert d.upper == pytest.approx(0.3, abs=1e-12)
 
+    def test_trace_leak_term_per_symbol(self):
+        # symbol 0 compares the identity with Z conjugation (distance 1, no
+        # leak), symbol 1 0.4 id with the identity (distance 0.3, all leak):
+        # each symbol's dual term takes only its own leak, so the bound is
+        # 1, not 1 + 0.3
+        zch = rc.channel_from_kraus([Q2], [Q2], [np.diag([1.0, -1.0])])
+        p1 = _from_symbol_maps([rc.identity([Q2]), rc.ProcessTensor((Q2,), (Q2,), 0.4 * np.eye(4))])
+        p2 = _from_symbol_maps([zch, rc.identity([Q2])])
+        d = rc.process_distance(p1, p2, seed=0)
+        assert d.lower == pytest.approx(1.0, abs=1e-9)
+        assert d.upper == pytest.approx(1.0, abs=1e-9)
+
+
+def _symbol_maps(p):
+    """The map of each classical input symbol of p, in symbol order, on
+    Q(quantum input dimension); p has at most one quantum input register."""
+    axes = [r.total_dim for r in p.in_regs]
+    kinds = [r.kind for r in p.in_regs]
+    order = [i for i, k in enumerate(kinds) if k == rc.CLASSICAL] + [i for i, k in enumerate(kinds) if k == rc.QUANTUM]
+    qd = rc._kind_dim(p.in_regs, rc.QUANTUM)
+    cols = np.arange(rc.total_dim(p.in_regs)).reshape(axes).transpose(order).reshape(-1, qd * qd)
+    return [rc.ProcessTensor((rc.Q(qd),), p.out_regs, p.matrix[:, c]) for c in cols]
+
+
+def _from_symbol_maps(maps):
+    """The C(len(maps)) (x) Q process whose symbol k runs maps[k]."""
+    q = maps[0].in_regs[0]
+    return rc.ProcessTensor((rc.C(len(maps)), q), maps[0].out_regs, np.hstack([m.matrix for m in maps]))
+
+
+def _equal_symbol_0_pair():
+    """A causal C2 (x) Q2 -> Q2 pair whose two symbol-0 maps are one map."""
+    p1, p2 = _seeded_pair(((C2, Q2), (Q2,), True, 11))
+    (a0, a1), (_, b1) = _symbol_maps(p1), _symbol_maps(p2)
+    return _from_symbol_maps([a0, a1]), _from_symbol_maps([a0, b1])
+
+
+SYMBOL_CASES = {
+    "two classical registers": lambda: _seeded_pair(((C2, Q2, C2), (C2, Q2), True, 8)),
+    "classical after quantum": lambda: _seeded_pair(((Q2, C3), (Q2,), True, 9)),
+    "equal symbol-0 maps": _equal_symbol_0_pair,
+}
+
+
+class TestPerSymbol:
+    """Half the diamond distance with a classical input is the largest
+    over its symbols of the distance of that symbol's quantum map."""
+
+    @pytest.mark.parametrize("name", list(SYMBOL_CASES))
+    def test_interval_is_largest_symbol_interval(self, name):
+        p1, p2 = SYMBOL_CASES[name]()
+        d = rc.process_distance(p1, p2, seed=3)
+        each = [rc.process_distance(a, b, seed=3) for a, b in zip(_symbol_maps(p1), _symbol_maps(p2))]
+        assert abs(d.lower - max(e.lower for e in each)) <= 1e-9
+        # an upper end lies above the distance by the dual's slack, which
+        # depends on the restarts' inputs: about 1e-7 on a pair with a
+        # classical output, below 1e-9 on the others
+        assert abs(d.upper - max(e.upper for e in each)) <= 1e-6
+        assert d.upper - d.lower <= 1e-6
+
+    def test_equal_symbol_maps_are_at_distance_0(self):
+        p1, p2 = _equal_symbol_0_pair()
+        a, b = _symbol_maps(p1)[0], _symbol_maps(p2)[0]
+        assert rc.process_distance(a, b, seed=3).upper <= 1e-12
+
+    @pytest.mark.parametrize("case", [c for c in DISTANCE_CASES if c[2]] + ["golden"], ids=repr)
+    def test_causal_pairs_tight(self, case):
+        p1, p2 = _golden_pair() if case == "golden" else _seeded_pair(case)
+        d = rc.process_distance(p1, p2, seed=7 if case == "golden" else case[3])
+        assert d.upper - d.lower <= 1e-6
+
 
 def _random_cq_channel_loop(in_regs, out_regs, rng, causal=True):
     """The sampler as one instrument per classical input symbol: the
