@@ -446,8 +446,8 @@ def cmd_extract(args) -> int:
         "n": args.n,
         "m": args.m,
     }
+    _check_seed(args)
     if args.source is not None:
-        _check_seed(args)
         try:
             ex.check_hash_shape(args.n, args.m)
         except ValueError as e:

@@ -645,12 +645,21 @@ def _parse_type(tokens, i, env):
         return tuple(regs), i
 
 
+def _refuse_trailing(tokens, allowed):
+    """A parse error at the first of a declaration's trailing tokens that
+    is not one of the allowed words."""
+    for tok, ln, col in tokens:
+        if tok not in allowed:
+            raise DiagramParseError([(ln, col, f"unexpected token {tok!r}")])
+
+
 def parse_diagram(text: str) -> Diagram:
     """Parse the line-oriented DSL into a Diagram.
 
     Declarations: `reg NAME = classical N` / `reg NAME = quantum N`,
     `box NAME : T1*T2 -> T3`, `hole NAME : T -> T` (append `causal` or
-    `stochastic` after the type to set flags).  Every remaining
+    `stochastic` after the type to set flags).  Nothing else may follow
+    a declaration: a trailing token is a parse error.  Every remaining
     non-comment line is part of one diagram expression over `;`
     (run first ; run second), `*` (side by side), `id R` (`id I` is
     the empty diagram), `swap R S`, `spider R k_in k_out`, `uniform R k`,
@@ -672,6 +681,7 @@ def parse_diagram(text: str) -> Diagram:
                 # reg NAME = classical N | quantum N
                 if len(toks) < 5 or toks[2][0] != "=" or toks[3][0] not in ("classical", "quantum"):
                     raise DiagramParseError([(lineno, 1, "expected `reg NAME = classical N | quantum N`")])
+                _refuse_trailing(toks[5:], ())
                 name = toks[1][0]
                 kind = toks[3][0]
                 dim_tok = toks[4][0]
@@ -688,7 +698,8 @@ def parse_diagram(text: str) -> Diagram:
                 if _tok(toks, i)[0] != "->":
                     raise DiagramParseError([(lineno, toks[i][2], "expected `->`")])
                 tout, i = _parse_type(toks, i + 1, env)
-                flags = frozenset(t[0] for t in toks[i:] if t[0] in ("causal", "stochastic"))
+                _refuse_trailing(toks[i:], ("causal", "stochastic"))
+                flags = frozenset(t[0] for t in toks[i:])
                 env.decls[name] = (box if head == "box" else hole)(name, tin, tout, flags=flags)
             else:
                 expr_tokens.extend(toks)
@@ -907,9 +918,12 @@ def diagram_from_json(j: dict) -> Diagram:
             payload = nd.get("payload")
             if isinstance(payload, dict):
                 payload = rc.tensor_from_json(payload)
+            label = nd.get("label")
+            if not (label is None or isinstance(label, str)):
+                raise TypeError(f"node label {label!r} is not a string or null")
             nodes[int(nd["id"])] = Generator(
                 nd["kind"],
-                nd.get("label"),
+                label,
                 tuple(rc.register_from_json(r) for r in nd["in_ports"]),
                 tuple(rc.register_from_json(r) for r in nd["out_ports"]),
                 payload,

@@ -65,6 +65,24 @@ class TestEval:
         src.write_text("not a diagram !!!")
         assert cli.main(["eval", str(src)]) == 2
 
+    @pytest.mark.parametrize("text", ["reg S = classical 2N\nuniform S 1", "hole h : C2 -> C2 causal junk !!\nh"])
+    def test_trailing_declaration_tokens_exit_2(self, tmp_path, capsys, text):
+        src = tmp_path / "d.dg"
+        src.write_text(text)
+        assert cli.main(["eval", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: parse error in {src}: 1:") and "unexpected token" in err
+
+    @pytest.mark.parametrize("label", [[1], {"a": 1}, 1, 1.5, True], ids=repr)
+    def test_label_not_a_string_exit_2(self, tmp_path, capsys, label):
+        j = dg.diagram_to_json(dg.parse_diagram("hole h : C2 -> C2\nuniform C2 1 ; h"))
+        j["nodes"][1]["label"] = label
+        src = tmp_path / "d.json"
+        src.write_text(json.dumps(j))
+        assert cli.main(["eval", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: parse error in {src}") and "malformed diagram JSON" in err
+
     @pytest.mark.parametrize("form", ["dsl", "json"])
     def test_quantum_uniform_exit_2(self, tmp_path, form):
         # spiders and uniforms are classical-wire generators
@@ -693,6 +711,8 @@ class TestCommonFlags:
         ["check", "soundness_k2", "--dims", "N=1"],
         ["rules", "--trials", "1"],
         ["extract", "--n", "8", "--m", "2", "--source", "a5"],
+        ["extract", "--n", "6", "--m", "2", "--hmin", "3"],
+        ["extract", "--n", "6", "--m", "2"],
         ["simulate", "--rounds", "5"],
     ], ids=" ".join)
     def test_negative_seed_exit_2(self, tmp_path, capsys, argv):

@@ -64,6 +64,23 @@ class TestParse:
         v = d.subst({"N": 1}).evaluate().vector()
         assert np.allclose(v, [0.5, 0.5])
 
+    @pytest.mark.parametrize("text,col", [
+        # the tokenizer splits 2N into 2 and N, and N used to be dropped
+        ("reg S = classical 2N\nuniform S 1", 20),
+        ("reg S = quantum 2 junk\ndiscard S", 19),
+        ("hole h : C2 -> C2 causal junk !!\nh", 26),
+        ("box f : I -> C2 stochastic ;\nf", 28),
+    ], ids=["symbol after width", "word after width", "word after flag", "semicolon after flag"])
+    def test_trailing_tokens_in_declarations_rejected(self, text, col):
+        with pytest.raises(dg.DiagramParseError) as e:
+            dg.parse_diagram(text)
+        assert e.value.errors[0][:2] == (1, col)
+        assert "unexpected token" in e.value.errors[0][2]
+
+    def test_declaration_flags_parse(self):
+        d = dg.parse_diagram("hole h : C2 -> C2 causal stochastic\nh")
+        assert d.nodes[0].flags == frozenset({"causal", "stochastic"})
+
 
 class TestTypecheck:
     def test_identity_ok(self):
