@@ -1,6 +1,7 @@
 """Timings of the kernels under the benchmark's workloads: the proofs
-workload's rule checks and rule-side evaluation, and the sweep workload's spot-check sampler
-and report emitter.
+workload's rule checks and rule-side evaluation, the sweep workload's
+spot-check sampler and report emitter, and the certify workload's
+process_distance and min_entropy_cq solves.
 
     PYTHONPATH=src python -m pytest tests/test_kernels.py
 
@@ -18,6 +19,7 @@ from cqcalc import cli
 from cqcalc import protocol as pr
 from cqcalc import regcalc as rc
 from cqcalc import rewrite as rw
+from test_golden import wishart_state
 from test_protocol import assert_same_report, per_seed_spotcheck
 
 pytest.importorskip("pytest_benchmark")
@@ -92,3 +94,25 @@ def test_emit_sweep_report(benchmark, monkeypatch, tmp_path):
     for report, out in zip(reports, outs):
         want = json.dumps(report, sort_keys=True, indent=2, default=np.ndarray.tolist) + "\n"
         assert out.read_bytes() == want.encode()
+
+
+# the certify benchmark's distance pairs: causal Q2 -> Q2 and
+# C2 (x) Q2 -> Q2 channels of Kraus rank 2
+DISTANCE_SHAPES = [((Q2,), (Q2,)), ((C2, Q2), (Q2,))]
+
+
+@pytest.mark.parametrize("in_regs,out_regs", DISTANCE_SHAPES, ids=repr)
+def test_process_distance(benchmark, in_regs, out_regs):
+    rng = np.random.default_rng(0)
+    p1, p2 = (rc.random_cq_channel(in_regs, out_regs, rng) for _ in range(2))
+    d = benchmark.pedantic(rc.process_distance, args=(p1, p2), kwargs={"seed": 1}, rounds=ROUNDS, warmup_rounds=1)
+    assert 0 <= d.lower <= d.upper <= d.lower + 1e-6
+
+
+def test_min_entropy_cq(benchmark):
+    # the largest of the certify benchmark's entropy shapes: six branches
+    # of dimension 8, solved to the benchmark's tolerance
+    branches = wishart_state(6, 8, 0)["branches"]
+    psi = rc.CQState([np.array(b["re"]) + 1j * np.array(b["im"]) for b in branches])
+    _, cert = benchmark.pedantic(pr.min_entropy_cq, args=(psi,), kwargs={"tol": 1e-9}, rounds=ROUNDS, warmup_rounds=1)
+    assert cert["converged"] and 0 <= cert["gap"] <= 1e-9
