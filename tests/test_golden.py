@@ -5,6 +5,10 @@ script.  A change to how the spot-check sampler consumes its random
 stream, to how a proof step rewrites its diagram, or to the report or
 script layout, moves a digest; such a change must bump `format_version`
 instead of passing silently.
+
+A CLI report is hashed over its canonical indented form, json.dumps of
+its parsed value with sorted keys and indent 2, so the digest pins the
+report's value.
 """
 
 import hashlib
@@ -23,6 +27,11 @@ from cqcalc import rewrite as rw
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def report_sha256(data: bytes) -> str:
+    """The digest of a CLI report's canonical indented form."""
+    return sha256((json.dumps(json.loads(data), sort_keys=True, indent=2) + "\n").encode())
 
 
 def noisy_bell_json(visibility: float) -> dict:
@@ -75,7 +84,7 @@ def simulate_digest(tmp_path, monkeypatch, strategy, argv) -> str:
     if strategy != "optimal":
         argv += ["--strategy", strategy]
     assert cli.main(argv + ["--out", "out.json"]) == 0
-    return sha256((tmp_path / "out.json").read_bytes())
+    return report_sha256((tmp_path / "out.json").read_bytes())
 
 
 @pytest.mark.parametrize("strategy,rounds,sweep", sorted(SIMULATE_DIGESTS))
@@ -218,7 +227,7 @@ CHECK_DIGESTS = {
 def cli_report_digest(tmp_path, argv) -> str:
     out = tmp_path / "out.json"
     assert cli.main(argv + ["--out", str(out)]) == 0
-    return sha256(out.read_bytes())
+    return report_sha256(out.read_bytes())
 
 
 @pytest.mark.parametrize("name,dims", sorted(CHECK_DIGESTS))
