@@ -3,7 +3,9 @@ simulation, entropy certification, and extraction.
 
 All commands emit deterministic JSON (sorted keys, format-versioned)
 so repeated runs with the same inputs are byte-identical; the simulate,
-extract and rules reports echo the seed.
+extract and rules reports echo the seed.  A report is written in the
+compact form, one line and a newline: pipe it through
+`python -m json.tool` to read it indented.
 Exit codes: 0 success/verified, 1 verification failure, 2 usage or
 parse error.
 """
@@ -32,161 +34,77 @@ class CliError(Exception):
     """Usage or input error; maps to exit code 2."""
 
 
-_encode_str = json.encoder.encode_basestring_ascii
-_LITERALS = {None: "null", True: "true", False: "false"}
+def _digit_texts(arrays: list) -> list:
+    """The JSON texts of integer arrays of ndim 1 or 2 with no empty
+    axis.  The arrays of one shape are stacked, and when every entry of
+    the stack is a digit 0..9 they are written in one fill: the text of
+    one array with a "0" in each digit's place is tiled once per array,
+    and the digits are written over the zeros in one assignment.  A
+    stack with any other entry is written array by array from tolist()."""
+    texts, by_shape = [None] * len(arrays), {}
+    for i, a in enumerate(arrays):
+        by_shape.setdefault(a.shape, []).append(i)
+    for shape, index in by_shape.items():
+        stack = np.stack([arrays[i] for i in index])
+        if stack.min() < 0 or stack.max() > 9:
+            for i in index:
+                texts[i] = json.dumps(arrays[i].tolist(), separators=(",", ":"))
+            continue
+        entry = "[" + ",".join("0" * shape[1]) + "]" if len(shape) == 2 else "0"
+        template = np.frombuffer(("[" + ",".join([entry] * shape[0]) + "]").encode(), dtype=np.uint8)
+        fill = np.tile(template, (len(index), 1))
+        fill[:, np.flatnonzero(template == 48)] = stack.reshape(len(index), -1).astype(np.uint8) + 48
+        text, size = fill.tobytes().decode(), len(template)
+        for j, i in enumerate(index):
+            texts[i] = text[j * size : (j + 1) * size]
+    return texts
 
 
-def _float(x) -> str:
-    if math.isfinite(x):
-        return float.__repr__(x)
-    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+def _dumps(x) -> str:
+    """The text of json.dumps(x, sort_keys=True, separators=(",", ":"),
+    default=np.ndarray.tolist), the compact form every report is written
+    in.  The C encoder writes all of it but the integer arrays of ndim 1
+    or 2 with no empty axis (a run's transcript and output bits): each
+    of those is written as a placeholder string, and the placeholders
+    are replaced by the _digit_texts of the arrays.  The placeholder is
+    a run of NULs, one longer each time a string of x also encodes to it
+    (a string equal to it, or ending in a quote and it).  Any other
+    array is written as its tolist(); numpy scalars raise TypeError, as
+    in json.dumps."""
+    arrays, mark = [], "\x00"
 
+    def default(o):
+        if not isinstance(o, np.ndarray):
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        if o.dtype.kind not in "iu" or o.ndim not in (1, 2) or not o.size:
+            return o.tolist()
+        arrays.append(o)
+        return mark
 
-def _key(k) -> str:
-    if isinstance(k, str):
-        return k
-    if k is None or isinstance(k, (int, float)):
-        return _dumps(k)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
-
-
-def _list_text(items, ind: str) -> str:
-    """A JSON list at indent ind whose entries are the texts items."""
-    inner = ind + "  "
-    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + ind + "]"
-
-
-def _digit_fill(stack: np.ndarray, ind: str):
-    """The texts at indent ind of the arrays stack[0], stack[1], ...,
-    as the rows of an (S, L) uint8 array, when they are integer arrays
-    of ndim 1 or 2 with no empty axis and every entry a digit 0..9;
-    else None.  The text of one array with a "0" in each digit's place
-    is tiled once per array, and the digits are written over the zeros
-    in one assignment."""
-    if stack.dtype.kind not in "iu" or stack.ndim not in (2, 3) or not stack.size:
-        return None
-    if stack.min() < 0 or stack.max() > 9:
-        return None
-    inner = ind + "  "
-    entry = _list_text("0" * stack.shape[2], inner) if stack.ndim == 3 else "0"
-    template = np.frombuffer(_list_text([entry] * stack.shape[1], ind).encode(), dtype=np.uint8)
-    fill = np.tile(template, (len(stack), 1))
-    fill[:, np.flatnonzero(template == 48)] = stack.reshape(len(stack), -1) + 48
-    return fill
-
-
-def _dumps(x, ind="") -> str:
-    """The bytes of json.dumps(x, sort_keys=True, indent=2,
-    default=np.ndarray.tolist), whose indent forces the pure-Python
-    encoder.  An integer array of ndim 1 or 2 with all entries in 0..9
-    (a run's transcript and output bits) is written by _digit_fill as
-    a stack of one, any other array as its tolist(); a list of ints is
-    written in one pass; everything else recurses.  Numpy integer and
-    bool scalars raise TypeError, as in json.dumps."""
-    if isinstance(x, str):
-        return _encode_str(x)
-    if x is None or x is True or x is False:
-        return _LITERALS[x]
-    if isinstance(x, int):
-        return int.__repr__(x)
-    if isinstance(x, float):
-        return _float(x)
-    if isinstance(x, np.ndarray):
-        fill = _digit_fill(x[None], ind)
-        return _dumps(x.tolist(), ind) if fill is None else fill.tobytes().decode()
-    inner = ind + "  "
-    if isinstance(x, (list, tuple)):
-        if not x:
-            return "[]"
-        if set(map(type, x)) == {int}:
-            return _list_text(map(int.__repr__, x), ind)
-        return _list_text([_dumps(v, inner) for v in x], ind)
-    if isinstance(x, dict):
-        if not x:
-            return "{}"
-        items = sorted(x.items())
-        body = (",\n" + inner).join([_encode_str(_key(k)) + ": " + _dumps(v, inner) for k, v in items])
-        return "{\n" + inner + body + "\n" + ind + "}"
-    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
-
-
-def _record_fills(x, ind: str) -> dict:
-    """For a list of two or more dicts with the same str keys, records
-    at indent ind: per key whose values are all digit arrays of one shape
-    and dtype, the _digit_fill of their stack.  Empty otherwise."""
-    if not isinstance(x, list) or len(x) < 2 or not isinstance(x[0], dict):
-        return {}
-    keys = x[0].keys()
-    candidates = [k for k, v in x[0].items() if isinstance(v, np.ndarray)]
-    if not candidates or not all(type(k) is str for k in keys):
-        return {}
-    if not all(isinstance(r, dict) and r.keys() == keys for r in x):
-        return {}
-    fills = {}
-    for k in candidates:
-        arrays = [r[k] for r in x]
-        a = arrays[0]
-        if all(isinstance(b, np.ndarray) and b.dtype == a.dtype and b.shape == a.shape for b in arrays):
-            fill = _digit_fill(np.stack(arrays), ind)
-            if fill is not None:
-                fills[k] = fill
-    return fills
-
-
-def _chunks(x, ind: str, text: list, out: list):
-    """Append the text of _dumps(x, ind) to out, as bytes and memoryview
-    pieces; text holds the str pieces not yet encoded.  Dicts are walked
-    entry by entry, and a record list that _record_fills fills is written
-    with memoryview slices of the fills; every other subtree is one
-    _dumps call."""
-    inner = ind + "  "
-    if isinstance(x, dict) and x:
-        text.append("{\n" + inner)
-        for i, (k, v) in enumerate(sorted(x.items())):
-            text.append(("" if not i else ",\n" + inner) + _encode_str(_key(k)) + ": ")
-            _chunks(v, inner, text, out)
-        text.append("\n" + ind + "}")
-        return
-    fills = _record_fills(x, inner + "  ")
-    if not fills:
-        text.append(_dumps(x, ind))
-        return
-    ii = inner + "  "
-    heads = [(k, _encode_str(k) + ": ") for k in sorted(x[0])]
-    views = {k: memoryview(fill.reshape(-1)) for k, fill in fills.items()}
-    text.append("[\n" + inner)
-    for i, record in enumerate(x):
-        text.append("{\n" + ii if not i else ",\n" + inner + "{\n" + ii)
-        for j, (k, head) in enumerate(heads):
-            text.append(head if not j else ",\n" + ii + head)
-            if k in fills:
-                size = fills[k].shape[1]
-                out.append("".join(text).encode())
-                text.clear()
-                out.append(views[k][i * size : (i + 1) * size])
-            else:
-                text.append(_dumps(record[k], ii))
-        text.append("\n" + inner + "}")
-    text.append("\n" + ind + "]")
+    while True:
+        parts = json.dumps(x, sort_keys=True, separators=(",", ":"), default=default).split(json.dumps(mark))
+        if len(parts) == len(arrays) + 1:
+            break
+        arrays.clear()
+        mark += "\x00"
+    out = [parts[0]]
+    for text, part in zip(_digit_texts(arrays), parts[1:]):
+        out += (text, part)
+    return "".join(out)
 
 
 def _emit(report: dict, out_path):
     """Write _dumps(report) and a newline to out_path, or to stdout when
-    out_path is empty.  The text is assembled by _chunks, joined once and
-    written in binary; nothing is written until all of it is built."""
-    text, out = [], []
-    _chunks(report, "", text, out)
-    text.append("\n")
-    out.append("".join(text).encode())
-    data = b"".join(out)
+    out_path is empty; nothing is written until all of it is built."""
+    data = _dumps(report) + "\n"
     if out_path:
         try:
             with open(out_path, "wb") as f:
-                f.write(data)
+                f.write(data.encode())
         except OSError as e:
             raise CliError(f"cannot write report file {out_path}: {e}") from e
     else:
-        sys.stdout.write(data.decode())
+        sys.stdout.write(data)
 
 
 def _check_seed(args):

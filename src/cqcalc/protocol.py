@@ -342,8 +342,9 @@ class RunReport:
 
     def to_json(self) -> dict:
         """The report fields; the two arrays are passed as they are, so
-        serialise with json.dumps(..., default=np.ndarray.tolist) or
-        cli._dumps."""
+        serialise with json.dumps(..., default=np.ndarray.tolist).
+        cli._dumps gives the bytes of that call with sort_keys=True and
+        separators=(",", ":"), the form of every CLI report."""
         return {
             "aborted": self.aborted,
             "classical_transcript": self.classical_transcript,

@@ -8,7 +8,8 @@ instead of passing silently.
 
 A CLI report is hashed over its canonical indented form, json.dumps of
 its parsed value with sorted keys and indent 2, so the digest pins the
-report's value.
+report's value; test_reports_are_one_compact_line pins the bytes the
+CLI writes for that value.
 """
 
 import hashlib
@@ -576,3 +577,53 @@ def test_min_entropy_closed_form_certificates(case):
     got = (sha256(cert["sigma"].tobytes()), repr(h), repr(cert["p_lower"]), repr(cert["p_upper"]))
     assert got == CLOSED_FORM_ENTROPY[case]
     assert (cert["gap"], cert["iterations"], cert["converged"]) == (0.0, 0, True)
+
+
+def golden_argvs(tmp_path) -> list:
+    """The commands whose reports this file pins, with
+    their input files written to tmp_path."""
+    (tmp_path / "noisy.json").write_text(json.dumps(noisy_bell_json(0.93)))
+    (tmp_path / "state.json").write_text(json.dumps(ENTROPY_STATE))
+    (tmp_path / "d.dg").write_text("hole f : C2 -> C2 * Q2\nuniform C2 1 ; f")
+    f = rc.random_cq_channel((rc.C(2),), (rc.C(2), rc.Q(2)), np.random.default_rng(46))
+    (tmp_path / "bind.json").write_text(json.dumps({"f": rc.tensor_to_json(f)}))
+    strategies = ([], ["--strategy", "all-zero"], ["--strategy", str(tmp_path / "noisy.json")])
+    argvs = [
+        ["simulate", "--rounds", str(rounds), "--sweep", str(sweep), "--seed", "5"] + strategy
+        for strategy in strategies
+        for rounds, sweep in ((1000, 4), (100, 40), (1, 8), (100, 1), (100, 2))
+    ]
+    argvs.append(["simulate", "--rounds", "1000", "--seed", "5"])
+    argvs += [["check", name, "--dims", dims, "--seed", "5"] for name, dims in (
+        ("chain_k1", "N=1"), ("chain_k2", "N=1"), ("chain_k3", "N=1"),
+        ("single_stage", "M=1"), ("soundness_k2", "N=1"), ("spot_check_lemma", "N=1"),
+    )]
+    argvs.append(["check", "soundness_k2", "--eps-fn", "1,1"])
+    argvs += [
+        ["extract", "--n", n, "--m", m, "--hmin", k]
+        for n, m, k in (("10", "3", "7"), ("10", "3", "10"), ("12", "4", "8"))
+    ]
+    argvs += [["rules", "--dim", "2"], ["rules", "--dim", "3"]]
+    argvs += [
+        ["entropy", "--example", "diagonal"],
+        ["entropy", "--state", str(tmp_path / "state.json")],
+        ["eval", str(tmp_path / "d.dg"), "--bindings", str(tmp_path / "bind.json")],
+    ]
+    return argvs
+
+
+def test_reports_are_one_compact_line(tmp_path, capsys):
+    """Every pinned report, to a file and to stdout, is one line and a
+    newline: the compact form json.dumps(..., sort_keys=True,
+    separators=(",", ":")) of its own value.  With the digests over the
+    indented form, this pins the bytes the CLI writes."""
+    out = tmp_path / "out.json"
+    for argv in golden_argvs(tmp_path):
+        out.unlink(missing_ok=True)
+        assert cli.main(argv + ["--out", str(out)]) == 0, argv
+        data = out.read_bytes()
+        assert data == (json.dumps(json.loads(data), sort_keys=True, separators=(",", ":")) + "\n").encode(), argv
+        assert data.count(b"\n") == 1, argv
+        capsys.readouterr()
+        assert cli.main(argv) == 0, argv
+        assert capsys.readouterr().out.encode() == data, argv

@@ -92,7 +92,7 @@ def test_emit_sweep_report(benchmark, monkeypatch, tmp_path):
 
     benchmark.pedantic(emit_both, rounds=ROUNDS, warmup_rounds=1)
     for report, out in zip(reports, outs):
-        want = json.dumps(report, sort_keys=True, indent=2, default=np.ndarray.tolist) + "\n"
+        want = json.dumps(report, sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist) + "\n"
         assert out.read_bytes() == want.encode()
 
 
