@@ -789,8 +789,8 @@ _arrays = st.builds(
                    elements=st.integers(0, 9), fill=st.nothing()),
         hnp.arrays(st.sampled_from([np.int8, np.int64]), _filled_shapes,
                    elements=st.integers(-1, 10), fill=st.nothing()),
-        # any of the dtypes at ndim 0-3, empty shapes included; uint64 entries
-        # above 2**63 make a float64 stack next to int64 arrays of one shape
+        # any of the dtypes at ndim 0-3, empty shapes included; uint64 and
+        # int64 arrays of one shape stack as float64
         hnp.arrays(st.sampled_from([np.int8, np.uint8, np.int64, np.uint64, np.bool_, np.float64]),
                    hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)),
     ),
@@ -982,3 +982,4 @@ def test_sweep_peak_memory(tmp_path, rounds, sweep):
     args = cli.build_parser().parse_args(argv)
     sampler = _traced_peak(pr.spotcheck_run, rounds, args.q, args.chi, pr.optimal_chsh_strategy(), range(sweep))
     assert _traced_peak(cli.main, argv) <= 1.2 * sampler
+    assert len(json.loads(out.read_text())["runs"]) == sweep
