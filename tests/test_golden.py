@@ -580,8 +580,8 @@ def test_min_entropy_closed_form_certificates(case):
 
 
 def golden_argvs(tmp_path) -> list:
-    """The commands whose reports this file pins, with
-    their input files written to tmp_path."""
+    """Commands whose reports this file pins, with their input files
+    written to tmp_path."""
     (tmp_path / "noisy.json").write_text(json.dumps(noisy_bell_json(0.93)))
     (tmp_path / "state.json").write_text(json.dumps(ENTROPY_STATE))
     (tmp_path / "d.dg").write_text("hole f : C2 -> C2 * Q2\nuniform C2 1 ; f")
