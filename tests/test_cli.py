@@ -972,14 +972,34 @@ def _traced_peak(f, *args) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("rounds,sweep", [(10_000, 10), (100, 1000)])
+SWEEP_SHAPES = [(10_000, 10), (100, 1000)]
+
+
+@pytest.mark.parametrize("rounds,sweep", SWEEP_SHAPES)
 def test_sweep_peak_memory(tmp_path, rounds, sweep):
-    # writing the report raises the command's traced peak at most a fifth
-    # above the sampler's own: the digit fills and the report text are
+    # the command's traced peak is at most 200 bytes per sampled round,
+    # and writing the report raises it at most a fifth above the
+    # sampler's own peak: the digit fills and the report text are
     # smaller than the sampler's scratch arrays
     out = tmp_path / "out.json"
     argv = ["simulate", "--rounds", str(rounds), "--sweep", str(sweep), "--out", str(out)]
     args = cli.build_parser().parse_args(argv)
     sampler = _traced_peak(pr.spotcheck_run, rounds, args.q, args.chi, pr.optimal_chsh_strategy(), range(sweep))
-    assert _traced_peak(cli.main, argv) <= 1.2 * sampler
+    peak = _traced_peak(cli.main, argv)
+    assert peak <= 200 * rounds * sweep
+    assert peak <= 1.2 * sampler
     assert len(json.loads(out.read_text())["runs"]) == sweep
+
+
+@pytest.mark.parametrize("rounds,sweep", SWEEP_SHAPES)
+def test_emit_peak_memory(tmp_path, monkeypatch, rounds, sweep):
+    # writing a built sweep report traces at most 1.5x the report's
+    # bytes plus the bytes of its runs' arrays
+    reports, emit = [], cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda report, out: reports.append(report))
+    assert cli.main(["simulate", "--rounds", str(rounds), "--sweep", str(sweep)]) == 0
+    [report] = reports
+    arrays = sum(v.nbytes for run in report["runs"] for v in run.values() if isinstance(v, np.ndarray))
+    out = tmp_path / "out.json"
+    peak = _traced_peak(emit, report, str(out))
+    assert peak <= 1.5 * (out.stat().st_size + arrays)
