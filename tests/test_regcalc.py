@@ -789,6 +789,45 @@ class TestPerSymbol:
         assert d.upper - d.lower <= 1e-6
 
 
+# the intervals certified when the dual bound was Watrous's for
+# trace-annihilating maps plus a per-symbol trace-leak term: a tighter
+# dual bound may only narrow them
+PINNED_INTERVALS = {
+    ((Q2,), (Q2,), True, 0): (0.7673287937055671, 0.7673287937813343),
+    ((Q2,), (Q2,), True, 1): (0.7012355742368935, 0.7012355744448111),
+    ((C2, Q2), (Q2,), True, 2): (0.8234964821687125, 0.823496482181075),
+    ((C2, Q2), (Q2,), True, 3): (0.9383990791084622, 0.9383990791634162),
+    ((Q2,), (C2, Q2), True, 4): (0.7343773593610191, 0.7343774380704117),
+    ((C2,), (C3,), True, 5): (0.4473181468563059, 0.4473181468563059),
+    ((Q2,), (Q2,), False, 6): (0.6390175832306355, 0.6447641288250329),
+    ((C2, Q2), (Q2,), False, 7): (0.5752851084171212, 0.8340203916885234),
+    "two classical registers": (0.7852738915416996, 0.7852740011958863),
+    "classical after quantum": (0.9419200267501552, 0.9419200270512543),
+    "equal symbol-0 maps": (0.5479403808943297, 0.547940380900574),
+    "golden": (0.17727716384291758, 0.17727716384828096),
+    "3 id vs id": (1.000000000000001, 2.0),
+}
+
+
+def _pinned_pair(case):
+    """The pair and seed of a PINNED_INTERVALS case."""
+    if case in SYMBOL_CASES:
+        return SYMBOL_CASES[case](), 3
+    if case == "golden":
+        return _golden_pair(), 7
+    if case == "3 id vs id":
+        return (rc.ProcessTensor((Q2,), (Q2,), 3 * np.eye(4)), rc.identity([Q2])), 0
+    return _seeded_pair(case), case[3]
+
+
+@pytest.mark.parametrize("case", list(PINNED_INTERVALS), ids=repr)
+def test_interval_inside_pinned_interval(case):
+    (p1, p2), seed = _pinned_pair(case)
+    d = rc.process_distance(p1, p2, seed=seed)
+    lower, upper = PINNED_INTERVALS[case]
+    assert lower - 1e-12 <= d.lower <= d.upper <= upper + 1e-12
+
+
 def _random_cq_channel_loop(in_regs, out_regs, rng, causal=True):
     """The sampler as one instrument per classical input symbol: the
     reference for the stacked kernel, which must draw the same stream

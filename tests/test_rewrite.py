@@ -427,6 +427,11 @@ class TestScripts:
         s = rw.script_single_stage()
         assert s.claimed_total == rw.eps(1, "M") + rw.eps(2, "M")
 
+    def test_single_stage_is_chain_k1_at_base_M(self):
+        # same steps, initial diagram and claimed total; only the name differs
+        want = dataclasses.replace(rw.script_chain(1, "M"), name="single_stage")
+        assert rw.SHIPPED_SCRIPTS["single_stage"]() == want
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_chain_budget(self, k):
         s = rw.script_chain(k)
