@@ -28,6 +28,7 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 ASCENT_ITERS = 60  # process_distance: ascent steps per restart
+RESTARTS = 32  # process_distance: restarts per classical input symbol
 
 CLASSICAL = "classical"
 QUANTUM = "quantum"
@@ -541,7 +542,6 @@ class DistanceInterval:
 def process_distance(
     p1: ProcessTensor,
     p2: ProcessTensor,
-    restarts: int = 32,
     seed: int = 0,
 ) -> DistanceInterval:
     """Certified interval around half the diamond-norm distance.
@@ -550,7 +550,7 @@ def process_distance(
     largest, over classical input symbols k, of the distance between the
     two maps on symbol k's quantum input.  Lower bound: alternating
     ascent over pure inputs on the quantum input (x) an ancilla of the
-    quantum input dimension, `restarts` restarts per classical input
+    quantum input dimension, RESTARTS restarts per classical input
     symbol, each restart confined to its symbol's block of the lifted
     input; all restarts are stacked into one array, at most
     ASCENT_ITERS steps each, and a restart whose value stops rising is
@@ -585,7 +585,7 @@ def process_distance(
 
     # restarts run symbol-major, each a vector on its own symbol's block
     rng = np.random.default_rng(seed)
-    n = max(1, restarts)
+    n = RESTARTS
     symbol = np.repeat(np.arange(kd), n)
     psi = np.empty((kd * n, block), dtype=complex)
     for r in range(len(psi)):
@@ -629,21 +629,20 @@ DUAL_MIX = 1e-6  # weight of I/d mixed into each block of the dual certificate's
 
 def _dual_upper(choi: np.ndarray, amp: np.ndarray) -> float:
     """Upper bound on half the diamond norm of a Hermiticity-preserving
-    map with Choi operator J on in (x) out, from a feasible point of
-    Watrous's dual SDP (arXiv:1207.5726): min ||Tr_out Z||_inf subject
-    to Z >= J and Z >= 0.  That SDP is exact for a trace-annihilating
-    map (the difference of two channels).  For any input, half the
-    trace norm of the output is Tr M_+ - Tr M / 2, and
-    -Tr M / 2 <= max(0, -lambda_min(Tr_out J)) / 2, so that term is
-    added; it is 0 up to rounding for two channels.
+    map with Choi operator J on in (x) out, by weak duality: if Z >= 0
+    and Z >= J, then for any density rho and any W with
+    -rho (x) I <= W <= rho (x) I,
+    <J, W> = <Z, W> - <Z - J, W> <= <2Z - J, rho (x) I>,
+    so half the diamond norm is at most lambda_max(Tr_out(2Z - J)) / 2,
+    and by strong duality the least such bound over Z equals it.
 
     J is block diagonal in the classical input symbol, and half the
     diamond norm is the largest over symbols k of that of block k, so
-    both terms are taken per block and the bound is the largest block
-    sum.  The input rho is built block by block: amp[k] is a pure input
-    on symbol k's quantum input (x) ancilla, as a (quantum input,
-    ancilla) matrix, and block k of rho is its marginal on the quantum
-    input, normalised and mixed with DUAL_MIX of I.  With
+    the bound is taken per block and the largest is kept.  The input
+    rho is built block by block: amp[k] is a pure input on symbol k's
+    quantum input (x) ancilla, as a (quantum input, ancilla) matrix, and
+    block k of rho is its marginal on the quantum input, normalised and
+    mixed with DUAL_MIX of I.  With
     M = (sqrt(rho^T) (x) I) J (sqrt(rho^T) (x) I), the point
     Z = (rho^T^-1/2 (x) I) M_+ (rho^T^-1/2 (x) I) satisfies both
     constraints in exact arithmetic, because Z - J is the same
@@ -664,10 +663,8 @@ def _dual_upper(choi: np.ndarray, amp: np.ndarray) -> float:
     shift = max(0.0, -np.linalg.eigvalsh(hermitian_part(z - choi)).min(), -np.linalg.eigvalsh(z).min())
     z = z + shift * np.eye(len(z))
     diag = np.arange(kd)
-    marginal = np.trace(z.reshape(di, do, di, do), axis1=1, axis2=3).reshape(kd, qd, kd, qd)[diag, :, diag]
-    leak = np.trace(choi.reshape(di, do, di, do), axis1=1, axis2=3).reshape(kd, qd, kd, qd)[diag, :, diag]
-    return float((np.linalg.eigvalsh(hermitian_part(marginal)).max(axis=1)
-                  + 0.5 * np.maximum(0.0, -np.linalg.eigvalsh(hermitian_part(leak)).min(axis=1))).max())
+    marginal = np.trace((2 * z - choi).reshape(di, do, di, do), axis1=1, axis2=3).reshape(kd, qd, kd, qd)[diag, :, diag]
+    return 0.5 * float(np.linalg.eigvalsh(hermitian_part(marginal)).max())
 
 
 # ---------------------------------------------------------------------------
