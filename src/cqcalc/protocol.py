@@ -398,20 +398,12 @@ def run_aborts(tests: int, passes: int, chi: float) -> bool:
     return tests == 0 or passes / tests < chi
 
 
-@dataclass(frozen=True)
-class RoundTable:
-    """The seed-independent part of spotcheck_run for one strategy: the
-    cumulative distribution of the round symbol (t, a1, a2), and per
-    input pair (x, y) of the outcome pair (a, b), indexed [x, y, ab] in
-    "iid" mode and [round, x, y, ab] in "scripted" mode."""
-
-    symbol_cdf: np.ndarray
-    outcome_cdf: np.ndarray
-
-
-def round_table(M: int, q: float, chi: float, s: DeviceStrategy) -> RoundTable:
+def round_table(M: int, q: float, chi: float, s: DeviceStrategy) -> tuple[np.ndarray, np.ndarray]:
     """Validate the spot-check parameters and the strategy, and tabulate
-    the draws of spotcheck_run(M, q, chi, s, seed) for any seed."""
+    the draws of spotcheck_run(M, q, chi, s, seed) for any seed: the
+    cumulative distribution of the round symbol (t, a1, a2), and per
+    input pair (x, y) that of the outcome pair (a, b), indexed [x, y, ab]
+    in "iid" mode and [round, x, y, ab] in "scripted" mode."""
     if M < 1 or not 0.0 < q < 1.0 or not 0.5 <= chi <= 1.0:
         raise ValueError("invalid spot-check parameters")
     s.validate()
@@ -424,7 +416,7 @@ def round_table(M: int, q: float, chi: float, s: DeviceStrategy) -> RoundTable:
     _require_chsh_alphabet(p)
     symbol_cdf = _cdf(b_q_distribution(q))
     flat = p.reshape(*p.shape[:-2], 4)
-    return RoundTable(symbol_cdf, _cdf(flat / flat.sum(axis=-1, keepdims=True)))
+    return symbol_cdf, _cdf(flat / flat.sum(axis=-1, keepdims=True))
 
 
 def spotcheck_run(
@@ -444,7 +436,7 @@ def spotcheck_run(
     stream and its use match one Generator.choice call for the round
     symbol and one for the outcome pair per round, so reports do not
     depend on the batching."""
-    table = round_table(M, q, chi, s)
+    symbol_cdf, cdf = round_table(M, q, chi, s)
     one = isinstance(seed, numbers.Integral)
     seeds = [seed] if one else list(seed)
     if not seeds:
@@ -452,9 +444,8 @@ def spotcheck_run(
     u = np.empty((len(seeds), M, 2))
     for row, x in zip(u, seeds):
         np.random.Generator(np.random.Philox(x)).random(out=row)
-    sym = (table.symbol_cdf <= u[..., :1]).sum(axis=-1)
+    sym = (symbol_cdf <= u[..., :1]).sum(axis=-1)
     t, a1, a2, xx, yy = round_inputs(sym)
-    cdf = table.outcome_cdf
     rows = cdf[xx, yy] if cdf.ndim == 3 else cdf[np.arange(M), xx, yy]
     ab = (rows <= u[..., 1:]).sum(axis=-1)
     aa, bb = ab >> 1, ab & 1

@@ -129,12 +129,11 @@ def reference_spotcheck(M, q, chi, s, seed):
 def per_seed_spotcheck(M, q, chi, s, seed):
     """One seed's run drawn and scored on its own: the kernel spotcheck_run
     stacks over seeds.  s is a strategy or its round_table."""
-    table = s if isinstance(s, pr.RoundTable) else pr.round_table(M, q, chi, s)
+    symbol_cdf, cdf = s if isinstance(s, tuple) else pr.round_table(M, q, chi, s)
     u = np.random.Generator(np.random.Philox(seed)).random((M, 2))
-    sym = (table.symbol_cdf <= u[:, :1]).sum(axis=-1)
+    sym = (symbol_cdf <= u[:, :1]).sum(axis=-1)
     t, a1, a2 = sym >> 2, (sym >> 1) & 1, sym & 1
     xx, yy = a1 * t, a2 * t
-    cdf = table.outcome_cdf
     rows = cdf[xx, yy] if cdf.ndim == 3 else cdf[np.arange(M), xx, yy]
     ab = (rows <= u[:, 1:]).sum(axis=-1)
     aa, bb = ab >> 1, ab & 1
