@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial, reduce
 
 import numpy as np
@@ -231,8 +231,6 @@ def _node_compatible(pg: dg.Generator, hg: dg.Generator) -> bool:
         return False
     if pg.kind in (dg.HOLE, dg.BOX) and pg.label != hg.label:
         return False
-    if pg.kind == dg.UNIFORM:
-        return len(pg.out_ports) == len(hg.out_ports) and pg.out_ports[0] == hg.out_ports[0]
     if pg.kind == dg.SCALAR:
         return pg.payload == hg.payload
     return pg.in_ports == hg.in_ports and pg.out_ports == hg.out_ports
@@ -803,14 +801,6 @@ def _apply_stage(bld: _Builder, level: int):
     bld.step("merge", sorted(ids), name=f"T{level + 1}")
 
 
-def script_single_stage(base: str = "M") -> ProofScript:
-    """One expansion stage under a copied seed collapses to fresh
-    uniforms plus a summary process, at cost eps(M) + eps(2M)."""
-    bld = _Builder("single_stage", _chain_initial(1, base), base)
-    _apply_stage(bld, 0)
-    return bld.finish()
-
-
 def script_chain(k: int, base: str = "N") -> ProofScript:
     """k chained stages collapse level by level; total cost is the sum
     of eps(2^i N) for i < 2k."""
@@ -873,15 +863,13 @@ def script_spot_check_lemma(base: str = "N") -> ProofScript:
 
 
 SHIPPED_SCRIPTS = {
-    "single_stage": script_single_stage,
+    # one expansion stage under a copied seed collapses to fresh uniforms
+    # plus a summary process, at cost eps(M) + eps(2M)
+    "single_stage": lambda: replace(script_chain(1, "M"), name="single_stage"),
     "soundness_k2": script_soundness_k2,
     "spot_check_lemma": script_spot_check_lemma,
     **{f"chain_k{k}": partial(script_chain, k) for k in (1, 2, 3)},
 }
-
-
-def shipped_scripts() -> dict:
-    return {name: build() for name, build in SHIPPED_SCRIPTS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -997,15 +985,14 @@ def rule_distance(rule: RewriteRule, binding: dict, rng, dims=None, cap2=math.in
 
     Per binding_mode, "fresh" draws the lhs holes, then the rhs holes;
     "derive_lhs" draws the rhs holes and binds the lhs hole to the
-    evaluated rhs; "derive_rhs" mirrors it.  New bindings are added to
-    `binding`, so the steps of one script share their processes.
-    Returns None when a side, or a hole that side needs, has more than
-    cap2 carrier entries."""
+    evaluated rhs, so the distance is 0 by construction; "derive_rhs"
+    mirrors it.  A derived hole that was already bound is compared like
+    any other.  New bindings are added to `binding`, so the steps of one
+    script share their processes.  Returns None when a side, or a hole
+    that side needs, has more than cap2 carrier entries."""
     lhs, rhs = rule.lhs, rule.rhs
     if dims is not None:
         lhs, rhs = lhs.subst(dims), rhs.subst(dims)
-    # a side already evaluated to bind the derived hole is not evaluated again
-    lhs_value = rhs_value = None
     if rule.binding_mode == "fresh":
         _ensure_bindings(lhs, binding, rng, cap2)
         _ensure_bindings(rhs, binding, rng, cap2)
@@ -1014,20 +1001,12 @@ def rule_distance(rule: RewriteRule, binding: dict, rng, dims=None, cap2=math.in
         (label,) = [g.label for g in _opaque_sorted(dst)]
         have = _ensure_bindings(src, binding, rng, cap2)
         if have and _tractable(src, cap2) and label not in binding:
-            value = src.evaluate(binding)
-            binding[label] = value
-            if rule.binding_mode == "derive_lhs":
-                rhs_value = value
-            else:
-                lhs_value = value
+            binding[label] = src.evaluate(binding)
+            return 0.0
     tractable = _tractable(lhs, cap2) and _tractable(rhs, cap2)
     if not tractable or (_opaque_labels(lhs) | _opaque_labels(rhs)) - binding.keys():
         return None
-    if lhs_value is None:
-        lhs_value = lhs.evaluate(binding)
-    if rhs_value is None:
-        rhs_value = rhs.evaluate(binding)
-    d = lhs_value.matrix - rhs_value.matrix
+    d = lhs.evaluate(binding).matrix - rhs.evaluate(binding).matrix
     return float(np.abs(d, out=d).real.max())
 
 

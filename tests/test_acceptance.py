@@ -41,7 +41,7 @@ def test_2_exact_rules_50_seeds():
 class Test3BudgetAlgebra:
     def test_single_stage_total(self):
         want = rw.eps(1, "M") + rw.eps(2, "M")
-        assert rw.script_single_stage().claimed_total == want
+        assert rw.SHIPPED_SCRIPTS["single_stage"]().claimed_total == want
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_chain_totals(self, k):

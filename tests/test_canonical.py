@@ -62,7 +62,8 @@ def _pool():
         for r in rules:
             out[f"{tag}:{r.name}:lhs"] = r.lhs
             out[f"{tag}:{r.name}:rhs"] = r.rhs
-    for name, s in rw.shipped_scripts().items():
+    for name, build in rw.SHIPPED_SCRIPTS.items():
+        s = build()
         out[f"script:{name}:initial"] = s.initial
         out[f"script:{name}:final"] = rw.replay_script(s)[0].diagram
     sources = {name: dg.parse_diagram(text) for name, text in DSL.items()}

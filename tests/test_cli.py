@@ -209,7 +209,7 @@ class TestCheck:
         assert rep["budget_numeric"]["value"] == 0.81640625
 
     def test_tampered_script_fails_at_step(self, tmp_path):
-        j = rw.script_to_json(rw.script_single_stage())
+        j = rw.script_to_json(rw.SHIPPED_SCRIPTS["single_stage"]())
         j["steps"][0]["loc"] = [99]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(j))
@@ -285,7 +285,7 @@ class TestCheck:
     def test_symbolic_scale_not_an_integer_exit_2(self, tmp_path, capsys, where, scale):
         # a scale of true replayed as 1 and verified; 1.5 loaded and
         # failed later, or was truncated to 1 in the claimed total
-        j = rw.script_to_json(rw.script_single_stage())
+        j = rw.script_to_json(rw.SHIPPED_SCRIPTS["single_stage"]())
         if where == "initial_diagram":
             j["initial"]["nodes"][0]["out_ports"][0]["sym"]["scale"] = scale
         elif where == "rule_params":

@@ -124,7 +124,7 @@ TEST_ONLY = {
         "rational_approx", "strategy_to_json",
     ],
     "regcalc": ["channel_from_kraus", "compose_seq", "operator_effect"],
-    "rewrite": ["const", "lam", "script_to_json", "shipped_scripts", "ure_final_form"],
+    "rewrite": ["const", "lam", "script_to_json", "ure_final_form"],
 }
 
 

@@ -464,7 +464,7 @@ SCRIPT_JSON_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(SCRIPT_JSON_DIGESTS))
 def test_script_format_bytes(name):
     # a script saved by an earlier version must replay unchanged
-    text = json.dumps(rw.script_to_json(rw.shipped_scripts()[name]), sort_keys=True)
+    text = json.dumps(rw.script_to_json(rw.SHIPPED_SCRIPTS[name]()), sort_keys=True)
     assert sha256(text.encode()) == SCRIPT_JSON_DIGESTS[name]
 
 

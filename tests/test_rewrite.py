@@ -100,7 +100,7 @@ class TestEpsExpr:
 
 class TestMatcher:
     def test_unique_hole_match(self):
-        s = rw.script_single_stage()
+        s = rw.SHIPPED_SCRIPTS["single_stage"]()
         rule = rw.rule_expand_S(1, "M")
         ms = rw.find_matches(s.initial, rule.lhs)
         assert len(ms) == 1
@@ -386,8 +386,9 @@ def _count_evaluations(monkeypatch, rule):
 
 
 class TestRuleDistanceEvaluations:
-    # a derive mode's source side is evaluated once: that value binds the
-    # derived hole and is also that side of the final difference
+    # a derive mode's source side is evaluated once, and that value binds
+    # the derived hole; the derived side, the hole alone, then equals it by
+    # construction and is not evaluated
     @pytest.mark.parametrize(
         "make_rule", [lambda: rw.rule_expand_S(1, 3), _merge_rule], ids=["expand_S", "merge"]
     )
@@ -396,7 +397,8 @@ class TestRuleDistanceEvaluations:
         calls = _count_evaluations(monkeypatch, rule)
         binding = {}
         dist = rw.rule_distance(rule, binding, np.random.default_rng(3))
-        assert calls == {"lhs": 1, "rhs": 1}
+        src = "rhs" if rule.binding_mode == "derive_lhs" else "lhs"
+        assert calls == {"lhs": 0, "rhs": 0, src: 1}
         # the two-evaluation path, under the binding just made
         want = np.abs(rule.lhs.evaluate(binding).matrix - rule.rhs.evaluate(binding).matrix).max()
         assert dist == float(want)
@@ -424,7 +426,7 @@ class TestRuleDistanceEvaluations:
 
 class TestScripts:
     def test_single_stage_budget(self):
-        s = rw.script_single_stage()
+        s = rw.SHIPPED_SCRIPTS["single_stage"]()
         assert s.claimed_total == rw.eps(1, "M") + rw.eps(2, "M")
 
     def test_single_stage_is_chain_k1_at_base_M(self):
@@ -455,9 +457,9 @@ class TestScripts:
         rep = rw.run_script(s, eps_fns=lambda n: 2.0**-n, N=1)
         assert rep["budget_numeric"]["value"] == 0.81640625
 
-    @pytest.mark.parametrize("name", sorted(rw.shipped_scripts()))
+    @pytest.mark.parametrize("name", sorted(rw.SHIPPED_SCRIPTS))
     def test_replay_verifies(self, name):
-        s = rw.shipped_scripts()[name]
+        s = rw.SHIPPED_SCRIPTS[name]()
         base = "M" if name == "single_stage" else "N"
         rep = rw.run_script(s, dims={base: 1}, seed=0)
         assert rep["verified"]
@@ -466,7 +468,7 @@ class TestScripts:
             assert st["status"] in ("exact-ok", "axiom", "skipped")
 
     def test_exact_steps_validate_tightly(self):
-        rep = rw.run_script(rw.script_single_stage(), dims={"M": 1}, seed=3)
+        rep = rw.run_script(rw.SHIPPED_SCRIPTS["single_stage"](), dims={"M": 1}, seed=3)
         ran = [st for st in rep["steps"] if st["status"] == "exact-ok"]
         assert ran and all(st["distance"] <= 1e-9 for st in ran)
 
@@ -516,7 +518,7 @@ class TestScripts:
                 rw.replay_script(script)
 
     def test_report_is_deterministic_json(self):
-        s = rw.script_single_stage()
+        s = rw.SHIPPED_SCRIPTS["single_stage"]()
         r1 = rw.run_script(s, dims={"M": 1}, seed=7)
         r2 = rw.run_script(s, dims={"M": 1}, seed=7)
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
@@ -859,7 +861,7 @@ class TestShippedDiagramsMatchHandWiring:
 
     def test_single_stage_initial_is_the_one_stage_chain(self):
         assert_same_wiring(rw._chain_initial(1, "M"), _hw_single_stage_initial("M"))
-        assert rw.script_single_stage().initial == rw._chain_initial(1, "M")
+        assert rw.SHIPPED_SCRIPTS["single_stage"]().initial == rw._chain_initial(1, "M")
 
     @pytest.mark.parametrize("base", ["N", "M"])
     def test_soundness_initial_and_final_form(self, base):
