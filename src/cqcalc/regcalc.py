@@ -585,9 +585,8 @@ def process_distance(
 
     # restarts run symbol-major, each a vector on its own symbol's block
     rng = np.random.default_rng(seed)
-    n = RESTARTS
-    symbol = np.repeat(np.arange(kd), n)
-    psi = np.empty((kd * n, block), dtype=complex)
+    symbol = np.repeat(np.arange(kd), RESTARTS)
+    psi = np.empty((kd * RESTARTS, block), dtype=complex)
     for r in range(len(psi)):
         psi[r] = rng.normal(size=block) + 1j * rng.normal(size=block)
         psi[r] /= np.linalg.norm(psi[r])
@@ -615,8 +614,8 @@ def process_distance(
         psi[active] = np.linalg.eigh(hermitian_part(pulled))[1][:, :, -1]
     lower = float(prev.max())
     if all(f["completely_positive"] for f in flags):
-        best = prev.reshape(kd, n).argmax(axis=1)
-        amp = psi.reshape(kd, n, qd, qd)[np.arange(kd), best]
+        best = prev.reshape(kd, RESTARTS).argmax(axis=1)
+        amp = psi.reshape(kd, RESTARTS, qd, qd)[np.arange(kd), best]
         upper = min(upper, _dual_upper(choi, amp))
     if all(f["causal"] and f["completely_positive"] for f in flags):
         upper = min(upper, 1.0)
