@@ -380,6 +380,54 @@ def test_rules_report_bytes(tmp_path, dim):
     assert cli_report_digest(tmp_path, ["rules", "--dim", str(dim)]) == RULES_DIGESTS[dim]
 
 
+# rules at every width, seed and trial count that the grid spans; the
+# default (seed 0, 5 trials) at widths 2 and 3 is RULES_DIGESTS
+RULES_GRID_DIGESTS = {
+    (1, 0, 1): "813b26a0c626b754d67d1d6f5611dda4d964e346f0c09956209fd0c51349221c",
+    (1, 0, 2): "813b26a0c626b754d67d1d6f5611dda4d964e346f0c09956209fd0c51349221c",
+    (1, 0, 5): "8082317a69161e48be51202f1466f61f6cb22ad86a48d6e38168a6379238df22",
+    (1, 1, 1): "42208571be36e88c110a24fe21d5567251a0ec8e06c973a7d4bed8c239ef0e48",
+    (1, 1, 2): "42208571be36e88c110a24fe21d5567251a0ec8e06c973a7d4bed8c239ef0e48",
+    (1, 1, 5): "0948ad2b06fa49a3f3afe9150e47844e3388793bd2d215343730dd7af8b5ccc5",
+    (1, 7, 1): "276c96bc84c101d003a4077b14e6090d1aabe7c69cf10ed6442c1fea99f058f9",
+    (1, 7, 2): "ab63eb1fdb1e0e11b9f12216acc2dca7a8fb0931e6cf6a1aa1f70d1e20570c29",
+    (1, 7, 5): "ab63eb1fdb1e0e11b9f12216acc2dca7a8fb0931e6cf6a1aa1f70d1e20570c29",
+    (2, 0, 1): "c36a4709322cee9472dfc938656d2a4ec1f3666a48bddae7363ac57aafdf7a74",
+    (2, 0, 2): "8c76a6ca673280259b8437e306777fd89e22a359b9d169133486a0cf4c113968",
+    (2, 0, 5): "8c76a6ca673280259b8437e306777fd89e22a359b9d169133486a0cf4c113968",
+    (2, 1, 1): "5d6aa028c41ff129f8775bd0999661a76248b3c02c89727c333b49a355b70172",
+    (2, 1, 2): "5d6aa028c41ff129f8775bd0999661a76248b3c02c89727c333b49a355b70172",
+    (2, 1, 5): "52e784f12e6bc070fb9051497642dc803c0c9d8ece0e402bdee85e17e87afd75",
+    (2, 7, 1): "da838ce199257c6fea353c3a8fe9c86de3dafdb3e2f238a9246596056a6d7ca7",
+    (2, 7, 2): "da838ce199257c6fea353c3a8fe9c86de3dafdb3e2f238a9246596056a6d7ca7",
+    (2, 7, 5): "da838ce199257c6fea353c3a8fe9c86de3dafdb3e2f238a9246596056a6d7ca7",
+    (3, 0, 1): "3bf4c62d266832596492f93b51a3ff7d2fe943116bbbef34df2bba82a5f8cc7b",
+    (3, 0, 2): "3bf4c62d266832596492f93b51a3ff7d2fe943116bbbef34df2bba82a5f8cc7b",
+    (3, 0, 5): "86776019c1e3d5707e6db52565cc63627bf542ed115038c8b12e8abac75fbe1d",
+    (3, 1, 1): "6fd4377cc2b14c6a54aca5de09e3448d8a347044cfef8310b5aec446723d75ba",
+    (3, 1, 2): "6fd4377cc2b14c6a54aca5de09e3448d8a347044cfef8310b5aec446723d75ba",
+    (3, 1, 5): "00cf98b705a93d188930397f61b3992e84e1c4f99c64a03cf39d4e4e9c496d00",
+    (3, 7, 1): "2313733b1b2ed89fb8a2e0113bf96ca12cd96986f2e6f72d5528b3cd74a9ee3f",
+    (3, 7, 2): "2313733b1b2ed89fb8a2e0113bf96ca12cd96986f2e6f72d5528b3cd74a9ee3f",
+    (3, 7, 5): "2313733b1b2ed89fb8a2e0113bf96ca12cd96986f2e6f72d5528b3cd74a9ee3f",
+    (4, 0, 1): "0e8a84a7f2061547ed765ce21566e3ba6043368e0c2b9ec691038c8b5c67ae97",
+    (4, 0, 2): "0e8a84a7f2061547ed765ce21566e3ba6043368e0c2b9ec691038c8b5c67ae97",
+    (4, 0, 5): "c1068023614b1b98fac2670de0121224d98b72ed87917692416b5f5786163a50",
+    (4, 1, 1): "b1e785e5b9c08e23127da189ce63cc9fdb3eab71095dc2387af9e3f51190d5df",
+    (4, 1, 2): "05d67747175ca7754c7e64981387545f0270a76298a0e38592256565b9b456dd",
+    (4, 1, 5): "05d67747175ca7754c7e64981387545f0270a76298a0e38592256565b9b456dd",
+    (4, 7, 1): "98f51415bb40da3b8a9382ce4e4f710024acc29700c556c760ff187a086c9943",
+    (4, 7, 2): "98f51415bb40da3b8a9382ce4e4f710024acc29700c556c760ff187a086c9943",
+    (4, 7, 5): "882ac5ed1b2df017d34e37df798759bd198fd143aa2a6f190d5c77d8f8d57328",
+}
+
+
+@pytest.mark.parametrize("dim,seed,trials", sorted(RULES_GRID_DIGESTS))
+def test_rules_report_grid_bytes(tmp_path, dim, seed, trials):
+    argv = ["rules", "--dim", str(dim), "--seed", str(seed), "--trials", str(trials)]
+    assert cli_report_digest(tmp_path, argv) == RULES_GRID_DIGESTS[(dim, seed, trials)]
+
+
 # three full-rank qubit branches that do not commute, so that
 # min_entropy_cq runs its primal-dual solver
 ENTROPY_STATE = {
