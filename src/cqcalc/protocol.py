@@ -631,7 +631,8 @@ def min_entropy_cq(psi: CQState, tol: float = 1e-6, max_iter: int = 1000):
         "p_upper": p_upper,
         "converged": exact is not None or 0.0 <= gap <= tol,
     }
-    return -math.log2(p_upper), cert
+    # 0.0 - log2, not -log2: at p_upper 1 that is -0.0
+    return 0.0 - math.log2(p_upper), cert
 
 
 # ---------------------------------------------------------------------------

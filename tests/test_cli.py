@@ -508,6 +508,14 @@ class TestEntropy:
         # perfectly distinguishable branches: guessing succeeds
         assert rep["h_min"] == pytest.approx(0.0, abs=1e-9)
 
+    def test_guessing_probability_1_prints_zero_not_minus_zero(self, tmp_path):
+        # one branch of trace 1: -log2(1) printed "h_min":-0.0
+        sfile = tmp_path / "st.json"
+        sfile.write_text(json.dumps({"branches": [{"re": [[0.5, 0.0], [0.0, 0.5]]}]}))
+        code, out = run_to_file(tmp_path, ["entropy", "--state", str(sfile)])
+        assert code == 0
+        assert b'"h_min":0.0,' in out.read_bytes()
+
     def test_no_input_exit_2(self, tmp_path):
         assert cli.main(["entropy", "--out", str(tmp_path / "x")]) == 2
 
