@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import argparse
+import collections
 import json
 import math
 import shlex
@@ -648,6 +649,63 @@ class TestRules:
         _, a = run_to_file(tmp_path, argv, "a.json")
         _, b = run_to_file(tmp_path, argv, "b.json")
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_only_fresh_holes_are_redrawn(self, tmp_path, monkeypatch, dim):
+        """rules --trials 5 runs a rule's trials only when a redraw can
+        change its distance, and its records are those of the loop that
+        ran every trial of every rule."""
+        counts = collections.defaultdict(collections.Counter)
+        current = [None]
+        draw, sample, evaluate = rc.random_cq_channel, rw.sample_hole, dg.Diagram.evaluate
+        distance = rw.rule_distance
+
+        def counted_draw(*args, **kwargs):
+            counts[current[0]]["random_cq_channel"] += 1
+            return draw(*args, **kwargs)
+
+        def counted_sample(g, rng):
+            counts[current[0]][g.label] += 1
+            return sample(g, rng)
+
+        def counted_evaluate(self, binding=None):
+            counts[current[0]]["evaluate"] += 1
+            return evaluate(self, binding)
+
+        def named_distance(rule, *args):
+            current[0] = rule.name
+            return distance(rule, *args)
+
+        monkeypatch.setattr(rc, "random_cq_channel", counted_draw)
+        monkeypatch.setattr(rw, "sample_hole", counted_sample)
+        monkeypatch.setattr(dg.Diagram, "evaluate", counted_evaluate)
+        monkeypatch.setattr(rw, "rule_distance", named_distance)
+        code, out = run_to_file(tmp_path, ["rules", "--dim", str(dim), "--trials", "5"])
+        assert code == 0
+        records = json.loads(out.read_text())["rules"][:6]
+        got = {name: counts.pop(name) for name in [r["name"] for r in records]}
+        for name in ("uniform_absorbs_discard", "widen_uniform", "spider_fusion", "uniform_is_scaled_spider"):
+            assert got[name] == {"evaluate": 2}, name
+        assert got["expand_S@1"] == {"R@1": 1, "R@2": 1, "random_cq_channel": 2, "evaluate": 1}
+        assert got["causality"] == {"h": 5, "random_cq_channel": 5, "evaluate": 10}
+
+        # the reference: every trial of every rule, as before
+        reference = []
+        for rule in rw.builtin_rules(dim):
+            worst = 0.0
+            for offset in range(5):
+                worst = max(worst, rw.rule_distance(rule, {}, np.random.default_rng(offset)))
+            reference.append(
+                {
+                    "name": rule.name,
+                    "mode": rule.validation_mode,
+                    "cost": str(rule.cost),
+                    "max_deviation": worst,
+                    "ok": worst <= 1e-9,
+                }
+            )
+        assert counts["expand_S@1"] == {"R@1": 5, "R@2": 5, "random_cq_channel": 10, "evaluate": 5}
+        assert json.dumps(records, sort_keys=True) == json.dumps(reference, sort_keys=True)
 
 
 class TestTolerance:

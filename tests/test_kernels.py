@@ -1,7 +1,7 @@
 """Timings of the kernels under the benchmark's workloads: the proofs
-workload's rule checks and rule-side evaluation, the sweep workload's
-spot-check sampler and report emitter, and the certify workload's
-process_distance and min_entropy_cq solves.
+workload's rule checks, `rules --dim 3` and rule-side evaluation, the
+sweep workload's spot-check sampler and report emitter, and the certify
+workload's process_distance and min_entropy_cq solves.
 
     PYTHONPATH=src python -m pytest tests/test_kernels.py
 
@@ -55,6 +55,15 @@ def test_rule_distance_expand_S(benchmark):
     # a fresh binding per round, so every round derives the stage hole
     dist = benchmark.pedantic(lambda: rw.rule_distance(rule, {}, rng), rounds=ROUNDS, warmup_rounds=1)
     assert dist <= 1e-12
+
+
+def test_rules_dim_3(benchmark, tmp_path):
+    # the proofs workload's widest rules class: six self-tests and four
+    # axiom probes, with only causality's trials redrawn
+    out = tmp_path / "rules.json"
+    argv = ["rules", "--dim", "3", "--out", str(out)]
+    code = benchmark.pedantic(cli.main, args=(argv,), rounds=ROUNDS, warmup_rounds=1)
+    assert code == 0 and json.loads(out.read_text())["all_ok"]
 
 
 @pytest.mark.parametrize("side", ["lhs", "rhs"])

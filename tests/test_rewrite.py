@@ -339,6 +339,23 @@ class TestRuleLibrary:
                 rng = np.random.default_rng(100 * dim + seed)
                 assert rw.rule_distance(rule, {}, rng) <= 1e-12, rule.name
 
+    def test_draws_fresh_holes(self):
+        assert [r.name for r in rw.builtin_rules(2) if rw.draws_fresh_holes(r)] == ["causality"]
+        assert all(rw.draws_fresh_holes(r) for r in rw.axiom_rules())
+        assert not rw.draws_fresh_holes(_merge_rule())
+        # a box without a payload is drawn like a hole
+        box = dg.box("g", (C2,), (C2,))
+        assert rw.draws_fresh_holes(rw.RewriteRule("box", rw._gen(box), rw._gen(box)))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_redraw_changes_only_fresh_hole_distances(self, dim):
+        # under an empty binding, a rule that draws no fresh hole gives the
+        # same bytes for every rng
+        for rule in rw.builtin_rules(dim) + [_merge_rule()]:
+            if not rw.draws_fresh_holes(rule):
+                dists = {repr(rw.rule_distance(rule, {}, np.random.default_rng(s))) for s in range(3)}
+                assert len(dists) == 1, rule.name
+
     def test_axiom_rules_well_formed(self):
         for rule in rw.axiom_rules():
             assert rule.validation_mode == "axiom"
