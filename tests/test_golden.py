@@ -369,19 +369,7 @@ def test_extract_hmin_report_bytes(tmp_path, n, m, k):
     assert cli_report_digest(tmp_path, argv) == EXTRACT_DIGESTS[(n, m, k)]
 
 
-RULES_DIGESTS = {
-    2: "8c76a6ca673280259b8437e306777fd89e22a359b9d169133486a0cf4c113968",
-    3: "86776019c1e3d5707e6db52565cc63627bf542ed115038c8b12e8abac75fbe1d",
-}
-
-
-@pytest.mark.parametrize("dim", sorted(RULES_DIGESTS))
-def test_rules_report_bytes(tmp_path, dim):
-    assert cli_report_digest(tmp_path, ["rules", "--dim", str(dim)]) == RULES_DIGESTS[dim]
-
-
-# rules at every width, seed and trial count that the grid spans; the
-# default (seed 0, 5 trials) at widths 2 and 3 is RULES_DIGESTS
+# rules at widths 1-4, seeds 0, 1 and 7, and 1, 2 and 5 trials
 RULES_GRID_DIGESTS = {
     (1, 0, 1): "813b26a0c626b754d67d1d6f5611dda4d964e346f0c09956209fd0c51349221c",
     (1, 0, 2): "813b26a0c626b754d67d1d6f5611dda4d964e346f0c09956209fd0c51349221c",
@@ -426,6 +414,15 @@ RULES_GRID_DIGESTS = {
 def test_rules_report_grid_bytes(tmp_path, dim, seed, trials):
     argv = ["rules", "--dim", str(dim), "--seed", str(seed), "--trials", str(trials)]
     assert cli_report_digest(tmp_path, argv) == RULES_GRID_DIGESTS[(dim, seed, trials)]
+
+
+# the default seed and trial count at widths 2 and 3
+RULES_DIGESTS = {dim: RULES_GRID_DIGESTS[(dim, 0, 5)] for dim in (2, 3)}
+
+
+@pytest.mark.parametrize("dim", sorted(RULES_DIGESTS))
+def test_rules_report_bytes(tmp_path, dim):
+    assert cli_report_digest(tmp_path, ["rules", "--dim", str(dim)]) == RULES_DIGESTS[dim]
 
 
 # three full-rank qubit branches that do not commute, so that
