@@ -1010,13 +1010,12 @@ def rule_distance(rule: RewriteRule, binding: dict, rng, dims=None, cap2=math.in
     return float(np.abs(d, out=d).real.max())
 
 
-
 def draws_fresh_holes(rule: RewriteRule) -> bool:
     """True iff another rng can make rule_distance(rule, {}, rng) return
     another value: the rule draws its holes "fresh" and has one.  A rule
     without a hole evaluates the same sides every time, and a derived
     rule's distance under an empty binding is 0 by construction."""
-    return rule.binding_mode == "fresh" and bool(_opaque_sorted(rule.lhs) or _opaque_sorted(rule.rhs))
+    return rule.binding_mode == "fresh" and bool(_opaque_labels(rule.lhs) | _opaque_labels(rule.rhs))
 
 
 LAM_K_MAX = 30  # budget_eval sums a lam series over i = 0..LAM_K_MAX and bounds the rest

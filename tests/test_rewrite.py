@@ -348,7 +348,7 @@ class TestRuleLibrary:
         assert rw.draws_fresh_holes(rw.RewriteRule("box", rw._gen(box), rw._gen(box)))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_redraw_changes_only_fresh_hole_distances(self, dim):
+    def test_rules_without_fresh_holes_ignore_the_rng(self, dim):
         # under an empty binding, a rule that draws no fresh hole gives the
         # same bytes for every rng
         for rule in rw.builtin_rules(dim) + [_merge_rule()]:
