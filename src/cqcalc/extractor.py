@@ -358,7 +358,7 @@ def unbounded_pipeline(plan: ExpansionPlan, strategies, seed: int, q: float = 0.
         "output_width": plan.N * 4**plan.k,
         "output_bits": None if aborted else [int(b) for b in current],
         "budget": str(chain.claimed_total),
-        "budget_atoms": [str(rw.EpsExpr((a,))) for a in chain.claimed_total.atoms()],
+        "budget_atoms": [str(rw.EpsExpr((a,))) for a in chain.claimed_total.terms],
     }
     # enumeration costs (round outcomes)^rounds per seed: only N = 1 has two-round stages
     first, second = stages[0]

@@ -759,8 +759,12 @@ def matrix_to_json(m) -> list:
 
 
 def matrix_from_json(j) -> np.ndarray:
-    """Inverse of matrix_to_json."""
-    return np.array([[complex(re, im) for re, im in row] for row in j], dtype=complex)
+    """Inverse of matrix_to_json; raises ValueError on an entry that is
+    NaN or infinite, which no process or state has."""
+    m = np.array([[complex(re, im) for re, im in row] for row in j], dtype=complex)
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has an entry that is not finite")
+    return m
 
 
 def register_to_json(r: Register) -> dict:

@@ -217,7 +217,7 @@ class Test10CliDeterminism:
     def test_eval(self, tmp_path):
         src = tmp_path / "d.dg"
         src.write_text("uniform C2 1")
-        self.run_twice(tmp_path, ["eval", str(src), "--seed", "4"])
+        self.run_twice(tmp_path, ["eval", str(src)])
 
     def test_check(self, tmp_path):
         self.run_twice(
@@ -228,7 +228,7 @@ class Test10CliDeterminism:
         self.run_twice(tmp_path, ["simulate", "--rounds", "80", "--seed", "4"])
 
     def test_entropy(self, tmp_path):
-        self.run_twice(tmp_path, ["entropy", "--example", "diagonal", "--seed", "4"])
+        self.run_twice(tmp_path, ["entropy", "--example", "diagonal"])
 
     def test_extract(self, tmp_path):
         self.run_twice(

@@ -97,13 +97,28 @@ class TestEval:
         assert cli.main(["eval", str(src)]) == 2
 
     @pytest.mark.parametrize(
-        "defect", ["no_types", "wire_to_missing_node", "binding_without_matrix", "mistyped_binding"]
+        "defect",
+        [
+            "no_types", "wire_to_missing_node", "binding_without_matrix", "mistyped_binding", "nan_entry",
+            "inf_entry", "nan_box_payload", "inf_box_payload",
+        ],
     )
     def test_malformed_eval_input_exit_2(self, tmp_path, capsys, defect):
+        # a NaN binding evaluated to "scalar_re":NaN, which strict JSON refuses
         src = tmp_path / "d.dg"
         src.write_text("hole f : C2 -> C2\nuniform C2 1 ; f ; discard C2")
         binding = rc.tensor_to_json(rc.identity([rc.C(2)]))
-        if defect == "no_types":
+        entry = {"nan": math.nan, "inf": math.inf}.get(defect[:3])
+        if defect in ("nan_entry", "inf_entry"):
+            binding["matrix"][0][0][0] = entry
+        elif defect.endswith("box_payload"):
+            j = dg.diagram_to_json(dg.parse_diagram("box g : C2 -> C2\nuniform C2 1 ; g ; discard C2"))
+            (node,) = [n for n in j["nodes"] if n["kind"] == dg.BOX]
+            node["payload"] = rc.tensor_to_json(rc.identity([rc.C(2)]))
+            node["payload"]["matrix"][0][0][0] = entry
+            src = tmp_path / "d.json"
+            src.write_text(json.dumps(j))
+        elif defect == "no_types":
             src = tmp_path / "d.json"
             src.write_text(json.dumps({"nodes": [], "wires": []}))
         elif defect == "wire_to_missing_node":
@@ -117,8 +132,11 @@ class TestEval:
             binding = rc.tensor_to_json(rc.identity([rc.C(3)]))
         bfile = tmp_path / "bind.json"
         bfile.write_text(json.dumps({"f": binding}))
-        assert cli.main(["eval", str(src), "--bindings", str(bfile)]) == 2
-        assert "Traceback" not in capsys.readouterr().err
+        code, out = run_to_file(tmp_path, ["eval", str(src), "--bindings", str(bfile)])
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert ("not finite" in err) == (entry is not None)
 
     @pytest.mark.parametrize(
         "nodes,wires,types,message",
@@ -298,6 +316,35 @@ class TestCheck:
         assert cli.main(["check", str(sfile), "--dims", "M=1", "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert "malformed proof script" in err and "positive integer" in err
+
+    @pytest.mark.parametrize("scale", [1, 64])
+    def test_integer_base_exit_2(self, tmp_path, capsys, scale):
+        # an integer base is a dimension that ignores the scale: the two
+        # scripts replayed over one C3 -> C9 round and verified, and
+        # --eps-fn 1,1 priced them at 0.5 and 5.4e-20
+        lhs = rw._spot_lhs(scale, 3)
+        step = {"rule": "spot_check", "loc": tuple(sorted(lhs.nodes)), "params": {"scale": scale, "base": 3}}
+        script = rw.ProofScript("int_base", lhs, [step], rw.eps(scale, "N"))
+        sfile = tmp_path / "s.json"
+        sfile.write_text(json.dumps(rw.script_to_json(script)))
+        code, out = run_to_file(tmp_path, ["check", str(sfile), "--eps-fn", "1,1"])
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert "malformed proof script" in err and "not a width symbol" in err
+
+    def test_nan_axiom_probe_fails_verification(self, tmp_path, monkeypatch):
+        # an axiom's distance is a probe that must be finite, as in rules
+        distance = rw.rule_distance
+
+        def nan_axioms(rule, *args):
+            return math.nan if rule.validation_mode == "axiom" else distance(rule, *args)
+
+        monkeypatch.setattr(rw, "rule_distance", nan_axioms)
+        code, out = run_to_file(tmp_path, ["check", "chain_k1", "--dims", "N=1"])
+        assert code == 1
+        rep = json.loads(out.read_text())
+        assert not rep["verified"] and rep["claimed_total_matches"]
+        assert [s["status"] for s in rep["steps"]] == ["exact-ok", "axiom-failed", "axiom-failed", "exact-ok"]
 
     @pytest.mark.parametrize("rule", ["causality", "merge"])
     def test_loc_naming_absent_node_fails_verification(self, tmp_path, rule):
@@ -650,6 +697,25 @@ class TestRules:
         _, b = run_to_file(tmp_path, argv, "b.json")
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "name,trial,field", [("causality", 2, "max_deviation"), ("spot_check@1", 1, "measured_distance")]
+    )
+    def test_nan_trial_fails_its_rule(self, tmp_path, monkeypatch, name, trial, field):
+        # max(0.0, nan) is 0.0, so a NaN trial of causality read as ok
+        distance, calls = rw.rule_distance, collections.Counter()
+
+        def nan_trial(rule, *args):
+            calls[rule.name] += 1
+            return math.nan if (rule.name, calls[rule.name]) == (name, trial) else distance(rule, *args)
+
+        monkeypatch.setattr(rw, "rule_distance", nan_trial)
+        code, out = run_to_file(tmp_path, ["rules", "--trials", "3"])
+        assert code == 1
+        rep = json.loads(out.read_text())
+        failed = [r for r in rep["rules"] if not r["ok"]]
+        assert [r["name"] for r in failed] == [name] and math.isnan(failed[0][field])
+        assert not rep["all_ok"]
+
     @pytest.mark.parametrize("dim", [2, 3])
     def test_only_fresh_holes_are_redrawn(self, tmp_path, monkeypatch, dim):
         """rules --trials 5 runs a rule's trials only when a redraw can
@@ -740,6 +806,8 @@ class TestTolerance:
 
 class TestOptionSets:
     def test_each_command_takes_only_the_options_it_reads(self):
+        # every option but simulate --jobs, which the benchmark passes;
+        # eval and entropy read no seed, so they take no --seed
         parser = cli.build_parser()
         (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         got = {
@@ -747,15 +815,15 @@ class TestOptionSets:
             for name, p in sub.choices.items()
         }
         assert got == {
-            "eval": ["--bindings", "--out", "--seed"],
+            "eval": ["--bindings", "--out"],
             "check": ["--dims", "--eps-fn", "--n-value", "--out", "--seed", "--tol"],
             "simulate": ["--chi", "--jobs", "--out", "--q", "--rounds", "--seed", "--strategy", "--sweep"],
-            "entropy": ["--example", "--out", "--seed", "--state", "--tol"],
+            "entropy": ["--example", "--out", "--state", "--tol"],
             "extract": ["--hash-seed", "--hmin", "--m", "--n", "--out", "--seed", "--source"],
             "rules": ["--dim", "--out", "--seed", "--tol", "--trials"],
         }
         shared = ("--seed", "--out", "--tol", "--jobs")
-        assert sum(o in opts for opts in got.values() for o in shared) == 16
+        assert sum(o in opts for opts in got.values() for o in shared) == 14
 
 
 class TestReadmeExamples:
@@ -817,7 +885,7 @@ class TestSharedParser:
         }))
         state = str(tmp_path / "state.json")
         argvs = [
-            ["entropy", "--state", state, "--tol", "1e-3", "--seed", "4"],
+            ["entropy", "--state", state, "--tol", "1e-3"],
             ["extract", "--n", "6", "--m", "2", "--hmin", "5"],
             ["entropy", "--state", state],
             ["simulate", "--rounds", "20", "--sweep", "2", "--strategy", "all-zero"],

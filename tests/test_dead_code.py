@@ -3,9 +3,9 @@ package, the tests or the benchmark.  A reference is `alias.name` through
 an import of its module, `from ... import name`, or a bare name inside
 its own module; a definition that nothing refers to is dead code.  A
 public method or property of a package class is reached when its name
-is read as an attribute outside its own body.  And every definition
-that only tests reach, not the command line or the benchmark, is on a
-list that may only shrink."""
+is read as an attribute outside its own body.  And every definition,
+and every public method of a class in use, that only tests reach, not
+the command line or the benchmark, is on a list that may only shrink."""
 
 import ast
 from collections import Counter
@@ -85,6 +85,10 @@ def _attributes(tree: ast.AST) -> Counter:
     return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
 
 
+def _public_methods(cls: ast.ClassDef) -> list:
+    return [fn for fn in cls.body if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")]
+
+
 def test_every_public_method_is_referenced():
     """A public method or property of a package class is read as `.name`
     somewhere outside its own body.  A name scan: a method that shares
@@ -98,16 +102,17 @@ def test_every_public_method_is_referenced():
                 (f"{path.stem}.{cls.name}.{fn.name}", fn)
                 for cls in tree.body
                 if isinstance(cls, ast.ClassDef)
-                for fn in cls.body
-                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+                for fn in _public_methods(cls)
             ]
     assert [name for name, fn in methods if refs[fn.name] == _attributes(fn)[fn.name]] == []
 
 
-# Top-level definitions that neither cli.main nor bench/ reaches: only
-# tests call them.  A change may only shrink this list, by wiring a name
-# into a command or by moving it out of src/ (with the tests that use it).
+# Top-level definitions, and public methods of reached classes, that
+# neither cli.main nor bench/ reaches: only tests call them.  A change
+# may only shrink this list, by wiring a name into a command or by
+# moving it out of src/ (with the tests that use it).
 TEST_ONLY = {
+    "diagram": ["Diagram.dagger", "Diagram.topo_order"],
     "duplication": [
         "DuplicateState", "_branch_operator", "_branch_vector", "_duplicate_from_roots", "_psd_sqrt",
         "_purification_rows", "_relating_isometry", "apply_alpha", "canonical_duplicate",
@@ -123,7 +128,10 @@ TEST_ONLY = {
         "failure_filter_tensor", "fn_matrix", "game_value", "honest_expansion_round", "measurement_tensor",
         "rational_approx", "strategy_to_json",
     ],
-    "regcalc": ["channel_from_kraus", "compose_seq", "operator_effect"],
+    "regcalc": [
+        "CQState.from_tensor", "CQState.registers", "CQState.to_tensor", "channel_from_kraus", "compose_seq",
+        "dagger_conjugate_transpose", "operator_effect",
+    ],
     "rewrite": ["const", "lam", "script_to_json", "ure_final_form"],
 }
 
@@ -131,27 +139,45 @@ TEST_ONLY = {
 def test_only_listed_definitions_are_test_only():
     """A transitive name scan from cli.main and every reference in
     bench/: a reached definition reaches what its body refers to, and
-    what a module runs at import is reached.  A reached class reaches
-    all of its methods, so the scan can miss a dead method."""
-    edges, roots = {}, {("cli", "main")}
+    what a module runs at import is reached.  A public method is a
+    definition of its own, reached when its class is reached and its
+    name is read as an attribute in reached code (a class body and its
+    field defaults included, its public methods not)."""
+    edges, reads, methods, roots, read = {}, {}, {}, {("cli", "main")}, set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         aliases, names = _imports(tree)
         for node in tree.body:
-            refs = _names(node, path.stem, aliases, names)
+            parts = [node]
+            if isinstance(node, ast.ClassDef):
+                own = _public_methods(node)
+                parts = [n for n in ast.iter_child_nodes(node) if n not in own]
+                for fn in own:
+                    key = (path.stem, f"{node.name}.{fn.name}")
+                    edges[key], reads[key] = _names(fn, path.stem, aliases, names), set(_attributes(fn))
+                    methods[key] = ((path.stem, node.name), fn.name)
+            refs = set().union(*(_names(n, path.stem, aliases, names) for n in parts))
+            attrs = set().union(*map(_attributes, parts))
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                edges[(path.stem, node.name)] = refs
+                edges[(path.stem, node.name)], reads[(path.stem, node.name)] = refs, attrs
             else:
                 roots |= refs
+                read |= attrs
     for path in sorted((ROOT / "bench").glob("*.py")):
-        roots |= _references(ast.parse(path.read_text(), str(path)), None)
+        tree = ast.parse(path.read_text(), str(path))
+        roots |= _references(tree, None)
+        read |= set(_attributes(tree))
     reached, todo = set(), sorted(roots & edges.keys())
     while todo:
         key = todo.pop()
         if key not in reached:
             reached.add(key)
+            read |= reads[key]
             todo += sorted(edges[key] & edges.keys() - reached)
-    unreached = {f"{m}.{n}" for m, n in edges.keys() - reached}
+            todo += sorted(m for m, (cls, name) in methods.items() if m not in reached and cls in reached and name in read)
+    # the methods of an unreached class are listed with their class
+    dead = {key for key in edges.keys() - reached if key not in methods or methods[key][0] in reached}
+    unreached = {f"{m}.{n}" for m, n in dead}
     listed = {f"{m}.{n}" for m, ns in TEST_ONLY.items() for n in ns}
     assert sorted(unreached - listed) == [], "reached only from tests: wire it into a command or move it to the tests"
     assert sorted(listed - unreached) == [], "reached or removed now: take it off TEST_ONLY"

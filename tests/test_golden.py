@@ -657,17 +657,23 @@ def golden_argvs(tmp_path) -> list:
     return argvs
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def test_reports_are_one_compact_line(tmp_path, capsys):
     """Every pinned report, to a file and to stdout, is one line and a
     newline: the compact form json.dumps(..., sort_keys=True,
-    separators=(",", ":")) of its own value.  With the digests over the
-    indented form, this pins the bytes the CLI writes."""
+    separators=(",", ":")) of its own value, which a strict parser reads
+    (no NaN or Infinity).  With the digests over the indented form, this
+    pins the bytes the CLI writes."""
     out = tmp_path / "out.json"
     for argv in golden_argvs(tmp_path):
         out.unlink(missing_ok=True)
         assert cli.main(argv + ["--out", str(out)]) == 0, argv
         data = out.read_bytes()
-        assert data == (json.dumps(json.loads(data), sort_keys=True, separators=(",", ":")) + "\n").encode(), argv
+        value = json.loads(data, parse_constant=_refuse_constant)
+        assert data == (json.dumps(value, sort_keys=True, separators=(",", ":")) + "\n").encode(), argv
         assert data.count(b"\n") == 1, argv
         capsys.readouterr()
         assert cli.main(argv) == 0, argv

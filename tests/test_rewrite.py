@@ -382,6 +382,26 @@ class TestRuleLibrary:
         want = rw.rule_distance(rule, {}, np.random.default_rng(seed), {"N": 1})
         assert rep["steps"][0]["distance"] == want
 
+    @pytest.mark.parametrize(
+        "mode,dist,want",
+        [
+            ("exact", None, ("skipped", True)),
+            ("exact", 0.0, ("exact-ok", True)),
+            ("exact", 1e-9, ("exact-ok", True)),
+            ("exact", 2e-9, ("exact-failed", False)),
+            ("exact", math.inf, ("exact-failed", False)),
+            ("exact", math.nan, ("exact-failed", False)),
+            ("axiom", None, ("skipped", True)),
+            ("axiom", 0.75, ("axiom", True)),
+            ("axiom", math.inf, ("axiom-failed", False)),
+            ("axiom", math.nan, ("axiom-failed", False)),
+        ],
+    )
+    def test_verdict(self, mode, dist, want):
+        # the one judgement of a distance that check and rules share
+        rule = next(r for r in rw.builtin_rules(2) + rw.axiom_rules() if r.validation_mode == mode)
+        assert rw.verdict(rule, dist, 1e-9) == want
+
 
 def _merge_rule():
     d = dg.parse_diagram("hole f : C2 -> C2\nhole g : C2 -> C2 causal\nuniform C2 1 ; f ; g")
