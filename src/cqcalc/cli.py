@@ -386,9 +386,14 @@ def cmd_extract(args) -> int:
     return 0
 
 
+# rules --dim d draws expand_S@1's R@2 as a 4d^4 x 4d^2 matrix; one run's
+# traced peak grows about 3x per step of d, to 31 MB at d = 5
+RULES_DIM_MAX = 5
+
+
 def cmd_rules(args) -> int:
-    if args.dim < 1:
-        raise CliError("--dim must be >= 1")
+    if not 1 <= args.dim <= RULES_DIM_MAX:
+        raise CliError(f"--dim must be between 1 and {RULES_DIM_MAX}")
     if args.trials < 1:
         raise CliError("--trials must be >= 1: a rule is ok only once it is checked")
     _check_seed(args)
@@ -481,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("rules", help="list the rule library with self-test results")
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--dim", type=int, default=2, help=f"width of the concrete rules, 1 to {RULES_DIM_MAX}")
     p.add_argument(
         "--trials",
         type=int,

@@ -165,9 +165,10 @@ class Diagram:
 
     A diagram is an immutable value: `nodes` is a read-only mapping and
     `wires` a tuple, and code that changes a diagram builds a new one.
-    So its type check, topological order and contraction plan, and each
-    width substitution, are computed once per diagram object and kept on
-    it, outside the fields that `==` and `repr` read."""
+    So its type check, topological order and contraction plan, its
+    opaque nodes and largest carrier, and each width substitution, are
+    computed once per diagram object and kept on it, outside the fields
+    that `==` and `repr` read."""
 
     nodes: Mapping[int, Generator] = field(default_factory=dict)
     wires: tuple[tuple[Src, Dst], ...] = ()
@@ -278,6 +279,18 @@ class Diagram:
                 tuple(r.subst(values) for r in self.out_types),
             )
         return out
+
+    @cached_property
+    def opaque_nodes(self) -> tuple[Generator, ...]:
+        """The nodes whose processes come from a binding, by node id."""
+        return tuple(self.nodes[nid] for nid in sorted(self.nodes) if self.nodes[nid].opaque)
+
+    @cached_property
+    def largest_carrier(self) -> int:
+        """The most carrier entries of any node or of the boundary.
+        Needs concrete widths."""
+        sizes = [rc.total_dim(g.in_ports + g.out_ports) for g in self.nodes.values()]
+        return max(sizes + [rc.total_dim(self.in_types + self.out_types)])
 
     def wire_type(self, wire: tuple[Src, Dst]) -> Register:
         s, t = wire

@@ -691,6 +691,29 @@ def channel_from_kraus(
     return ProcessTensor(in_regs, out_regs, m)
 
 
+@lru_cache(maxsize=None)
+def _channel_layout(in_regs: tuple[Register, ...], out_regs: tuple[Register, ...]):
+    """random_cq_channel's index layout, from the register types alone:
+    (Ki, Ko, dqi, dqo, order, rows_out, shape).  Ki and Ko are the
+    classical and dqi and dqo the quantum dimensions of the two sides;
+    order lists the carrier columns of each classical input's grouped
+    (bra, ket) block in turn, rows_out is the grouped (classical, bra,
+    ket) row of each carrier row, and shape is the matrix shape.  The
+    arrays are cached per register tuples and read-only."""
+    dqi, dqo = _kind_dim(in_regs, QUANTUM), _kind_dim(out_regs, QUANTUM)
+
+    def grouped(regs, dq):
+        # carrier index -> flat (classical, row, column) index
+        rows, cols, _ = _lift(regs)
+        return rows * dq + cols % dq
+
+    order, rows_out = np.argsort(grouped(in_regs, dqi)), grouped(out_regs, dqo)
+    order.setflags(write=False)
+    rows_out.setflags(write=False)
+    shape = (total_dim(out_regs), total_dim(in_regs))
+    return _kind_dim(in_regs, CLASSICAL), _kind_dim(out_regs, CLASSICAL), dqi, dqo, order, rows_out, shape
+
+
 def random_cq_channel(
     in_regs: Sequence[Register],
     out_regs: Sequence[Register],
@@ -709,21 +732,8 @@ def random_cq_channel(
     block, then (non-causal only) the branch weights.
     """
     in_regs, out_regs = tuple(in_regs), tuple(out_regs)
-    Ki = _kind_dim(in_regs, CLASSICAL)
-    Ko = _kind_dim(out_regs, CLASSICAL)
-    dqi, dqo = _kind_dim(in_regs, QUANTUM), _kind_dim(out_regs, QUANTUM)
-
-    def grouped(regs, dq):
-        # carrier index -> flat (classical, row, column) index
-        rows, cols, _ = _lift(regs)
-        return rows * dq + cols % dq
-
-    m = np.zeros((total_dim(out_regs), total_dim(in_regs)), dtype=complex)
-    # carrier columns of each classical input's grouped (bra, ket) block,
-    # and the grouped (classical, bra, ket) row of each carrier row
-    order = np.argsort(grouped(in_regs, dqi)).reshape(Ki, dqi * dqi)
-    rows_out = grouped(out_regs, dqo)
-
+    Ki, Ko, dqi, dqo, order, rows_out, shape = _channel_layout(in_regs, out_regs)
+    m = np.zeros(shape, dtype=complex)
     env = max(1, dqi)
     R = Ko * dqo * env
     # per symbol an isometry V: for each classical output, Kraus ops on Q
@@ -744,7 +754,7 @@ def random_cq_channel(
     # the carrier layout; += onto zeros keeps the signed zeros of the sum
     doubled = np.einsum("kcpea,kcqeb->kcpqab", branches, np.conj(branches))
     blocks = doubled.reshape(Ki, Ko * dqo * dqo, dqi * dqi)[:, rows_out]
-    m[:, order.ravel()] += blocks.transpose(1, 0, 2).reshape(m.shape[0], Ki * dqi * dqi)
+    m[:, order] += blocks.transpose(1, 0, 2).reshape(m.shape[0], Ki * dqi * dqi)
     m.setflags(write=False)  # no one else holds m: the ProcessTensor keeps it
     return ProcessTensor(in_regs, out_regs, m)
 

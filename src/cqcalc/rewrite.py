@@ -21,6 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial, reduce
+from types import MappingProxyType
 
 import numpy as np
 
@@ -432,8 +433,9 @@ CAUSAL = frozenset({"causal"})
 
 _gen, _wires = dg.Diagram.from_generator, dg.Diagram.id_wires
 
-# A diagram cannot change once built, so each rule is built once per
-# argument tuple; typed, so that a script's scale 1.0 gets its own rule.
+# A diagram or a proof script cannot change once built, so each rule and
+# shipped script is built once per argument tuple, on first use; typed,
+# so that a script's scale 1.0 gets its own rule.
 _memo = lru_cache(maxsize=None, typed=True)
 
 
@@ -651,16 +653,28 @@ def sample_hole(g: dg.Generator, rng) -> rc.ProcessTensor:
 # proof scripts
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProofScript:
     """A replayable derivation: an initial diagram plus a fixed list of
     rule applications and merges, with the budget the script claims to
-    accumulate."""
+    accumulate.
+
+    A script is an immutable value: `steps` is a tuple of read-only
+    mappings, each of a `rule` name, a `loc` tuple and read-only
+    `params`, so a shipped script can be built once and shared.  An
+    edited script is a new one, made with `dataclasses.replace`."""
 
     name: str
     initial: dg.Diagram
-    steps: list
+    steps: tuple
     claimed_total: EpsExpr
+
+    def __post_init__(self):
+        def frozen(st):
+            params = MappingProxyType(dict(st.get("params", {})))
+            return MappingProxyType({"rule": st["rule"], "loc": tuple(st["loc"]), "params": params})
+
+        object.__setattr__(self, "steps", tuple(map(frozen, self.steps)))
 
 
 SCRIPT_FORMAT_VERSION = 1
@@ -797,6 +811,7 @@ def _apply_stage(bld: _Builder, level: int):
     bld.step("merge", sorted(ids), name=f"T{level + 1}")
 
 
+@_memo
 def script_chain(k: int, base: str = "N") -> ProofScript:
     """k chained stages collapse level by level; total cost is the sum
     of eps(2^i N) for i < 2k."""
@@ -824,6 +839,7 @@ def ure_final_form(base: str = "N") -> dg.Diagram:
     return _gen(dg.uniform_gen(_w(16, base), 1)) @ _gen(residual)
 
 
+@_memo
 def script_soundness_k2(base: str = "N") -> ProofScript:
     """Two-stage soundness: the published seed is within
     eps(N)+eps(2N)+eps(4N)+eps(8N) of a fresh uniform seed in tensor
@@ -842,6 +858,7 @@ def script_soundness_k2(base: str = "N") -> ProofScript:
     return bld.finish()
 
 
+@_memo
 def script_spot_check_lemma(base: str = "N") -> ProofScript:
     """The spot-check axiom decomposed into its two half-steps: replace
     the published seed (cost delta), then duplicate it back into the
@@ -861,7 +878,7 @@ def script_spot_check_lemma(base: str = "N") -> ProofScript:
 SHIPPED_SCRIPTS = {
     # one expansion stage under a copied seed collapses to fresh uniforms
     # plus a summary process, at cost eps(M) + eps(2M)
-    "single_stage": lambda: replace(script_chain(1, "M"), name="single_stage"),
+    "single_stage": _memo(lambda: replace(script_chain(1, "M"), name="single_stage")),
     "soundness_k2": script_soundness_k2,
     "spot_check_lemma": script_spot_check_lemma,
     **{f"chain_k{k}": partial(script_chain, k) for k in (1, 2, 3)},
@@ -926,13 +943,8 @@ def _step_apply(state: RewriteState, step):
     return new, rule
 
 
-def _opaque_sorted(d: dg.Diagram):
-    """The nodes of d whose processes come from a binding, by node id."""
-    return [d.nodes[nid] for nid in sorted(d.nodes) if d.nodes[nid].opaque]
-
-
 def _opaque_labels(d: dg.Diagram) -> set:
-    return {g.label for g in _opaque_sorted(d)}
+    return {g.label for g in d.opaque_nodes}
 
 
 def _new_labels(rule: RewriteRule) -> set:
@@ -950,25 +962,15 @@ def replay_script(script: ProofScript):
     return state, records
 
 
-def _gen_size(g: dg.Generator) -> int:
-    return rc.total_dim(g.in_ports + g.out_ports)
-
-
-def _tractable(d: dg.Diagram, cap2: int) -> bool:
-    if any(_gen_size(g) > cap2 for g in d.nodes.values()):
-        return False
-    return rc.total_dim(d.in_types + d.out_types) <= cap2
-
-
 def _ensure_bindings(d: dg.Diagram, binding: dict, rng, cap2: int) -> bool:
     """Draw flag-respecting processes for unbound holes and payload-less
     boxes; skip any too large to represent.  True iff every one ends up
     bound."""
     ok = True
-    for g in _opaque_sorted(d):
+    for g in d.opaque_nodes:
         if g.label in binding:
             continue
-        if _gen_size(g) <= cap2:
+        if rc.total_dim(g.in_ports + g.out_ports) <= cap2:
             binding[g.label] = sample_hole(g, rng)
         else:
             ok = False
@@ -994,12 +996,12 @@ def rule_distance(rule: RewriteRule, binding: dict, rng, dims=None, cap2=math.in
         _ensure_bindings(rhs, binding, rng, cap2)
     else:
         src, dst = (rhs, lhs) if rule.binding_mode == "derive_lhs" else (lhs, rhs)
-        (label,) = [g.label for g in _opaque_sorted(dst)]
+        (label,) = [g.label for g in dst.opaque_nodes]
         have = _ensure_bindings(src, binding, rng, cap2)
-        if have and _tractable(src, cap2) and label not in binding:
+        if have and src.largest_carrier <= cap2 and label not in binding:
             binding[label] = src.evaluate(binding)
             return 0.0
-    tractable = _tractable(lhs, cap2) and _tractable(rhs, cap2)
+    tractable = max(lhs.largest_carrier, rhs.largest_carrier) <= cap2
     if not tractable or (_opaque_labels(lhs) | _opaque_labels(rhs)) - binding.keys():
         return None
     d = lhs.evaluate(binding).matrix - rhs.evaluate(binding).matrix

@@ -2,6 +2,7 @@
 
 import argparse
 import collections
+import dataclasses
 import json
 import math
 import shlex
@@ -227,6 +228,28 @@ class TestCheck:
         assert rep["budget"] == "eps(1*N) + eps(2*N) + eps(4*N) + eps(8*N)"
         assert rep["budget_numeric"]["value"] == 0.81640625
 
+    @pytest.mark.parametrize("name", ["soundness_k2", "chain_k3", "single_stage"])
+    def test_second_check_replays_once(self, tmp_path, monkeypatch, name):
+        """A shipped script is built once per process, so a later check of
+        it matches its rules only in the one replay of run_script."""
+        calls = collections.Counter()
+        find = rw.find_matches
+
+        def counted_find(*args, **kwargs):
+            calls[phase] += 1
+            return find(*args, **kwargs)
+
+        monkeypatch.setattr(rw, "find_matches", counted_find)
+        argv = ["check", name, "--dims", ("M" if name == "single_stage" else "N") + "=1"]
+        phase = "first"
+        assert run_to_file(tmp_path, argv)[0] == 0
+        script = rw.SHIPPED_SCRIPTS[name]()
+        phase = "replay"
+        rw.replay_script(script)
+        phase = "second"
+        assert run_to_file(tmp_path, argv)[0] == 0
+        assert calls["replay"] > 0 and calls["second"] == calls["replay"]
+
     def test_tampered_script_fails_at_step(self, tmp_path):
         j = rw.script_to_json(rw.SHIPPED_SCRIPTS["single_stage"]())
         j["steps"][0]["loc"] = [99]
@@ -374,8 +397,9 @@ class TestCheck:
             step = {"rule": "merge", "loc": (gid,), "params": {"name": "f"}}
             script, label = rw.ProofScript("reuse", d, [step], rw.EpsExpr.zero()), "f"
         else:
-            script, label = rw.script_chain(1), "A@2"
-            script.steps[-1]["params"] = {"name": label}
+            chain, label = rw.script_chain(1), "A@2"
+            merge = {**chain.steps[-1], "params": {"name": label}}
+            script = dataclasses.replace(chain, steps=chain.steps[:-1] + (merge,))
         sfile = tmp_path / "s.json"
         sfile.write_text(json.dumps(rw.script_to_json(script)))
         code, out = run_to_file(tmp_path, ["check", str(sfile), "--dims", "N=1"])
@@ -418,8 +442,9 @@ class TestCheck:
     def test_step_reusing_a_removed_label_is_checked(self, tmp_path):
         # the first merge consumes B@1, so the second may name its hole B@1;
         # the binding of the removed node must not stand for the new one
-        script = rw.script_chain(2)
-        script.steps[-1]["params"] = {"name": "B@1"}
+        chain = rw.script_chain(2)
+        merge = {**chain.steps[-1], "params": {"name": "B@1"}}
+        script = dataclasses.replace(chain, steps=chain.steps[:-1] + (merge,))
         sfile = tmp_path / "s.json"
         sfile.write_text(json.dumps(rw.script_to_json(script)))
         code, out = run_to_file(tmp_path, ["check", str(sfile), "--dims", "N=0"])
@@ -684,8 +709,12 @@ class TestRules:
         names = [r["name"] for r in rep["rules"]]
         assert "spider_fusion" in names and "causality" in names
 
-    @pytest.mark.parametrize("flag,value", [("--trials", 0), ("--trials", -3), ("--dim", 0)])
-    def test_unchecked_or_empty_rules_exit_2(self, tmp_path, capsys, flag, value):
+    @pytest.mark.parametrize("flag,value", [("--trials", 0), ("--trials", -3), ("--dim", 0), ("--dim", 6)])
+    def test_unchecked_or_empty_rules_exit_2(self, tmp_path, capsys, monkeypatch, flag, value):
+        def no_draw(g, rng):  # a refused --dim fails before any hole is drawn
+            raise AssertionError(f"drew hole {g.label!r}")
+
+        monkeypatch.setattr(rw, "sample_hole", no_draw)
         code, out = run_to_file(tmp_path, ["rules", flag, str(value)])
         assert code == 2
         assert not out.exists()

@@ -672,9 +672,9 @@ class TestEvaluateMatchesSweep:
         for _, rule in records:
             for side in (rule.lhs, rule.rhs):
                 d = side.subst({"N": 1, "M": 1})
-                if not rw._tractable(d, rw.DIM_CAP**2):
+                if d.largest_carrier > rw.DIM_CAP**2:
                     continue
-                binding = {g.label: rw.sample_hole(g, rng) for g in rw._opaque_sorted(d)}
+                binding = {g.label: rw.sample_hole(g, rng) for g in d.opaque_nodes}
                 _assert_matches_sweep(d, binding)
                 checked += 1
         assert checked > 0
@@ -685,7 +685,7 @@ class TestEvaluateMatchesSweep:
         for rule in rw.builtin_rules(dim) + rw.axiom_rules():
             for side in (rule.lhs, rule.rhs):
                 d = side.subst({"N": dim})
-                binding = {g.label: rw.sample_hole(g, rng) for g in rw._opaque_sorted(d)}
+                binding = {g.label: rw.sample_hole(g, rng) for g in d.opaque_nodes}
                 _assert_matches_sweep(d, binding)
 
 

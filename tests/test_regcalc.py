@@ -877,3 +877,15 @@ class TestStackedSamplerMatchesLoop:
         want = _random_cq_channel_loop(in_regs, out_regs, ref_rng, causal=causal)
         assert got.matrix.tobytes() == want.matrix.tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_layout_is_cached_and_read_only(self):
+        # the layout comes from the register types alone, so it is built
+        # once per pair of register tuples and no draw may write it
+        layout = rc._channel_layout((C2, Q2), (rc.C(4), Q2))
+        assert rc._channel_layout((C2, Q2), (rc.C(4), Q2)) is layout
+        order, rows_out = layout[4], layout[5]
+        assert not order.flags.writeable and not rows_out.flags.writeable
+        with pytest.raises(ValueError):
+            order[0] = 0
+        assert layout[:4] == (2, 4, 2, 2) and layout[6] == (16, 8)
+        assert sorted(order) == list(range(8)) and len(rows_out) == 16

@@ -454,7 +454,7 @@ class TestRuleDistanceEvaluations:
         # one NaN among finite entries: the largest entry is NaN, as with
         # np.abs(lhs - rhs).max()
         (rule,) = [r for r in rw.builtin_rules(2) if r.name == "causality"]
-        (h,) = rw._opaque_sorted(rule.lhs)
+        (h,) = rule.lhs.opaque_nodes
         m = rw.sample_hole(h, np.random.default_rng(0)).matrix.copy()
         m[0, 0] = np.nan
         dist = rw.rule_distance(rule, {h.label: rc.ProcessTensor(h.in_ports, h.out_ports, m)}, None)
@@ -516,6 +516,36 @@ class TestScripts:
         final2 = rw.replay_script(s2)[0]
         assert dg.diagrams_equal(final1.diagram, final2.diagram)
         assert final1.budget == final2.budget
+
+    @pytest.mark.parametrize("name", sorted(rw.SHIPPED_SCRIPTS))
+    def test_shipped_script_is_built_once(self, name):
+        assert rw.SHIPPED_SCRIPTS[name]() is rw.SHIPPED_SCRIPTS[name]()
+
+    def test_chain_is_shared_with_the_shipped_scripts(self):
+        assert rw.SHIPPED_SCRIPTS["chain_k2"]() is rw.script_chain(2)
+
+    @pytest.mark.parametrize("name", sorted(rw.SHIPPED_SCRIPTS))
+    def test_script_equals_its_json_round_trip(self, name):
+        s = rw.SHIPPED_SCRIPTS[name]()
+        assert rw.script_from_json(rw.script_to_json(s)) == s
+
+    @pytest.mark.parametrize("source", ["shipped", "loaded"])
+    def test_steps_cannot_be_edited(self, source):
+        s = rw.script_soundness_k2()
+        if source == "loaded":
+            s = rw.script_from_json(json.loads(json.dumps(rw.script_to_json(s))))
+        step = next(st for st in s.steps if st["params"])
+        with pytest.raises(TypeError):
+            s.steps[-1]["params"] = {"name": "f"}
+        with pytest.raises(TypeError):
+            step["params"]["scale"] = 2
+        with pytest.raises(TypeError):
+            step["loc"][0] = 0
+        with pytest.raises(AttributeError):
+            s.steps.append(step)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.steps = ()
+        assert s == rw.script_soundness_k2()
 
     def test_script_json_round_trip(self):
         self.assert_json_round_trip(rw.script_chain(2))
