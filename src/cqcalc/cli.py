@@ -386,8 +386,9 @@ def cmd_extract(args) -> int:
     return 0
 
 
-# rules --dim d draws expand_S@1's R@2 as a 4d^4 x 4d^2 matrix; one run's
-# traced peak grows about 3x per step of d, to 31 MB at d = 5
+# rules settles expand_S@1, a derived rule, without drawing its 4d^4 x 4d^2
+# R@2; one run's traced peak is then 1.2 MB at each d from 1 to 5 (the
+# first call's setup), and a second call in the process peaks at 0.03 MB
 RULES_DIM_MAX = 5
 
 
@@ -402,8 +403,11 @@ def cmd_rules(args) -> int:
     for rule in rw.builtin_rules(args.dim) + rw.axiom_rules():
         exact = rule.validation_mode == "exact"
         dims = {"N": 1} if rule.lhs.symbolic else None
-        trials = args.trials if exact and rw.draws_fresh_holes(rule) else 1
-        dists = [rw.rule_distance(rule, {}, np.random.default_rng(args.seed + t), dims) for t in range(trials)]
+        if rule.binding_mode == "fresh":
+            trials = args.trials if exact and rw.draws_fresh_holes(rule) else 1
+            dists = [rw.rule_distance(rule, {}, np.random.default_rng(args.seed + t), dims) for t in range(trials)]
+        else:
+            dists = [rw.derived_distance(rule, dims)]
         worst = float(np.max(dists))  # np.max keeps a NaN; the builtin max can drop one
         records.append(
             {

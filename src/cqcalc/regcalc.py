@@ -694,12 +694,12 @@ def channel_from_kraus(
 @lru_cache(maxsize=None)
 def _channel_layout(in_regs: tuple[Register, ...], out_regs: tuple[Register, ...]):
     """random_cq_channel's index layout, from the register types alone:
-    (Ki, Ko, dqi, dqo, order, rows_out, shape).  Ki and Ko are the
-    classical and dqi and dqo the quantum dimensions of the two sides;
-    order lists the carrier columns of each classical input's grouped
-    (bra, ket) block in turn, rows_out is the grouped (classical, bra,
-    ket) row of each carrier row, and shape is the matrix shape.  The
-    arrays are cached per register tuples and read-only."""
+    (Ki, Ko, dqi, dqo, gather).  Ki and Ko are the classical and dqi
+    and dqo the quantum dimensions of the two sides.  gather has the
+    matrix's shape and holds, per carrier entry, its flat index in the
+    grouped doubled action (classical in, classical out, bra, ket out,
+    bra, ket in); every entry is read exactly once.  The array is
+    cached per register tuples and read-only."""
     dqi, dqo = _kind_dim(in_regs, QUANTUM), _kind_dim(out_regs, QUANTUM)
 
     def grouped(regs, dq):
@@ -707,11 +707,12 @@ def _channel_layout(in_regs: tuple[Register, ...], out_regs: tuple[Register, ...
         rows, cols, _ = _lift(regs)
         return rows * dq + cols % dq
 
-    order, rows_out = np.argsort(grouped(in_regs, dqi)), grouped(out_regs, dqo)
-    order.setflags(write=False)
-    rows_out.setflags(write=False)
-    shape = (total_dim(out_regs), total_dim(in_regs))
-    return _kind_dim(in_regs, CLASSICAL), _kind_dim(out_regs, CLASSICAL), dqi, dqo, order, rows_out, shape
+    Ki, Ko = _kind_dim(in_regs, CLASSICAL), _kind_dim(out_regs, CLASSICAL)
+    # column -> (classical input, grouped in index); row -> grouped out index
+    ci, cj = np.divmod(grouped(in_regs, dqi), dqi * dqi)
+    gather = (ci * (Ko * dqo * dqo) + grouped(out_regs, dqo)[:, None]) * (dqi * dqi) + cj
+    gather.setflags(write=False)
+    return Ki, Ko, dqi, dqo, gather
 
 
 def random_cq_channel(
@@ -732,8 +733,7 @@ def random_cq_channel(
     block, then (non-causal only) the branch weights.
     """
     in_regs, out_regs = tuple(in_regs), tuple(out_regs)
-    Ki, Ko, dqi, dqo, order, rows_out, shape = _channel_layout(in_regs, out_regs)
-    m = np.zeros(shape, dtype=complex)
+    Ki, Ko, dqi, dqo, gather = _channel_layout(in_regs, out_regs)
     env = max(1, dqi)
     R = Ko * dqo * env
     # per symbol an isometry V: for each classical output, Kraus ops on Q
@@ -751,10 +751,10 @@ def random_cq_channel(
         V = V * np.sqrt(w)
     branches = V.reshape(Ki, Ko, dqo, env, dqi)
     # grouped doubled action summed over Kraus branches, gathered into
-    # the carrier layout; += onto zeros keeps the signed zeros of the sum
+    # the carrier layout; + 0.0 maps a -0.0 entry to 0.0, so that no
+    # sampled matrix holds a negative zero
     doubled = np.einsum("kcpea,kcqeb->kcpqab", branches, np.conj(branches))
-    blocks = doubled.reshape(Ki, Ko * dqo * dqo, dqi * dqi)[:, rows_out]
-    m[:, order] += blocks.transpose(1, 0, 2).reshape(m.shape[0], Ki * dqi * dqi)
+    m = np.add(doubled.take(gather), 0.0)
     m.setflags(write=False)  # no one else holds m: the ProcessTensor keeps it
     return ProcessTensor(in_regs, out_regs, m)
 

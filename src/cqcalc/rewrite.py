@@ -811,10 +811,15 @@ def _apply_stage(bld: _Builder, level: int):
     bld.step("merge", sorted(ids), name=f"T{level + 1}")
 
 
-@_memo
 def script_chain(k: int, base: str = "N") -> ProofScript:
     """k chained stages collapse level by level; total cost is the sum
-    of eps(2^i N) for i < 2k."""
+    of eps(2^i N) for i < 2k.  Built once per (k, base), however the
+    arguments are spelled."""
+    return _script_chain(k, base)
+
+
+@_memo
+def _script_chain(k: int, base: str) -> ProofScript:
     bld = _Builder(f"chain_k{k}", _chain_initial(k, base), base)
     for j in range(k):
         _apply_stage(bld, j)
@@ -952,6 +957,18 @@ def _new_labels(rule: RewriteRule) -> set:
     return _opaque_labels(rule.rhs) - _opaque_labels(rule.lhs)
 
 
+def _later_reads(records) -> list:
+    """Per replayed step, the labels whose binding a later step reads.
+    A step reads the labels of its lhs.  It draws the labels it
+    introduces anew (run_script first drops their stale bindings), so
+    it reads no earlier binding of those."""
+    live, out = set(), []
+    for _, rule in reversed(records):
+        out.append(frozenset(live))
+        live = (live - _new_labels(rule)) | _opaque_labels(rule.lhs)
+    return out[::-1]
+
+
 def replay_script(script: ProofScript):
     """Symbolic replay; returns (final state, (step, rule) per step)."""
     state = RewriteState(script.initial)
@@ -977,7 +994,7 @@ def _ensure_bindings(d: dg.Diagram, binding: dict, rng, cap2: int) -> bool:
     return ok
 
 
-def rule_distance(rule: RewriteRule, binding: dict, rng, dims=None, cap2=math.inf):
+def rule_distance(rule: RewriteRule, binding: dict, rng, dims=None, cap2=math.inf, read=None):
     """Numeric check of a rule: bind its unbound holes, evaluate both
     sides and return the largest entry of their difference.
 
@@ -986,8 +1003,11 @@ def rule_distance(rule: RewriteRule, binding: dict, rng, dims=None, cap2=math.in
     evaluated rhs, so the distance is 0 by construction; "derive_rhs"
     mirrors it.  A derived hole that was already bound is compared like
     any other.  New bindings are added to `binding`, so the steps of one
-    script share their processes.  Returns None when a side, or a hole
-    that side needs, has more than cap2 carrier entries."""
+    script share their processes.  `read`, when given, holds the labels
+    whose binding a later step reads: a derived hole outside it is left
+    unbound, its source side drawn but not evaluated, and the distance
+    is still 0.  Returns None when a side, or a hole that side needs,
+    has more than cap2 carrier entries."""
     lhs, rhs = rule.lhs, rule.rhs
     if dims is not None:
         lhs, rhs = lhs.subst(dims), rhs.subst(dims)
@@ -999,7 +1019,8 @@ def rule_distance(rule: RewriteRule, binding: dict, rng, dims=None, cap2=math.in
         (label,) = [g.label for g in dst.opaque_nodes]
         have = _ensure_bindings(src, binding, rng, cap2)
         if have and src.largest_carrier <= cap2 and label not in binding:
-            binding[label] = src.evaluate(binding)
+            if read is None or label in read:
+                binding[label] = src.evaluate(binding)
             return 0.0
     tractable = max(lhs.largest_carrier, rhs.largest_carrier) <= cap2
     if not tractable or (_opaque_labels(lhs) | _opaque_labels(rhs)) - binding.keys():
@@ -1008,11 +1029,24 @@ def rule_distance(rule: RewriteRule, binding: dict, rng, dims=None, cap2=math.in
     return float(np.abs(d, out=d).real.max())
 
 
+def derived_distance(rule: RewriteRule, dims=None) -> float:
+    """rule_distance(rule, {}, rng, dims) of a derived rule, with no draw
+    and no evaluation: under an empty binding the derived hole is bound
+    to its source side's value, so the distance is 0 by construction
+    once both sides type-check at dims.  Raises ValueError otherwise."""
+    for side in (rule.lhs, rule.rhs):
+        errs = (side if dims is None else side.subst(dims)).typecheck()
+        if errs:
+            raise ValueError(f"rule {rule.name}: ill-typed side: " + "; ".join(errs))
+    return 0.0
+
+
 def draws_fresh_holes(rule: RewriteRule) -> bool:
     """True iff another rng can make rule_distance(rule, {}, rng) return
     another value: the rule draws its holes "fresh" and has one.  A rule
-    without a hole evaluates the same sides every time, and a derived
-    rule's distance under an empty binding is 0 by construction."""
+    without a hole evaluates the same sides every time.  A derived
+    rule's distance under an empty binding is 0 by construction, so
+    `rules` settles it with derived_distance, drawing nothing."""
     return rule.binding_mode == "fresh" and bool(_opaque_labels(rule.lhs) | _opaque_labels(rule.rhs))
 
 
@@ -1059,7 +1093,7 @@ def run_script(
     binding: dict = {}
     verified = True
     steps_out = []
-    for step, rule in records:
+    for (step, rule), read in zip(records, _later_reads(records)):
         entry = {
             "rule": step["rule"],
             "loc": list(step["loc"]),
@@ -1072,7 +1106,7 @@ def run_script(
             # left by an earlier node of that label is stale
             for label in _new_labels(rule):
                 binding.pop(label, None)
-            entry["distance"] = rule_distance(rule, binding, rng, dims, cap2)
+            entry["distance"] = rule_distance(rule, binding, rng, dims, cap2, read)
             entry["status"], ok = verdict(rule, entry["distance"], tol)
             verified = verified and ok
         steps_out.append(entry)

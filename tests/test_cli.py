@@ -1,11 +1,14 @@
 """Tests for the command-line interface."""
 
 import argparse
+import ast
 import collections
 import dataclasses
 import json
 import math
+import inspect
 import shlex
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -249,6 +252,55 @@ class TestCheck:
         phase = "second"
         assert run_to_file(tmp_path, argv)[0] == 0
         assert calls["replay"] > 0 and calls["second"] == calls["replay"]
+
+    @staticmethod
+    def _check_evaluations(tmp_path, monkeypatch, argv):
+        """Run a check; returns its replayed (step, rule) records, its
+        steps' reports and every diagram it evaluated."""
+        replay, evaluate = rw.replay_script, dg.Diagram.evaluate
+        replayed, evaluated = [], []
+
+        def captured_replay(script):
+            state, records = replay(script)
+            replayed.append(records)
+            return state, records
+
+        def counted_evaluate(self, binding=None):
+            evaluated.append(self)
+            return evaluate(self, binding)
+
+        monkeypatch.setattr(rw, "replay_script", captured_replay)
+        monkeypatch.setattr(dg.Diagram, "evaluate", counted_evaluate)
+        code, out = run_to_file(tmp_path, argv)
+        assert code == 0
+        (records,) = replayed
+        return records, json.loads(out.read_text())["steps"], evaluated
+
+    def test_unread_derived_holes_are_not_evaluated(self, tmp_path, monkeypatch):
+        # no later step of chain_k1 reads S@1 or T1, so neither source
+        # side is evaluated; both steps still check at 0 by construction
+        records, steps, evaluated = self._check_evaluations(
+            tmp_path, monkeypatch, ["check", "chain_k1", "--dims", "N=1"]
+        )
+        dims = {"N": 1}
+        sources = {}
+        for (step, rule), rep in zip(records, steps):
+            if rule.binding_mode != "fresh":
+                sources[step["rule"]] = rule.rhs if rule.binding_mode == "derive_lhs" else rule.lhs
+                assert (rep["status"], rep["distance"]) == ("exact-ok", 0.0)
+        assert sorted(sources) == ["expand_S", "merge"]
+        for side in sources.values():
+            assert not any(d is side.subst(dims) for d in evaluated)
+
+    def test_read_derived_hole_is_evaluated(self, tmp_path, monkeypatch):
+        # soundness_k2's second stage reads T1, so its first merge
+        # evaluates the cut once and binds T1 to it
+        records, steps, evaluated = self._check_evaluations(
+            tmp_path, monkeypatch, ["check", "soundness_k2", "--dims", "N=1"]
+        )
+        (first, rep), *_ = [(rule, rep) for (step, rule), rep in zip(records, steps) if step["rule"] == "merge"]
+        assert (rep["status"], rep["distance"]) == ("exact-ok", 0.0)
+        assert sum(d is first.lhs.subst({"N": 1}) for d in evaluated) == 1
 
     def test_tampered_script_fails_at_step(self, tmp_path):
         j = rw.script_to_json(rw.SHIPPED_SCRIPTS["single_stage"]())
@@ -748,12 +800,12 @@ class TestRules:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_only_fresh_holes_are_redrawn(self, tmp_path, monkeypatch, dim):
         """rules --trials 5 runs a rule's trials only when a redraw can
-        change its distance, and its records are those of the loop that
-        ran every trial of every rule."""
+        change its distance, settles a derived rule with no draw and no
+        evaluation, and its records are those of the loop that ran every
+        trial of every rule."""
         counts = collections.defaultdict(collections.Counter)
-        current = [None]
+        current, checked = [None], set()
         draw, sample, evaluate = rc.random_cq_channel, rw.sample_hole, dg.Diagram.evaluate
-        distance = rw.rule_distance
 
         def counted_draw(*args, **kwargs):
             counts[current[0]]["random_cq_channel"] += 1
@@ -767,21 +819,27 @@ class TestRules:
             counts[current[0]]["evaluate"] += 1
             return evaluate(self, binding)
 
-        def named_distance(rule, *args):
-            current[0] = rule.name
-            return distance(rule, *args)
+        def named(distance):
+            def run(rule, *args):
+                current[0] = rule.name
+                checked.add(rule.name)
+                return distance(rule, *args)
+
+            return run
 
         monkeypatch.setattr(rc, "random_cq_channel", counted_draw)
         monkeypatch.setattr(rw, "sample_hole", counted_sample)
         monkeypatch.setattr(dg.Diagram, "evaluate", counted_evaluate)
-        monkeypatch.setattr(rw, "rule_distance", named_distance)
+        monkeypatch.setattr(rw, "rule_distance", named(rw.rule_distance))
+        monkeypatch.setattr(rw, "derived_distance", named(rw.derived_distance))
         code, out = run_to_file(tmp_path, ["rules", "--dim", str(dim), "--trials", "5"])
         assert code == 0
         records = json.loads(out.read_text())["rules"][:6]
-        got = {name: counts.pop(name) for name in [r["name"] for r in records]}
+        got = {name: counts.pop(name, collections.Counter()) for name in [r["name"] for r in records]}
+        assert None not in counts  # nothing drawn or evaluated outside a rule's check
         for name in ("uniform_absorbs_discard", "widen_uniform", "spider_fusion", "uniform_is_scaled_spider"):
             assert got[name] == {"evaluate": 2}, name
-        assert got["expand_S@1"] == {"R@1": 1, "R@2": 1, "random_cq_channel": 2, "evaluate": 1}
+        assert "expand_S@1" in checked and got["expand_S@1"] == {}
         assert got["causality"] == {"h": 5, "random_cq_channel": 5, "evaluate": 10}
 
         # the reference: every trial of every rule, as before
@@ -801,6 +859,58 @@ class TestRules:
             )
         assert counts["expand_S@1"] == {"R@1": 5, "R@2": 5, "random_cq_channel": 10, "evaluate": 5}
         assert json.dumps(records, sort_keys=True) == json.dumps(reference, sort_keys=True)
+
+
+def _expected_calls(workload):
+    """EXPECT_CALLED[workload] of the benchmark runner, read from its
+    source without importing it."""
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "bench" / "run.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["EXPECT_CALLED"]:
+            return ast.literal_eval(node.value)[workload]
+    raise AssertionError("bench/run.py has no EXPECT_CALLED")
+
+
+class TestBenchmarkTraceGate:
+    def test_warm_proofs_jobs_reach_every_traced_function(self, tmp_path, monkeypatch):
+        """The benchmark's traced pass fails a workload whose listed
+        functions go uncalled, so work cached across calls must not skip
+        them: a second check and rules job in one process, with the
+        workload's DSL round trip, reach all."""
+        argvs = [["check", "soundness_k2", "--dims", "N=1"], ["rules", "--dim", "2"]]
+
+        def jobs():
+            for argv in argvs:
+                assert run_to_file(tmp_path, argv)[0] == 0
+            d = dg.parse_diagram("(uniform C2 1 ; discard C2) * (uniform C3 1 ; discard C3)")
+            assert dg.diagrams_equal(d, dg.parse_diagram(dg.print_diagram(d)))
+
+        jobs()
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def run(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return run
+
+        loaded = [m for n, m in sorted(sys.modules.items()) if n.startswith("cqcalc.")]
+        names = _expected_calls("proofs")
+        for name in names:
+            short, attr = name.split(".")
+            module = sys.modules[f"cqcalc.{short}"]
+            if inspect.isfunction(getattr(module, attr, None)):
+                fn = getattr(module, attr)
+                for other in loaded:  # and where another module imported it by name
+                    for a, v in list(vars(other).items()):
+                        if v is fn:
+                            monkeypatch.setattr(other, a, counted(name, fn))
+            else:
+                monkeypatch.setattr(module.Diagram, attr, counted(name, getattr(module.Diagram, attr)))
+        jobs()
+        assert "rewrite.find_matches" in names
+        assert [n for n in names if not calls[n]] == []
 
 
 class TestTolerance:

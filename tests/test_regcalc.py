@@ -861,6 +861,56 @@ def _random_cq_channel_loop(in_regs, out_regs, rng, causal=True):
     return rc.ProcessTensor(in_regs, out_regs, m)
 
 
+def _random_cq_channel_scatter(in_regs, out_regs, rng, causal=True):
+    """The stacked sampler as it was before its gather: one layout of
+    column order and grouped rows, and a scatter-add of the gathered
+    blocks onto a matrix of zeros.  The reference for the gather, which
+    must give the same bytes, signed zeros included."""
+    in_regs, out_regs = tuple(in_regs), tuple(out_regs)
+    Ki = rc._kind_dim(in_regs, rc.CLASSICAL)
+    Ko = rc._kind_dim(out_regs, rc.CLASSICAL)
+    dqi, dqo = rc._kind_dim(in_regs, rc.QUANTUM), rc._kind_dim(out_regs, rc.QUANTUM)
+
+    def grouped(regs, dq):
+        rows, cols, _ = rc._lift(regs)
+        return rows * dq + cols % dq
+
+    order, rows_out = np.argsort(grouped(in_regs, dqi)), grouped(out_regs, dqo)
+    m = np.zeros((rc.total_dim(out_regs), rc.total_dim(in_regs)), dtype=complex)
+    env = max(1, dqi)
+    R = Ko * dqo * env
+    if causal:
+        z = rng.normal(size=(Ki, 2, R, dqi))
+    else:
+        z = np.empty((Ki, 2, R, dqi))
+        w = np.empty((Ki, 1, dqi))
+        for ci in range(Ki):
+            z[ci] = rng.normal(size=(2, R, dqi))
+            w[ci, 0] = rng.uniform(0.1, 1.0, size=dqi)
+    V, _ = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
+    if not causal:
+        V = V * np.sqrt(w)
+    branches = V.reshape(Ki, Ko, dqo, env, dqi)
+    doubled = np.einsum("kcpea,kcqeb->kcpqab", branches, np.conj(branches))
+    blocks = doubled.reshape(Ki, Ko * dqo * dqo, dqi * dqi)[:, rows_out]
+    m[:, order] += blocks.transpose(1, 0, 2).reshape(m.shape[0], Ki * dqi * dqi)
+    return rc.ProcessTensor(in_regs, out_regs, m)
+
+
+# classical-only, quantum-only, mixed and empty-input register tuples
+SCATTER_SHAPES = [
+    ((C2,), (rc.C(3),)),
+    ((rc.C(4), C2), (C2, rc.C(3))),
+    ((Q2,), (rc.Q(3),)),
+    ((Q2, rc.Q(3)), (Q2,)),
+    ((C2, Q2), (rc.C(4), Q2)),
+    ((Q2, rc.C(3)), (C2, Q2, rc.C(3))),
+    ((), (Q2,)),
+    ((), (C2, Q2)),
+    ((), ()),
+]
+
+
 _registers = st.lists(
     st.one_of(st.builds(rc.C, st.integers(1, 6)), st.builds(rc.Q, st.integers(1, 3))),
     max_size=3,
@@ -883,9 +933,20 @@ class TestStackedSamplerMatchesLoop:
         # once per pair of register tuples and no draw may write it
         layout = rc._channel_layout((C2, Q2), (rc.C(4), Q2))
         assert rc._channel_layout((C2, Q2), (rc.C(4), Q2)) is layout
-        order, rows_out = layout[4], layout[5]
-        assert not order.flags.writeable and not rows_out.flags.writeable
+        gather = layout[4]
+        assert not gather.flags.writeable
         with pytest.raises(ValueError):
-            order[0] = 0
-        assert layout[:4] == (2, 4, 2, 2) and layout[6] == (16, 8)
-        assert sorted(order) == list(range(8)) and len(rows_out) == 16
+            gather[0, 0] = 0
+        assert layout[:4] == (2, 4, 2, 2) and gather.shape == (16, 8)
+        # each entry of the 2 x 4 x 2 x 2 x 2 x 2 doubled action is read once
+        assert sorted(gather.ravel()) == list(range(128))
+
+    @pytest.mark.parametrize("causal", [True, False], ids=["causal", "stochastic"])
+    @pytest.mark.parametrize("in_regs, out_regs", SCATTER_SHAPES, ids=str)
+    def test_gather_matches_scatter(self, in_regs, out_regs, causal):
+        for seed in range(20):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = rc.random_cq_channel(in_regs, out_regs, rng, causal=causal)
+            want = _random_cq_channel_scatter(in_regs, out_regs, ref_rng, causal=causal)
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -461,6 +461,87 @@ class TestRuleDistanceEvaluations:
         assert math.isnan(dist)
 
 
+def _run_script_every_derived_hole(script, dims, seed, tol=1e-9):
+    """run_script as it was before read sets: every derived hole is
+    bound to its evaluated source side, read later or not.  The
+    reference for the read set, which must leave every byte as is."""
+    state, records = rw.replay_script(script)
+    rng, binding, verified, steps = np.random.default_rng(seed), {}, True, []
+    for step, rule in records:
+        for label in rw._new_labels(rule):
+            binding.pop(label, None)
+        dist = rw.rule_distance(rule, binding, rng, dims, rw.DIM_CAP**2)
+        status, ok = rw.verdict(rule, dist, tol)
+        verified = verified and ok
+        steps.append(
+            {"rule": step["rule"], "loc": list(step["loc"]), "cost": str(rule.cost), "status": status, "distance": dist}
+        )
+    claimed_matches = state.budget == script.claimed_total
+    return {
+        "format_version": rw.CHECK_FORMAT_VERSION,
+        "script": script.name,
+        "verified": verified and claimed_matches,
+        "claimed_total_matches": claimed_matches,
+        "budget": str(state.budget),
+        "budget_atoms": rw.eps_expr_to_json(state.budget),
+        "budget_numeric": None,
+        "steps": steps,
+        "final": dg.diagram_to_json(state.diagram),
+    }
+
+
+class TestLaterReads:
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    @pytest.mark.parametrize("value", [0, 1])
+    @pytest.mark.parametrize("name", sorted(rw.SHIPPED_SCRIPTS))
+    def test_report_matches_every_derived_hole_reference(self, name, value, seed):
+        script = rw.SHIPPED_SCRIPTS[name]()
+        dims = {"M" if name == "single_stage" else "N": value}
+        got = rw.run_script(script, dims=dims, seed=seed)
+        want = _run_script_every_derived_hole(script, dims, seed)
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+    def test_later_reads_of_soundness_k2(self):
+        # the second stage's merge reads T1 and the residual merge reads
+        # T2; no step reads an expanded stage or the residual
+        _, records = rw.replay_script(rw.script_soundness_k2())
+        derived = {}
+        for (step, rule), read in zip(records, rw._later_reads(records)):
+            if rule.binding_mode != "fresh":
+                side = rule.lhs if rule.binding_mode == "derive_lhs" else rule.rhs
+                ((label,),) = [[g.label for g in side.opaque_nodes]]
+                derived[label] = label in read
+        assert derived == {"S@1": False, "T1": True, "S@4": False, "T2": True, "residual": False}
+
+    def test_a_reintroduced_label_ends_the_read(self):
+        # a later step that introduces the label draws it anew, so the
+        # earlier value is read only by the steps between
+        rule = _merge_rule()
+        fresh = rw.RewriteRule("again", rule.lhs, rule.lhs)
+        records = [(None, rule), (None, rw.RewriteRule("use", rule.rhs, rule.rhs)), (None, fresh)]
+        assert [("fg" in r) for r in rw._later_reads(records)] == [True, False, False]
+        records = [(None, rule), (None, rw.RewriteRule("redefine", rule.lhs, rule.rhs))]
+        assert [("fg" in r) for r in rw._later_reads(records)] == [False, False]
+
+    @pytest.mark.parametrize(
+        "make_rule", [lambda: rw.rule_expand_S(1, 3), _merge_rule], ids=["expand_S", "merge"]
+    )
+    def test_unread_derived_hole_is_drawn_not_evaluated(self, monkeypatch, make_rule):
+        rule = make_rule()
+        read_binding, every_binding, every_rng = {}, {}, np.random.default_rng(3)
+        want = rw.rule_distance(rule, every_binding, every_rng)
+        calls = _count_evaluations(monkeypatch, rule)
+        rng = np.random.default_rng(3)
+        assert rw.rule_distance(rule, read_binding, rng, read=frozenset()) == want == 0.0
+        assert calls == {"lhs": 0, "rhs": 0}
+        # the source side's holes are drawn as before, from the same stream
+        derived = set(every_binding) - set(read_binding)
+        assert len(derived) == 1 and read_binding.keys() <= every_binding.keys()
+        for label, p in read_binding.items():
+            assert p.matrix.tobytes() == every_binding[label].matrix.tobytes()
+        assert rng.bit_generator.state == every_rng.bit_generator.state
+
+
 class TestScripts:
     def test_single_stage_budget(self):
         s = rw.SHIPPED_SCRIPTS["single_stage"]()
@@ -523,6 +604,11 @@ class TestScripts:
 
     def test_chain_is_shared_with_the_shipped_scripts(self):
         assert rw.SHIPPED_SCRIPTS["chain_k2"]() is rw.script_chain(2)
+
+    def test_chain_is_built_once_however_it_is_called(self):
+        chain = rw.script_chain(1)
+        assert rw.script_chain(1, "N") is chain and rw.script_chain(k=1) is chain
+        assert rw.script_chain(k=1, base="N") is chain
 
     @pytest.mark.parametrize("name", sorted(rw.SHIPPED_SCRIPTS))
     def test_script_equals_its_json_round_trip(self, name):
