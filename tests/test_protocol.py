@@ -2,6 +2,7 @@
 
 import json
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -181,6 +182,28 @@ def random_strategy(seed, da=3, db=2, rounds=None):
     return pr.DeviceStrategy(state, povms, mode="scripted")
 
 
+def deterministic_strategies():
+    """The 16 deterministic strategies a = fa[x], b = fb[y], keyed by
+    fa + fb: each outcome row holds one 1 and three exact zeros, so its
+    cdf repeats values."""
+    return {
+        "".join(map(str, fa + fb)): pr.deterministic_strategy(lambda x, fa=fa: fa[x], lambda y, fb=fb: fb[y])
+        for fa in product(range(2), repeat=2)
+        for fb in product(range(2), repeat=2)
+    }
+
+
+DETERMINISTIC_STRATEGIES = deterministic_strategies()
+
+
+def alternating_deterministic_strategy(rounds):
+    """A scripted strategy whose round r plays the POVMs of the
+    (r mod 16)-th deterministic strategy on their shared state."""
+    tables = list(DETERMINISTIC_STRATEGIES.values())
+    povms = [[tables[r % len(tables)].povms[player] for r in range(rounds)] for player in range(2)]
+    return pr.DeviceStrategy(tables[0].shared_state, povms, mode="scripted")
+
+
 def test_density_round_trip_2x3():
     rng = np.random.default_rng(43)
     g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
@@ -254,8 +277,22 @@ class TestSpotcheck:
 
     @pytest.mark.parametrize(
         "s",
-        [pr.optimal_chsh_strategy(), random_strategy(1), random_strategy(2, 2, 2), random_strategy(3, rounds=100)],
-        ids=["optimal", "random3x2", "random2x2", "scripted"],
+        [
+            pr.optimal_chsh_strategy(),
+            random_strategy(1),
+            random_strategy(2, 2, 2),
+            random_strategy(3, rounds=100),
+            *DETERMINISTIC_STRATEGIES.values(),
+            alternating_deterministic_strategy(100),
+        ],
+        ids=[
+            "optimal",
+            "random3x2",
+            "random2x2",
+            "scripted",
+            *(f"deterministic{k}" for k in DETERMINISTIC_STRATEGIES),
+            "scripted_deterministic",
+        ],
     )
     @pytest.mark.parametrize("M", [1, 7, 100])
     @pytest.mark.parametrize(
