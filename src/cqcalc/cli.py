@@ -265,12 +265,14 @@ def cmd_simulate(args) -> int:
         "strategy": args.strategy or "optimal",
         "sweep": args.sweep,
     }
+    seeds = range(args.seed, args.seed + max(args.sweep, 1))
     try:
         strategy = _load_strategy(args.strategy)
-        seeds = range(args.seed, args.seed + max(args.sweep, 1))
         runs = pr.spotcheck_run(args.rounds, args.q, args.chi, strategy, seeds)
     except ValueError as e:
         raise CliError(str(e)) from e
+    except MemoryError as e:
+        raise CliError(f"{len(seeds)} seeds x {args.rounds} rounds do not fit in memory") from e
     report = {"format_version": FORMAT_VERSION, "command": "simulate", "config": config}
     if args.sweep:
         aborts = sum(r.aborted for r in runs)

@@ -365,9 +365,12 @@ def _require_chsh_alphabet(p: np.ndarray):
 
 def _cdf(p: np.ndarray) -> np.ndarray:
     """Normalised cumulative sums of the distributions p[..., :], with
-    the checks Generator.choice(n, p=...) runs on p: a draw with the
-    uniform double u is (cdf <= u).sum(-1), searchsorted(side="right")
-    into cumsum(p) / its last entry, as choice does for one double."""
+    the checks Generator.choice(n, p=...) runs on p.  With the uniform
+    double u, choice draws searchsorted(cdf, u, side="right"), where cdf
+    is cumsum(p) / its last entry.  The checks leave each cdf
+    non-decreasing and free of NaN, so that index is also the count of
+    its entries <= u, ties included: spotcheck_run draws the round
+    symbol by the searchsorted and the outcome pair by the count."""
     if np.isnan(p).any():
         raise ValueError("probabilities contain NaN")
     if (p < 0).any():
@@ -419,6 +422,20 @@ def round_table(M: int, q: float, chi: float, s: DeviceStrategy) -> tuple[np.nda
     return symbol_cdf, _cdf(flat / flat.sum(axis=-1, keepdims=True))
 
 
+def _draw_outcomes(cdf: np.ndarray, xx: np.ndarray, yy: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The outcome pairs ab that the uniform doubles u draw from the
+    round_table cdf on inputs (xx, yy), all three of one shape whose last
+    axis is the round.  The table is flattened to rows of four: round r
+    on inputs (x, y) reads row 2x + y in "iid" mode and 4r + 2x + y in
+    "scripted" mode.  ab is the count of that row's entries <= u, added
+    up one column at a time, so no (..., 4) array is built."""
+    row = 2 * xx + yy
+    if cdf.ndim == 4:
+        row += 4 * np.arange(cdf.shape[0])
+    flat = cdf.reshape(-1, 4)
+    return sum(flat[:, j].take(row) <= u for j in range(4))
+
+
 def spotcheck_run(
     M: int, q: float, chi: float, s: DeviceStrategy, seed: int | Sequence[int]
 ) -> RunReport | list[RunReport]:
@@ -435,7 +452,9 @@ def spotcheck_run(
     rounds of all seeds are drawn and scored at once; each seed's random
     stream and its use match one Generator.choice call for the round
     symbol and one for the outcome pair per round, so reports do not
-    depend on the batching."""
+    depend on the batching: the symbol is searchsorted into its cdf as
+    choice does, and the outcome pair is _draw_outcomes' count of
+    entries <= u, the same index on a non-decreasing cdf."""
     symbol_cdf, cdf = round_table(M, q, chi, s)
     one = isinstance(seed, numbers.Integral)
     seeds = [seed] if one else list(seed)
@@ -444,10 +463,9 @@ def spotcheck_run(
     u = np.empty((len(seeds), M, 2))
     for row, x in zip(u, seeds):
         np.random.Generator(np.random.Philox(x)).random(out=row)
-    sym = (symbol_cdf <= u[..., :1]).sum(axis=-1)
+    sym = np.searchsorted(symbol_cdf, u[..., 0], side="right")
     t, a1, a2, xx, yy = round_inputs(sym)
-    rows = cdf[xx, yy] if cdf.ndim == 3 else cdf[np.arange(M), xx, yy]
-    ab = (rows <= u[..., 1:]).sum(axis=-1)
+    ab = _draw_outcomes(cdf, xx, yy, u[..., 1])
     aa, bb = ab >> 1, ab & 1
     tests = t.sum(axis=1).tolist()
     passes = round_passes(t, xx, yy, aa, bb).sum(axis=1).tolist()

@@ -549,6 +549,14 @@ class TestSimulate:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_sweep_beyond_memory_exit_2(self, tmp_path, capsys):
+        # 10^6 seeds x 10^8 rounds of two doubles is 1.4 PiB, beyond any
+        # address space, so the sampler's first allocation fails at once
+        code, out = run_to_file(tmp_path, ["simulate", "--rounds", "100000000", "--sweep", "1000000"])
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: 1000000 seeds x 100000000 rounds do not fit in memory\n"
+
     def test_sweep_0_is_a_single_run(self, tmp_path):
         code, out = run_to_file(tmp_path, ["simulate", "--rounds", "5", "--sweep", "0"])
         assert code == 0

@@ -88,14 +88,21 @@ def test_evaluate_spider_fusion(benchmark, side):
     assert np.array_equal(p.matrix, rc.spider(C2, 4).matrix)
 
 
-def test_spotcheck_sweep(benchmark):
-    # 40 seeds x 100 rounds in one stacked call: the sweep shape where the
-    # per-seed fixed cost outweighs the per-round work
+# the sweep workload's rounds x seeds; at 100 x 40 the per-seed fixed
+# cost outweighs the per-round work
+SWEEP_SHAPES = [(1000, 4), (500, 8), (200, 20), (100, 40)]
+
+
+@pytest.mark.parametrize("rounds,sweep", SWEEP_SHAPES)
+def test_spotcheck_sweep(benchmark, rounds, sweep):
+    # one stacked call per sweep job
     s = pr.optimal_chsh_strategy()
-    runs = benchmark.pedantic(pr.spotcheck_run, args=(100, 0.2, 0.85, s, range(40)), rounds=ROUNDS, warmup_rounds=1)
-    table = pr.round_table(100, 0.2, 0.85, s)
+    runs = benchmark.pedantic(
+        pr.spotcheck_run, args=(rounds, 0.2, 0.85, s, range(sweep)), rounds=ROUNDS, warmup_rounds=1
+    )
+    table = pr.round_table(rounds, 0.2, 0.85, s)
     for seed, run in enumerate(runs):
-        assert_same_report(run, per_seed_spotcheck(100, 0.2, 0.85, table, seed))
+        assert_same_report(run, per_seed_spotcheck(rounds, 0.2, 0.85, table, seed))
 
 
 def test_emit_sweep_report(benchmark, monkeypatch, tmp_path):

@@ -6,6 +6,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cqcalc import cli
 from cqcalc import diagram as dg
@@ -307,6 +309,30 @@ class TestSpotcheck:
             assert_same_report(g, w)
         # the runs' arrays are rows of one stack per field
         assert all(g.classical_transcript.base is got[0].classical_transcript.base for g in got)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), rounds=st.none() | st.integers(1, 6), seeds=st.integers(1, 3))
+    def test_lookups_count_entries_at_or_below_u(self, data, rounds, seeds):
+        # exact zeros in a table repeat its cdf entries, and doubles u
+        # drawn from those entries tie with them: both lookups must still
+        # count the entries <= u, as the broadcast compare-and-sum does
+        entries = st.just(0.0) | st.floats(1e-3, 1.0)
+        p = data.draw(hnp.arrays(np.float64, (2, 2, 4) if rounds is None else (rounds, 2, 2, 4), elements=entries))
+        p[..., 3] += p.sum(axis=-1) == 0
+        cdf = pr._cdf(p / p.sum(axis=-1, keepdims=True))
+        w = data.draw(hnp.arrays(np.float64, 8, elements=entries))
+        w[7] += w.sum() == 0
+        symbol_cdf = pr._cdf(w / w.sum())
+        M = rounds or data.draw(st.integers(1, 6))
+        ties = np.unique(np.concatenate([cdf.ravel(), symbol_cdf, [0.0, np.nextafter(1.0, 0.0)]]))
+        u = data.draw(hnp.arrays(np.float64, (seeds, M, 2), elements=st.sampled_from(ties.tolist())))
+        sym = np.searchsorted(symbol_cdf, u[..., 0], side="right")
+        assert np.array_equal(sym, (symbol_cdf <= u[..., :1]).sum(axis=-1))
+        xx, yy = data.draw(hnp.arrays(np.int64, (2, seeds, M), elements=st.integers(0, 1)))
+        rows = cdf[xx, yy] if rounds is None else cdf[np.arange(M), xx, yy]
+        want = (rows <= u[..., 1:]).sum(axis=-1)
+        got = pr._draw_outcomes(cdf, xx, yy, u[..., 1])
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_int_seed_returns_one_report(self):
         s = pr.optimal_chsh_strategy()
