@@ -245,12 +245,20 @@ def cmd_check(args) -> int:
     return 0 if report["verified"] else 1
 
 
-def _load_strategy(path) -> pr.DeviceStrategy:
-    if path is None:
+@functools.cache
+def _named_strategy(name: str | None) -> pr.DeviceStrategy:
+    """The optimal strategy (name None) or "all-zero", built once per
+    process: a strategy is immutable, so every call shares its checked
+    outcome table."""
+    if name is None:
         return pr.optimal_chsh_strategy()
-    if path == "all-zero":
-        return pr.deterministic_strategy(lambda x: 0, lambda y: 0)
-    return pr.strategy_from_json(_load_json(path))
+    return pr.deterministic_strategy(lambda x: 0, lambda y: 0)
+
+
+def _load_strategy(path) -> pr.DeviceStrategy:
+    if path in (None, "all-zero"):
+        return _named_strategy(path)
+    return pr.strategy_from_json(_load_json(path))  # read on every call: the file may change
 
 
 def cmd_simulate(args) -> int:

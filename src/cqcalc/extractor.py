@@ -316,8 +316,8 @@ def unbounded_pipeline(plan: ExpansionPlan, strategies, seed: int, q: float = 0.
     distribution from uniform is enumerated."""
     if len(strategies) != 2:
         raise ValueError("supply exactly two device-pair strategies")
-    for s in strategies:
-        s.validate()
+    for s in strategies:  # both device pairs, before any stage runs
+        s.outcome_cdf()
     chain = rw.script_chain(plan.k)
     _, records = rw.replay_script(chain)
     costs = [str(rule.cost) for _, rule in records if rule.cost]

@@ -15,6 +15,7 @@ import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -64,20 +65,44 @@ def chsh_game() -> Game:
 _CHSH = chsh_game()
 
 
-@dataclass
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a when it is read-only down its whole base chain (regcalc._frozen),
+    else a read-only copy, the rule ProcessTensor keeps its matrix by."""
+    if not rc._frozen(a):
+        a = a.copy()
+        a.setflags(write=False)
+    return a
+
+
+def _frozen_table(table):
+    """A POVM table as nested tuples whose leaves are read-only arrays."""
+    if isinstance(table, (list, tuple)):
+        return tuple(map(_frozen_table, table))
+    return _read_only(np.asarray(table))
+
+
+@dataclass(frozen=True)
 class DeviceStrategy:
     """A bipartite quantum strategy: a shared state plus, per player and
     per input symbol, a POVM over that player's outputs.
 
     shared_state is a state ProcessTensor on two quantum registers;
-    povms[player][input] is a list of PSD effects summing to identity.
+    povms[player][input] holds PSD effects summing to identity.
     mode "iid" replays the same round behaviour every round; mode
     "scripted" uses povms[player] as a per-round list of input-indexed
-    POVM tables (no post-measurement back-action is modelled)."""
+    POVM tables (no post-measurement back-action is modelled).
+
+    A strategy is an immutable value: the shared state is a read-only
+    ProcessTensor and povms is kept as nested tuples of read-only
+    effects.  So an "iid" strategy validates and tabulates itself once,
+    on first use, and keeps the result (see outcome_cdf)."""
 
     shared_state: ProcessTensor
-    povms: list
+    povms: tuple
     mode: str = "iid"
+
+    def __post_init__(self):
+        object.__setattr__(self, "povms", _frozen_table(self.povms))
 
     def validate(self, tol: float = 1e-9):
         """Raise ValueError unless the shared state is a density matrix
@@ -101,6 +126,39 @@ class DeviceStrategy:
                 raise ValueError("POVM effects must sum to identity")
             if np.linalg.eigvalsh((e + e.conj().swapaxes(-1, -2)) / 2).min() < -tol:
                 raise ValueError("POVM effect is not PSD")
+
+    def distribution(self, M: int = 1) -> np.ndarray:
+        """validate() the strategy and return its outcome probabilities:
+        p[x, y, a, b] in "iid" mode, computed on first use and kept
+        read-only, and p[round, x, y, a, b] over the first M rounds in
+        "scripted" mode, on every call (caching every round would check
+        rounds that a run never reads)."""
+        if self.mode == "iid":
+            return self._iid_distribution
+        self.validate()
+        if any(len(rounds) < M for rounds in self.povms):
+            raise ValueError(f"scripted strategy has fewer than {M} rounds")
+        return np.array([conditional_distribution(self, r) for r in range(M)])
+
+    def outcome_cdf(self, M: int = 1) -> np.ndarray:
+        """distribution(M), checked to fit the CHSH alphabet, as the
+        cumulative distribution of the outcome pair ab per input pair,
+        indexed [x, y, ab] in "iid" mode and [round, x, y, ab] in
+        "scripted" mode, with the checks of _cdf.  An "iid" strategy
+        keeps it read-only after its first call; a failed check raises
+        again on every call."""
+        if self.mode == "iid":
+            return self._iid_cdf
+        return _outcome_cdf(self.distribution(M))
+
+    @cached_property
+    def _iid_distribution(self) -> np.ndarray:
+        self.validate()
+        return _read_only(conditional_distribution(self))
+
+    @cached_property
+    def _iid_cdf(self) -> np.ndarray:
+        return _read_only(_outcome_cdf(self._iid_distribution))
 
     def round_povms(self, player: int, round_index: int):
         if self.mode == "iid":
@@ -170,9 +228,10 @@ def conditional_distribution(s: DeviceStrategy, round_index: int = 0) -> np.ndar
 
 
 def game_value(g: Game, s: DeviceStrategy) -> float:
-    """Exact expected winning probability by tensor contraction."""
-    s.validate()
-    p = conditional_distribution(s)
+    """Exact expected winning probability by tensor contraction, on the
+    validated s.distribution() (round 0 of a "scripted" strategy)."""
+    p = s.distribution()
+    p = p.reshape(p.shape[-4:])
     pin = g.input_distribution.reshape(p.shape[0], p.shape[1])
     value = 0.0
     for xx, yy, aa, bb in product(*map(range, p.shape)):
@@ -355,14 +414,6 @@ class RunReport:
         }
 
 
-def _require_chsh_alphabet(p: np.ndarray):
-    """p[..., x, y, a, b] must have two inputs and two outcomes per player."""
-    if p.shape[-4:] != (2, 2, 2, 2):
-        raise ValueError(
-            f"CHSH needs two inputs and two outcomes per player, got (x, y, a, b) sizes {p.shape[-4:]}"
-        )
-
-
 def _cdf(p: np.ndarray) -> np.ndarray:
     """Normalised cumulative sums of the distributions p[..., :], with
     the checks Generator.choice(n, p=...) runs on p.  With the uniform
@@ -379,6 +430,18 @@ def _cdf(p: np.ndarray) -> np.ndarray:
         raise ValueError("probabilities do not sum to 1")
     cdf = p.cumsum(axis=-1)
     return cdf / cdf[..., -1:]
+
+
+def _outcome_cdf(p: np.ndarray) -> np.ndarray:
+    """The cdf of the outcome pair ab per input pair (and round) of the
+    outcome probabilities p[..., x, y, a, b], which must have two inputs
+    and two outcomes per player."""
+    if p.shape[-4:] != (2, 2, 2, 2):
+        raise ValueError(
+            f"CHSH needs two inputs and two outcomes per player, got (x, y, a, b) sizes {p.shape[-4:]}"
+        )
+    flat = p.reshape(*p.shape[:-2], 4)
+    return _cdf(flat / flat.sum(axis=-1, keepdims=True))
 
 
 def round_inputs(sym):
@@ -402,24 +465,18 @@ def run_aborts(tests: int, passes: int, chi: float) -> bool:
 
 
 def round_table(M: int, q: float, chi: float, s: DeviceStrategy) -> tuple[np.ndarray, np.ndarray]:
-    """Validate the spot-check parameters and the strategy, and tabulate
-    the draws of spotcheck_run(M, q, chi, s, seed) for any seed: the
-    cumulative distribution of the round symbol (t, a1, a2), and per
-    input pair (x, y) that of the outcome pair (a, b), indexed [x, y, ab]
-    in "iid" mode and [round, x, y, ab] in "scripted" mode."""
+    """Validate the spot-check parameters and tabulate the draws of
+    spotcheck_run(M, q, chi, s, seed) for any seed: the cumulative
+    distribution of the round symbol (t, a1, a2), and s.outcome_cdf(M),
+    per input pair (x, y) that of the outcome pair (a, b), indexed
+    [x, y, ab] in "iid" mode and [round, x, y, ab] in "scripted" mode.
+    The parameters are checked first, then the strategy (its state and
+    POVMs, a scripted strategy's length, the CHSH alphabet and the
+    probability checks); an "iid" strategy runs its checks once and
+    returns its cached, read-only table after that."""
     if M < 1 or not 0.0 < q < 1.0 or not 0.5 <= chi <= 1.0:
         raise ValueError("invalid spot-check parameters")
-    s.validate()
-    if s.mode == "iid":
-        p = conditional_distribution(s)
-    elif any(len(rounds) < M for rounds in s.povms):
-        raise ValueError(f"scripted strategy has fewer than {M} rounds")
-    else:
-        p = np.array([conditional_distribution(s, r) for r in range(M)])
-    _require_chsh_alphabet(p)
-    symbol_cdf = _cdf(b_q_distribution(q))
-    flat = p.reshape(*p.shape[:-2], 4)
-    return symbol_cdf, _cdf(flat / flat.sum(axis=-1, keepdims=True))
+    return _cdf(b_q_distribution(q)), s.outcome_cdf(M)
 
 
 def _draw_outcomes(cdf: np.ndarray, xx: np.ndarray, yy: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -448,8 +505,9 @@ def spotcheck_run(
     seed is one seed, which returns one RunReport, or a sequence of
     seeds (a range, say), which returns one RunReport per seed in order;
     their arrays are rows of one (S, M, 5) and one (S, 2M) stack.  The
-    strategy is validated and tabulated once by round_table, and all
-    rounds of all seeds are drawn and scored at once; each seed's random
+    draws are tabulated once by round_table, which validates and
+    tabulates an "iid" strategy only on its first use, and all rounds of
+    all seeds are drawn and scored at once; each seed's random
     stream and its use match one Generator.choice call for the round
     symbol and one for the outcome pair per round, so reports do not
     depend on the batching: the symbol is searchsorted into its cdf as
@@ -778,11 +836,14 @@ def honest_expansion_round() -> ProcessTensor:
 # strategy (de)serialization
 
 
+STRATEGY_FORMAT_VERSION = 1
+
+
 def strategy_to_json(s: DeviceStrategy) -> dict:
     if s.mode != "iid":
         raise ValueError("only iid strategies serialize")
     return {
-        "format_version": 1,
+        "format_version": STRATEGY_FORMAT_VERSION,
         "state": rc.matrix_to_json(s.density()),
         "povms": [
             [[rc.matrix_to_json(e) for e in effects] for effects in player]
@@ -792,8 +853,13 @@ def strategy_to_json(s: DeviceStrategy) -> dict:
 
 
 def strategy_from_json(j: dict) -> DeviceStrategy:
-    """Inverse of strategy_to_json.  Raises ValueError on malformed
-    JSON and on POVM tables that do not fit the CHSH alphabet."""
+    """Inverse of strategy_to_json.  Raises ValueError on a format
+    version other than the integer 1, on malformed JSON, and on a
+    strategy that the sampler refuses (s.outcome_cdf(), whose result the
+    strategy keeps for round_table)."""
+    version = j.get("format_version") if isinstance(j, dict) else None
+    if type(version) is not int or version != STRATEGY_FORMAT_VERSION:
+        raise ValueError(f"unsupported strategy format {version!r}")
     try:
         rho = rc.matrix_from_json(j["state"])
         povms = [
@@ -803,8 +869,7 @@ def strategy_from_json(j: dict) -> DeviceStrategy:
         da = povms[0][0][0].shape[0]
         db = povms[1][0][0].shape[0]
         s = DeviceStrategy(bipartite_state(rho, da, db), povms)
-        s.validate()
-        _require_chsh_alphabet(conditional_distribution(s))
+        s.outcome_cdf()
     except (KeyError, IndexError, TypeError, ValueError) as e:
         raise ValueError(f"malformed strategy JSON: {e}") from e
     return s

@@ -595,8 +595,9 @@ class TestSimulate:
 
     @pytest.mark.parametrize("defect", ["one_input", "not_psd", "negative_row"])
     def test_bad_strategy_sweep_exit_2(self, tmp_path, capsys, defect):
-        # negative_row passes strategy_from_json; the sampler's
-        # probability checks refuse it
+        # negative_row passes validate() and the CHSH alphabet check;
+        # the probability checks of its outcome table refuse it, inside
+        # strategy_from_json
         s = pr.optimal_chsh_strategy()
         if defect == "one_input":
             s = pr.DeviceStrategy(s.shared_state, [t[:1] for t in s.povms])
@@ -615,6 +616,41 @@ class TestSimulate:
         assert not (tmp_path / "x").exists()
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("version", [7, 0, "1", True, 1.0, "missing"])
+    def test_strategy_format_version_exit_2(self, tmp_path, capsys, version):
+        j = pr.strategy_to_json(pr.optimal_chsh_strategy())
+        if version == "missing":
+            del j["format_version"]
+        else:
+            j["format_version"] = version
+        sfile = tmp_path / "s.json"
+        sfile.write_text(json.dumps(j))
+        argv = ["simulate", "--rounds", "20", "--strategy", str(sfile), "--out", str(tmp_path / "x")]
+        assert cli.main(argv) == 2
+        assert not (tmp_path / "x").exists()
+        named = None if version == "missing" else version
+        assert capsys.readouterr().err == f"error: unsupported strategy format {named!r}\n"
+
+    def test_named_strategies_built_once_per_process(self, tmp_path, monkeypatch):
+        calls = collections.Counter()
+        for name in ("optimal_chsh_strategy", "deterministic_strategy"):
+            build = getattr(pr, name)
+            monkeypatch.setattr(pr, name, lambda *a, build=build, name=name: calls.update([name]) or build(*a))
+        cli._named_strategy.cache_clear()
+        for _ in range(2):
+            for flags in ([], ["--strategy", "all-zero"]):
+                assert cli.main(["simulate", "--rounds", "5", *flags, "--out", str(tmp_path / "x")]) == 0
+        assert calls == {"optimal_chsh_strategy": 1, "deterministic_strategy": 1}
+
+    def test_strategy_file_validated_once(self, tmp_path, monkeypatch):
+        sfile = tmp_path / "s.json"
+        sfile.write_text(json.dumps(pr.strategy_to_json(pr.optimal_chsh_strategy())))
+        calls, validate = [], pr.DeviceStrategy.validate
+        monkeypatch.setattr(pr.DeviceStrategy, "validate", lambda s, *a: calls.append(s) or validate(s, *a))
+        argv = ["simulate", "--rounds", "20", "--sweep", "3", "--strategy", str(sfile)]
+        assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 0
+        assert len(calls) == 1
 
 
 class TestEntropy:

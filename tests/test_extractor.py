@@ -290,6 +290,15 @@ class TestPipeline:
         )
         assert aborts >= 25
 
+    def test_strategy_validated_once(self, monkeypatch):
+        # both device pairs are one strategy, checked before the first
+        # stage and read from its cached table by both stages
+        s = pr.optimal_chsh_strategy()
+        calls, validate = [], pr.DeviceStrategy.validate
+        monkeypatch.setattr(pr.DeviceStrategy, "validate", lambda self, *a: calls.append(self) or validate(self, *a))
+        ex.unbounded_pipeline(ex.ExpansionPlan(1, 1), [s, s], 3)
+        assert len(calls) == 1 and calls[0] is s
+
     def test_report_deterministic_json(self):
         r1 = ex.unbounded_pipeline(ex.ExpansionPlan(1, 2), [self.honest, self.honest], 9)
         r2 = ex.unbounded_pipeline(ex.ExpansionPlan(1, 2), [self.honest, self.honest], 9)

@@ -2,8 +2,9 @@
 workload's hole draws (among them its most drawn shape,
 `(C2, Q2) -> (C4, Q2)`), rule checks, `rules --dim 3`,
 `check soundness_k2 --dims N=1` and rule-side evaluation, the sweep
-workload's spot-check sampler and report emitter, and the certify
-workload's process_distance and min_entropy_cq solves.
+workload's spot-check sampler, a whole `simulate --strategy FILE` job
+of its noisy class and its report emitter, and the certify workload's
+process_distance and min_entropy_cq solves.
 
     PYTHONPATH=src python -m pytest tests/test_kernels.py
 
@@ -103,6 +104,25 @@ def test_spotcheck_sweep(benchmark, rounds, sweep):
     table = pr.round_table(rounds, 0.2, 0.85, s)
     for seed, run in enumerate(runs):
         assert_same_report(run, per_seed_spotcheck(rounds, 0.2, 0.85, table, seed))
+
+
+def test_spotcheck_sweep_strategy_file(benchmark, monkeypatch, tmp_path):
+    # the sweep workload's noisy class: one whole job, which reads and
+    # checks the strategy file, samples the seeds and emits the report
+    s = pr.optimal_chsh_strategy()
+    rho = 0.94 * s.density() + 0.06 * np.eye(4) / 4
+    sfile = tmp_path / "noisy.json"
+    sfile.write_text(json.dumps(pr.strategy_to_json(pr.DeviceStrategy(pr.bipartite_state(rho, 2, 2), s.povms))))
+    reports, emit = [], cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda report, out: reports.append(report) or emit(report, out))
+    argv = ["simulate", "--strategy", str(sfile), "--rounds", "200", "--sweep", "20", "--seed", "5"]
+    code = benchmark.pedantic(cli.main, args=(argv + ["--out", str(tmp_path / "out.json")],), rounds=ROUNDS, warmup_rounds=1)
+    assert code == 0
+    runs = reports[-1]["runs"]
+    assert len(runs) == 20
+    noisy = pr.strategy_from_json(json.loads(sfile.read_text()))
+    for seed, run in enumerate(runs, start=5):
+        assert_same_report(pr.RunReport(**run), per_seed_spotcheck(200, 0.2, 0.85, noisy, seed))
 
 
 def test_emit_sweep_report(benchmark, monkeypatch, tmp_path):

@@ -1,5 +1,6 @@
 """Tests for games, spot-checking, min-entropy, and the protocol grammar."""
 
+import dataclasses
 import json
 import math
 from itertools import product
@@ -47,6 +48,18 @@ class TestChsh:
     def test_input_distribution_must_normalize(self):
         with pytest.raises(ValueError):
             pr.Game((pr.BIT, pr.BIT), (pr.BIT, pr.BIT), np.full(4, 0.3), lambda *a: True)
+
+    @pytest.mark.parametrize("version", [7, 2, "1", True, 1.0, None, "missing"])
+    def test_strategy_json_refuses_other_versions(self, version):
+        j = pr.strategy_to_json(pr.optimal_chsh_strategy())
+        if version == "missing":
+            del j["format_version"]
+        else:
+            j["format_version"] = version
+        named = None if version == "missing" else version
+        with pytest.raises(ValueError) as e:
+            pr.strategy_from_json(j)
+        assert str(e.value) == f"unsupported strategy format {named!r}"
 
     def test_strategy_json_round_trip(self):
         s = pr.optimal_chsh_strategy()
@@ -407,6 +420,37 @@ class TestSpotcheck:
         with pytest.raises(ValueError) as e:
             pr.round_table(M, q, chi, s)
         assert str(e.value) == message
+
+    def test_cached_table_cannot_go_stale(self):
+        s = pr.optimal_chsh_strategy()
+        before = [dumps(r.to_json()) for r in pr.spotcheck_run(50, 0.2, 0.85, s, range(3))]
+        _, cdf = pr.round_table(50, 0.2, 0.85, s)
+        in_place = {
+            "effect": s.povms[0][0][0],
+            "state": s.shared_state.matrix,
+            "distribution": s.distribution(),
+            "outcome_cdf": cdf,
+        }
+        for name, a in in_place.items():
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 0.5
+        with pytest.raises(TypeError):
+            s.povms[0][0] = s.povms[0][1]
+        for name, value in [("shared_state", s.shared_state), ("povms", s.povms), ("mode", "scripted")]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(s, name, value)
+        assert [dumps(r.to_json()) for r in pr.spotcheck_run(50, 0.2, 0.85, s, range(3))] == before
+
+    def test_strategy_keeps_its_own_effects(self):
+        # a writable effect is copied, so its maker cannot edit the
+        # strategy; a read-only one is shared
+        s = pr.optimal_chsh_strategy()
+        effects = [[[np.array(e) for e in povm] for povm in player] for player in s.povms]
+        mine = pr.DeviceStrategy(s.shared_state, effects)
+        effects[0][0][0][:] = 0.0
+        assert np.array_equal(mine.povms[0][0][0], s.povms[0][0][0])
+        assert pr.round_table(10, 0.2, 0.85, mine)[1].tobytes() == pr.round_table(10, 0.2, 0.85, s)[1].tobytes()
+        assert pr.DeviceStrategy(s.shared_state, s.povms).povms[0][0][0] is s.povms[0][0][0]
 
     def test_all_zero_devices_mostly_abort(self):
         z = pr.deterministic_strategy(lambda x: 0, lambda y: 0)
