@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import re
@@ -34,13 +35,30 @@ class CliError(Exception):
     """Usage or input error; maps to exit code 2."""
 
 
+# the most array shapes whose digit templates a process keeps
+DIGIT_TEMPLATE_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=DIGIT_TEMPLATE_CACHE_SIZE)
+def _digit_template(shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The text of an integer array of the given shape (ndim 1 or 2, no
+    empty axis) with a "0" in each digit's place, as read-only uint8
+    codes, and the positions of those zeros."""
+    entry = "[" + ",".join("0" * shape[1]) + "]" if len(shape) == 2 else "0"
+    template = np.frombuffer(("[" + ",".join([entry] * shape[0]) + "]").encode(), dtype=np.uint8)
+    digits = np.flatnonzero(template == 48)
+    digits.setflags(write=False)
+    return template, digits
+
+
 def _digit_texts(arrays: list) -> list:
     """The JSON texts of integer arrays of ndim 1 or 2 with no empty
     axis.  The arrays of one shape are stacked, and when every entry of
     the stack is a digit 0..9 they are written in one fill: the text of
-    one array with a "0" in each digit's place is tiled once per array,
-    and the digits are written over the zeros in one assignment.  A
-    stack with any other entry is written array by array from tolist()."""
+    one array with a "0" in each digit's place (_digit_template, built
+    once per shape) is tiled once per array, and the digits are written
+    over the zeros in one assignment.  A stack with any other entry is
+    written array by array from tolist()."""
     texts, by_shape = [None] * len(arrays), {}
     for i, a in enumerate(arrays):
         by_shape.setdefault(a.shape, []).append(i)
@@ -50,10 +68,9 @@ def _digit_texts(arrays: list) -> list:
             for i in index:
                 texts[i] = json.dumps(arrays[i].tolist(), separators=(",", ":"))
             continue
-        entry = "[" + ",".join("0" * shape[1]) + "]" if len(shape) == 2 else "0"
-        template = np.frombuffer(("[" + ",".join([entry] * shape[0]) + "]").encode(), dtype=np.uint8)
+        template, digits = _digit_template(shape)
         fill = np.tile(template, (len(index), 1))
-        fill[:, np.flatnonzero(template == 48)] = stack.reshape(len(index), -1).astype(np.uint8) + 48
+        fill[:, digits] = stack.reshape(len(index), -1).astype(np.uint8) + 48
         text, size = fill.tobytes().decode(), len(template)
         for j, i in enumerate(index):
             texts[i] = text[j * size : (j + 1) * size]
@@ -245,20 +262,37 @@ def cmd_check(args) -> int:
     return 0 if report["verified"] else 1
 
 
-@functools.cache
-def _named_strategy(name: str | None) -> pr.DeviceStrategy:
-    """The optimal strategy (name None) or "all-zero", built once per
-    process: a strategy is immutable, so every call shares its checked
-    outcome table."""
-    if name is None:
+# the most strategies a process keeps: the two named ones and the
+# contents of the strategy files read last
+STRATEGY_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=STRATEGY_CACHE_SIZE)
+def _strategy(key: str | bytes | None) -> pr.DeviceStrategy:
+    """The strategy of a key, built and checked once while it stays in
+    the cache: None is the optimal strategy, "all-zero" the
+    deterministic one, and bytes the content of a strategy file, decoded
+    as a file opened in text mode is.  A strategy is immutable, so every
+    call shares its checked outcome table; a key whose build raises
+    keeps nothing and raises again."""
+    if key is None:
         return pr.optimal_chsh_strategy()
-    return pr.deterministic_strategy(lambda x: 0, lambda y: 0)
+    if key == "all-zero":
+        return pr.deterministic_strategy(lambda x: 0, lambda y: 0)
+    return pr.strategy_from_json(json.loads(io.TextIOWrapper(io.BytesIO(key)).read()))
 
 
 def _load_strategy(path) -> pr.DeviceStrategy:
+    """The strategy --strategy names.  A file is read on every call,
+    since it may change, and its bytes are the key of _strategy, so
+    each distinct content is parsed and checked once."""
     if path in (None, "all-zero"):
-        return _named_strategy(path)
-    return pr.strategy_from_json(_load_json(path))  # read on every call: the file may change
+        return _strategy(path)
+    try:
+        with open(path, "rb") as f:
+            return _strategy(f.read())
+    except (OSError, json.JSONDecodeError) as e:
+        raise CliError(f"cannot read JSON file {path}: {e}") from e
 
 
 def cmd_simulate(args) -> int:

@@ -15,7 +15,7 @@ import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -79,6 +79,19 @@ def _frozen_table(table):
     if isinstance(table, (list, tuple)):
         return tuple(map(_frozen_table, table))
     return _read_only(np.asarray(table))
+
+
+def _tables_equal(a, b) -> bool:
+    """Whether two _frozen_table results nest alike and hold
+    np.array_equal leaves."""
+    if not isinstance(a, tuple) or not isinstance(b, tuple):
+        return not isinstance(a, tuple) and not isinstance(b, tuple) and np.array_equal(a, b)
+    return len(a) == len(b) and all(map(_tables_equal, a, b))
+
+
+def _table_shapes(table):
+    """A _frozen_table's nesting with each leaf replaced by its shape."""
+    return tuple(map(_table_shapes, table)) if isinstance(table, tuple) else table.shape
 
 
 @dataclass(frozen=True)
@@ -159,6 +172,20 @@ class DeviceStrategy:
     @cached_property
     def _iid_cdf(self) -> np.ndarray:
         return _read_only(_outcome_cdf(self._iid_distribution))
+
+    def __eq__(self, other):
+        """Value equality: the same mode and shared state, and POVM
+        tables of the same nesting whose effects are np.array_equal."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.mode == other.mode
+            and self.shared_state == other.shared_state
+            and _tables_equal(self.povms, other.povms)
+        )
+
+    def __hash__(self):
+        return hash((self.mode, self.shared_state, _table_shapes(self.povms)))
 
     def round_povms(self, player: int, round_index: int):
         if self.mode == "iid":
@@ -473,10 +500,22 @@ def round_table(M: int, q: float, chi: float, s: DeviceStrategy) -> tuple[np.nda
     The parameters are checked first, then the strategy (its state and
     POVMs, a scripted strategy's length, the CHSH alphabet and the
     probability checks); an "iid" strategy runs its checks once and
-    returns its cached, read-only table after that."""
+    returns its cached, read-only table after that.  The symbol cdf is
+    built once per q and is read-only too."""
     if M < 1 or not 0.0 < q < 1.0 or not 0.5 <= chi <= 1.0:
         raise ValueError("invalid spot-check parameters")
-    return _cdf(b_q_distribution(q)), s.outcome_cdf(M)
+    return _symbol_cdf(q), s.outcome_cdf(M)
+
+
+# the most values of q whose round-symbol cdf a process keeps
+SYMBOL_CDF_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=SYMBOL_CDF_CACHE_SIZE, typed=True)
+def _symbol_cdf(q: float) -> np.ndarray:
+    """The cdf of the round symbol at test probability q, built once per
+    q and kept read-only."""
+    return _read_only(_cdf(b_q_distribution(q)))
 
 
 def _draw_outcomes(cdf: np.ndarray, xx: np.ndarray, yy: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -203,6 +203,20 @@ class ProcessTensor:
     def __repr__(self):
         return f"ProcessTensor({list(self.in_regs)} -> {list(self.out_regs)})"
 
+    def __eq__(self, other):
+        """Value equality: the same registers and np.array_equal
+        matrices, so -0.0 equals 0.0 and a NaN equals nothing."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.in_regs, self.out_regs) == (other.in_regs, other.out_regs) and np.array_equal(
+            self.matrix, other.matrix
+        )
+
+    def __hash__(self):
+        # the registers fix the shape; the entries are left out, since
+        # equal values need not have equal bytes (-0.0 and 0.0)
+        return hash((self.in_regs, self.out_regs))
+
 
 def state(regs: Sequence[Register], vec: np.ndarray) -> ProcessTensor:
     v = np.asarray(vec, dtype=complex).reshape(-1, 1)

@@ -637,7 +637,7 @@ class TestSimulate:
         for name in ("optimal_chsh_strategy", "deterministic_strategy"):
             build = getattr(pr, name)
             monkeypatch.setattr(pr, name, lambda *a, build=build, name=name: calls.update([name]) or build(*a))
-        cli._named_strategy.cache_clear()
+        cli._strategy.cache_clear()
         for _ in range(2):
             for flags in ([], ["--strategy", "all-zero"]):
                 assert cli.main(["simulate", "--rounds", "5", *flags, "--out", str(tmp_path / "x")]) == 0
@@ -648,9 +648,86 @@ class TestSimulate:
         sfile.write_text(json.dumps(pr.strategy_to_json(pr.optimal_chsh_strategy())))
         calls, validate = [], pr.DeviceStrategy.validate
         monkeypatch.setattr(pr.DeviceStrategy, "validate", lambda s, *a: calls.append(s) or validate(s, *a))
+        cli._strategy.cache_clear()
         argv = ["simulate", "--rounds", "20", "--sweep", "3", "--strategy", str(sfile)]
         assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 0
+        assert len(calls) == 1 and calls[0] is cli._load_strategy(str(sfile))
+
+    def count_parses(self, monkeypatch) -> list:
+        cli._strategy.cache_clear()
+        calls, parse = [], pr.strategy_from_json
+        monkeypatch.setattr(pr, "strategy_from_json", lambda j: calls.append(j) or parse(j))
+        return calls
+
+    def simulate_runs(self, tmp_path, sfile) -> list:
+        out = tmp_path / "out.json"
+        argv = ["simulate", "--rounds", "30", "--sweep", "3", "--strategy", str(sfile), "--out", str(out)]
+        assert cli.main(argv) == 0
+        return json.loads(out.read_text())["runs"]
+
+    def test_strategy_file_parsed_once_per_content(self, tmp_path, monkeypatch):
+        calls = self.count_parses(monkeypatch)
+        text = json.dumps(pr.strategy_to_json(pr.optimal_chsh_strategy()))
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        first.write_text(text)
+        second.write_text(text)
+        runs = self.simulate_runs(tmp_path, first)
+        assert self.simulate_runs(tmp_path, first) == runs
         assert len(calls) == 1
+        # the same bytes at another path share the entry
+        assert self.simulate_runs(tmp_path, second) == runs
+        assert len(calls) == 1
+        assert cli._load_strategy(str(first)) is cli._load_strategy(str(second))
+
+    def test_rewritten_strategy_file_is_read_again(self, tmp_path, monkeypatch):
+        calls = self.count_parses(monkeypatch)
+        sfile = tmp_path / "s.json"
+        optimal = json.dumps(pr.strategy_to_json(pr.optimal_chsh_strategy()))
+        zero = json.dumps(pr.strategy_to_json(pr.deterministic_strategy(lambda x: 0, lambda y: 0)))
+        sfile.write_text(optimal)
+        optimal_runs = self.simulate_runs(tmp_path, sfile)
+        sfile.write_text(zero)
+        zero_runs = self.simulate_runs(tmp_path, sfile)
+        assert zero_runs != optimal_runs
+        sfile.write_text(optimal)
+        assert self.simulate_runs(tmp_path, sfile) == optimal_runs
+        assert len(calls) == 2
+        # each report is that of a process that never saw the other file
+        for text, runs in ((zero, zero_runs), (optimal, optimal_runs)):
+            cli._strategy.cache_clear()
+            sfile.write_text(text)
+            assert self.simulate_runs(tmp_path, sfile) == runs
+
+    @pytest.mark.parametrize("defect", ["malformed", "negative_row", "format_version"])
+    def test_bad_strategy_file_exit_2_on_every_call(self, tmp_path, capsys, monkeypatch, defect):
+        calls = self.count_parses(monkeypatch)
+        j = pr.strategy_to_json(pr.optimal_chsh_strategy())
+        sfile = tmp_path / "s.json"
+        if defect == "malformed":
+            text = json.dumps(j)[:-1]
+            try:
+                json.loads(text)
+            except json.JSONDecodeError as e:
+                want = f"error: cannot read JSON file {sfile}: {e}\n"
+        elif defect == "negative_row":
+            z = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+            rho = np.diag([1.0 + 1e-10, -1e-10, 0.0, 0.0]).astype(complex)
+            text = json.dumps(pr.strategy_to_json(pr.DeviceStrategy(pr.bipartite_state(rho, 2, 2), [[z, z], [z, z]])))
+            want = "error: malformed strategy JSON: probabilities are not non-negative\n"
+        else:
+            text = json.dumps(j | {"format_version": 2})
+            want = "error: unsupported strategy format 2\n"
+        sfile.write_text(text)
+        argv = ["simulate", "--rounds", "20", "--sweep", "2", "--strategy", str(sfile), "--out", str(tmp_path / "x")]
+        for _ in range(3):
+            assert cli.main(argv) == 2
+            assert capsys.readouterr().err == want
+            assert not (tmp_path / "x").exists()
+        assert len(calls) == (0 if defect == "malformed" else 3)
+        assert cli._strategy.cache_info().currsize == 0
+        # mended in place, the file loads on the next call
+        sfile.write_text(json.dumps(j))
+        assert cli.main(argv) == 0
 
 
 class TestEntropy:
@@ -1192,7 +1269,59 @@ _reports = st.one_of(
     st.tuples(_record_lists(), _record_lists()).map(lambda p: [dict(r, inner=p[1]) for r in p[0]]),
 )
 
+def template_digit_texts(arrays: list) -> list:
+    """_digit_texts with the digit template and its digit positions
+    built anew for every shape of every call."""
+    texts, by_shape = [None] * len(arrays), {}
+    for i, a in enumerate(arrays):
+        by_shape.setdefault(a.shape, []).append(i)
+    for shape, index in by_shape.items():
+        stack = np.stack([arrays[i] for i in index])
+        if stack.min() < 0 or stack.max() > 9:
+            for i in index:
+                texts[i] = json.dumps(arrays[i].tolist(), separators=(",", ":"))
+            continue
+        entry = "[" + ",".join("0" * shape[1]) + "]" if len(shape) == 2 else "0"
+        template = np.frombuffer(("[" + ",".join([entry] * shape[0]) + "]").encode(), dtype=np.uint8)
+        fill = np.tile(template, (len(index), 1))
+        fill[:, np.flatnonzero(template == 48)] = stack.reshape(len(index), -1).astype(np.uint8) + 48
+        text, size = fill.tobytes().decode(), len(template)
+        for j, i in enumerate(index):
+            texts[i] = text[j * size : (j + 1) * size]
+    return texts
+
+
 class TestEmitter:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        arrays=st.lists(
+            hnp.arrays(
+                st.sampled_from([np.int8, np.int32, np.int64]),
+                st.sampled_from([(1,), (3,), (7,), (1, 1), (2, 5), (4, 5), (5, 4)]),
+                elements=st.integers(-1, 10) | st.integers(0, 9),
+                fill=st.nothing(),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_digit_texts_match_the_template_construction(self, arrays):
+        # shapes recur across examples, so most calls read a cached
+        # template; a stack holding a -1 or a 10 is written from tolist()
+        want = template_digit_texts(arrays)
+        assert cli._digit_texts(arrays) == want
+        assert cli._digit_texts(arrays) == want
+
+    def test_digit_template_built_once_per_shape(self):
+        cli._digit_template.cache_clear()
+        runs = [np.arange(10).reshape(2, 5) % 10, np.ones(6, dtype=np.int64)]
+        for _ in range(3):
+            assert cli._digit_texts(runs) == template_digit_texts(runs)
+        info = cli._digit_template.cache_info()
+        assert (info.misses, info.hits) == (2, 4)
+        template, digits = cli._digit_template((2, 5))
+        assert not template.flags.writeable and not digits.flags.writeable
+
     def test_golden_reports_match_json_dumps(self, tmp_path, monkeypatch):
         reports, emit = [], cli._emit
         out = tmp_path / "out.json"

@@ -398,6 +398,15 @@ class TestImmutable:
         d.subst({})
         assert repr(d) == fresh and d == dg.parse_diagram("uniform C2 1 ; discard C2")
 
+    def test_boxes_with_equal_payloads_are_equal(self):
+        # equal but distinct payloads: == raised ValueError (ambiguous truth value)
+        payloads = [rc.ProcessTensor((C2,), (C2,), np.eye(2)) for _ in range(2)]
+        d, e = (dg.Diagram.from_generator(dg.box("f", (C2,), (C2,), p)) for p in payloads)
+        assert payloads[0] is not payloads[1] and d == e
+        assert hash(d.nodes[0]) == hash(e.nodes[0])
+        other = dg.box("f", (C2,), (C2,), rc.ProcessTensor((C2,), (C2,), np.eye(2)[::-1]))
+        assert d != dg.Diagram.from_generator(other)
+
     def test_print_leaves_diagram_and_canonical_form(self, monkeypatch):
         f = dg.Diagram.from_generator(dg.box(None, (C2,), (C2,)))
         g = dg.Diagram.from_generator(dg.box(None, (C2,), (C2,)))

@@ -452,6 +452,31 @@ class TestSpotcheck:
         assert pr.round_table(10, 0.2, 0.85, mine)[1].tobytes() == pr.round_table(10, 0.2, 0.85, s)[1].tobytes()
         assert pr.DeviceStrategy(s.shared_state, s.povms).povms[0][0][0] is s.povms[0][0][0]
 
+    def test_symbol_cdf_built_once_per_q_and_read_only(self):
+        s = pr.optimal_chsh_strategy()
+        symbol_cdf, _ = pr.round_table(50, 0.2, 0.85, s)
+        assert pr.round_table(7, 0.2, 0.9, s)[0] is symbol_cdf
+        assert symbol_cdf.tobytes() == pr._cdf(pr.b_q_distribution(0.2)).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            symbol_cdf[0] = 0.5
+        other = pr.round_table(50, 0.3, 0.85, s)[0]
+        assert other.tobytes() == pr._cdf(pr.b_q_distribution(0.3)).tobytes() != symbol_cdf.tobytes()
+
+    def test_equal_strategies_compare_and_hash_equal(self):
+        # dataclass equality over array fields raised ValueError, and hash() TypeError
+        a, b = pr.optimal_chsh_strategy(), pr.optimal_chsh_strategy()
+        assert a is not b and a == b and hash(a) == hash(b) and not a != b
+        assert len({a, b}) == 1
+        zero = pr.deterministic_strategy(lambda x: 0, lambda y: 0)
+        assert a != zero and zero == pr.deterministic_strategy(lambda x: 0, lambda y: 0)
+        # one effect moved by one ulp, or nested one level deeper
+        effects = [[[np.array(e) for e in povm] for povm in player] for player in a.povms]
+        effects[1][1][0][0, 0] = np.nextafter(effects[1][1][0][0, 0].real, 2)
+        assert pr.DeviceStrategy(a.shared_state, effects) != a
+        assert pr.DeviceStrategy(a.shared_state, [a.povms]) != a
+        assert pr.DeviceStrategy(a.shared_state, a.povms, "scripted") != a
+        assert a != a.shared_state and a.__eq__(a.povms) is NotImplemented
+
     def test_all_zero_devices_mostly_abort(self):
         z = pr.deterministic_strategy(lambda x: 0, lambda y: 0)
         aborts = sum(

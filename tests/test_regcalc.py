@@ -171,6 +171,16 @@ class TestAdoption:
         assert rc.discard(Q2) is rc.discard(Q2)
         assert not rc.uniform(C2, 2).matrix.flags.writeable
 
+    def test_value_equality_and_hash(self):
+        m = np.array([[0.5, -0.0], [0.0, 0.5]], dtype=complex)
+        p, q = rc.ProcessTensor((C2,), (C2,), m), rc.ProcessTensor((C2,), (C2,), np.abs(m))
+        assert p.matrix.tobytes() != q.matrix.tobytes()
+        assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+        assert p != rc.ProcessTensor((C2,), (C2,), 2 * m)
+        assert p != rc.ProcessTensor((), (C2, C2), m.reshape(4, 1))
+        assert p != rc.ProcessTensor((Q2,), (), m.reshape(1, 4))
+        assert p.__eq__(m) is NotImplemented
+
 
 class TestDagger:
     def test_involution(self):
