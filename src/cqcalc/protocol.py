@@ -84,9 +84,11 @@ def _frozen_table(table):
 def _tables_equal(a, b) -> bool:
     """Whether two _frozen_table results nest alike and hold
     np.array_equal leaves."""
-    if not isinstance(a, tuple) or not isinstance(b, tuple):
-        return not isinstance(a, tuple) and not isinstance(b, tuple) and np.array_equal(a, b)
-    return len(a) == len(b) and all(map(_tables_equal, a, b))
+    if isinstance(a, tuple) != isinstance(b, tuple):
+        return False
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_tables_equal, a, b))
+    return np.array_equal(a, b)
 
 
 def _table_shapes(table):
