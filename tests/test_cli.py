@@ -1269,6 +1269,7 @@ _reports = st.one_of(
     st.tuples(_record_lists(), _record_lists()).map(lambda p: [dict(r, inner=p[1]) for r in p[0]]),
 )
 
+
 def template_digit_texts(arrays: list) -> list:
     """_digit_texts with the digit template and its digit positions
     built anew for every shape of every call."""

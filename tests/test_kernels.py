@@ -3,8 +3,8 @@ workload's hole draws (among them its most drawn shape,
 `(C2, Q2) -> (C4, Q2)`), rule checks, `rules --dim 3`,
 `check soundness_k2 --dims N=1` and rule-side evaluation, the sweep
 workload's spot-check sampler, a whole `simulate --strategy FILE` job
-of its noisy class with the file's strategy built anew (cold) and
-cached (warm), and its report emitter, and the certify workload's
+of its noisy class (with the file's strategy built anew, and cached)
+and its report emitter, and the certify workload's
 process_distance and min_entropy_cq solves.
 
     PYTHONPATH=src python -m pytest tests/test_kernels.py
@@ -107,20 +107,14 @@ def test_spotcheck_sweep(benchmark, rounds, sweep):
         assert_same_report(run, per_seed_spotcheck(rounds, 0.2, 0.85, table, seed))
 
 
-def noisy_strategy_file(tmp_path):
-    """The sweep workload's noisy strategy (visibility 0.94) as a file."""
+def strategy_file_job(benchmark, monkeypatch, tmp_path, setup):
+    """Time a whole `simulate --strategy FILE --rounds 200 --sweep 20`
+    job of the noisy class (visibility 0.94), running setup before each
+    round, and check each run against the per-seed reference."""
     s = pr.optimal_chsh_strategy()
     rho = 0.94 * s.density() + 0.06 * np.eye(4) / 4
     sfile = tmp_path / "noisy.json"
     sfile.write_text(json.dumps(pr.strategy_to_json(pr.DeviceStrategy(pr.bipartite_state(rho, 2, 2), s.povms))))
-    return sfile
-
-
-def strategy_file_job(benchmark, monkeypatch, tmp_path, setup):
-    """Time a whole `simulate --strategy FILE --rounds 200 --sweep 20`
-    job of the noisy class and check each run against the per-seed
-    reference."""
-    sfile = noisy_strategy_file(tmp_path)
     reports, emit = [], cli._emit
     monkeypatch.setattr(cli, "_emit", lambda report, out: reports.append(report) or emit(report, out))
     argv = ["simulate", "--strategy", str(sfile), "--rounds", "200", "--sweep", "20", "--seed", "5"]
@@ -129,7 +123,7 @@ def strategy_file_job(benchmark, monkeypatch, tmp_path, setup):
     )
     assert code == 0
     runs = reports[-1]["runs"]
-    assert len(runs) == 20 and len(reports) == ROUNDS + 1
+    assert len(runs) == 20
     noisy = pr.strategy_from_json(json.loads(sfile.read_text()))
     for seed, run in enumerate(runs, start=5):
         assert_same_report(pr.RunReport(**run), per_seed_spotcheck(200, 0.2, 0.85, noisy, seed))
