@@ -232,11 +232,14 @@ def cmd_check(args) -> int:
     for item in args.dims or []:
         try:
             sym, val = item.split("=")
-            dims[sym] = int(val)
+            val = int(val)
         except ValueError as e:
             raise CliError(f"bad --dims entry {item!r}; expected SYM=INT") from e
-        if dims[sym] < 0:
+        if sym in dims:
+            raise CliError(f"bad --dims entry {item!r}; {sym} is given twice")
+        if val < 0:
             raise CliError(f"bad --dims entry {item!r}; a bit width must be >= 0")
+        dims[sym] = val
     try:
         report = rw.run_script(
             script,
@@ -504,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("script", help="script JSON file or shipped script name")
     p.add_argument("--eps-fn", default=None, help="'c,a' for c*2^(-a*n), or JSON table")
     p.add_argument("--n-value", type=int, default=1)
-    p.add_argument("--dims", nargs="*", default=None, metavar="SYM=INT")
+    p.add_argument("--dims", nargs="*", action="extend", default=None, metavar="SYM=INT", help="each symbol once")
     common(p, "--seed", "--tol")
     p.set_defaults(func=cmd_check)
 

@@ -15,7 +15,7 @@ import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -65,37 +65,6 @@ def chsh_game() -> Game:
 _CHSH = chsh_game()
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """a when it is read-only down its whole base chain (regcalc._frozen),
-    else a read-only copy, the rule ProcessTensor keeps its matrix by."""
-    if not rc._frozen(a):
-        a = a.copy()
-        a.setflags(write=False)
-    return a
-
-
-def _frozen_table(table):
-    """A POVM table as nested tuples whose leaves are read-only arrays."""
-    if isinstance(table, (list, tuple)):
-        return tuple(map(_frozen_table, table))
-    return _read_only(np.asarray(table))
-
-
-def _tables_equal(a, b) -> bool:
-    """Whether two _frozen_table results nest alike and hold
-    np.array_equal leaves."""
-    if isinstance(a, tuple) != isinstance(b, tuple):
-        return False
-    if isinstance(a, tuple):
-        return len(a) == len(b) and all(map(_tables_equal, a, b))
-    return np.array_equal(a, b)
-
-
-def _table_shapes(table):
-    """A _frozen_table's nesting with each leaf replaced by its shape."""
-    return tuple(map(_table_shapes, table)) if isinstance(table, tuple) else table.shape
-
-
 @dataclass(frozen=True)
 class DeviceStrategy:
     """A bipartite quantum strategy: a shared state plus, per player and
@@ -108,16 +77,19 @@ class DeviceStrategy:
     POVM tables (no post-measurement back-action is modelled).
 
     A strategy is an immutable value: the shared state is a read-only
-    ProcessTensor and povms is kept as nested tuples of read-only
-    effects.  So an "iid" strategy validates and tabulates itself once,
-    on first use, and keeps the result (see outcome_cdf)."""
+    ProcessTensor and povms holds one complex array per player, indexed
+    [round,] input, outcome, d, d and kept by regcalc.read_only (a
+    ragged table raises ValueError).  So an "iid" strategy validates and
+    tabulates itself once, on first use, and keeps the result (see
+    outcome_cdf)."""
 
     shared_state: ProcessTensor
     povms: tuple
     mode: str = "iid"
 
     def __post_init__(self):
-        object.__setattr__(self, "povms", _frozen_table(self.povms))
+        povms = tuple(rc.read_only(np.asarray(t, dtype=complex)) for t in self.povms)
+        object.__setattr__(self, "povms", povms)
 
     def validate(self, tol: float = 1e-9):
         """Raise ValueError unless the shared state is a density matrix
@@ -133,8 +105,7 @@ class DeviceStrategy:
             raise ValueError("shared state is not PSD")
         if len(self.povms) != 2:
             raise ValueError("a bipartite strategy needs POVMs for two players")
-        for table in self.povms:
-            e = np.asarray(table, dtype=complex)  # [round,] input, outcome, d, d
+        for e in self.povms:
             if e.ndim != (4 if self.mode == "iid" else 5) or e.shape[-1] != e.shape[-2]:
                 raise ValueError("POVM tables must stack square effects per input")
             if np.abs(e.sum(axis=-3) - np.eye(e.shape[-1])).max() > tol:
@@ -169,25 +140,26 @@ class DeviceStrategy:
     @cached_property
     def _iid_distribution(self) -> np.ndarray:
         self.validate()
-        return _read_only(conditional_distribution(self))
+        return rc.read_only(conditional_distribution(self))
 
     @cached_property
     def _iid_cdf(self) -> np.ndarray:
-        return _read_only(_outcome_cdf(self._iid_distribution))
+        return rc.read_only(_outcome_cdf(self._iid_distribution))
 
     def __eq__(self, other):
-        """Value equality: the same mode and shared state, and POVM
-        tables of the same nesting whose effects are np.array_equal."""
+        """Value equality: the same mode and shared state, and the same
+        number of players, whose POVM arrays are np.array_equal."""
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (
             self.mode == other.mode
             and self.shared_state == other.shared_state
-            and _tables_equal(self.povms, other.povms)
+            and len(self.povms) == len(other.povms)
+            and all(map(np.array_equal, self.povms, other.povms))
         )
 
     def __hash__(self):
-        return hash((self.mode, self.shared_state, _table_shapes(self.povms)))
+        return hash((self.mode, self.shared_state, tuple(t.shape for t in self.povms)))
 
     def round_povms(self, player: int, round_index: int):
         if self.mode == "iid":
@@ -247,8 +219,8 @@ def conditional_distribution(s: DeviceStrategy, round_index: int = 0) -> np.ndar
     arithmetic of np.kron and np.trace, so the floats do not depend on
     the batching."""
     rho = s.density()
-    pa = np.asarray(s.round_povms(0, round_index))
-    pb = np.asarray(s.round_povms(1, round_index))
+    pa = s.round_povms(0, round_index)
+    pb = s.round_povms(1, round_index)
     nx, na, da, _ = pa.shape
     ny, nb, db, _ = pb.shape
     k = pa[:, None, :, None, :, None, :, None] * pb[None, :, None, :, None, :, None, :]
@@ -503,21 +475,13 @@ def round_table(M: int, q: float, chi: float, s: DeviceStrategy) -> tuple[np.nda
     POVMs, a scripted strategy's length, the CHSH alphabet and the
     probability checks); an "iid" strategy runs its checks once and
     returns its cached, read-only table after that.  The symbol cdf is
-    built once per q and is read-only too."""
+    computed on every call: it costs a few microseconds."""
     if M < 1 or not 0.0 < q < 1.0 or not 0.5 <= chi <= 1.0:
         raise ValueError("invalid spot-check parameters")
-    return _symbol_cdf(q), s.outcome_cdf(M)
-
-
-# the most values of q whose round-symbol cdf a process keeps
-SYMBOL_CDF_CACHE_SIZE = 16
-
-
-@lru_cache(maxsize=SYMBOL_CDF_CACHE_SIZE, typed=True)
-def _symbol_cdf(q: float) -> np.ndarray:
-    """The cdf of the round symbol at test probability q, built once per
-    q and kept read-only."""
-    return _read_only(_cdf(b_q_distribution(q)))
+    # _cdf's operations without its checks, which b_q_distribution(q)
+    # passes for every q in (0, 1): no NaN, no negative entry, sum 1
+    cdf = b_q_distribution(q).cumsum()
+    return cdf / cdf[-1:], s.outcome_cdf(M)
 
 
 def _draw_outcomes(cdf: np.ndarray, xx: np.ndarray, yy: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -142,23 +142,26 @@ def _kind_dim(regs: Sequence[Register], kind: str) -> int:
     return base_dim([r for r in regs if r.kind == kind])
 
 
-def _frozen(a: np.ndarray) -> bool:
-    """True when a and every array in its base chain are read-only, so
-    that no one holds a writable handle on a's data."""
-    while isinstance(a, np.ndarray):
-        if a.flags.writeable:
-            return False
-        a = a.base
-    return a is None
+def read_only(a: np.ndarray) -> np.ndarray:
+    """a when it and every array in its base chain are read-only, so
+    that no one holds a writable handle on its data; otherwise a
+    read-only copy of a."""
+    b = a
+    while isinstance(b, np.ndarray) and not b.flags.writeable:
+        b = b.base
+    if b is not None:
+        a = a.copy()
+        a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
 class ProcessTensor:
     """A concrete linear map between tensor products of registers.
 
-    The matrix is read-only.  A complex matrix that is read-only down
-    its whole base chain (a fresh array its maker froze, or a view of
-    another ProcessTensor's matrix) is kept as given; anything else,
+    The matrix is kept by read_only: a complex matrix that is read-only
+    down its whole base chain (a fresh array its maker froze, or a view
+    of another ProcessTensor's matrix) is kept as given; anything else,
     including a read-only view of a writable array, is copied."""
 
     in_regs: tuple[Register, ...]
@@ -172,10 +175,7 @@ class ProcessTensor:
         want = (total_dim(self.out_regs), total_dim(self.in_regs))
         if m.shape != want:
             raise ValueError(f"matrix shape {m.shape} inconsistent with registers {want}")
-        if not _frozen(m):
-            m = m.copy()
-            m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", read_only(m))
 
     # -- convenience views -------------------------------------------------
     @property
@@ -490,6 +490,7 @@ class CQState:
 
     sum_i Tr(M_i) <= 1 (subnormalized); equality means normalized.
     The associated carrier state lives on registers [C(k), Q(d)].
+    Each branch operator is kept by read_only.
     """
 
     def __init__(self, branch_ops: Sequence[np.ndarray], tol: float = DEFAULT_TOL):
@@ -510,9 +511,7 @@ class CQState:
         tr = sum(float(np.trace(m).real) for m in ops)
         if tr > 1 + max(tol, 1e-8):
             raise ValueError(f"total trace {tr} exceeds 1")
-        self.branch_ops = tuple(m.copy() for m in ops)
-        for m in self.branch_ops:
-            m.setflags(write=False)
+        self.branch_ops = tuple(map(read_only, ops))
         self.classical_dim = len(ops)
         self.base_dim = d
         self.total_trace = tr

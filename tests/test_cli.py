@@ -312,6 +312,24 @@ class TestCheck:
         rep = json.loads(out.read_text())
         assert not rep["verified"]
 
+    @pytest.mark.parametrize(
+        "dims,entry",
+        [(["N=1", "N=3"], "N=3"), (["N=1", "--dims", "N=3"], "N=3"), (["N=1", "M=2", "--dims", "N=1"], "N=1")],
+        ids=["one_list", "repeated_flag", "later_flag"],
+    )
+    def test_symbol_given_twice_exit_2(self, tmp_path, capsys, dims, entry):
+        # the last value used to win silently: N=1 N=3 checked at N=3
+        code, out = run_to_file(tmp_path, ["check", "chain_k1", "--dims", *dims])
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == f"error: bad --dims entry {entry!r}; N is given twice\n"
+
+    def test_repeated_dims_flags_add_up(self, tmp_path):
+        # a repeated flag used to replace the earlier list, so N had no value
+        code, out = run_to_file(tmp_path, ["check", "chain_k1", "--dims", "N=1", "M=2"], "one.json")
+        assert code == 0
+        code, repeated = run_to_file(tmp_path, ["check", "chain_k1", "--dims", "N=1", "--dims", "M=2"], "two.json")
+        assert code == 0 and repeated.read_bytes() == out.read_bytes()
+
     def test_negative_dims_exit_2(self, tmp_path, capsys):
         argv = ["check", "soundness_k2", "--dims", "N=-1", "--out", str(tmp_path / "x")]
         assert cli.main(argv) == 2
@@ -571,7 +589,7 @@ class TestSimulate:
             del j["state"]
         else:
             j["povms"][1][0] = j["povms"][1][0][:1]
-        self.assert_strategy_exit_2(tmp_path, capsys, j)
+        self.assert_strategy_exit_2(tmp_path, capsys, j, "error: malformed strategy JSON: ")
 
     @pytest.mark.parametrize("defect", ["trace_2", "not_hermitian", "not_psd"])
     def test_bad_shared_state_exit_2(self, tmp_path, capsys, defect):
@@ -586,12 +604,13 @@ class TestSimulate:
         j["state"] = [[[x.real, x.imag] for x in row] for row in rho]
         self.assert_strategy_exit_2(tmp_path, capsys, j)
 
-    def assert_strategy_exit_2(self, tmp_path, capsys, j):
+    def assert_strategy_exit_2(self, tmp_path, capsys, j, prefix="error: "):
         sfile = tmp_path / "s.json"
         sfile.write_text(json.dumps(j))
         argv = ["simulate", "--rounds", "20", "--strategy", str(sfile)]
         assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 2
-        assert "strategy" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "strategy" in err and err.startswith(prefix)
 
     @pytest.mark.parametrize("defect", ["one_input", "not_psd", "negative_row"])
     def test_bad_strategy_sweep_exit_2(self, tmp_path, capsys, defect):

@@ -2,9 +2,10 @@
 workload's hole draws (among them its most drawn shape,
 `(C2, Q2) -> (C4, Q2)`), rule checks, `rules --dim 3`,
 `check soundness_k2 --dims N=1` and rule-side evaluation, the sweep
-workload's spot-check sampler, a whole `simulate --strategy FILE` job
-of its noisy class (with the file's strategy built anew, and cached)
-and its report emitter, and the certify workload's
+workload's spot-check sampler, the cold build of its noisy class's
+strategy, a whole `simulate --strategy FILE` job of that class (with
+the file's strategy built anew, and cached) and its report emitter,
+and the certify workload's
 process_distance and min_entropy_cq solves.
 
     PYTHONPATH=src python -m pytest tests/test_kernels.py
@@ -107,14 +108,29 @@ def test_spotcheck_sweep(benchmark, rounds, sweep):
         assert_same_report(run, per_seed_spotcheck(rounds, 0.2, 0.85, table, seed))
 
 
-def strategy_file_job(benchmark, monkeypatch, tmp_path, setup):
-    """Time a whole `simulate --strategy FILE --rounds 200 --sweep 20`
-    job of the noisy class (visibility 0.94), running setup before each
-    round, and check each run against the per-seed reference."""
+def noisy_strategy() -> pr.DeviceStrategy:
+    """The sweep workload's noisy class: a Bell state at visibility 0.94
+    with the optimal CHSH measurements."""
     s = pr.optimal_chsh_strategy()
     rho = 0.94 * s.density() + 0.06 * np.eye(4) / 4
+    return pr.DeviceStrategy(pr.bipartite_state(rho, 2, 2), s.povms)
+
+
+def test_strategy_from_json(benchmark):
+    # the cold strategy build of a noisy-class job: parse the matrices,
+    # freeze the POVM arrays, validate, and tabulate the outcome cdf
+    j = json.loads(json.dumps(pr.strategy_to_json(noisy_strategy())))
+    s = benchmark.pedantic(pr.strategy_from_json, args=(j,), rounds=ROUNDS, warmup_rounds=1)
+    assert s.mode == "iid" and [t.shape for t in s.povms] == [(2, 2, 2, 2)] * 2
+    assert np.allclose(s.outcome_cdf(), pr.round_table(200, 0.2, 0.85, noisy_strategy())[1], rtol=0, atol=1e-15)
+
+
+def strategy_file_job(benchmark, monkeypatch, tmp_path, setup):
+    """Time a whole `simulate --strategy FILE --rounds 200 --sweep 20`
+    job of the noisy class, running setup before each round, and check
+    each run against the per-seed reference."""
     sfile = tmp_path / "noisy.json"
-    sfile.write_text(json.dumps(pr.strategy_to_json(pr.DeviceStrategy(pr.bipartite_state(rho, 2, 2), s.povms))))
+    sfile.write_text(json.dumps(pr.strategy_to_json(noisy_strategy())))
     reports, emit = [], cli._emit
     monkeypatch.setattr(cli, "_emit", lambda report, out: reports.append(report) or emit(report, out))
     argv = ["simulate", "--strategy", str(sfile), "--rounds", "200", "--sweep", "20", "--seed", "5"]

@@ -434,8 +434,10 @@ class TestSpotcheck:
         for name, a in in_place.items():
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 0.5
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="read-only"):
             s.povms[0][0] = s.povms[0][1]
+        with pytest.raises(TypeError):
+            s.povms[0] = s.povms[1]
         for name, value in [("shared_state", s.shared_state), ("povms", s.povms), ("mode", "scripted")]:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(s, name, value)
@@ -450,17 +452,46 @@ class TestSpotcheck:
         effects[0][0][0][:] = 0.0
         assert np.array_equal(mine.povms[0][0][0], s.povms[0][0][0])
         assert pr.round_table(10, 0.2, 0.85, mine)[1].tobytes() == pr.round_table(10, 0.2, 0.85, s)[1].tobytes()
-        assert pr.DeviceStrategy(s.shared_state, s.povms).povms[0][0][0] is s.povms[0][0][0]
+        assert pr.DeviceStrategy(s.shared_state, s.povms).povms[0] is s.povms[0]
 
-    def test_symbol_cdf_built_once_per_q_and_read_only(self):
+    def test_povms_are_one_read_only_array_per_player(self):
         s = pr.optimal_chsh_strategy()
-        symbol_cdf, _ = pr.round_table(50, 0.2, 0.85, s)
-        assert pr.round_table(7, 0.2, 0.9, s)[0] is symbol_cdf
-        assert symbol_cdf.tobytes() == pr._cdf(pr.b_q_distribution(0.2)).tobytes()
-        with pytest.raises(ValueError, match="read-only"):
-            symbol_cdf[0] = 0.5
-        other = pr.round_table(50, 0.3, 0.85, s)[0]
-        assert other.tobytes() == pr._cdf(pr.b_q_distribution(0.3)).tobytes() != symbol_cdf.tobytes()
+        scripted = pr.DeviceStrategy(s.shared_state, [[t] * 3 for t in s.povms], mode="scripted")
+        for strategy, shape in ((s, (2, 2, 2, 2)), (scripted, (3, 2, 2, 2, 2))):
+            assert type(strategy.povms) is tuple and len(strategy.povms) == 2
+            for t in strategy.povms:
+                assert type(t) is np.ndarray and t.dtype == complex and t.shape == shape
+                assert not t.flags.writeable
+
+    def test_read_only_player_array_adopted_and_writable_one_copied(self):
+        s = pr.optimal_chsh_strategy()
+        frozen = [np.array(t) for t in s.povms]
+        for t in frozen:
+            t.setflags(write=False)
+        assert all(a is t for a, t in zip(pr.DeviceStrategy(s.shared_state, frozen).povms, frozen))
+        writable = [np.array(t) for t in s.povms]
+        copied = pr.DeviceStrategy(s.shared_state, writable)
+        assert not any(np.shares_memory(a, t) for a, t in zip(copied.povms, writable))
+        writable[0][:] = 0.0
+        assert copied == s
+
+    def test_ragged_povm_table_refused_when_built(self):
+        s = pr.optimal_chsh_strategy()
+        alice, bob = ([list(povm) for povm in t] for t in s.povms)
+        bob[0] = bob[0][:1]
+        with pytest.raises(ValueError):
+            pr.DeviceStrategy(s.shared_state, [alice, bob])
+
+    def test_symbol_cdf_matches_the_checked_cdf(self):
+        # round_table computes the cdf without _cdf's checks, which every
+        # q it accepts passes; each call returns a fresh array
+        s = pr.optimal_chsh_strategy()
+        for q in (1e-300, 1e-3, 0.2, 0.5, 1 - 1e-16):
+            want = pr._cdf(pr.b_q_distribution(q)).tobytes()
+            symbol_cdf, _ = pr.round_table(50, q, 0.85, s)
+            assert symbol_cdf.tobytes() == want
+            symbol_cdf[:] = 0.5
+            assert pr.round_table(50, q, 0.85, s)[0].tobytes() == want
 
     def test_equal_strategies_compare_and_hash_equal(self):
         # dataclass equality over array fields raised ValueError, and hash() TypeError

@@ -513,6 +513,16 @@ class TestCQState:
         with pytest.raises(ValueError, match="finite"):
             rc.CQState([m, np.diag([0.25, 0.25])])
 
+    def test_adopts_frozen_branch_and_copies_writable_one(self):
+        frozen = np.diag([0.25, 0.25]).astype(complex)
+        frozen.setflags(write=False)
+        writable = np.diag([0.25, 0.25]).astype(complex)
+        psi = rc.CQState([frozen, writable])
+        assert psi.branch_ops[0] is frozen
+        assert not np.shares_memory(psi.branch_ops[1], writable) and not psi.branch_ops[1].flags.writeable
+        writable[0, 0] = 0.5
+        assert psi.branch_ops[1][0, 0] == 0.25
+
 
 class TestJson:
     def test_round_trip(self):
