@@ -317,7 +317,7 @@ def unbounded_pipeline(plan: ExpansionPlan, strategies, seed: int, q: float = 0.
     if len(strategies) != 2:
         raise ValueError("supply exactly two device-pair strategies")
     for s in strategies:  # both device pairs, before any stage runs
-        s.outcome_cdf()
+        s.outcome_cdf
     chain = rw.script_chain(plan.k)
     _, records = rw.replay_script(chain)
     costs = [str(rule.cost) for _, rule in records if rule.cost]
@@ -362,7 +362,7 @@ def unbounded_pipeline(plan: ExpansionPlan, strategies, seed: int, q: float = 0.
     }
     # enumeration costs (round outcomes)^rounds per seed: only N = 1 has two-round stages
     first, second = stages[0]
-    if plan.k == 1 and second.rounds <= 2 and all(s.mode == "iid" for s in strategies):
+    if plan.k == 1 and second.rounds <= 2:
         report["uniform_distance_exact"] = _pipeline_exact_distance(
             first, second, strategies[0], q, chi
         )

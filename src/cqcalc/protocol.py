@@ -71,21 +71,18 @@ class DeviceStrategy:
     per input symbol, a POVM over that player's outputs.
 
     shared_state is a state ProcessTensor on two quantum registers;
-    povms[player][input] holds PSD effects summing to identity.
-    mode "iid" replays the same round behaviour every round; mode
-    "scripted" uses povms[player] as a per-round list of input-indexed
-    POVM tables (no post-measurement back-action is modelled).
+    povms[player][input] holds PSD effects summing to identity.  Every
+    round replays the same behaviour (no post-measurement back-action is
+    modelled).
 
     A strategy is an immutable value: the shared state is a read-only
     ProcessTensor and povms holds one complex array per player, indexed
-    [round,] input, outcome, d, d and kept by regcalc.read_only (a
-    ragged table raises ValueError).  So an "iid" strategy validates and
-    tabulates itself once, on first use, and keeps the result (see
-    outcome_cdf)."""
+    input, outcome, d, d and kept by regcalc.read_only (a ragged table
+    raises ValueError).  So a strategy validates and tabulates itself
+    once, on first use, and keeps the result (see outcome_cdf)."""
 
     shared_state: ProcessTensor
     povms: tuple
-    mode: str = "iid"
 
     def __post_init__(self):
         povms = tuple(rc.read_only(np.asarray(t, dtype=complex)) for t in self.povms)
@@ -95,7 +92,7 @@ class DeviceStrategy:
         """Raise ValueError unless the shared state is a density matrix
         (Hermitian, PSD, unit trace) and each player's POVM table is a
         rectangular stack of square PSD effects summing to identity per
-        input (per round and input in "scripted" mode)."""
+        input."""
         rho = self.density()
         if np.abs(rho - rho.conj().T).max() > tol:
             raise ValueError("shared state is not Hermitian")
@@ -106,65 +103,42 @@ class DeviceStrategy:
         if len(self.povms) != 2:
             raise ValueError("a bipartite strategy needs POVMs for two players")
         for e in self.povms:
-            if e.ndim != (4 if self.mode == "iid" else 5) or e.shape[-1] != e.shape[-2]:
+            if e.ndim != 4 or e.shape[-1] != e.shape[-2]:
                 raise ValueError("POVM tables must stack square effects per input")
             if np.abs(e.sum(axis=-3) - np.eye(e.shape[-1])).max() > tol:
                 raise ValueError("POVM effects must sum to identity")
             if np.linalg.eigvalsh((e + e.conj().swapaxes(-1, -2)) / 2).min() < -tol:
                 raise ValueError("POVM effect is not PSD")
 
-    def distribution(self, M: int = 1) -> np.ndarray:
-        """validate() the strategy and return its outcome probabilities:
-        p[x, y, a, b] in "iid" mode, computed on first use and kept
-        read-only, and p[round, x, y, a, b] over the first M rounds in
-        "scripted" mode, on every call (caching every round would check
-        rounds that a run never reads)."""
-        if self.mode == "iid":
-            return self._iid_distribution
-        self.validate()
-        if any(len(rounds) < M for rounds in self.povms):
-            raise ValueError(f"scripted strategy has fewer than {M} rounds")
-        return np.array([conditional_distribution(self, r) for r in range(M)])
-
-    def outcome_cdf(self, M: int = 1) -> np.ndarray:
-        """distribution(M), checked to fit the CHSH alphabet, as the
-        cumulative distribution of the outcome pair ab per input pair,
-        indexed [x, y, ab] in "iid" mode and [round, x, y, ab] in
-        "scripted" mode, with the checks of _cdf.  An "iid" strategy
-        keeps it read-only after its first call; a failed check raises
-        again on every call."""
-        if self.mode == "iid":
-            return self._iid_cdf
-        return _outcome_cdf(self.distribution(M))
-
     @cached_property
-    def _iid_distribution(self) -> np.ndarray:
+    def distribution(self) -> np.ndarray:
+        """The validate()d strategy's outcome probabilities p[x, y, a, b],
+        computed on first use and kept read-only; a failed check raises
+        again on every read."""
         self.validate()
         return rc.read_only(conditional_distribution(self))
 
     @cached_property
-    def _iid_cdf(self) -> np.ndarray:
-        return rc.read_only(_outcome_cdf(self._iid_distribution))
+    def outcome_cdf(self) -> np.ndarray:
+        """distribution, checked to fit the CHSH alphabet, as the
+        cumulative distribution of the outcome pair ab per input pair,
+        indexed [x, y, ab], with the checks of _cdf.  Kept read-only after
+        its first read; a failed check raises again on every read."""
+        return rc.read_only(_outcome_cdf(self.distribution))
 
     def __eq__(self, other):
-        """Value equality: the same mode and shared state, and the same
-        number of players, whose POVM arrays are np.array_equal."""
+        """Value equality: the same shared state, and the same number of
+        players, whose POVM arrays are np.array_equal."""
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (
-            self.mode == other.mode
-            and self.shared_state == other.shared_state
+            self.shared_state == other.shared_state
             and len(self.povms) == len(other.povms)
             and all(map(np.array_equal, self.povms, other.povms))
         )
 
     def __hash__(self):
-        return hash((self.mode, self.shared_state, tuple(t.shape for t in self.povms)))
-
-    def round_povms(self, player: int, round_index: int):
-        if self.mode == "iid":
-            return self.povms[player]
-        return self.povms[player][round_index]
+        return hash((self.shared_state, tuple(t.shape for t in self.povms)))
 
     def density(self) -> np.ndarray:
         """Shared state as a density matrix on the joint base space."""
@@ -211,7 +185,7 @@ def deterministic_strategy(fa, fb) -> DeviceStrategy:
     )
 
 
-def conditional_distribution(s: DeviceStrategy, round_index: int = 0) -> np.ndarray:
+def conditional_distribution(s: DeviceStrategy) -> np.ndarray:
     """p[x, y, a, b] = Tr((A^x_a (x) B^y_b) rho), computed exactly.
 
     Every Kronecker product comes from one broadcast multiply and every
@@ -219,8 +193,7 @@ def conditional_distribution(s: DeviceStrategy, round_index: int = 0) -> np.ndar
     arithmetic of np.kron and np.trace, so the floats do not depend on
     the batching."""
     rho = s.density()
-    pa = s.round_povms(0, round_index)
-    pb = s.round_povms(1, round_index)
+    pa, pb = s.povms
     nx, na, da, _ = pa.shape
     ny, nb, db, _ = pb.shape
     k = pa[:, None, :, None, :, None, :, None] * pb[None, :, None, :, None, :, None, :]
@@ -230,9 +203,8 @@ def conditional_distribution(s: DeviceStrategy, round_index: int = 0) -> np.ndar
 
 def game_value(g: Game, s: DeviceStrategy) -> float:
     """Exact expected winning probability by tensor contraction, on the
-    validated s.distribution() (round 0 of a "scripted" strategy)."""
-    p = s.distribution()
-    p = p.reshape(p.shape[-4:])
+    validated s.distribution."""
+    p = s.distribution
     pin = g.input_distribution.reshape(p.shape[0], p.shape[1])
     value = 0.0
     for xx, yy, aa, bb in product(*map(range, p.shape)):
@@ -468,32 +440,28 @@ def run_aborts(tests: int, passes: int, chi: float) -> bool:
 def round_table(M: int, q: float, chi: float, s: DeviceStrategy) -> tuple[np.ndarray, np.ndarray]:
     """Validate the spot-check parameters and tabulate the draws of
     spotcheck_run(M, q, chi, s, seed) for any seed: the cumulative
-    distribution of the round symbol (t, a1, a2), and s.outcome_cdf(M),
-    per input pair (x, y) that of the outcome pair (a, b), indexed
-    [x, y, ab] in "iid" mode and [round, x, y, ab] in "scripted" mode.
+    distribution of the round symbol (t, a1, a2), and s.outcome_cdf, per
+    input pair (x, y) that of the outcome pair (a, b), indexed [x, y, ab].
     The parameters are checked first, then the strategy (its state and
-    POVMs, a scripted strategy's length, the CHSH alphabet and the
-    probability checks); an "iid" strategy runs its checks once and
-    returns its cached, read-only table after that.  The symbol cdf is
-    computed on every call: it costs a few microseconds."""
+    POVMs, the CHSH alphabet and the probability checks); a strategy runs
+    its checks once and returns its cached, read-only table after that.
+    The symbol cdf is computed on every call: it costs a few
+    microseconds."""
     if M < 1 or not 0.0 < q < 1.0 or not 0.5 <= chi <= 1.0:
         raise ValueError("invalid spot-check parameters")
     # _cdf's operations without its checks, which b_q_distribution(q)
     # passes for every q in (0, 1): no NaN, no negative entry, sum 1
     cdf = b_q_distribution(q).cumsum()
-    return cdf / cdf[-1:], s.outcome_cdf(M)
+    return cdf / cdf[-1:], s.outcome_cdf
 
 
 def _draw_outcomes(cdf: np.ndarray, xx: np.ndarray, yy: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The outcome pairs ab that the uniform doubles u draw from the
-    round_table cdf on inputs (xx, yy), all three of one shape whose last
-    axis is the round.  The table is flattened to rows of four: round r
-    on inputs (x, y) reads row 2x + y in "iid" mode and 4r + 2x + y in
-    "scripted" mode.  ab is the count of that row's entries <= u, added
-    up one column at a time, so no (..., 4) array is built."""
+    round_table cdf on inputs (xx, yy), all three of one shape.  The
+    table is flattened to rows of four, and inputs (x, y) read row
+    2x + y.  ab is the count of that row's entries <= u, added up one
+    column at a time, so no (..., 4) array is built."""
     row = 2 * xx + yy
-    if cdf.ndim == 4:
-        row += 4 * np.arange(cdf.shape[0])
     flat = cdf.reshape(-1, 4)
     return sum(flat[:, j].take(row) <= u for j in range(4))
 
@@ -511,7 +479,7 @@ def spotcheck_run(
     seeds (a range, say), which returns one RunReport per seed in order;
     their arrays are rows of one (S, M, 5) and one (S, 2M) stack.  The
     draws are tabulated once by round_table, which validates and
-    tabulates an "iid" strategy only on its first use, and all rounds of
+    tabulates a strategy only on its first use, and all rounds of
     all seeds are drawn and scored at once; each seed's random
     stream and its use match one Generator.choice call for the round
     symbol and one for the outcome pair per round, so reports do not
@@ -845,8 +813,6 @@ STRATEGY_FORMAT_VERSION = 1
 
 
 def strategy_to_json(s: DeviceStrategy) -> dict:
-    if s.mode != "iid":
-        raise ValueError("only iid strategies serialize")
     return {
         "format_version": STRATEGY_FORMAT_VERSION,
         "state": rc.matrix_to_json(s.density()),
@@ -860,8 +826,8 @@ def strategy_to_json(s: DeviceStrategy) -> dict:
 def strategy_from_json(j: dict) -> DeviceStrategy:
     """Inverse of strategy_to_json.  Raises ValueError on a format
     version other than the integer 1, on malformed JSON, and on a
-    strategy that the sampler refuses (s.outcome_cdf(), whose result the
-    strategy keeps for round_table)."""
+    strategy that the sampler refuses (s.outcome_cdf, which the strategy
+    keeps for round_table)."""
     version = j.get("format_version") if isinstance(j, dict) else None
     if type(version) is not int or version != STRATEGY_FORMAT_VERSION:
         raise ValueError(f"unsupported strategy format {version!r}")
@@ -874,7 +840,7 @@ def strategy_from_json(j: dict) -> DeviceStrategy:
         da = povms[0][0][0].shape[0]
         db = povms[1][0][0].shape[0]
         s = DeviceStrategy(bipartite_state(rho, da, db), povms)
-        s.outcome_cdf()
+        s.outcome_cdf
     except (KeyError, IndexError, TypeError, ValueError) as e:
         raise ValueError(f"malformed strategy JSON: {e}") from e
     return s

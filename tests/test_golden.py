@@ -100,44 +100,18 @@ def test_simulate_run_bytes(tmp_path, monkeypatch, strategy, rounds):
     assert digest == SIMULATE_RUN_DIGESTS[(strategy, rounds)]
 
 
-def scripted_strategy(rounds: int) -> pr.DeviceStrategy:
-    """Per-round POVM tables cycling through the optimal measurements,
-    the all-zero answers and the optimal measurements with Bob's
-    outcomes swapped."""
-    honest = pr.optimal_chsh_strategy()
-    zero = pr.deterministic_strategy(lambda x: 0, lambda y: 0)
-    swapped = [list(reversed(effects)) for effects in honest.povms[1]]
-    cycle = [
-        (honest.povms[0], honest.povms[1]),
-        (zero.povms[0], zero.povms[1]),
-        (honest.povms[0], swapped),
-    ]
-    alice = [cycle[r % 3][0] for r in range(rounds)]
-    bob = [cycle[r % 3][1] for r in range(rounds)]
-    return pr.DeviceStrategy(honest.shared_state, [alice, bob], mode="scripted")
-
-
-def test_scripted_run_bytes():
-    run = pr.spotcheck_run(90, 0.3, 0.6, scripted_strategy(90), seed=12)
-    text = json.dumps(run.to_json(), sort_keys=True, default=np.ndarray.tolist)
-    assert sha256(text.encode()) == "2cf528af1746ebc7b3e6aa03fa94fbea058b57194bd3de2b944df9868c3fbe89"
-
-
 # seeds 95-105 at 40 rounds: rng_seed goes from 2 to 3 digits and
-# pass_count from 1 to 2 digits; the scripted table has a round axis
+# pass_count from 1 to 2 digits
 SPOTCHECK_SEEDS_DIGESTS = {
     "optimal": "5f6a9e6b0d1058954a5996ae4986b54bb294f95e26c42d16c7a125780f22e88d",
     "all-zero": "ab9e4b81d813daa9c7c929436ad79c48a18463ec5a32558d508284d68c238cc9",
-    "scripted": "fe4e7e5bfd22b9b719dcbf39dd9216d87aead73dc6634a5daa7356b57ee429b1",
 }
 
 
 def spotcheck_strategy(name: str) -> pr.DeviceStrategy:
     if name == "optimal":
         return pr.optimal_chsh_strategy()
-    if name == "all-zero":
-        return pr.deterministic_strategy(lambda x: 0, lambda y: 0)
-    return scripted_strategy(90)
+    return pr.deterministic_strategy(lambda x: 0, lambda y: 0)
 
 
 @pytest.mark.parametrize("strategy", sorted(SPOTCHECK_SEEDS_DIGESTS))

@@ -107,10 +107,10 @@ class TestBiasedInputs:
             pr.rational_approx(0.1, 0)
 
 
-def reference_conditional_distribution(s, round_index=0):
+def reference_conditional_distribution(s):
     """The per-entry kron/trace loop that conditional_distribution batches."""
     rho = s.density()
-    pa, pb = s.round_povms(0, round_index), s.round_povms(1, round_index)
+    pa, pb = s.povms
     p = np.zeros((len(pa), len(pb), len(pa[0]), len(pb[0])))
     for x, y, a, b in np.ndindex(p.shape):
         p[x, y, a, b] = np.trace(np.kron(pa[x][a], pb[y][b]) @ rho).real
@@ -127,13 +127,13 @@ def reference_spotcheck(M, q, chi, s, seed):
     for each round symbol and one for each outcome pair."""
     g = pr.chsh_game()
     rng = np.random.Generator(np.random.Philox(seed))
-    ps = [reference_conditional_distribution(s, r) for r in range(1 if s.mode == "iid" else M)]
+    p = reference_conditional_distribution(s)
     transcript, outputs, tests, passes = [], [], 0, 0
     for r in range(M):
         sym = int(rng.choice(8, p=pr.b_q_distribution(q)))
         t, a1, a2 = sym >> 2, (sym >> 1) & 1, sym & 1
         xx, yy = (a1, a2) if t else (0, 0)
-        flat = ps[0 if s.mode == "iid" else r][xx, yy].reshape(-1)
+        flat = p[xx, yy].reshape(-1)
         aa, bb = divmod(int(rng.choice(4, p=flat / flat.sum())), 2)
         tests += t
         passes += bool(t and g.predicate(xx, yy, aa, bb))
@@ -150,8 +150,7 @@ def per_seed_spotcheck(M, q, chi, s, seed):
     sym = (symbol_cdf <= u[:, :1]).sum(axis=-1)
     t, a1, a2 = sym >> 2, (sym >> 1) & 1, sym & 1
     xx, yy = a1 * t, a2 * t
-    rows = cdf[xx, yy] if cdf.ndim == 3 else cdf[np.arange(M), xx, yy]
-    ab = (rows <= u[:, 1:]).sum(axis=-1)
+    ab = (cdf[xx, yy] <= u[:, 1:]).sum(axis=-1)
     aa, bb = ab >> 1, ab & 1
     tests = int(t.sum())
     passes = int(pr.chsh_game().predicate(xx, yy, aa, bb)[t == 1].sum())
@@ -175,7 +174,7 @@ def assert_same_report(got, want):
         assert getattr(got, name) == getattr(want, name)
 
 
-def random_strategy(seed, da=3, db=2, rounds=None):
+def random_strategy(seed, da=3, db=2):
     """Random full-rank complex state with random projective measurements."""
     rng = np.random.default_rng(seed)
 
@@ -191,10 +190,7 @@ def random_strategy(seed, da=3, db=2, rounds=None):
     g = rng.normal(size=(da * db,) * 2) + 1j * rng.normal(size=(da * db,) * 2)
     rho = g @ g.conj().T
     state = pr.bipartite_state(rho / np.trace(rho), da, db)
-    if rounds is None:
-        return pr.DeviceStrategy(state, [table(da), table(db)])
-    povms = [[table(da) for _ in range(rounds)], [table(db) for _ in range(rounds)]]
-    return pr.DeviceStrategy(state, povms, mode="scripted")
+    return pr.DeviceStrategy(state, [table(da), table(db)])
 
 
 def deterministic_strategies():
@@ -209,14 +205,6 @@ def deterministic_strategies():
 
 
 DETERMINISTIC_STRATEGIES = deterministic_strategies()
-
-
-def alternating_deterministic_strategy(rounds):
-    """A scripted strategy whose round r plays the POVMs of the
-    (r mod 16)-th deterministic strategy on their shared state."""
-    tables = list(DETERMINISTIC_STRATEGIES.values())
-    povms = [[tables[r % len(tables)].povms[player] for r in range(rounds)] for player in range(2)]
-    return pr.DeviceStrategy(tables[0].shared_state, povms, mode="scripted")
 
 
 def test_density_round_trip_2x3():
@@ -258,9 +246,6 @@ def invalid_spotcheck_inputs():
                     "shared state is not PSD"),
         "one_input": (10, 0.2, 0.85, pr.DeviceStrategy(s.shared_state, [t[:1] for t in s.povms]),
                       "CHSH needs two inputs and two outcomes per player, got (x, y, a, b) sizes (1, 1, 2, 2)"),
-        "short_scripted": (4, 0.2, 0.85, pr.DeviceStrategy(
-            s.shared_state, [[t] * 3 for t in s.povms], mode="scripted"),
-                           "scripted strategy has fewer than 4 rounds"),
         "negative_row": (10, 0.2, 0.85, negative_row_strategy(), "probabilities are not non-negative"),
     }
 
@@ -271,12 +256,11 @@ INVALID_SPOTCHECK_INPUTS = invalid_spotcheck_inputs()
 class TestSpotcheck:
     @pytest.mark.parametrize(
         "s",
-        [pr.optimal_chsh_strategy(), random_strategy(1), random_strategy(2, 2, 2), random_strategy(3, rounds=40)],
-        ids=["optimal", "random3x2", "random2x2", "scripted"],
+        [pr.optimal_chsh_strategy(), random_strategy(1), random_strategy(2, 2, 2)],
+        ids=["optimal", "random3x2", "random2x2"],
     )
     def test_matches_scalar_choice_loop(self, s):
-        for r in range(3 if s.mode == "scripted" else 1):
-            assert pr.conditional_distribution(s, r).tobytes() == reference_conditional_distribution(s, r).tobytes()
+        assert pr.conditional_distribution(s).tobytes() == reference_conditional_distribution(s).tobytes()
         for M, q in ((40, 0.1), (40, 0.6), (1, 0.6)):
             for seed in range(3):
                 want = reference_spotcheck(M, q, 0.75, s, seed).to_json()
@@ -296,17 +280,13 @@ class TestSpotcheck:
             pr.optimal_chsh_strategy(),
             random_strategy(1),
             random_strategy(2, 2, 2),
-            random_strategy(3, rounds=100),
             *DETERMINISTIC_STRATEGIES.values(),
-            alternating_deterministic_strategy(100),
         ],
         ids=[
             "optimal",
             "random3x2",
             "random2x2",
-            "scripted",
             *(f"deterministic{k}" for k in DETERMINISTIC_STRATEGIES),
-            "scripted_deterministic",
         ],
     )
     @pytest.mark.parametrize("M", [1, 7, 100])
@@ -324,26 +304,24 @@ class TestSpotcheck:
         assert all(g.classical_transcript.base is got[0].classical_transcript.base for g in got)
 
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), rounds=st.none() | st.integers(1, 6), seeds=st.integers(1, 3))
-    def test_lookups_count_entries_at_or_below_u(self, data, rounds, seeds):
+    @given(data=st.data(), M=st.integers(1, 6), seeds=st.integers(1, 3))
+    def test_lookups_count_entries_at_or_below_u(self, data, M, seeds):
         # exact zeros in a table repeat its cdf entries, and doubles u
         # drawn from those entries tie with them: both lookups must still
         # count the entries <= u, as the broadcast compare-and-sum does
         entries = st.just(0.0) | st.floats(1e-3, 1.0)
-        p = data.draw(hnp.arrays(np.float64, (2, 2, 4) if rounds is None else (rounds, 2, 2, 4), elements=entries))
+        p = data.draw(hnp.arrays(np.float64, (2, 2, 4), elements=entries))
         p[..., 3] += p.sum(axis=-1) == 0
         cdf = pr._cdf(p / p.sum(axis=-1, keepdims=True))
         w = data.draw(hnp.arrays(np.float64, 8, elements=entries))
         w[7] += w.sum() == 0
         symbol_cdf = pr._cdf(w / w.sum())
-        M = rounds or data.draw(st.integers(1, 6))
         ties = np.unique(np.concatenate([cdf.ravel(), symbol_cdf, [0.0, np.nextafter(1.0, 0.0)]]))
         u = data.draw(hnp.arrays(np.float64, (seeds, M, 2), elements=st.sampled_from(ties.tolist())))
         sym = np.searchsorted(symbol_cdf, u[..., 0], side="right")
         assert np.array_equal(sym, (symbol_cdf <= u[..., :1]).sum(axis=-1))
         xx, yy = data.draw(hnp.arrays(np.int64, (2, seeds, M), elements=st.integers(0, 1)))
-        rows = cdf[xx, yy] if rounds is None else cdf[np.arange(M), xx, yy]
-        want = (rows <= u[..., 1:]).sum(axis=-1)
+        want = (cdf[xx, yy] <= u[..., 1:]).sum(axis=-1)
         got = pr._draw_outcomes(cdf, xx, yy, u[..., 1])
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
@@ -397,9 +375,6 @@ class TestSpotcheck:
         one_input = pr.DeviceStrategy(s.shared_state, [t[:1] for t in s.povms])
         with pytest.raises(ValueError, match="CHSH"):
             pr.spotcheck_run(10, 0.2, 0.85, one_input, seed=0)
-        short = pr.DeviceStrategy(s.shared_state, [[t] * 3 for t in s.povms], mode="scripted")
-        with pytest.raises(ValueError, match="rounds"):
-            pr.spotcheck_run(4, 0.2, 0.85, short, seed=0)
 
     def test_unnormalised_state_rejected(self):
         # twice the Bell state: game_value would read 1.7071 and the
@@ -428,7 +403,7 @@ class TestSpotcheck:
         in_place = {
             "effect": s.povms[0][0][0],
             "state": s.shared_state.matrix,
-            "distribution": s.distribution(),
+            "distribution": s.distribution,
             "outcome_cdf": cdf,
         }
         for name, a in in_place.items():
@@ -438,7 +413,7 @@ class TestSpotcheck:
             s.povms[0][0] = s.povms[0][1]
         with pytest.raises(TypeError):
             s.povms[0] = s.povms[1]
-        for name, value in [("shared_state", s.shared_state), ("povms", s.povms), ("mode", "scripted")]:
+        for name, value in [("shared_state", s.shared_state), ("povms", s.povms)]:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(s, name, value)
         assert [dumps(r.to_json()) for r in pr.spotcheck_run(50, 0.2, 0.85, s, range(3))] == before
@@ -456,12 +431,10 @@ class TestSpotcheck:
 
     def test_povms_are_one_read_only_array_per_player(self):
         s = pr.optimal_chsh_strategy()
-        scripted = pr.DeviceStrategy(s.shared_state, [[t] * 3 for t in s.povms], mode="scripted")
-        for strategy, shape in ((s, (2, 2, 2, 2)), (scripted, (3, 2, 2, 2, 2))):
-            assert type(strategy.povms) is tuple and len(strategy.povms) == 2
-            for t in strategy.povms:
-                assert type(t) is np.ndarray and t.dtype == complex and t.shape == shape
-                assert not t.flags.writeable
+        assert type(s.povms) is tuple and len(s.povms) == 2
+        for t in s.povms:
+            assert type(t) is np.ndarray and t.dtype == complex and t.shape == (2, 2, 2, 2)
+            assert not t.flags.writeable
 
     def test_read_only_player_array_adopted_and_writable_one_copied(self):
         s = pr.optimal_chsh_strategy()
@@ -505,7 +478,6 @@ class TestSpotcheck:
         effects[1][1][0][0, 0] = np.nextafter(effects[1][1][0][0, 0].real, 2)
         assert pr.DeviceStrategy(a.shared_state, effects) != a
         assert pr.DeviceStrategy(a.shared_state, [a.povms]) != a
-        assert pr.DeviceStrategy(a.shared_state, a.povms, "scripted") != a
         assert a != a.shared_state and a.__eq__(a.povms) is NotImplemented
 
     def test_all_zero_devices_mostly_abort(self):
