@@ -245,12 +245,15 @@ def cmd_check(args) -> int:
             script,
             eps_fns=eps_fns,
             N=args.n_value,
-            dims=dims or None,
+            dims=None if args.dims is None else dims,
             seed=args.seed,
             tol=tol,
         )
     except rc.UnboundSymbolError as e:
         raise CliError(f"--dims gives no value for symbol {e.symbol!r}") from e
+    except rw.UnknownSymbolError as e:
+        item = next(i for i in args.dims if i.split("=")[0] == e.symbol)
+        raise CliError(f"bad --dims entry {item!r}; {script.name} has no symbol {e.symbol}") from e
     except rw.UnboundRateError as e:
         raise CliError(f"--eps-fn gives no function for rate {e.rate!r}") from e
     except rw.RewriteError as e:
@@ -358,7 +361,10 @@ def cmd_entropy(args) -> int:
             raise CliError("bad state file: total trace must be positive")
     else:
         raise CliError("provide --state FILE or --example diagonal")
-    h, cert = pr.min_entropy_cq(psi, tol=tol)
+    try:
+        h, cert = pr.min_entropy_cq(psi, tol=tol)
+    except ValueError as e:
+        raise CliError(str(e)) from e
     report = {
         # 3: the solver is the primal-dual method, iterations counts its
         # predictor-corrector iterations, and the seed, which the

@@ -77,10 +77,6 @@ class Generator:
                 raise ValueError("scalar payload must lie in [0, 1]")
 
     @property
-    def symbolic(self) -> bool:
-        return any(r.symbolic for r in self.in_ports + self.out_ports)
-
-    @property
     def opaque(self) -> bool:
         """Its process comes from a binding: a hole, or a box with no payload."""
         return self.kind == HOLE or (self.kind == BOX and not isinstance(self.payload, ProcessTensor))
@@ -256,10 +252,15 @@ class Diagram:
 
     # -- structure accessors ----------------------------------------------
     @cached_property
+    def symbols(self) -> frozenset:
+        """The symbols of the diagram's symbolic widths, on its nodes and
+        its boundary."""
+        ports = [r for g in self.nodes.values() for r in g.in_ports + g.out_ports]
+        return frozenset(r.base_dim.symbol for r in [*ports, *self.in_types, *self.out_types] if r.symbolic)
+
+    @cached_property
     def symbolic(self) -> bool:
-        return any(g.symbolic for g in self.nodes.values()) or any(
-            r.symbolic for r in self.in_types + self.out_types
-        )
+        return bool(self.symbols)
 
     @cached_property
     def _substs(self) -> dict:

@@ -514,6 +514,7 @@ def spotcheck_run(
 
 
 PD_STEP = 0.95  # min_entropy_cq: share of the way to the cone's boundary that a step goes
+PD_DIM_MAX = 64  # min_entropy_cq: the largest branch dimension d the primal-dual solve takes
 
 
 def _inv_chol(x: np.ndarray):
@@ -663,10 +664,21 @@ def min_entropy_cq(psi: CQState, tol: float = 1e-6, max_iter: int = 1000):
     factorisation fails, or the gap stops shrinking) the solve stops
     with the bounds it has certified.  Returns (H_min, certificate dict
     with sigma, gap, p_guess bounds and the number of predictor-corrector
-    iterations as iterations)."""
+    iterations as iterations).
+
+    Memory caps the primal-dual solve: its Schur system is a d^2 x d^2
+    complex matrix, 16 d^4 bytes (256 MiB at d = 64, 64 GiB at d = 256),
+    and it builds several of that size.  So branches with d > PD_DIM_MAX
+    = 64 that have no closed form raise ValueError before any of them is
+    built; the closed forms take any d."""
     ms = np.array(psi.branch_ops, dtype=complex)  # branches stacked (k, d, d)
     exact = _closed_form(ms)
     if exact is None:
+        if ms.shape[-1] > PD_DIM_MAX:
+            raise ValueError(
+                f"branches of dimension {ms.shape[-1]} have no closed form, and the"
+                f" primal-dual solve takes dimension <= {PD_DIM_MAX}"
+            )
         sigma, p_lower, p_upper, steps = _primal_dual(ms, tol, max_iter)
     else:
         sigma, p_lower = exact

@@ -116,6 +116,15 @@ class UnboundRateError(KeyError):
         self.rate = rate
 
 
+class UnknownSymbolError(KeyError):
+    """A script was given a width for a symbol that neither its initial
+    diagram nor any replayed step's rule sides carry."""
+
+    def __init__(self, symbol: str):
+        super().__init__(f"the script has no symbol {symbol!r}")
+        self.symbol = symbol
+
+
 def _resolve_fn(eps_fn, name):
     if isinstance(eps_fn, dict):
         if name not in eps_fn:
@@ -1080,14 +1089,25 @@ def run_script(
     """Replay a proof script and report on it.
 
     Always performs the symbolic replay (checking that the accumulated
-    budget matches the script's claim).  With `dims` (e.g. {"N": 1})
-    each step is additionally validated numerically in isolation under
+    budget matches the script's claim).  With `dims` (e.g. {"N": 1}),
+    which must give a value to each of the script's symbols, those of
+    its initial diagram and of every replayed step's rule sides
+    (rc.UnboundSymbolError otherwise), and to no other symbol
+    (UnknownSymbolError), each step is additionally validated
+    numerically in isolation under
     a seeded random binding and judged by verdict: exact steps must
     agree to `tol`; axiom steps have their measured deviation recorded,
     and it must be finite; steps whose instantiated carriers exceed
     DIM_CAP**2 entries are skipped.  With `eps_fns` (a callable or a
     {name: callable} dict) the budget is also evaluated at base value N."""
     state, records = replay_script(script)
+    if dims is not None:
+        symbols = script.initial.symbols.union(*(side.symbols for _, rule in records for side in (rule.lhs, rule.rhs)))
+        missing, unknown = sorted(symbols - dims.keys()), [sym for sym in dims if sym not in symbols]
+        if missing:
+            raise rc.UnboundSymbolError(missing[0])
+        if unknown:
+            raise UnknownSymbolError(unknown[0])
     cap2 = DIM_CAP * DIM_CAP
     rng = np.random.default_rng(seed)
     binding: dict = {}

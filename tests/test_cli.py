@@ -323,12 +323,45 @@ class TestCheck:
         assert code == 2 and not out.exists()
         assert capsys.readouterr().err == f"error: bad --dims entry {entry!r}; N is given twice\n"
 
-    def test_repeated_dims_flags_add_up(self, tmp_path):
-        # a repeated flag used to replace the earlier list, so N had no value
-        code, out = run_to_file(tmp_path, ["check", "chain_k1", "--dims", "N=1", "M=2"], "one.json")
-        assert code == 0
-        code, repeated = run_to_file(tmp_path, ["check", "chain_k1", "--dims", "N=1", "--dims", "M=2"], "two.json")
-        assert code == 0 and repeated.read_bytes() == out.read_bytes()
+    def test_repeated_dims_flags_add_up(self, tmp_path, capsys):
+        # a repeated flag used to replace the earlier list: the later
+        # N=1 alone would pass, so the refused M=2 shows that both count
+        code, out = run_to_file(tmp_path, ["check", "chain_k1", "--dims", "M=2", "--dims", "N=1"])
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == "error: bad --dims entry 'M=2'; chain_k1 has no symbol M\n"
+
+    @pytest.mark.parametrize(
+        "script,dims,entry",
+        [
+            ("chain_k1", ["N=1", "M=2"], "M=2"),
+            ("soundness_k2", ["X=0", "N=1"], "X=0"),
+            ("single_stage", ["M=1", "N=1"], "N=1"),
+            ("spot_check_lemma", ["N=1", "--dims", "n=1"], "n=1"),
+        ],
+        ids=["extra_symbol", "extra_symbol_first", "other_scripts_symbol", "later_flag"],
+    )
+    def test_unknown_symbol_exit_2(self, tmp_path, capsys, script, dims, entry):
+        # a symbol the script never uses was ignored: chain_k1 --dims N=1
+        # M=2 wrote verified: true and the bytes of --dims N=1
+        code, out = run_to_file(tmp_path, ["check", script, "--dims", *dims])
+        assert code == 2 and not out.exists()
+        sym = entry.split("=")[0]
+        assert capsys.readouterr().err == f"error: bad --dims entry {entry!r}; {script} has no symbol {sym}\n"
+
+    def test_empty_dims_checks_a_script_without_symbols(self, tmp_path):
+        # a saved script at concrete widths has no symbol to give, so an
+        # empty --dims turns its numeric check on, and any symbol is refused
+        script = rw.SHIPPED_SCRIPTS["single_stage"]()
+        concrete = dataclasses.replace(script, initial=script.initial.subst({"M": 1}), steps=(),
+                                       claimed_total=rw.EpsExpr(()))
+        sfile = tmp_path / "s.json"
+        sfile.write_text(json.dumps(rw.script_to_json(concrete)))
+        assert run_to_file(tmp_path, ["check", str(sfile), "--dims"])[0] == 0
+        assert run_to_file(tmp_path, ["check", str(sfile), "--dims", "M=1"], "m.json") == (2, tmp_path / "m.json")
+        assert not (tmp_path / "m.json").exists()
+        # a script with a symbol still needs its value
+        code, out = run_to_file(tmp_path, ["check", "single_stage", "--dims"], "shipped.json")
+        assert code == 2 and not out.exists()
 
     def test_negative_dims_exit_2(self, tmp_path, capsys):
         argv = ["check", "soundness_k2", "--dims", "N=-1", "--out", str(tmp_path / "x")]
@@ -503,7 +536,8 @@ class TestCheck:
         step = {"rule": "merge", "loc": loc, "params": {"name": "h"}}
         sfile = tmp_path / "s.json"
         sfile.write_text(json.dumps(rw.script_to_json(rw.ProofScript("box", d, [step], rw.EpsExpr.zero()))))
-        code, out = run_to_file(tmp_path, ["check", str(sfile), "--dims", "N=1"])
+        # the script has no symbol, so an empty --dims turns the numeric check on
+        code, out = run_to_file(tmp_path, ["check", str(sfile), "--dims"])
         assert code == 0
         rep = json.loads(out.read_text())
         assert rep["verified"]
@@ -783,6 +817,21 @@ class TestEntropy:
 
     def test_no_input_exit_2(self, tmp_path):
         assert cli.main(["entropy", "--out", str(tmp_path / "x")]) == 2
+
+    def test_no_closed_form_above_the_dimension_cap_exit_2(self, tmp_path, capsys):
+        # the solve's d^2 x d^2 Schur matrix takes 16 d^4 bytes (64 GiB at
+        # d = 256), and a failed allocation ended in a traceback; above
+        # the cap the state is refused before any such array is built
+        d = pr.PD_DIM_MAX + 1
+        sfile = tmp_path / "st.json"
+        sfile.write_text(json.dumps(wishart_state(3, d, 0)))
+        argv = ["entropy", "--state", str(sfile), "--out", str(tmp_path / "x")]
+        codes = []
+        peak = _traced_peak(lambda: codes.append(cli.main(argv)))
+        assert codes == [2] and not (tmp_path / "x").exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: branches of dimension {d} have no closed form") and err.count("\n") == 1
+        assert peak < 16 * d**4 / 64
 
     @pytest.mark.parametrize("tol", ["0", "1e-300", "1e-15"])
     @pytest.mark.parametrize("state", ["entropy_state", "wishart"])

@@ -518,6 +518,24 @@ class TestMinEntropy:
             assert h == pytest.approx(-math.log2(p), abs=1e-9)
             assert cert["gap"] == 0.0
 
+    def test_dimension_cap_spares_the_closed_forms(self):
+        # above PD_DIM_MAX only the primal-dual solve is refused, before it
+        # builds its Schur matrix; the closed forms take any dimension
+        d = pr.PD_DIM_MAX + 1
+        rng = np.random.default_rng(5)
+        diags = rng.random((3, d))
+        diags /= diags.sum()
+        h, cert = pr.min_entropy_cq(CQState([np.diag(row).astype(complex) for row in diags]))
+        assert h == pytest.approx(-math.log2(diags.max(axis=0).sum()), abs=1e-12) and cert["iterations"] == 0
+        g = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
+        pos = g @ g.conj().swapaxes(1, 2)
+        _, cert = pr.min_entropy_cq(CQState(list(pos / np.trace(pos.sum(axis=0)).real)))
+        assert cert["converged"] and cert["iterations"] == 0
+        g = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+        pos = g @ g.conj().swapaxes(1, 2)
+        with pytest.raises(ValueError, match=f"dimension {d} have no closed form"):
+            pr.min_entropy_cq(CQState(list(pos / np.trace(pos.sum(axis=0)).real)))
+
     def test_iterative_gap_and_certificate(self):
         rng = np.random.default_rng(12)
         for _ in range(5):
