@@ -7,12 +7,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cqcalc import diagram as dg
 from cqcalc import protocol as pr
 from cqcalc import regcalc as rc
 from cqcalc import rewrite as rw
 from cqcalc.regcalc import SymWidth
+from test_diagram import _channels, _closed_stack
 
 C2, C3 = rc.C(2), rc.C(3)
 
@@ -401,6 +403,105 @@ class TestRuleLibrary:
         # the one judgement of a distance that check and rules share
         rule = next(r for r in rw.builtin_rules(2) + rw.axiom_rules() if r.validation_mode == mode)
         assert rw.verdict(rule, dist, 1e-9) == want
+
+
+def _reach(d: dg.Diagram, start: set, forward: bool) -> set:
+    """The nodes of d that a directed path leads to from start (forward)
+    or from which one leads into start, start itself excluded."""
+    step = {}
+    for src, dst in d.wires:
+        if src[0] == "n" and dst[0] == "n":
+            a, b = (src[1], dst[1]) if forward else (dst[1], src[1])
+            step.setdefault(a, set()).add(b)
+    seen, todo = set(), list(start)
+    while todo:
+        for n in step.get(todo.pop(), ()):
+            if n not in seen:
+                seen.add(n)
+                todo.append(n)
+    return seen - start
+
+
+def _connected_region(rng, d: dg.Diagram) -> set:
+    """A connected set of d's nodes grown from a random node, closed
+    under the paths between its nodes, so that the merge leaves d
+    acyclic."""
+    nodes = sorted(d.nodes)
+    near = {n: set() for n in nodes}
+    for src, dst in d.wires:
+        if src[0] == "n" and dst[0] == "n":
+            near[src[1]].add(dst[1])
+            near[dst[1]].add(src[1])
+    region = {nodes[rng.integers(len(nodes))]}
+    for _ in range(rng.integers(len(nodes))):
+        frontier = sorted(set().union(*(near[n] for n in region)) - region)
+        if not frontier:
+            break
+        region.add(frontier[rng.integers(len(frontier))])
+    return region | (_reach(d, region, True) & _reach(d, region, False))
+
+
+def _has_swappable_pair(d: dg.Diagram, region: set) -> bool:
+    """Whether two of the region's incoming, or two of its outgoing,
+    boundary wires have one type, and not both end outside the region
+    at a one-legged uniform (or discard): two of those are
+    interchangeable, so swapping their wires changes nothing."""
+    def pair(ends):
+        return any(
+            ta == tb and not (fa and fb) for (ta, fa), (tb, fb) in itertools.combinations(ends, 2)
+        )
+
+    def plain(end, kind):
+        return end[0] == "n" and d.nodes[end[1]].kind == kind
+
+    ins = [(d.wire_type(w), plain(w[0], dg.UNIFORM)) for w in d.wires
+           if w[1][0] == "n" and w[1][1] in region and not (w[0][0] == "n" and w[0][1] in region)]
+    outs = [(d.wire_type(w), plain(w[1], dg.DISCARD)) for w in d.wires
+            if w[0][0] == "n" and w[0][1] in region and not (w[1][0] == "n" and w[1][1] in region)]
+    return pair(ins) or pair(outs)
+
+
+HOST_DRAWS, REGION_DRAWS = 4, 16
+
+
+def _host_and_region(data, rng):
+    """A `_closed_stack` host, its holes' types and a connected region of
+    it (None when the host has no node).  Few hosts have a cut on which
+    swapped same-typed attachments show, so the draw is biased toward
+    them: up to HOST_DRAWS hosts are drawn, and REGION_DRAWS regions of
+    each, until one region has _has_swappable_pair."""
+    for _ in range(HOST_DRAWS):
+        d, holes = _closed_stack(data, "abc")
+        if not d.nodes:
+            continue
+        regions = [_connected_region(rng, d) for _ in range(REGION_DRAWS)]
+        swappable = [r for r in regions if _has_swappable_pair(d, r)]
+        if swappable:
+            return d, holes, swappable[0]
+    return d, holes, (regions[0] if d.nodes else None)
+
+
+def merge_keeps_host_evaluation(data, seed):
+    """Merge a connected region of a closed-stack host with rw.merge_step,
+    bind the new hole to the evaluated cut, and require the host to
+    evaluate as before, to 1e-12."""
+    rng = np.random.default_rng(seed)
+    d, holes, region = _host_and_region(data, rng)
+    if region is None:
+        return
+    binding = _channels(holes, rng)
+    merged, rule = rw.merge_step(d, tuple(region), "m")
+    before = d.evaluate(binding).matrix
+    after = merged.evaluate({**binding, "m": rule.lhs.evaluate(binding)}).matrix
+    assert merged.typecheck() == []
+    assert np.abs(after - before).max(initial=0.0) <= 1e-12
+
+
+class TestMergeProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**16))
+    def test_merge_keeps_host_evaluation(self, data, seed):
+        merge_keeps_host_evaluation(data, seed)
 
 
 def _merge_rule():
