@@ -353,7 +353,7 @@ class TestCheck:
         # empty --dims turns its numeric check on, and any symbol is refused
         script = rw.SHIPPED_SCRIPTS["single_stage"]()
         concrete = dataclasses.replace(script, initial=script.initial.subst({"M": 1}), steps=(),
-                                       claimed_total=rw.EpsExpr(()))
+                                       claimed_total=rw.EpsExpr.zero())
         sfile = tmp_path / "s.json"
         sfile.write_text(json.dumps(rw.script_to_json(concrete)))
         assert run_to_file(tmp_path, ["check", str(sfile), "--dims"])[0] == 0
